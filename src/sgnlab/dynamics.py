@@ -31,6 +31,7 @@ from .errors import (
     BoundaryContaminationError,
     ContractViolationError,
     DepthCollapseError,
+    ModeError,
     PositivityError,
     SolverFailureError,
     ThresholdExceededError,
@@ -53,11 +54,10 @@ __all__ = [
 
 @dataclass
 class RhsEval:
-    """Rates of change plus intermediates captured for zero-cost reuse."""
+    """Rates of change of depth and velocity at one state."""
 
     dh_dt: np.ndarray
     du_dt: np.ndarray
-    hooks: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,14 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     nonlocal_term = solve_L_refined(sys, s.h, derivative(curly_c(s, p, g) + f_of_h(s, p), g), g)
     dh = -hu_x
     du = -s.u * u_x - 3.0 * p.gamma * h_x / s.h**2 - nonlocal_term
-    hooks: dict = {"u_x": u_x, "h_x": h_x}
     if p.epsilon > 0.0:
         a = s.h * u_x
         b = p.sqrt_3gamma * h_x / np.sqrt(s.h)
-        P, Q = a - b, a + b
-        hooks["P"], hooks["Q"] = P, Q
-        fields = reg.compute_reg_fields(s, P, Q, p, g, sys)
+        fields = reg.compute_reg_fields(s, a - b, a + b, p, g, sys)
         if fields is not None:
             dh = dh + fields.A_x
             du = du + fields.B
-            hooks["reg"] = fields
-    return RhsEval(dh_dt=dh, du_dt=du, hooks=hooks)
+    return RhsEval(dh_dt=dh, du_dt=du)
 
 
 def cfl_dt(s: FlowState, p: Params, g: Grid, c: StepControl) -> float:
@@ -271,8 +267,12 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
 
     Aborts (blow-up trigger, depth collapse, boundary contamination, solver
     failure, non-finite fields) are recorded in the history with a reason
-    code.  Snapshots include the initial and final states.
+    code.  Snapshots include the initial and final states.  Invalid inputs
+    raise before the first step: eps > 0 on a periodic grid is a
+    :class:`ModeError`.
     """
+    if p.epsilon > 0.0 and g.periodic:
+        raise ModeError("eps > 0 runs require line mode (V1 needs the primitive from -infinity)")
     hist = SimHistory(grid=g, params=p, control=c)
     series: dict[str, list] = {k: [] for k in _SERIES_COLUMNS}
     depth_floor = 0.0

@@ -20,17 +20,20 @@ than a literal convolution with its exponential kernel
 ``exp(-sqrt(g/gamma)|x|) / (2 sqrt(g gamma))``: identical on the real line,
 well defined on both grid modes, and O(n) instead of O(n^2).
 
-Solves go through LAPACK's banded LU (the Thomas algorithm); periodic systems
-add a Sherman-Morrison rank-one correction for the corner entries.  Every
-solve verifies its own residual and refuses to return garbage.
+Both operators are SPD tridiagonal.  Each system is factored once with
+LAPACK's ``L D L^T`` (``dpttrf``) and every solve on it is one ``dpttrs``;
+periodic systems add a Sherman-Morrison correction for the corner entries.
+The Helmholtz system is built and factored once per (parameters, grid).
+Every solve verifies its own residual and refuses to return garbage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
 from .grid import Grid, as_field, cumulative_integral, derivative
@@ -74,6 +77,25 @@ class TridiagonalSystem:
     @property
     def n(self) -> int:
         return self.diag.shape[0]
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
+        """``(d, e, z, r, 1 + v.z)``, made on the first solve: the ``L D L^T`` factor
+        ``(d, e)``; periodic, of ``T = A - u v^T`` (SPD) with ``u = (-diag[0], 0, ..., corner)``,
+        ``v = (1, 0, ..., r)`` and ``z = T^{-1} u`` for Sherman-Morrison (line: ``z = None``)."""
+        off = self.sup[:-1]
+        if not self.periodic:
+            return (*_checked(dpttrf(self.diag, off)), None, 0.0, 1.0)
+        d0, c = self.diag[0], self.corner
+        diag = self.diag.copy()
+        diag[0] += d0
+        diag[-1] += c * c / d0
+        d, e = _checked(dpttrf(diag, off))
+        u = np.zeros(self.n)
+        u[0], u[-1] = -d0, c
+        (z,) = _checked(dpttrs(d, e, u))
+        r = -c / d0
+        return d, e, z, r, 1.0 + (z[0] + r * z[-1])
 
 
 def _face_cubes(h: np.ndarray, hbar: float | None, g: Grid) -> np.ndarray:
@@ -134,44 +156,35 @@ def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    ab = np.zeros((3, diag.shape[0]))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return ab
+def _checked(lapack_result: tuple) -> list[np.ndarray]:
+    """Outputs of a LAPACK call; ``info != 0`` (not positive definite) raises."""
+    *out, info = lapack_result
+    if info != 0:
+        raise SolverFailureError(f"tridiagonal factor/solve failed (LAPACK info = {info})")
+    return out
 
 
-def _solve_tridiag(sub, diag, sup, rhs) -> np.ndarray:
-    try:
-        return solve_banded((1, 1), _banded(sub, diag, sup), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD systems do not get here
-        raise SolverFailureError(f"banded solve failed: {exc}") from exc
-
-
-def _solve_cyclic(sys: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
-    """Sherman-Morrison correction of a tridiagonal solve for the periodic corner."""
-    n = sys.n
-    c = sys.corner
-    gamma0 = -sys.diag[0]
-    diag = sys.diag.copy()
-    diag[0] -= gamma0
-    diag[-1] -= c * c / gamma0
-    uvec = np.zeros(n)
-    uvec[0] = gamma0
-    uvec[-1] = c
-    ab = _banded(sys.sub, diag, sys.sup)
-    try:
-        y, z = solve_banded((1, 1), ab, np.column_stack([rhs, uvec])).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolverFailureError(f"banded solve failed: {exc}") from exc
-    vy = y[0] + (c / gamma0) * y[-1]
-    vz = z[0] + (c / gamma0) * z[-1]
-    return y - z * (vy / (1.0 + vz))
+def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, float]) -> np.ndarray:
+    """The one solve path: factor (once per system), solve, verify the residual."""
+    if sys.periodic:
+        adjusted = rhs
+    else:
+        adjusted = rhs.copy()
+        adjusted[0] += sys.ghost[0] * far_field[0]
+        adjusted[-1] += sys.ghost[1] * far_field[1]
+    d, e, z, r, denom = sys._factor
+    (u,) = _checked(dpttrs(d, e, adjusted))
+    if z is not None:
+        u = u - z * ((u[0] + r * u[-1]) / denom)
+    scale = max(float(np.max(np.abs(adjusted))), 1e-300)
+    residual = float(np.max(np.abs(apply_L(sys, u) - adjusted))) / scale
+    if not residual <= RESIDUAL_LIMIT:  # NaN fails too
+        raise SolverFailureError(f"solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.1e}")
+    return u
 
 
 def solve_L(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Solve ``L_h u = rhs``; verified residual, Thomas/Sherman-Morrison.
+    """Solve ``L_h u = rhs`` against the system's factor; verified residual.
 
     ``far_field`` prescribes the ghost values of the solution outside a
     line-mode domain.  Leave it at zero for decaying solutions; pass
@@ -180,19 +193,17 @@ def solve_L(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, flo
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (sys.n,):
         raise ContractViolationError(f"rhs has shape {rhs.shape}, expected ({sys.n},)")
-    if sys.periodic:
-        u = _solve_cyclic(sys, rhs)
-        adjusted = rhs
-    else:
-        adjusted = rhs.copy()
-        adjusted[0] += sys.ghost[0] * far_field[0]
-        adjusted[-1] += sys.ghost[1] * far_field[1]
-        u = _solve_tridiag(sys.sub, sys.diag, sys.sup, adjusted)
-    scale = max(float(np.max(np.abs(adjusted))), 1e-300)
-    residual = float(np.max(np.abs(apply_L(sys, u) - adjusted))) / scale
-    if residual > RESIDUAL_LIMIT:
-        raise SolverFailureError(f"solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.1e}")
-    return u
+    return _solve(sys, rhs, far_field)
+
+
+@lru_cache(maxsize=16)
+def _helmholtz_system(p: Params, g: Grid) -> TridiagonalSystem:
+    """``g - gamma d_xx`` with the standard second difference; one per (p, g)."""
+    w = p.gamma / g.dx**2
+    off = np.full(g.n, -w)
+    return TridiagonalSystem(off, np.full(g.n, p.g + 2.0 * w), off, corner=-w if g.periodic else 0.0,
+                             ghost=(0.0, 0.0) if g.periodic else (w, w), periodic=g.periodic,
+                             order0=np.full(g.n, p.g))
 
 
 def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid,
@@ -204,30 +215,9 @@ def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid,
     with the exponential kernel.
     """
     rhs = as_field(rhs, g)
-    w = p.gamma / g.dx**2
-    n = g.n
-    diag = np.full(n, p.g + 2.0 * w)
-    off = np.full(n, -w)
-    order0 = np.full(n, p.g)
-    if g.periodic:
-        sys = TridiagonalSystem(off, diag, off, corner=-w, ghost=(0.0, 0.0),
-                                periodic=True, order0=order0)
-        a = _solve_cyclic(sys, rhs)
-        adjusted = rhs
-    else:
-        sys = TridiagonalSystem(off, diag, off, corner=0.0, ghost=(w, w),
-                                periodic=False, order0=order0)
-        if far_field is None:
-            far_field = (rhs[0] / p.g, rhs[-1] / p.g)
-        adjusted = rhs.copy()
-        adjusted[0] += w * far_field[0]
-        adjusted[-1] += w * far_field[1]
-        a = _solve_tridiag(off, diag, off, adjusted)
-    scale = max(float(np.max(np.abs(adjusted))), 1e-300)
-    residual = float(np.max(np.abs(apply_L(sys, a) - adjusted))) / scale
-    if residual > RESIDUAL_LIMIT:
-        raise SolverFailureError(f"helmholtz residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.1e}")
-    return a
+    if far_field is None:
+        far_field = (rhs[0] / p.g, rhs[-1] / p.g)
+    return _solve(_helmholtz_system(p, g), rhs, far_field)
 
 
 def inv_L_dx(h: np.ndarray, psi: np.ndarray, g: Grid, hbar: float | None = None) -> np.ndarray:

@@ -11,7 +11,7 @@ from sgnlab.dynamics import (
     rk4_step,
     simulate,
 )
-from sgnlab.errors import ContractViolationError, DepthCollapseError
+from sgnlab.errors import ContractViolationError, DepthCollapseError, ModeError
 from sgnlab.grid import derivative, integrate
 
 from conftest import convergence_orders
@@ -245,3 +245,36 @@ class TestSimulate:
                         StepControl(cfl=0.3, dt_max=0.1, t_end=1.0),
                         blowup=BlowupThresholds())
         assert hist.trigger is None and hist.status == "completed"
+
+    def test_solver_failure_aborts_with_code(self, params, monkeypatch):
+        # fault injection: after the first steps every LAPACK solve is off by 1e-6
+        import sgnlab.elliptic as elliptic
+
+        real = elliptic.dpttrs
+        calls = []
+
+        def perturbed(d, e, b):
+            calls.append(1)
+            x, info = real(d, e, b)
+            return (x * (1.0 + 1e-6) if len(calls) > 40 else x), info
+
+        monkeypatch.setattr(elliptic, "dpttrs", perturbed)
+        g = Grid.from_length(256, 20.0, -10.0, "periodic")
+        hist = simulate(gaussian_state(g), params, g,
+                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "solver-failure"
+        t = hist.series["t"]
+        assert hist.n_steps > 0 and len(t) == hist.n_steps + 1
+        assert all(len(col) == len(t) for col in hist.series.values())
+        assert [s.t for s in hist.snapshots] == list(t)
+        assert hist.abort_time == hist.t_final == t[-1]
+
+    def test_periodic_epsilon_refused_before_first_step(self, monkeypatch):
+        # eps > 0 needs line mode; the refusal comes at entry, not when the cut-off fires
+        import sgnlab.dynamics as dynamics
+
+        g = Grid.from_length(256, 20.0, -10.0, "periodic")
+        monkeypatch.setattr(dynamics, "rk4_step", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(ModeError):
+            simulate(gaussian_state(g), Params(epsilon=0.5), g, StepControl(t_end=0.1))

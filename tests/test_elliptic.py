@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import sgnlab.elliptic as elliptic
 from sgnlab import FlowState, Grid, Params
 from sgnlab.elliptic import (
+    TridiagonalSystem,
     apply_L,
     apply_L_compatible,
     assemble_L,
@@ -13,7 +15,7 @@ from sgnlab.elliptic import (
     solve_L_refined,
     solve_helmholtz,
 )
-from sgnlab.errors import ContractViolationError, ModeError, PositivityError
+from sgnlab.errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
 from sgnlab.grid import cumulative_integral, derivative
 
 from conftest import convergence_orders
@@ -182,6 +184,78 @@ class TestSolve:
         e2 = np.max(np.abs(interp_cubic(sols[512], grids[512], coarse_x)
                            - interp_cubic(sols[1024], grids[1024], coarse_x)))
         assert np.log2(e1 / e2) >= 1.9
+
+
+class TestFactorSolve:
+    """The one factor -> solve -> verify path behind every L_h and Helmholtz solve."""
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    @pytest.mark.parametrize("n", [8, 9, 256])
+    def test_matches_dense(self, rng, mode, n):
+        g = Grid.from_length(n, 10.0, -5.0, mode)
+        p = Params(g=9.81, gamma=2.0, hbar=1.0)
+        for _ in range(10):
+            hbar = rng.uniform(0.5, 2.0)
+            systems = [assemble_L(random_depth(g, rng), g, hbar=hbar), elliptic._helmholtz_system(p, g)]
+            for sys in systems:
+                psi = rng.standard_normal(g.n)
+                far = tuple(rng.standard_normal(2)) if mode == "line" else (0.0, 0.0)
+                u = solve_L(sys, psi, far_field=far)
+                b = psi.copy()
+                b[0] += sys.ghost[0] * far[0]
+                b[-1] += sys.ghost[1] * far[1]
+                u_dense = np.linalg.solve(dense_matrix(sys), b)
+                assert np.max(np.abs(u - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_nan_rhs_fails_closed(self, rng, mode):
+        g = Grid.from_length(64, 10.0, -5.0, mode)
+        sys = assemble_L(random_depth(g, rng), g, hbar=1.0)
+        psi = rng.standard_normal(g.n)
+        psi[17] = np.nan
+        with pytest.raises(SolverFailureError):
+            solve_L(sys, psi)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_non_spd_system_refused(self, periodic):
+        # tridiag(-1, 1, -1) in flux form: order0 = -1, unit couplings; indefinite
+        n = 16
+        off = np.full(n, -1.0)
+        sys = TridiagonalSystem(off, np.ones(n), off, corner=-1.0 if periodic else 0.0,
+                                ghost=(0.0, 0.0) if periodic else (1.0, 1.0),
+                                periodic=periodic, order0=np.full(n, -1.0))
+        assert np.linalg.eigvalsh(dense_matrix(sys)).min() < 0
+        with pytest.raises(SolverFailureError):
+            solve_L(sys, np.ones(n))
+
+    def test_one_factorization_per_rhs(self, monkeypatch):
+        from sgnlab.dynamics import rhs as rhs_eval
+
+        calls = []
+        real = elliptic.dpttrf
+        monkeypatch.setattr(elliptic, "dpttrf", lambda d, e: calls.append(d.shape) or real(d, e))
+        for mode in ("periodic", "line"):
+            g = Grid.from_length(128, 20.0, -10.0, mode)
+            x = g.cells()
+            s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), 0.05 * np.exp(-(x**2)))
+            for k in range(1, 4):
+                calls.clear()
+                for _ in range(k):
+                    rhs_eval(s, Params(), g)
+                assert len(calls) == k
+
+    def test_helmholtz_factored_once(self, monkeypatch, rng):
+        calls = []
+        real = elliptic.dpttrf
+        monkeypatch.setattr(elliptic, "dpttrf", lambda d, e: calls.append(d.shape) or real(d, e))
+        elliptic._helmholtz_system.cache_clear()
+        p = Params(g=9.81, gamma=2.0, hbar=1.0)
+        for mode in ("periodic", "line"):
+            g = Grid.from_length(128, 20.0, -10.0, mode)
+            calls.clear()
+            for _ in range(5):
+                solve_helmholtz(rng.standard_normal(g.n), p, g)
+            assert len(calls) == 1
 
 
 class TestHelmholtz:
