@@ -15,6 +15,7 @@ from .errors import (  # noqa: F401
     ContractViolationError,
     DepthCollapseError,
     ModeError,
+    NonFiniteError,
     PositivityError,
     SgnError,
     SolverFailureError,

@@ -33,7 +33,7 @@ from . import regularization as reg
 from .elliptic import script_r
 from .errors import ContractViolationError
 from .grid import Grid
-from .kinematics import FlowState, Params, char_speeds, pq_fields
+from .kinematics import FlowState, Params, char_speeds, gradients, pq_fields
 
 __all__ = [
     "CharPath",
@@ -112,11 +112,6 @@ class PQSquareIntegral:
     t_end: float
 
 
-def _speed_field(s: FlowState, p: Params, branch: str) -> np.ndarray:
-    lam, eta = char_speeds(s, p)
-    return eta if branch == PLUS else lam
-
-
 def _wrap(x: float, g: Grid) -> float:
     if g.periodic:
         return g.x_left + (x - g.x_left) % g.length
@@ -136,7 +131,7 @@ def trace(history, x0: float, branch: str) -> CharPath:
         lo, hi = g.x_left + 2 * g.dx, g.x_right - 2 * g.dx
         if not (lo < x0 < hi):
             raise ContractViolationError(f"launch point {x0} outside the domain interior")
-    speeds = [_speed_field(s, p, branch) for s in snaps]
+    speeds = [char_speeds(s, p)[1 if branch == PLUS else 0] for s in snaps]  # (lambda, eta)
     pqs = [pq_fields(s, p, g) for s in snaps]
     times = np.array([s.t for s in snaps])
     xs = [float(x0)]
@@ -167,12 +162,13 @@ def trace(history, x0: float, branch: str) -> CharPath:
 
 def _riccati_rhs_field(s: FlowState, p: Params, g: Grid, branch: str) -> np.ndarray:
     """Gridded right-hand side of the Riccati equation for one branch."""
-    P, Q = pq_fields(s, p, g)
+    d = gradients(s, p, g)
+    P, Q = d.pq
     r = script_r(s, p, g)
     own, other = (P, Q) if branch == MINUS else (Q, P)
     out = (-own**2 + other**2) / (8.0 * s.h) - 3.0 * r / s.h**2
     if p.epsilon > 0.0:
-        fields = reg.compute_reg_fields(s, P, Q, p, g)
+        fields = reg.compute_reg_fields(s, d.ux, P, Q, p, g)
         if fields is not None:
             chi_own = fields.chiP if branch == MINUS else fields.chiQ
             v_sign = -1.0 if branch == MINUS else 1.0

@@ -30,8 +30,8 @@ import numpy as np
 
 from .dynamics import BlowupThresholds, SimHistory, check_blowup
 from .errors import ContractViolationError, ModeError, ThresholdExceededError
-from .grid import Grid, derivative
-from .kinematics import FlowState, Params, a_priori_bounds
+from .grid import Grid
+from .kinematics import FlowState, Params, a_priori_bounds, gradients
 
 __all__ = [
     "Box",
@@ -292,13 +292,12 @@ def blowup_monitor(s: FlowState, p: Params, g: Grid,
                    thresholds: BlowupThresholds | None = None) -> str | None:
     """Evaluate the paired blow-up criterion on a single state."""
     thr = thresholds if thresholds is not None else BlowupThresholds()
-    u_x = derivative(s.u, g)
-    h_x = derivative(s.h, g)
+    d = gradients(s, p, g)
     if thr.depth is not None:
         floor = thr.depth
     else:
         floor = 0.05 * p.hbar
-    return check_blowup(float(np.max(np.abs(u_x))), float(np.max(np.abs(h_x))),
+    return check_blowup(float(np.max(np.abs(d.ux))), float(np.max(np.abs(d.hx))),
                         float(s.h.min()), thr, floor)
 
 
@@ -340,10 +339,9 @@ def lp_box_norm(history: SimHistory, alpha: float, box: Box) -> float:
     cols = (x >= box.a) & (x <= box.b)
     per_snap = np.empty(inner.shape[0])
     for j, i in enumerate(inner):
-        h_x = derivative(hs[i], g)
-        u_x = derivative(us[i], g)
-        integrand = (np.abs(h_t[i]) ** q + np.abs(h_x) ** q
-                     + np.abs(u_t[i]) ** q + np.abs(u_x) ** q)
+        d = gradients(snaps[lo + i], history.params, g)
+        integrand = (np.abs(h_t[i]) ** q + np.abs(d.hx) ** q
+                     + np.abs(u_t[i]) ** q + np.abs(d.ux) ** q)
         per_snap[j] = np.sum(integrand[cols]) * g.dx
     return float(np.trapezoid(per_snap, tt[inner]))
 

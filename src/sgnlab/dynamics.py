@@ -32,12 +32,13 @@ from .errors import (
     ContractViolationError,
     DepthCollapseError,
     ModeError,
+    NonFiniteError,
     PositivityError,
     SolverFailureError,
     ThresholdExceededError,
 )
 from .grid import Grid, check_far_field, derivative, integrate
-from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h
+from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h, gradients, total_energy
 
 __all__ = [
     "RhsEval",
@@ -117,16 +118,14 @@ def check_blowup(max_abs_ux: float, max_abs_hx: float, min_h: float,
 def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     """Semi-discrete right-hand side; regularized sources only when active."""
     sys = assemble_L(s.h, g, p.hbar if not g.periodic else None)
+    d = gradients(s, p, g)
     hu_x = derivative(s.h * s.u, g)
-    u_x = derivative(s.u, g)
-    h_x = derivative(s.h, g)
-    nonlocal_term = solve_L_refined(sys, s.h, derivative(curly_c(s, p, g) + f_of_h(s, p), g), g)
+    nonlocal_term = solve_L_refined(sys, s.h, derivative(curly_c(s, p, d) + f_of_h(s, p), g), g)
     dh = -hu_x
-    du = -s.u * u_x - 3.0 * p.gamma * h_x / s.h**2 - nonlocal_term
+    du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - nonlocal_term
     if p.epsilon > 0.0:
-        a = s.h * u_x
-        b = p.sqrt_3gamma * h_x / np.sqrt(s.h)
-        fields = reg.compute_reg_fields(s, a - b, a + b, p, g, sys)
+        P, Q = d.pq
+        fields = reg.compute_reg_fields(s, d.ux, P, Q, p, g, sys)
         if fields is not None:
             dh = dh + fields.A_x
             du = du + fields.B
@@ -162,6 +161,7 @@ def rk4_step(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
 
     The retried step advances only dt/2 -- callers track time through the
     returned state.  A second violation raises :class:`DepthCollapseError`.
+    A non-finite stage raises :class:`NonFiniteError` at once, without retry.
     """
     if not dt > 0:
         raise ContractViolationError(f"dt must be positive, got {dt}")
@@ -229,31 +229,22 @@ _SERIES_COLUMNS = ("t", "mass", "energy", "min_h", "max_h", "max_abs_u",
 
 def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> tuple[float, float, float]:
     """Append one series row; returns (max|u_x|, max|h_x|, min h) for the monitors."""
-    u_x = derivative(s.u, g)
-    h_x = derivative(s.h, g)
-    e = (
-        0.5 * s.h * s.u**2
-        + 0.5 * p.g * (s.h - p.hbar) ** 2
-        + (1.0 / 6.0) * s.h**3 * u_x**2
-        + 0.5 * p.gamma * h_x**2
-    )
-    a = s.h * u_x
-    b = p.sqrt_3gamma * h_x / np.sqrt(s.h)
-    P, Q = a - b, a + b
+    d = gradients(s, p, g)
+    P, Q = d.pq
     if p.epsilon > 0.0 and reg.cutoff_active(P, Q, p.epsilon):
         diss = integrate(P * reg.chi(P, p.epsilon) + Q * reg.chi(Q, p.epsilon), g) / 48.0
     else:
         diss = 0.0
     min_h = float(s.h.min())
-    max_ux = float(np.max(np.abs(u_x)))
-    max_hx = float(np.max(np.abs(h_x)))
+    max_ux = float(np.max(np.abs(d.ux)))
+    max_hx = float(np.max(np.abs(d.hx)))
     series["t"].append(s.t)
     series["mass"].append(integrate(s.h, g))
-    series["energy"].append(integrate(e, g))
+    series["energy"].append(integrate(energy_density(s, p, d), g))
     series["min_h"].append(min_h)
     series["max_h"].append(float(s.h.max()))
     series["max_abs_u"].append(float(np.max(np.abs(s.u))))
-    series["min_ux"].append(float(u_x.min()))
+    series["min_ux"].append(float(d.ux.min()))
     series["max_abs_hx"].append(max_hx)
     series["sup_P"].append(float(P.max()))
     series["sup_Q"].append(float(Q.max()))
@@ -281,7 +272,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
             depth_floor = blowup.depth
         else:
             try:
-                e_start = integrate(energy_density(s0, p, g), g)
+                e_start = total_energy(s0, p, g)
                 depth_floor = 0.1 * a_priori_bounds(e_start, p).h_min
             except ThresholdExceededError:
                 depth_floor = 0.05 * p.hbar
@@ -317,11 +308,11 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
         except DepthCollapseError:
             reason = "depth-collapse"
             break
+        except NonFiniteError:
+            reason = "nonfinite-fields"
+            break
         except SolverFailureError:
             reason = "solver-failure"
-            break
-        if not (np.all(np.isfinite(s.h)) and np.all(np.isfinite(s.u))):
-            reason = "nonfinite-fields"
             break
         hist.n_steps += 1
         steps_since_out += 1
@@ -340,7 +331,6 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
         hist.abort_reason = reason
         hist.abort_time = s.t
     if not hist.snapshots or hist.snapshots[-1].t != s.t:
-        if np.all(np.isfinite(s.h)) and np.all(np.isfinite(s.u)):
-            snapshot(s)
+        snapshot(s)
     hist.series = {k: np.asarray(v) for k, v in series.items()}
     return hist

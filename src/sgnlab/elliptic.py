@@ -37,7 +37,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
 from .grid import Grid, as_field, cumulative_integral, derivative
-from .kinematics import FlowState, Params, curly_c, f_of_h
+from .kinematics import FlowState, Params, curly_c, f_of_h, gradients
 
 __all__ = [
     "TridiagonalSystem",
@@ -259,7 +259,7 @@ def script_r(s: FlowState, p: Params, g: Grid) -> np.ndarray:
     Computed from the operator composition (valid in both grid modes) rather
     than from the cumulative-integral form.
     """
-    c = curly_c(s, p, g)
+    c = curly_c(s, p, gradients(s, p, g))
     w = inv_L_dx(s.h, c + f_of_h(s, p), g, p.hbar)
     return c + (1.0 / 3.0) * s.h**3 * derivative(w, g)
 

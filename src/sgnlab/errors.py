@@ -13,6 +13,10 @@ class PositivityError(SgnError):
     """A quantity that must be strictly positive (usually the depth h) is not."""
 
 
+class NonFiniteError(SgnError):
+    """A state holds NaN or infinite entries; unlike a depth collapse, a smaller step cannot cure it."""
+
+
 class ModeError(SgnError):
     """An operation valid only in one grid mode was called in the other."""
 

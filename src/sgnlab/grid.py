@@ -93,19 +93,20 @@ def as_field(values, g: Grid) -> np.ndarray:
 def derivative(f: np.ndarray, g: Grid) -> np.ndarray:
     """4th-order first derivative of ``f`` on ``g``.
 
-    Periodic mode wraps; line mode uses one-sided 4th-order stencils at the
-    two boundary cells on each side.  Exact for polynomials up to degree 4.
+    Periodic mode wraps by padding ``f`` with two cells per side for the same
+    interior stencil; line mode uses one-sided 4th-order stencils at the two
+    boundary cells on each side.  Exact for polynomials up to degree 4.
     """
     f = as_field(f, g)
     inv12dx = 1.0 / (12.0 * g.dx)
     # stencils written as combinations of differences so constants are
     # annihilated exactly (flat states must be exact fixed points downstream)
+    fp = np.concatenate((f[-2:], f, f[:2])) if g.periodic else f
+    interior = (8.0 * (fp[3:-1] - fp[1:-3]) - (fp[4:] - fp[:-4])) * inv12dx
     if g.periodic:
-        return (
-            8.0 * (np.roll(f, -1) - np.roll(f, 1)) - (np.roll(f, -2) - np.roll(f, 2))
-        ) * inv12dx
+        return interior
     out = np.empty_like(f)
-    out[2:-2] = (8.0 * (f[3:-1] - f[1:-3]) - (f[4:] - f[:-4])) * inv12dx
+    out[2:-2] = interior
     out[0] = (48.0 * (f[1] - f[0]) - 36.0 * (f[2] - f[0])
               + 16.0 * (f[3] - f[0]) - 3.0 * (f[4] - f[0])) * inv12dx
     out[1] = (-3.0 * (f[0] - f[1]) + 18.0 * (f[2] - f[1])

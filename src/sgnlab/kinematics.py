@@ -26,6 +26,10 @@ below the threshold ``sqrt(g gamma) hbar^2``::
     h_max = hbar + (g gamma)^(-1/4) sqrt(E0)
     u_max = -u_min = 3^(1/4) sqrt(E0) / h_min
 
+Every gradient above comes from one per-state bundle, :class:`Gradients`,
+built by :func:`gradients`: ``u_x`` and ``h_x`` taken once, ``(P, Q)`` formed
+on first use.  ``C``, ``E`` and ``D`` take the bundle and are pointwise.
+
 All functions are pure and operate on immutable inputs.
 """
 
@@ -33,16 +37,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, PositivityError, ThresholdExceededError
+from .errors import ContractViolationError, NonFiniteError, PositivityError, ThresholdExceededError
 from .grid import Grid, derivative, integrate
 
 __all__ = [
     "Params",
     "FlowState",
     "Bounds",
+    "Gradients",
+    "gradients",
     "riemann_invariants",
     "char_speeds",
     "pq_fields",
@@ -103,7 +110,7 @@ class FlowState:
         if h.shape != u.shape or h.ndim != 1:
             raise ContractViolationError(f"h and u must be 1d arrays of equal length, got {h.shape} and {u.shape}")
         if not np.all(np.isfinite(h)) or not np.all(np.isfinite(u)):
-            raise PositivityError("state contains non-finite entries")
+            raise NonFiniteError("state contains non-finite entries")
         if not np.all(h > 0.0):
             raise PositivityError(f"depth must be positive everywhere; min h = {h.min():.6e}")
 
@@ -119,6 +126,28 @@ class Bounds:
     e0: float
 
 
+@dataclass(frozen=True)
+class Gradients:
+    """Gridded gradients of one state: ``ux``, ``hx`` and, on first use, ``pq``."""
+
+    h: np.ndarray
+    ux: np.ndarray
+    hx: np.ndarray
+    sqrt_3gamma: float
+
+    @cached_property
+    def pq(self) -> tuple[np.ndarray, np.ndarray]:
+        """``P = h u_x - sqrt(3 gamma) h^(-1/2) h_x``, ``Q = h u_x + sqrt(3 gamma) h^(-1/2) h_x``."""
+        a = self.h * self.ux
+        b = self.sqrt_3gamma * self.hx / np.sqrt(self.h)
+        return a - b, a + b
+
+
+def gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
+    """The one place where a state's ``u`` and ``h`` are differentiated."""
+    return Gradients(s.h, derivative(s.u, g), derivative(s.h, g), p.sqrt_3gamma)
+
+
 def riemann_invariants(s: FlowState, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """``(R, S)``; their difference ``4 sqrt(3 gamma) h^(-1/2)`` is positive pointwise."""
     c = 2.0 * p.sqrt_3gamma / np.sqrt(s.h)
@@ -132,13 +161,8 @@ def char_speeds(s: FlowState, p: Params) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pq_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient invariants ``P = h u_x - sqrt(3 gamma) h^(-1/2) h_x`` and
-    ``Q = h u_x + sqrt(3 gamma) h^(-1/2) h_x`` with gridded derivatives."""
-    ux = derivative(s.u, g)
-    hx = derivative(s.h, g)
-    a = s.h * ux
-    b = p.sqrt_3gamma * hx / np.sqrt(s.h)
-    return a - b, a + b
+    """Gradient invariants ``(P, Q)`` of ``s``, as :attr:`Gradients.pq`."""
+    return gradients(s, p, g).pq
 
 
 def pq_to_gradients(P: np.ndarray, Q: np.ndarray, h: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -148,11 +172,9 @@ def pq_to_gradients(P: np.ndarray, Q: np.ndarray, h: np.ndarray, p: Params) -> t
     return ux, hx
 
 
-def curly_c(s: FlowState, p: Params, g: Grid) -> np.ndarray:
+def curly_c(s: FlowState, p: Params, d: Gradients) -> np.ndarray:
     """Quadratic source ``(2/3) h^3 u_x^2 - (3/2) gamma h_x^2``."""
-    ux = derivative(s.u, g)
-    hx = derivative(s.h, g)
-    return (2.0 / 3.0) * s.h**3 * ux**2 - 1.5 * p.gamma * hx**2
+    return (2.0 / 3.0) * s.h**3 * d.ux**2 - 1.5 * p.gamma * d.hx**2
 
 
 def f_of_h(s: FlowState, p: Params) -> np.ndarray:
@@ -160,34 +182,29 @@ def f_of_h(s: FlowState, p: Params) -> np.ndarray:
     return 0.5 * p.g * s.h**2 - 0.5 * p.g * p.hbar**2 - 3.0 * p.gamma * np.log(s.h / p.hbar)
 
 
-def energy_density(s: FlowState, p: Params, g: Grid) -> np.ndarray:
+def energy_density(s: FlowState, p: Params, d: Gradients) -> np.ndarray:
     """Pointwise nonnegative energy density; its integral is the conserved/dissipated total."""
-    ux = derivative(s.u, g)
-    hx = derivative(s.h, g)
     return (
         0.5 * s.h * s.u**2
         + 0.5 * p.g * (s.h - p.hbar) ** 2
-        + (1.0 / 6.0) * s.h**3 * ux**2
-        + 0.5 * p.gamma * hx**2
+        + (1.0 / 6.0) * s.h**3 * d.ux**2
+        + 0.5 * p.gamma * d.hx**2
     )
 
 
 def total_energy(s: FlowState, p: Params, g: Grid) -> float:
-    return integrate(energy_density(s, p, g), g)
+    return integrate(energy_density(s, p, gradients(s, p, g)), g)
 
 
-def energy_flux(s: FlowState, p: Params, g: Grid, script_r: np.ndarray) -> np.ndarray:
+def energy_flux(s: FlowState, p: Params, d: Gradients, script_r: np.ndarray) -> np.ndarray:
     """Energy flux ``u E + u (R_script + g(h^2 - hbar^2)/2) + gamma h h_x u_x``.
 
     ``script_r`` is the nonlocal field produced by :func:`sgnlab.elliptic.script_r`.
     """
-    ux = derivative(s.u, g)
-    hx = derivative(s.h, g)
-    e = energy_density(s, p, g)
     return (
-        s.u * e
+        s.u * energy_density(s, p, d)
         + s.u * (script_r + 0.5 * p.g * (s.h**2 - p.hbar**2))
-        + p.gamma * s.h * hx * ux
+        + p.gamma * s.h * d.hx * d.ux
     )
 
 

@@ -98,27 +98,21 @@ def compute_V2(s: FlowState, A: np.ndarray, p: Params) -> np.ndarray:
     return (3.0 * p.g / p.sqrt_3gamma) * A / np.sqrt(s.h)
 
 
-def compute_V1(s: FlowState, A: np.ndarray, A_x: np.ndarray,
+def compute_V1(s: FlowState, ux: np.ndarray, A: np.ndarray, A_x: np.ndarray,
                chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid,
-               sys: TridiagonalSystem | None = None) -> np.ndarray:
+               sys: TridiagonalSystem) -> np.ndarray:
     """Transport-correction field; needs the primitive from -infinity (line mode)."""
     if g.periodic:
         raise ModeError("V1 needs the primitive from -infinity; eps > 0 runs require line mode")
-    if sys is None:
-        sys = assemble_L(s.h, g, p.hbar)
-    ux = derivative(s.u, g)
     integrand = 3.0 * ux * A_x / s.h - (chiP + chiQ) / (8.0 * s.h**2)
     arg = -s.u * A_x + s.h * cumulative_integral(integrand, g)
     w = solve_L(sys, arg, far_field=(arg[0] / s.h[0], arg[-1] / s.h[-1]))
     return 0.5 * s.h * derivative(w, g)
 
 
-def compute_B(s: FlowState, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray,
-              p: Params, g: Grid, sys: TridiagonalSystem | None = None) -> np.ndarray:
+def compute_B(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray,
+              p: Params, g: Grid, sys: TridiagonalSystem) -> np.ndarray:
     """Momentum-equation source ``L_h^{-1}{ -u A_x/2 + d_x{ h^2 u_x A_x/2 - h(chiP+chiQ)/48 } }``."""
-    if sys is None:
-        sys = assemble_L(s.h, g, p.hbar if not g.periodic else None)
-    ux = derivative(s.u, g)
     inner = 0.5 * s.h**2 * ux * A_x - (1.0 / 48.0) * s.h * (chiP + chiQ)
     rhs = -0.5 * s.u * A_x + derivative(inner, g)
     return solve_L(sys, rhs)
@@ -130,8 +124,8 @@ def compute_MN(s: FlowState, reg: RegFields, scriptR: np.ndarray, p: Params) -> 
     return base - reg.V2, base + reg.V2
 
 
-def compute_reg_fields(s: FlowState, P: np.ndarray, Q: np.ndarray, p: Params, g: Grid,
-                       sys: TridiagonalSystem | None = None) -> RegFields | None:
+def compute_reg_fields(s: FlowState, ux: np.ndarray, P: np.ndarray, Q: np.ndarray, p: Params,
+                       g: Grid, sys: TridiagonalSystem | None = None) -> RegFields | None:
     """All source fields at once, or ``None`` when the cut-off is inactive.
 
     Returning ``None`` (rather than zero fields) lets the stepper skip the
@@ -140,14 +134,12 @@ def compute_reg_fields(s: FlowState, P: np.ndarray, Q: np.ndarray, p: Params, g:
     """
     if not cutoff_active(P, Q, p.epsilon):
         return None
-    if g.periodic:
-        raise ModeError("the cut-off activated on a periodic grid; eps > 0 runs require line mode")
     chiP = chi(P, p.epsilon)
     chiQ = chi(Q, p.epsilon)
     a, a_x = compute_A(s, P, Q, p, g)
     if sys is None:
         sys = assemble_L(s.h, g, p.hbar)
-    v1 = compute_V1(s, a, a_x, chiP, chiQ, p, g, sys)
+    v1 = compute_V1(s, ux, a, a_x, chiP, chiQ, p, g, sys)
     v2 = compute_V2(s, a, p)
-    b = compute_B(s, a_x, chiP, chiQ, p, g, sys)
+    b = compute_B(s, ux, a_x, chiP, chiQ, p, g, sys)
     return RegFields(A=a, A_x=a_x, B=b, V1=v1, V2=v2, chiP=chiP, chiQ=chiQ)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from sgnlab import FlowState, Grid, Params
+from sgnlab import FlowState, Grid, Params, dynamics, elliptic, kinematics, regularization
 from sgnlab.dynamics import (
     BlowupThresholds,
     StepControl,
@@ -13,6 +14,8 @@ from sgnlab.dynamics import (
 )
 from sgnlab.errors import ContractViolationError, DepthCollapseError, ModeError
 from sgnlab.grid import derivative, integrate
+from sgnlab.kinematics import pq_fields, total_energy
+from sgnlab.regularization import cutoff_active
 
 from conftest import convergence_orders
 
@@ -270,6 +273,34 @@ class TestSimulate:
         assert [s.t for s in hist.snapshots] == list(t)
         assert hist.abort_time == hist.t_final == t[-1]
 
+    def test_nonfinite_stage_aborts_with_code(self, params, monkeypatch):
+        # fault injection: after 20 evaluations every RHS carries a NaN; the
+        # first poisoned stage aborts the run at once, with no dt/2 retry
+        real = dynamics.rhs
+        calls = []
+
+        def poisoned(s, p, g):
+            ev = real(s, p, g)
+            calls.append(1)
+            if len(calls) > 20:
+                ev.du_dt[5] = np.nan
+            return ev
+
+        monkeypatch.setattr(dynamics, "rhs", poisoned)
+        g = Grid.from_length(128, 20.0, -10.0, "periodic")
+        hist = simulate(gaussian_state(g), params, g,
+                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "nonfinite-fields"
+        assert len(calls) == 21
+        t = hist.series["t"]
+        assert hist.n_steps == 5 and len(t) == hist.n_steps + 1
+        assert all(len(col) == len(t) for col in hist.series.values())
+        assert [s.t for s in hist.snapshots] == list(t)
+        assert hist.abort_time == hist.t_final == t[-1]
+        for s in hist.snapshots:
+            assert np.all(np.isfinite(s.h)) and np.all(np.isfinite(s.u))
+
     def test_periodic_epsilon_refused_before_first_step(self, monkeypatch):
         # eps > 0 needs line mode; the refusal comes at entry, not when the cut-off fires
         import sgnlab.dynamics as dynamics
@@ -278,3 +309,113 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "rk4_step", lambda *a: pytest.fail("stepped"))
         with pytest.raises(ModeError):
             simulate(gaussian_state(g), Params(epsilon=0.5), g, StepControl(t_end=0.1))
+
+
+def _count_derivative_calls(monkeypatch) -> list:
+    """Count every ``derivative`` call made through the modules that import it."""
+    real = derivative
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    for mod in (dynamics, elliptic, kinematics, regularization):
+        monkeypatch.setattr(mod, "derivative", counting)
+    return calls
+
+
+class TestOneHome:
+    """Each per-state quantity is computed in one place, once per state."""
+
+    def test_derivative_calls_per_rhs(self, monkeypatch):
+        calls = _count_derivative_calls(monkeypatch)
+        for mode in ("periodic", "line"):
+            g = Grid.from_length(128, 20.0, -10.0, mode)
+            calls.clear()
+            rhs(gaussian_state(g), Params(), g)
+            assert len(calls) == 6
+        # line mode, cut-off active: the regularized sources add three more
+        g = Grid.from_length(256, 40.0, -20.0, "line")
+        x = g.cells()
+        p = Params(epsilon=1.0)
+        s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+        assert cutoff_active(*pq_fields(s, p, g), p.epsilon)
+        calls.clear()
+        rhs(s, p, g)
+        assert len(calls) == 9
+
+    def test_derivative_calls_per_record(self, monkeypatch):
+        calls = _count_derivative_calls(monkeypatch)
+        for mode, eps in (("periodic", 0.0), ("line", 0.0), ("line", 1.0)):
+            g = Grid.from_length(256, 40.0, -20.0, mode)
+            x = g.cells()
+            s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+            calls.clear()
+            dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, Params(epsilon=eps), g)
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_series_agree_with_snapshots_bitwise(self, params, mode):
+        g = Grid.from_length(512, 40.0, -20.0, mode)
+        hist = simulate(gaussian_state(g), params, g, StepControl(cfl=0.3, dt_max=0.1, t_end=0.2))
+        assert hist.status == "completed" and hist.n_steps > 0
+        for k in (0, -1):
+            s = hist.snapshots[k]
+            assert s.t == hist.series["t"][k]
+            assert hist.series["energy"][k] == total_energy(s, params, g)
+            P, Q = pq_fields(s, params, g)
+            assert hist.series["sup_P"][k] == float(P.max())
+            assert hist.series["sup_Q"][k] == float(Q.max())
+
+
+_MODES = st.sampled_from(["periodic", "line"])
+_PARAMS = st.builds(Params, g=st.floats(1.0, 20.0), gamma=st.floats(0.5, 20.0),
+                    hbar=st.floats(0.5, 2.0))
+
+
+def _smooth_state(g: Grid, p: Params, amp_h: float, amp_u: float, shift: float, width: float) -> FlowState:
+    """Smooth state near rest: one periodic mode, or a bump with a quiet far field."""
+    x = g.cells()
+    if g.periodic:
+        phase = 2.0 * np.pi * (x - shift) / g.length
+        return FlowState(p.hbar * (1.0 + amp_h * np.cos(phase)), amp_u * np.sin(2.0 * phase))
+    bump = np.exp(-(((x - shift) / width) ** 2))
+    return FlowState(p.hbar * (1.0 + amp_h * bump), amp_u * bump)
+
+
+class TestStepProperties:
+    """One RK4 step on random smooth admissible states (E0 < e_max)."""
+
+    @given(p=_PARAMS, amp_h=st.floats(-0.1, 0.1), amp_u=st.floats(-0.2, 0.2), shift=st.floats(-3.0, 3.0))
+    def test_one_step_conserves_mass_periodic(self, p, amp_h, amp_u, shift):
+        # periodic only: on the line the nonlocal term has exponential tails,
+        # so mass leaves through the far field at a small physical rate
+        g = Grid.from_length(128, 40.0, -20.0, "periodic")
+        s = _smooth_state(g, p, amp_h, amp_u, shift, 1.0)
+        assume(total_energy(s, p, g) < p.e_max)
+        out = rk4_step(s, cfl_dt(s, p, g, StepControl(cfl=0.3)), p, g)
+        m0, m1 = integrate(s.h, g), integrate(out.h, g)
+        assert abs(m1 - m0) <= 1e-13 * abs(m0)
+
+    @given(p=_PARAMS, eps=st.floats(0.01, 1.0), amp_h=st.floats(-0.1, 0.1), amp_u=st.floats(-0.2, 0.2),
+           shift=st.floats(-3.0, 3.0), width=st.floats(0.8, 2.0))
+    def test_inactive_cutoff_matches_eps0_bitwise_line(self, p, eps, amp_h, amp_u, shift, width):
+        g = Grid.from_length(128, 40.0, -20.0, "line")
+        s = _smooth_state(g, p, amp_h, amp_u, shift, width)
+        assume(total_energy(s, p, g) < p.e_max)
+        assume(min(P.min() for P in pq_fields(s, p, g)) > -0.5 / eps)  # inactive with margin
+        dt = cfl_dt(s, p, g, StepControl(cfl=0.3))
+        out0 = rk4_step(s, dt, p, g)
+        out1 = rk4_step(s, dt, Params(g=p.g, gamma=p.gamma, hbar=p.hbar, epsilon=eps), g)
+        assert np.array_equal(out0.h, out1.h) and np.array_equal(out0.u, out1.u)
+
+    @given(mode=_MODES, p=_PARAMS, eps=st.floats(0.0, 1.0), dt=st.floats(1e-4, 0.1))
+    def test_flat_state_bitwise_fixed(self, mode, p, eps, dt):
+        g = Grid.from_length(128, 40.0, -20.0, mode)
+        if mode == "line":
+            p = Params(g=p.g, gamma=p.gamma, hbar=p.hbar, epsilon=eps)
+        s = FlowState(np.full(g.n, p.hbar), np.zeros(g.n))
+        out = rk4_step(s, dt, p, g)
+        assert np.array_equal(out.h, s.h) and np.array_equal(out.u, s.u)
+        assert out.t == dt

@@ -296,10 +296,10 @@ class TestInvLdx:
         assert np.all(out == 0.0)
 
     def test_flat_state_source_zero(self, periodic_grid, params):
-        from sgnlab.kinematics import curly_c, f_of_h
+        from sgnlab.kinematics import curly_c, f_of_h, gradients
 
         s = FlowState(np.ones(periodic_grid.n), np.zeros(periodic_grid.n))
-        psi = curly_c(s, params, periodic_grid) + f_of_h(s, params)
+        psi = curly_c(s, params, gradients(s, params, periodic_grid)) + f_of_h(s, params)
         out = inv_L_dx(s.h, psi, periodic_grid)
         assert np.all(out == 0.0)
 

@@ -69,6 +69,17 @@ class TestDerivative:
         scale = np.max(np.abs(lhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) < 1e-14 * scale
 
+    @pytest.mark.parametrize("n", [8, 9, 1024])
+    def test_periodic_stencil_matches_roll_reference_bitwise(self, n, rng):
+        # the wrap-padded interior stencil performs the same operations in the
+        # same order as the four-roll periodic formula
+        g = Grid.from_length(n, 3.0, -1.0, "periodic")
+        for _ in range(3):
+            f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            ref = (8.0 * (np.roll(f, -1) - np.roll(f, 1))
+                   - (np.roll(f, -2) - np.roll(f, 2))) * (1.0 / (12.0 * g.dx))
+            assert np.array_equal(derivative(f, g), ref)
+
     def test_length_mismatch_rejected(self, periodic_grid):
         with pytest.raises(ContractViolationError):
             derivative(np.ones(periodic_grid.n + 1), periodic_grid)

@@ -14,6 +14,7 @@ from sgnlab.kinematics import (
     energy_density,
     energy_flux,
     f_of_h,
+    gradients,
     pq_fields,
     pq_to_gradients,
     riemann_invariants,
@@ -112,7 +113,8 @@ class TestPQFields:
 
 class TestCurlyCAndF:
     def test_flat_state(self, periodic_grid, params):
-        c = curly_c(make_state(periodic_grid, 1.0, 0.0), params, periodic_grid)
+        s = make_state(periodic_grid, 1.0, 0.0)
+        c = curly_c(s, params, gradients(s, params, periodic_grid))
         assert np.all(c == 0.0)
 
     def test_pure_shear(self):
@@ -120,14 +122,16 @@ class TestCurlyCAndF:
         g = Grid.from_length(64, 8.0, -4.0, "line")
         p = Params(gamma=1.0)
         u = 0.7 * g.cells()
-        c = curly_c(make_state(g, 1.0, u), p, g)
+        s = make_state(g, 1.0, u)
+        c = curly_c(s, p, gradients(s, p, g))
         assert np.max(np.abs(c - (2.0 / 3.0) * 0.49)) < 1e-10
 
     def test_pure_depth_gradient(self):
         g = Grid.from_length(64, 8.0, -4.0, "line")
         p = Params(g=9.81, gamma=2.0, hbar=1.0)
         h = 5.0 + 0.3 * g.cells()
-        c = curly_c(make_state(g, h, 0.0), p, g)
+        s = make_state(g, h, 0.0)
+        c = curly_c(s, p, gradients(s, p, g))
         assert np.max(np.abs(c - (-1.5 * p.gamma * 0.09))) < 1e-9
 
     def test_f_reference_state(self, periodic_grid):
@@ -156,14 +160,15 @@ class TestCurlyCAndF:
 
 class TestEnergy:
     def test_flat_state_zero(self, periodic_grid, params):
-        e = energy_density(make_state(periodic_grid, 1.0, 0.0), params, periodic_grid)
+        s = make_state(periodic_grid, 1.0, 0.0)
+        e = energy_density(s, params, gradients(s, params, periodic_grid))
         assert np.all(e == 0.0)
 
     def test_nonnegative(self, periodic_grid, rng):
         p = Params(gamma=3.3)
         x = periodic_grid.cells()
         s = make_state(periodic_grid, 1.0 + 0.4 * np.sin(x), 0.7 * np.cos(2 * x))
-        assert np.all(energy_density(s, p, periodic_grid) >= 0.0)
+        assert np.all(energy_density(s, p, gradients(s, p, periodic_grid)) >= 0.0)
 
     def test_pq_equivalence(self, periodic_grid):
         # E = h u^2/2 + g (h-hbar)^2/2 + (h/12)(P^2 + Q^2)
@@ -172,19 +177,19 @@ class TestEnergy:
         h = 1.0 + 0.3 * np.sin(x)
         u = 0.4 * np.cos(x)
         s = make_state(periodic_grid, h, u)
-        e = energy_density(s, p, periodic_grid)
+        e = energy_density(s, p, gradients(s, p, periodic_grid))
         P, Q = pq_fields(s, p, periodic_grid)
         e_pq = 0.5 * h * u**2 + 0.5 * p.g * (h - 1.0) ** 2 + (h / 12.0) * (P**2 + Q**2)
         assert np.max(np.abs(e - e_pq)) < 1e-12 * (1 + np.max(e))
 
     def test_flux_vanishes_at_rest(self, periodic_grid, params):
         s = make_state(periodic_grid, 1.0 + 0.2 * np.sin(periodic_grid.cells()), 0.0)
-        d = energy_flux(s, params, periodic_grid, np.zeros(periodic_grid.n))
+        d = energy_flux(s, params, gradients(s, params, periodic_grid), np.zeros(periodic_grid.n))
         assert np.all(d == 0.0)
 
     def test_flux_flat_state(self, periodic_grid, params):
-        d = energy_flux(make_state(periodic_grid, 1.0, 0.0), params, periodic_grid,
-                        np.zeros(periodic_grid.n))
+        s = make_state(periodic_grid, 1.0, 0.0)
+        d = energy_flux(s, params, gradients(s, params, periodic_grid), np.zeros(periodic_grid.n))
         assert np.all(d == 0.0)
 
     def test_flux_divergence_integrates_to_zero(self, periodic_grid, rng):
@@ -193,7 +198,7 @@ class TestEnergy:
         p = Params(g=9.81, gamma=2.0, hbar=1.0)
         x = periodic_grid.cells()
         s = make_state(periodic_grid, 1.0 + 0.1 * np.sin(x), 0.05 * np.cos(2 * x))
-        d = energy_flux(s, p, periodic_grid, script_r(s, p, periodic_grid))
+        d = energy_flux(s, p, gradients(s, p, periodic_grid), script_r(s, p, periodic_grid))
         val = integrate(derivative(d, periodic_grid), periodic_grid)
         assert abs(val) < 1e-10
 

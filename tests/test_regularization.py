@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgnlab import FlowState, Grid, Params
-from sgnlab.elliptic import solve_helmholtz
+from sgnlab.elliptic import assemble_L, solve_helmholtz
 from sgnlab.errors import ContractViolationError, ModeError
 from sgnlab.grid import derivative
-from sgnlab.kinematics import pq_fields
+from sgnlab.kinematics import gradients, pq_fields
 from sgnlab.regularization import (
     chi,
     compute_A,
@@ -141,7 +141,7 @@ class TestComputeV1:
         g, p = make_line_setup()
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         z = np.zeros(g.n)
-        v1 = compute_V1(s, z, z, z, z, p, g)
+        v1 = compute_V1(s, z, z, z, z, z, p, g, assemble_L(s.h, g, p.hbar))
         assert np.all(v1 == 0.0)
 
     def test_mode_error_on_periodic(self):
@@ -150,7 +150,7 @@ class TestComputeV1:
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         z = np.zeros(g.n)
         with pytest.raises(ModeError):
-            compute_V1(s, z, z, z, z, p, g)
+            compute_V1(s, z, z, z, z, z, p, g, assemble_L(s.h, g))
 
     def test_decays_toward_boundaries(self):
         g, p = make_line_setup(n=1024)
@@ -162,7 +162,7 @@ class TestComputeV1:
         A_x = derivative(A, g)
         chiP = 4.0 * np.exp(-(x**2))
         chiQ = np.zeros(g.n)
-        v1 = compute_V1(s, A, A_x, chiP, chiQ, p, g)
+        v1 = compute_V1(s, derivative(u, g), A, A_x, chiP, chiQ, p, g, assemble_L(h, g, p.hbar))
         edge = max(np.max(np.abs(v1[:4])), np.max(np.abs(v1[-4:])))
         assert edge <= 1e-6 * np.max(np.abs(v1))
 
@@ -177,8 +177,8 @@ class TestComputeV1:
             u = 0.1 * np.sin(x) * np.exp(-(x**2) / 4)
             s = FlowState(h, u)
             A = 0.3 * np.exp(-(x**2) / 4.0)
-            v1 = compute_V1(s, A, derivative(A, g), 4.0 * np.exp(-(x**2)),
-                            np.zeros(g.n), p, g)
+            v1 = compute_V1(s, derivative(u, g), A, derivative(A, g), 4.0 * np.exp(-(x**2)),
+                            np.zeros(g.n), p, g, assemble_L(h, g, p.hbar))
             if prev is not None:
                 diffs.append(np.max(np.abs(0.5 * (v1[::2] + v1[1::2]) - prev)))
             prev = v1
@@ -190,7 +190,7 @@ class TestComputeB:
         g, p = make_line_setup()
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         z = np.zeros(g.n)
-        b = compute_B(s, z, z, z, p, g)
+        b = compute_B(s, z, z, z, z, p, g, assemble_L(s.h, g, p.hbar))
         assert np.all(b == 0.0)
 
     def test_finite_on_active_state(self):
@@ -200,7 +200,8 @@ class TestComputeB:
         u = 0.1 * np.exp(-(x**2))
         s = FlowState(h, u)
         A_x = derivative(0.3 * np.exp(-(x**2) / 4.0), g)
-        b = compute_B(s, A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), p, g)
+        b = compute_B(s, derivative(u, g), A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), p, g,
+                          assemble_L(h, g, p.hbar))
         assert np.all(np.isfinite(b)) and np.max(np.abs(b)) > 0
 
     def test_self_convergence(self):
@@ -214,7 +215,8 @@ class TestComputeB:
             u = 0.1 * np.sin(x) * np.exp(-(x**2) / 4)
             s = FlowState(h, u)
             A_x = derivative(0.3 * np.exp(-(x**2) / 4.0), g)
-            b = compute_B(s, A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), p, g)
+            b = compute_B(s, derivative(u, g), A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), p, g,
+                          assemble_L(h, g, p.hbar))
             if prev is not None:
                 diffs.append(np.max(np.abs(0.5 * (b[::2] + b[1::2]) - prev)))
             prev = b
@@ -269,7 +271,7 @@ class TestOrchestration:
         s = FlowState(h, np.zeros(g.n))
         P, Q = pq_fields(s, p, g)
         assert not cutoff_active(P, Q, p.epsilon)
-        assert compute_reg_fields(s, P, Q, p, g) is None
+        assert compute_reg_fields(s, gradients(s, p, g).ux, P, Q, p, g) is None
 
     def test_epsilon_zero_never_active(self, rng):
         P = rng.uniform(-1e6, 0, 64)
@@ -283,7 +285,7 @@ class TestOrchestration:
         s = FlowState(h, u)
         P, Q = pq_fields(s, p, g)
         P = P - 10.0 * np.exp(-(x**2))  # force activation
-        fields = compute_reg_fields(s, P, Q, p, g)
+        fields = compute_reg_fields(s, gradients(s, p, g).ux, P, Q, p, g)
         assert fields is not None
         for name in ("A", "A_x", "B", "V1", "V2", "chiP", "chiQ"):
             assert np.all(np.isfinite(getattr(fields, name)))
@@ -296,4 +298,4 @@ class TestOrchestration:
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         P = np.full(g.n, -3.0)
         with pytest.raises(ModeError):
-            compute_reg_fields(s, P, P, p, g)
+            compute_reg_fields(s, np.zeros(g.n), P, P, p, g)
