@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularization as reg
-from .elliptic import script_r
+from .elliptic import assemble_L, script_r
 from .errors import ContractViolationError
 from .grid import Grid
 from .kinematics import FlowState, Params, char_speeds, gradients, pq_fields
@@ -161,20 +161,21 @@ def trace(history, x0: float, branch: str) -> CharPath:
 
 
 def _riccati_rhs_field(s: FlowState, p: Params, g: Grid, branch: str) -> np.ndarray:
-    """Gridded right-hand side of the Riccati equation for one branch."""
+    """Gridded right-hand side of the Riccati equation for one branch (the stepper's ``B`` is unused)."""
     d = gradients(s, p, g)
     P, Q = d.pq
-    r = script_r(s, p, g)
     own, other = (P, Q) if branch == MINUS else (Q, P)
-    out = (-own**2 + other**2) / (8.0 * s.h) - 3.0 * r / s.h**2
-    if p.epsilon > 0.0:
-        fields = reg.compute_reg_fields(s, d.ux, P, Q, p, g)
-        if fields is not None:
-            chi_own = fields.chiP if branch == MINUS else fields.chiQ
-            v_sign = -1.0 if branch == MINUS else 1.0
-            out = out + chi_own / (8.0 * s.h) - fields.A_x * own / (2.0 * s.h) \
-                + fields.V1 + v_sign * fields.V2
-    return out
+    out = (-own**2 + other**2) / (8.0 * s.h)
+    v1 = v2 = 0.0
+    if reg.cutoff_active(P, Q, p.epsilon):
+        sys = assemble_L(s.h, g, p.hbar)
+        fields = reg.compute_reg_fields(s, d.ux, P, Q, p, g, sys)
+        chi_own = fields.chiP if branch == MINUS else fields.chiQ
+        out = out + chi_own / (8.0 * s.h) - fields.A_x * own / (2.0 * s.h)
+        v1 = reg.compute_V1(s, d.ux, fields.A, fields.A_x, fields.chiP, fields.chiQ, p, g, sys)
+        v2 = reg.compute_V2(s, fields.A, p)
+    M, N = reg.compute_MN(s, v1, v2, script_r(s, p, g))
+    return out + (M if branch == MINUS else N)
 
 
 def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:

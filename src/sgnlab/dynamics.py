@@ -260,7 +260,8 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     failure, non-finite fields) are recorded in the history with a reason
     code.  Snapshots include the initial and final states.  Invalid inputs
     raise before the first step: eps > 0 on a periodic grid is a
-    :class:`ModeError`.
+    :class:`ModeError`; an initial state whose derived fields overflow (say
+    ``u_x ~ 1e160``) is a :class:`NonFiniteError`.
     """
     if p.epsilon > 0.0 and g.periodic:
         raise ModeError("eps > 0 runs require line mode (V1 needs the primitive from -infinity)")

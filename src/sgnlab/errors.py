@@ -13,8 +13,8 @@ class PositivityError(SgnError):
     """A quantity that must be strictly positive (usually the depth h) is not."""
 
 
-class NonFiniteError(SgnError):
-    """A state holds NaN or infinite entries; unlike a depth collapse, a smaller step cannot cure it."""
+class NonFiniteError(ContractViolationError):
+    """A state or field holds NaN or infinite entries; unlike a depth collapse, a smaller step cannot cure it."""
 
 
 class ModeError(SgnError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryContaminationError, ContractViolationError, ModeError
+from .errors import BoundaryContaminationError, ContractViolationError, ModeError, NonFiniteError
 
 __all__ = [
     "Grid",
@@ -86,7 +86,7 @@ def as_field(values, g: Grid) -> np.ndarray:
     if f.shape != (g.n,):
         raise ContractViolationError(f"field has shape {f.shape}, expected ({g.n},)")
     if not np.all(np.isfinite(f)):
-        raise ContractViolationError("field contains non-finite entries")
+        raise NonFiniteError("field contains non-finite entries")
     return f
 
 

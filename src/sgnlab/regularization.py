@@ -15,6 +15,11 @@ From the cut-off, the source fields of the regularized system::
     V2 = (3 g / sqrt(3 gamma)) h^{-1/2} A
     M  = -3 h^{-2} R_script + V1 - V2        N = -3 h^{-2} R_script + V1 + V2
 
+The stepper reads only ``A_x`` and ``B``: :func:`compute_reg_fields`
+evaluates ``chi`` once per state and returns ``A, A_x, B``.  ``V1``, ``V2``,
+``M`` and ``N`` enter only the Riccati equations along characteristics, and
+``characteristics._riccati_rhs_field`` is their one caller.
+
 ``V1`` needs the primitive from minus infinity, so runs with ``eps > 0``
 require a line-mode grid.  When neither P nor Q dips below ``-1/eps`` every
 field is identically zero and the regularized right-hand side coincides with
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import TridiagonalSystem, assemble_L, solve_helmholtz, solve_L
+from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L
 from .errors import ContractViolationError, ModeError
 from .grid import Grid, cumulative_integral, derivative
 from .kinematics import FlowState, Params
@@ -63,13 +68,11 @@ def chi(zeta, epsilon: float):
 
 @dataclass(frozen=True)
 class RegFields:
-    """Source fields of the regularized system at one state."""
+    """Stepper sources of the regularized system at one state, with the cut-off values."""
 
     A: np.ndarray
     A_x: np.ndarray
     B: np.ndarray
-    V1: np.ndarray
-    V2: np.ndarray
     chiP: np.ndarray
     chiQ: np.ndarray
 
@@ -82,9 +85,9 @@ def cutoff_active(P: np.ndarray, Q: np.ndarray, epsilon: float) -> bool:
     return bool(P.min() <= thr or Q.min() <= thr)
 
 
-def compute_A(s: FlowState, P: np.ndarray, Q: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+def compute_A(s: FlowState, chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Helmholtz solve for the mass-equation source and its derivative."""
-    rhs = (p.sqrt_3gamma / 48.0) * (chi(P, p.epsilon) - chi(Q, p.epsilon)) / np.sqrt(s.h)
+    rhs = (p.sqrt_3gamma / 48.0) * (chiP - chiQ) / np.sqrt(s.h)
     a = solve_helmholtz(rhs, p, g)
     return a, derivative(a, g)
 
@@ -102,8 +105,6 @@ def compute_V1(s: FlowState, ux: np.ndarray, A: np.ndarray, A_x: np.ndarray,
                chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid,
                sys: TridiagonalSystem) -> np.ndarray:
     """Transport-correction field; needs the primitive from -infinity (line mode)."""
-    if g.periodic:
-        raise ModeError("V1 needs the primitive from -infinity; eps > 0 runs require line mode")
     integrand = 3.0 * ux * A_x / s.h - (chiP + chiQ) / (8.0 * s.h**2)
     arg = -s.u * A_x + s.h * cumulative_integral(integrand, g)
     w = solve_L(sys, arg, far_field=(arg[0] / s.h[0], arg[-1] / s.h[-1]))
@@ -118,28 +119,26 @@ def compute_B(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, c
     return solve_L(sys, rhs)
 
 
-def compute_MN(s: FlowState, reg: RegFields, scriptR: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Riccati source terms ``M = -3 h^{-2} R + V1 - V2`` and ``N = M + 2 V2``."""
-    base = -3.0 * scriptR / s.h**2 + reg.V1
-    return base - reg.V2, base + reg.V2
+def compute_MN(s: FlowState, V1, V2, scriptR: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Riccati source terms ``M = -3 h^{-2} R + V1 - V2`` and ``N = M + 2 V2``; V1, V2 array or 0.0."""
+    base = -3.0 * scriptR / s.h**2 + V1
+    return base - V2, base + V2
 
 
 def compute_reg_fields(s: FlowState, ux: np.ndarray, P: np.ndarray, Q: np.ndarray, p: Params,
-                       g: Grid, sys: TridiagonalSystem | None = None) -> RegFields | None:
-    """All source fields at once, or ``None`` when the cut-off is inactive.
+                       g: Grid, sys: TridiagonalSystem) -> RegFields | None:
+    """Stepper sources ``A, A_x, B`` at once, or ``None`` when the cut-off is inactive.
 
     Returning ``None`` (rather than zero fields) lets the stepper skip the
-    three extra elliptic solves and reproduce the unregularized right-hand
-    side bitwise.
+    extra elliptic solves and reproduce the unregularized right-hand side
+    bitwise.  An active cut-off on a periodic grid is a :class:`ModeError`.
     """
     if not cutoff_active(P, Q, p.epsilon):
         return None
+    if g.periodic:
+        raise ModeError("an active cut-off needs line mode (V1 needs the primitive from -infinity)")
     chiP = chi(P, p.epsilon)
     chiQ = chi(Q, p.epsilon)
-    a, a_x = compute_A(s, P, Q, p, g)
-    if sys is None:
-        sys = assemble_L(s.h, g, p.hbar)
-    v1 = compute_V1(s, ux, a, a_x, chiP, chiQ, p, g, sys)
-    v2 = compute_V2(s, a, p)
+    a, a_x = compute_A(s, chiP, chiQ, p, g)
     b = compute_B(s, ux, a_x, chiP, chiQ, p, g, sys)
-    return RegFields(A=a, A_x=a_x, B=b, V1=v1, V2=v2, chiP=chiP, chiQ=chiQ)
+    return RegFields(A=a, A_x=a_x, B=b, chiP=chiP, chiQ=chiQ)

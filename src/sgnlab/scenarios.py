@@ -289,8 +289,6 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
         raise ConfigError("sweep epsilons must all be positive")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigError("sweep epsilons must be strictly decreasing")
-    if cfg.grid.periodic:
-        raise ConfigError("epsilon sweeps require a line-mode grid")
     box = cfg.box
     if box is None:
         box = Box(0.0, cfg.step.t_end, cfg.grid.x_left + 0.25 * cfg.grid.length,

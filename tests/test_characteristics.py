@@ -3,6 +3,7 @@ import pytest
 
 from sgnlab import FlowState, Grid, Params
 from sgnlab.characteristics import (
+    _riccati_rhs_field,
     interp_cubic,
     pq_square_integral,
     riccati_residual,
@@ -10,6 +11,8 @@ from sgnlab.characteristics import (
 )
 from sgnlab.dynamics import StepControl, simulate
 from sgnlab.errors import ContractViolationError
+from sgnlab.kinematics import pq_fields
+from sgnlab.regularization import chi, compute_A, compute_V2, cutoff_active
 
 
 def flat_history(gamma=3.0, t_end=1.0, n=256, mode="periodic"):
@@ -118,6 +121,25 @@ class TestRiccatiResidual:
         r0 = riccati_residual(hist, path, Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=0.0))
         r1 = riccati_residual(hist, path, Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=0.1))
         assert np.array_equal(r0.values, r1.values)
+
+    def test_active_cutoff_branch_pairing(self):
+        # minus rides P with M = -3R/h^2 + V1 - V2, plus rides Q with N = M + 2 V2:
+        # their difference keeps only the branch-odd terms
+        g = Grid.from_length(256, 40.0, -20.0, "line")
+        x = g.cells()
+        p = Params(epsilon=1.0)
+        s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+        P, Q = pq_fields(s, p, g)
+        assert cutoff_active(P, Q, p.epsilon)
+        minus = _riccati_rhs_field(s, p, g, "minus")
+        plus = _riccati_rhs_field(s, p, g, "plus")
+        chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
+        A, A_x = compute_A(s, chiP, chiQ, p, g)
+        expected = (2.0 * (Q**2 - P**2) / (8.0 * s.h) + (chiP - chiQ) / (8.0 * s.h)
+                    - A_x * (P - Q) / (2.0 * s.h) - 2.0 * compute_V2(s, A, p))
+        scale = np.max(np.abs(minus)) + np.max(np.abs(plus))
+        assert np.max(np.abs((minus - plus) - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(chiP - chiQ)) > 0.0
 
     def test_undersampled_warns(self):
         hist, p, g = gaussian_history(n=256, t_end=0.2, output_dt=0.1)

@@ -12,7 +12,7 @@ from sgnlab.dynamics import (
     rk4_step,
     simulate,
 )
-from sgnlab.errors import ContractViolationError, DepthCollapseError, ModeError
+from sgnlab.errors import ContractViolationError, DepthCollapseError, ModeError, NonFiniteError
 from sgnlab.grid import derivative, integrate
 from sgnlab.kinematics import pq_fields, total_energy
 from sgnlab.regularization import cutoff_active
@@ -301,6 +301,77 @@ class TestSimulate:
         for s in hist.snapshots:
             assert np.all(np.isfinite(s.h)) and np.all(np.isfinite(s.u))
 
+    def test_nonfinite_derived_field_aborts_with_code(self, params, monkeypatch):
+        # fault injection: a non-finite field that is not a state (here F(h))
+        # fails the finiteness check inside derivative; the run records it
+        real = dynamics.f_of_h
+        calls = []
+
+        def overflowing(s, p):
+            out = real(s, p)
+            calls.append(1)
+            if len(calls) > 10:
+                out[7] = np.inf
+            return out
+
+        monkeypatch.setattr(dynamics, "f_of_h", overflowing)
+        g = Grid.from_length(128, 20.0, -10.0, "periodic")
+        hist = simulate(gaussian_state(g), params, g,
+                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "nonfinite-fields"
+        assert len(calls) == 11
+        _assert_abort_history_consistent(hist)
+
+    def test_nonfinite_initial_fields_raise_before_first_step(self, params):
+        # |u_x| ~ 1e160 overflows the energy density of the initial record
+        g = Grid.from_length(128, 20.0, -10.0, "periodic")
+        s0 = FlowState(np.ones(g.n), 1e160 * np.sin(2 * np.pi * g.cells() / 20.0), 0.0)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            simulate(s0, params, g, StepControl(cfl=0.3, dt_max=0.1, t_end=1.0))
+
+    def test_depth_collapse_aborts_with_code(self, params, monkeypatch):
+        # fault injection: after 20 evaluations the depth drains at a rate no
+        # step (nor its dt/2 retry) survives
+        real = dynamics.rhs
+        calls = []
+
+        def draining(s, p, g):
+            ev = real(s, p, g)
+            calls.append(1)
+            if len(calls) > 20:
+                ev.dh_dt[:] = -1e6
+            return ev
+
+        monkeypatch.setattr(dynamics, "rhs", draining)
+        g = Grid.from_length(256, 20.0, -10.0, "periodic")
+        hist = simulate(gaussian_state(g), params, g,
+                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "depth-collapse"
+        _assert_abort_history_consistent(hist)
+
+    def test_boundary_contamination_aborts_with_code(self, params, monkeypatch):
+        # fault injection: after 20 evaluations cell 5 is forced; it lies in
+        # the checked far-field strip (8 cells) but outside the pinned 4
+        real = dynamics.rhs
+        calls = []
+
+        def forcing(s, p, g):
+            ev = real(s, p, g)
+            calls.append(1)
+            if len(calls) > 20:
+                ev.du_dt[5] += 1.0
+            return ev
+
+        monkeypatch.setattr(dynamics, "rhs", forcing)
+        g = Grid.from_length(256, 40.0, -20.0, "line")
+        hist = simulate(gaussian_state(g), params, g,
+                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "boundary-contamination"
+        _assert_abort_history_consistent(hist)
+
     def test_periodic_epsilon_refused_before_first_step(self, monkeypatch):
         # eps > 0 needs line mode; the refusal comes at entry, not when the cut-off fires
         import sgnlab.dynamics as dynamics
@@ -309,6 +380,25 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "rk4_step", lambda *a: pytest.fail("stepped"))
         with pytest.raises(ModeError):
             simulate(gaussian_state(g), Params(epsilon=0.5), g, StepControl(t_end=0.1))
+
+
+def _assert_abort_history_consistent(hist):
+    """Series rows, snapshots and abort time agree after an aborted run."""
+    t = hist.series["t"]
+    assert hist.n_steps > 0 and len(t) == hist.n_steps + 1
+    assert all(len(col) == len(t) for col in hist.series.values())
+    assert [s.t for s in hist.snapshots] == list(t)
+    assert hist.abort_time == hist.t_final == t[-1]
+
+
+def _active_line_state():
+    """Line-mode state on which the cut-off is active."""
+    g = Grid.from_length(256, 40.0, -20.0, "line")
+    x = g.cells()
+    p = Params(epsilon=1.0)
+    s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+    assert cutoff_active(*pq_fields(s, p, g), p.epsilon)
+    return s, p, g
 
 
 def _count_derivative_calls(monkeypatch) -> list:
@@ -335,15 +425,22 @@ class TestOneHome:
             calls.clear()
             rhs(gaussian_state(g), Params(), g)
             assert len(calls) == 6
-        # line mode, cut-off active: the regularized sources add three more
-        g = Grid.from_length(256, 40.0, -20.0, "line")
-        x = g.cells()
-        p = Params(epsilon=1.0)
-        s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
-        assert cutoff_active(*pq_fields(s, p, g), p.epsilon)
+        # line mode, cut-off active: the stepper sources A_x and B add two more
+        s, p, g = _active_line_state()
         calls.clear()
         rhs(s, p, g)
-        assert len(calls) == 9
+        assert len(calls) == 8
+
+    def test_active_rhs_skips_riccati_sources(self, monkeypatch):
+        # V1 (and the primitive it needs) enters only the Riccati equations
+        def refuse(*args):
+            pytest.fail("the stepper computed a Riccati-only source")
+
+        monkeypatch.setattr(regularization, "compute_V1", refuse)
+        monkeypatch.setattr(regularization, "cumulative_integral", refuse)
+        s, p, g = _active_line_state()
+        ev = rhs(s, p, g)
+        assert np.all(np.isfinite(ev.dh_dt)) and np.all(np.isfinite(ev.du_dt))
 
     def test_derivative_calls_per_record(self, monkeypatch):
         calls = _count_derivative_calls(monkeypatch)

@@ -77,7 +77,7 @@ class TestComputeA:
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         P = np.full(g.n, -1.0)
         Q = np.full(g.n, -0.5)
-        A, A_x = compute_A(s, P, Q, p, g)
+        A, A_x = compute_A(s, chi(P, p.epsilon), chi(Q, p.epsilon), p, g)
         assert np.all(A == 0.0) and np.all(A_x == 0.0)
 
     def test_odd_bracket_gives_odd_field(self):
@@ -89,7 +89,7 @@ class TestComputeA:
         bump = 2.0 * np.exp(-((np.abs(x) - 5.0) ** 2))
         P = np.where(x < 0, -1.0 / p.epsilon - bump, 0.0)
         Q = np.where(x > 0, -1.0 / p.epsilon - bump[::-1], 0.0)
-        A, _ = compute_A(s, P, Q, p, g)
+        A, _ = compute_A(s, chi(P, p.epsilon), chi(Q, p.epsilon), p, g)
         assert np.max(np.abs(A + A[::-1])) <= 1e-10 * np.max(np.abs(A))
 
     def test_matches_helmholtz_bitwise(self):
@@ -101,7 +101,7 @@ class TestComputeA:
         P = -1.0 / p.epsilon - spike
         Q = np.zeros(g.n)
         r = (p.sqrt_3gamma / 48.0) * (chi(P, p.epsilon) - chi(Q, p.epsilon)) / np.sqrt(h)
-        A, _ = compute_A(s, P, Q, p, g)
+        A, _ = compute_A(s, chi(P, p.epsilon), chi(Q, p.epsilon), p, g)
         assert np.array_equal(A, solve_helmholtz(r, p, g))
 
 
@@ -129,7 +129,7 @@ class TestComputeV2:
         P = -1.0 / p.epsilon - 1.5 * np.exp(-(x**2))
         Q = np.full(g.n, 0.0)
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
-        A, _ = compute_A(s, P, Q, p, g)
+        A, _ = compute_A(s, chiP, chiQ, p, g)
         direct = (p.g / 16.0) / np.sqrt(h) * solve_helmholtz((chiP - chiQ) / np.sqrt(h), p, g)
         via_A = compute_V2(s, A, p)
         scale = np.max(np.abs(via_A)) + 1e-300
@@ -225,41 +225,31 @@ class TestComputeB:
 
 class TestComputeMN:
     def test_no_cutoff_reduces_to_script_r_term(self):
-        from sgnlab.regularization import RegFields
-
         g, p = make_line_setup()
         x = g.cells()
         h = 1.0 + 0.1 * np.exp(-(x**2))
         s = FlowState(h, np.zeros(g.n))
         z = np.zeros(g.n)
-        reg = RegFields(A=z, A_x=z, B=z, V1=z, V2=z, chiP=z, chiQ=z)
         scriptR = np.sin(x)
-        M, N = compute_MN(s, reg, scriptR, p)
+        M, N = compute_MN(s, z, z, scriptR)
         expected = -3.0 * scriptR / h**2
         assert np.allclose(M, expected, rtol=1e-14)
         assert np.allclose(N, expected, rtol=1e-14)
 
     def test_n_minus_m_is_twice_v2(self):
-        from sgnlab.regularization import RegFields
-
         g, p = make_line_setup()
         x = g.cells()
         h = 1.0 + 0.1 * np.exp(-(x**2))
         s = FlowState(h, np.zeros(g.n))
-        z = np.zeros(g.n)
         v2 = np.cos(x)
-        reg = RegFields(A=z, A_x=z, B=z, V1=np.sin(2 * x), V2=v2, chiP=z, chiQ=z)
-        M, N = compute_MN(s, reg, np.sin(x), p)
+        M, N = compute_MN(s, np.sin(2 * x), v2, np.sin(x))
         assert np.max(np.abs((N - M) - 2.0 * v2)) < 1e-14 * (1 + np.max(np.abs(v2)))
 
     def test_flat_state_zero(self):
-        from sgnlab.regularization import RegFields
-
         g, p = make_line_setup()
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         z = np.zeros(g.n)
-        reg = RegFields(A=z, A_x=z, B=z, V1=z, V2=z, chiP=z, chiQ=z)
-        M, N = compute_MN(s, reg, np.zeros(g.n), p)
+        M, N = compute_MN(s, z, z, np.zeros(g.n))
         assert np.all(M == 0.0) and np.all(N == 0.0)
 
 
@@ -271,7 +261,7 @@ class TestOrchestration:
         s = FlowState(h, np.zeros(g.n))
         P, Q = pq_fields(s, p, g)
         assert not cutoff_active(P, Q, p.epsilon)
-        assert compute_reg_fields(s, gradients(s, p, g).ux, P, Q, p, g) is None
+        assert compute_reg_fields(s, gradients(s, p, g).ux, P, Q, p, g, assemble_L(h, g, p.hbar)) is None
 
     def test_epsilon_zero_never_active(self, rng):
         P = rng.uniform(-1e6, 0, 64)
@@ -285,10 +275,16 @@ class TestOrchestration:
         s = FlowState(h, u)
         P, Q = pq_fields(s, p, g)
         P = P - 10.0 * np.exp(-(x**2))  # force activation
-        fields = compute_reg_fields(s, gradients(s, p, g).ux, P, Q, p, g)
+        ux = gradients(s, p, g).ux
+        sys = assemble_L(h, g, p.hbar)
+        fields = compute_reg_fields(s, ux, P, Q, p, g, sys)
         assert fields is not None
-        for name in ("A", "A_x", "B", "V1", "V2", "chiP", "chiQ"):
+        for name in ("A", "A_x", "B", "chiP", "chiQ"):
             assert np.all(np.isfinite(getattr(fields, name)))
+        # V1, V2 belong to the Riccati equations, not to the stepper sources
+        v1 = compute_V1(s, ux, fields.A, fields.A_x, fields.chiP, fields.chiQ, p, g, sys)
+        for v in (v1, compute_V2(s, fields.A, p)):
+            assert np.all(np.isfinite(v))
         assert np.all(fields.chiP >= 0) and np.all(fields.chiQ >= 0)
         assert np.all(fields.chiP <= P**2) and np.all(fields.chiQ <= Q**2)
 
@@ -296,6 +292,9 @@ class TestOrchestration:
         g = Grid.from_length(128, 10.0, 0.0, "periodic")
         p = Params(epsilon=0.5)
         s = FlowState(np.ones(g.n), np.zeros(g.n))
+        # the mode policy applies only once the cut-off fires
+        inactive = np.full(g.n, -1.0)
+        assert compute_reg_fields(s, np.zeros(g.n), inactive, inactive, p, g, assemble_L(s.h, g)) is None
         P = np.full(g.n, -3.0)
         with pytest.raises(ModeError):
-            compute_reg_fields(s, np.zeros(g.n), P, P, p, g)
+            compute_reg_fields(s, np.zeros(g.n), P, P, p, g, assemble_L(s.h, g))
