@@ -27,63 +27,61 @@ Example::
     [checks]
     energy = true
 
-Unknown sections or keys are rejected (configuration typos must not silently
-change a run).  ``--override section.key=value`` entries are applied before
-parsing.  The echo written into every artifact contains every key with its
-effective value, so an echo alone reproduces the run.
+``_SCHEMA`` is the format's one declaration: section -> key -> (the part of
+:class:`ScenarioConfig` it sets, the field, its parser).  Validation,
+parsing and the echo all walk it.  A key left out (or left blank) takes the
+dataclass's own default; no default is restated here.  Four things are
+written by hand: ``[grid] length`` as the alternative to ``dx``; the check
+switches, which become ``ScenarioConfig.checks``; blow-up thresholds, which
+exist when the blow-up check is on or any threshold is given; and the
+comparison box, which needs all four ``box_*`` keys or none.
+
+Unknown sections or keys are rejected, and so are non-integer values of
+integer keys (configuration typos must not silently change a run).
+``--override section.key=value`` entries are applied before parsing.  The
+echo written into every artifact contains every key with its effective
+value, so an echo alone reproduces the run.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+from collections import defaultdict
 
 from .diagnostics import Box
 from .dynamics import BlowupThresholds, StepControl
 from .errors import ConfigError
 from .grid import Grid
 from .kinematics import Params
-from .scenarios import ScenarioConfig
+from .scenarios import CHECKS, ScenarioConfig
 
 __all__ = ["parse_config", "parse_config_text", "config_echo"]
 
-_KNOWN = {
-    "params": {"g", "gamma", "hbar", "epsilon"},
-    "grid": {"n", "length", "dx", "x_left", "mode"},
-    "scenario": {"kind", "amplitude", "width", "center", "wavenumber", "plateau",
-                 "mollifier_epsilon", "target_energy", "file", "expect_blowup"},
-    "step": {"cfl", "dt_max", "t_end", "output_every", "output_dt", "dt_fixed", "farfield_rtol"},
-    "checks": {"energy", "bounds", "oleinik", "blowup", "dispersion",
-               "energy_rtol", "dispersion_rtol", "oleinik_c",
-               "ux_threshold", "hx_threshold", "depth_threshold"},
-    "sweep": {"box_t1", "box_t2", "box_a", "box_b", "tie_mollifier"},
-}
 
-
-def _validate_sections(cp: configparser.ConfigParser) -> None:
-    for section in cp.sections():
-        if section not in _KNOWN:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(cp[section]) - _KNOWN[section]
-        if unknown:
-            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-
-
-def _getfloat(sec, key, default=None):
-    raw = sec.get(key, None)
-    if raw is None or raw.strip() == "":
-        return default
+def _float(key: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key} = {raw!r} is not a number") from exc
 
 
-def _getbool(sec, key, default=False):
-    raw = sec.get(key, None)
-    if raw is None or raw.strip() == "":
-        return default
-    lowered = raw.strip().lower()
+def _int(key: str, raw: str) -> int:
+    value = _float(key, raw)
+    if not value.is_integer():
+        raise ConfigError(f"key {key} = {raw!r} is not an integer")
+    return int(value)
+
+
+def _floats(key: str, raw: str) -> tuple[float, ...]:
+    tokens = [tok for tok in raw.replace(" ", "").split(",") if tok]
+    if not tokens:
+        raise ConfigError(f"{key} = {raw!r} is not a number list")
+    return tuple(_float(key, tok) for tok in tokens)
+
+
+def _bool(key: str, raw: str) -> bool:
+    lowered = raw.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -91,7 +89,63 @@ def _getbool(sec, key, default=False):
     raise ConfigError(f"key {key} = {raw!r} is not a boolean")
 
 
-def parse_config_text(text: str, overrides: list[str] | None = None) -> ScenarioConfig:
+def _str(key: str, raw: str) -> str:
+    return raw
+
+
+# Parts: an attribute of ScenarioConfig ("params", "grid", "step", "blowup",
+# "box"), "" for ScenarioConfig's own fields, "checks" for the check switches
+# and None for [grid] length (the echo states dx instead).  Keys are in echo order.
+_SCHEMA = {
+    "params": {key: ("params", key, _float) for key in ("g", "gamma", "hbar", "epsilon")},
+    "grid": {
+        "n": ("grid", "n", _int),
+        "dx": ("grid", "dx", _float),
+        "length": (None, "length", _float),
+        "x_left": ("grid", "x_left", _float),
+        "mode": ("grid", "mode", _str),
+    },
+    "scenario": {
+        "kind": ("", "kind", _str),
+        "amplitude": ("", "amplitude", _float),
+        "width": ("", "width", _float),
+        "center": ("", "center", _float),
+        "wavenumber": ("", "wavenumbers", _floats),
+        "mollifier_epsilon": ("", "mollifier_epsilon", _float),
+        "expect_blowup": ("", "expect_blowup", _bool),
+        "plateau": ("", "plateau", _float),
+        "target_energy": ("", "target_energy", _float),
+        "file": ("", "file", _str),
+    },
+    "step": {
+        "cfl": ("step", "cfl", _float),
+        "dt_max": ("step", "dt_max", _float),
+        "t_end": ("step", "t_end", _float),
+        "output_every": ("step", "output_every", _int),
+        "farfield_rtol": ("step", "farfield_rtol", _float),
+        "output_dt": ("step", "output_dt", _float),
+        "dt_fixed": ("step", "dt_fixed", _float),
+    },
+    "checks": {
+        **{name: ("checks", name, _bool) for name in CHECKS},
+        "energy_rtol": ("", "energy_rtol", _float),
+        "dispersion_rtol": ("", "dispersion_rtol", _float),
+        "oleinik_c": ("", "oleinik_C", _float),
+        "ux_threshold": ("blowup", "ux", _float),
+        "hx_threshold": ("blowup", "hx", _float),
+        "depth_threshold": ("blowup", "depth", _float),
+    },
+    "sweep": {
+        "box_t1": ("box", "t1", _float),
+        "box_t2": ("box", "t2", _float),
+        "box_a": ("box", "a", _float),
+        "box_b": ("box", "b", _float),
+        "tie_mollifier": ("", "sweep_mollifier_tied", _bool),
+    },
+}
+
+
+def _read(text: str, overrides: list[str] | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
@@ -106,89 +160,50 @@ def parse_config_text(text: str, overrides: list[str] | None = None) -> Scenario
         if not cp.has_section(section):
             cp.add_section(section)
         cp[section][key] = value.strip()
-    _validate_sections(cp)
+    return cp
 
-    sec = cp["params"] if cp.has_section("params") else {}
-    params = Params(
-        g=_getfloat(sec, "g", 9.81),
-        gamma=_getfloat(sec, "gamma", 9.81),
-        hbar=_getfloat(sec, "hbar", 1.0),
-        epsilon=_getfloat(sec, "epsilon", 0.0),
-    )
+
+def parse_config_text(text: str, overrides: list[str] | None = None) -> ScenarioConfig:
+    cp = _read(text, overrides)
+    given: dict = defaultdict(dict)  # part -> field -> parsed value
+    for section in cp.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        table = _SCHEMA[section]
+        unknown = set(cp[section]) - set(table)
+        if unknown:
+            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        for key, raw in cp[section].items():
+            if raw:  # configparser strips values; a blank one takes the default
+                part, name, parse = table[key]
+                given[part][name] = parse(key, raw)
 
     if not cp.has_section("grid"):
         raise ConfigError("config needs a [grid] section")
-    sec = cp["grid"]
-    n = int(_getfloat(sec, "n", 0) or 0)
-    mode = sec.get("mode", "periodic").strip()
-    x_left = _getfloat(sec, "x_left", 0.0)
-    length = _getfloat(sec, "length", None)
-    dx = _getfloat(sec, "dx", None)
-    if (length is None) == (dx is None):
+    grid = given["grid"]
+    if not grid.get("n"):
+        raise ConfigError("[grid] needs n (a positive cell count)")
+    length = given[None].get("length")
+    if (length is None) == ("dx" not in grid):
         raise ConfigError("[grid] needs exactly one of length or dx")
-    grid = Grid(n=n, dx=dx if dx is not None else length / n, x_left=x_left, mode=mode)
+    if length is not None:
+        grid["dx"] = length / grid["n"]
 
-    sec = cp["step"] if cp.has_section("step") else {}
-    out_every = _getfloat(sec, "output_every", 0)
-    step = StepControl(
-        cfl=_getfloat(sec, "cfl", 0.5),
-        dt_max=_getfloat(sec, "dt_max", 0.1),
-        t_end=_getfloat(sec, "t_end", 1.0),
-        output_every=int(out_every) if out_every else 0,
-        output_dt=_getfloat(sec, "output_dt", None),
-        dt_fixed=_getfloat(sec, "dt_fixed", None),
-        farfield_rtol=_getfloat(sec, "farfield_rtol", 1e-6),
-    )
-
-    sec = cp["checks"] if cp.has_section("checks") else {}
-    checks = tuple(name for name in ("energy", "bounds", "oleinik", "blowup", "dispersion")
-                   if _getbool(sec, name, name == "energy"))
+    # a switch left out keeps its state in ScenarioConfig's default checks
+    switches = given["checks"]
+    checks = tuple(name for name in CHECKS if switches.get(name, name in ScenarioConfig.checks))
     blowup = None
-    if _getbool(sec, "blowup", False):
-        blowup = BlowupThresholds(
-            ux=_getfloat(sec, "ux_threshold", 1e3),
-            hx=_getfloat(sec, "hx_threshold", 1e3),
-            depth=_getfloat(sec, "depth_threshold", None),
-        )
-
+    if "blowup" in checks or given["blowup"]:
+        blowup = BlowupThresholds(**given["blowup"])
     box = None
-    if cp.has_section("sweep"):
-        sec = cp["sweep"]
-        vals = [_getfloat(sec, k, None) for k in ("box_t1", "box_t2", "box_a", "box_b")]
-        if all(v is not None for v in vals):
-            box = Box(*vals)
-    tie = _getbool(cp["sweep"], "tie_mollifier", True) if cp.has_section("sweep") else True
+    if given["box"]:
+        if len(given["box"]) != len(Box._fields):
+            raise ConfigError("[sweep] needs all four box_* keys or none")
+        box = Box(**given["box"])
 
-    sec = cp["scenario"] if cp.has_section("scenario") else {}
-    raw_file = sec.get("file", None) if hasattr(sec, "get") else None
-    raw_k = sec.get("wavenumber", "1.0") if hasattr(sec, "get") else "1.0"
-    try:
-        wavenumbers = tuple(float(tok) for tok in raw_k.replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise ConfigError(f"wavenumber = {raw_k!r} is not a number list") from exc
-    checks_sec = cp["checks"] if cp.has_section("checks") else {}
-    return ScenarioConfig(
-        params=params,
-        grid=grid,
-        step=step,
-        kind=(sec.get("kind", "flat") or "flat").strip(),
-        amplitude=_getfloat(sec, "amplitude", 0.0),
-        width=_getfloat(sec, "width", 1.0),
-        center=_getfloat(sec, "center", 0.0),
-        wavenumbers=wavenumbers or (1.0,),
-        plateau=_getfloat(sec, "plateau", None),
-        mollifier_epsilon=_getfloat(sec, "mollifier_epsilon", 0.0),
-        target_energy=_getfloat(sec, "target_energy", None),
-        file=raw_file.strip() if raw_file else None,
-        expect_blowup=_getbool(sec, "expect_blowup", False),
-        checks=checks,
-        energy_rtol=_getfloat(checks_sec, "energy_rtol", 1e-6),
-        dispersion_rtol=_getfloat(checks_sec, "dispersion_rtol", 1e-2),
-        oleinik_C=_getfloat(checks_sec, "oleinik_c", None),
-        blowup=blowup,
-        box=box,
-        sweep_mollifier_tied=tie,
-    )
+    return ScenarioConfig(params=Params(**given["params"]), grid=Grid(**grid),
+                          step=StepControl(**given["step"]), checks=checks,
+                          blowup=blowup, box=box, **given[""])
 
 
 def parse_config(path: str, overrides: list[str] | None = None) -> ScenarioConfig:
@@ -200,57 +215,34 @@ def parse_config(path: str, overrides: list[str] | None = None) -> ScenarioConfi
     return parse_config_text(text, overrides)
 
 
+def _effective(cfg: ScenarioConfig, part: str | None, name: str):
+    """The value a table entry has in ``cfg``; ``None`` is not echoed."""
+    if part == "checks":
+        return name in cfg.checks
+    if part is None:
+        return None
+    owner = getattr(cfg, part) if part else cfg
+    return None if owner is None else getattr(owner, name)
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(_format(v) for v in value)
+    return str(value)
+
+
 def config_echo(cfg: ScenarioConfig) -> str:
     """Canonical INI text with every effective value materialized."""
     cp = configparser.ConfigParser()
-    f = lambda v: f"{v:.17g}"  # noqa: E731
-    cp["params"] = {
-        "g": f(cfg.params.g), "gamma": f(cfg.params.gamma),
-        "hbar": f(cfg.params.hbar), "epsilon": f(cfg.params.epsilon),
-    }
-    cp["grid"] = {
-        "n": str(cfg.grid.n), "dx": f(cfg.grid.dx),
-        "x_left": f(cfg.grid.x_left), "mode": cfg.grid.mode,
-    }
-    cp["scenario"] = {
-        "kind": cfg.kind, "amplitude": f(cfg.amplitude), "width": f(cfg.width),
-        "center": f(cfg.center),
-        "wavenumber": ",".join(f(k) for k in cfg.wavenumbers),
-        "mollifier_epsilon": f(cfg.mollifier_epsilon),
-        "expect_blowup": str(cfg.expect_blowup).lower(),
-    }
-    if cfg.plateau is not None:
-        cp["scenario"]["plateau"] = f(cfg.plateau)
-    if cfg.target_energy is not None:
-        cp["scenario"]["target_energy"] = f(cfg.target_energy)
-    if cfg.file:
-        cp["scenario"]["file"] = cfg.file
-    cp["step"] = {
-        "cfl": f(cfg.step.cfl), "dt_max": f(cfg.step.dt_max), "t_end": f(cfg.step.t_end),
-        "output_every": str(cfg.step.output_every),
-        "farfield_rtol": f(cfg.step.farfield_rtol),
-    }
-    if cfg.step.output_dt is not None:
-        cp["step"]["output_dt"] = f(cfg.step.output_dt)
-    if cfg.step.dt_fixed is not None:
-        cp["step"]["dt_fixed"] = f(cfg.step.dt_fixed)
-    cp["checks"] = {name: str(name in cfg.checks).lower()
-                    for name in ("energy", "bounds", "oleinik", "blowup", "dispersion")}
-    cp["checks"]["energy_rtol"] = f(cfg.energy_rtol)
-    cp["checks"]["dispersion_rtol"] = f(cfg.dispersion_rtol)
-    if cfg.oleinik_C is not None:
-        cp["checks"]["oleinik_c"] = f(cfg.oleinik_C)
-    if cfg.blowup is not None:
-        cp["checks"]["ux_threshold"] = f(cfg.blowup.ux)
-        cp["checks"]["hx_threshold"] = f(cfg.blowup.hx)
-        if cfg.blowup.depth is not None:
-            cp["checks"]["depth_threshold"] = f(cfg.blowup.depth)
-    if cfg.box is not None:
-        cp["sweep"] = {
-            "box_t1": f(cfg.box.t1), "box_t2": f(cfg.box.t2),
-            "box_a": f(cfg.box.a), "box_b": f(cfg.box.b),
-            "tie_mollifier": str(cfg.sweep_mollifier_tied).lower(),
-        }
+    for section, table in _SCHEMA.items():
+        if section == "sweep" and cfg.box is None and cfg.sweep_mollifier_tied:
+            continue  # the default sweep: nothing to state
+        values = {key: _effective(cfg, part, name) for key, (part, name, _) in table.items()}
+        cp[section] = {key: _format(v) for key, v in values.items() if v is not None}
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()

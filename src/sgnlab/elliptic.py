@@ -206,18 +206,15 @@ def _helmholtz_system(p: Params, g: Grid) -> TridiagonalSystem:
                              order0=np.full(g.n, p.g))
 
 
-def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid,
-                    far_field: tuple[float, float] | None = None) -> np.ndarray:
+def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid) -> np.ndarray:
     """Solve ``(g - gamma d_xx) a = rhs`` with the standard second difference.
 
-    In line mode the default ghost values ``rhs(boundary)/g`` make constant
+    In line mode the ghost values are ``rhs(boundary)/g``: they make constant
     right-hand sides exact and match the far-field limit of the convolution
     with the exponential kernel.
     """
     rhs = as_field(rhs, g)
-    if far_field is None:
-        far_field = (rhs[0] / p.g, rhs[-1] / p.g)
-    return _solve(_helmholtz_system(p, g), rhs, far_field)
+    return _solve(_helmholtz_system(p, g), rhs, (rhs[0] / p.g, rhs[-1] / p.g))
 
 
 def inv_L_dx(h: np.ndarray, psi: np.ndarray, g: Grid, hbar: float | None = None) -> np.ndarray:

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 KINDS = ("flat", "gaussian", "sine", "steep", "custom")
+CHECKS = ("energy", "bounds", "oleinik", "blowup", "dispersion")
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,9 @@ class ScenarioConfig:
             raise ConfigError("custom scenarios need a file")
         if self.mollifier_epsilon < 0:
             raise ConfigError("mollifier_epsilon must be >= 0")
+        unknown = sorted(set(self.checks) - set(CHECKS))
+        if unknown:
+            raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
         if "dispersion" in self.checks and self.kind != "sine":
             raise ConfigError("the dispersion check needs a sine scenario")
 

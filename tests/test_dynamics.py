@@ -242,6 +242,28 @@ class TestSimulate:
         assert hist.abort_reason == "blowup:gradient-pair"
         assert hist.trigger is not None
 
+    def test_blowup_mid_run_aborts_with_code(self, params, monkeypatch):
+        # fault injection: the monitor reports a gradient pair only once five
+        # steps have been accepted (the real criterion never fires on this run)
+        real = dynamics.check_blowup
+        calls = []
+
+        def late(*args):
+            calls.append(1)
+            assert real(*args) is None
+            return "gradient-pair" if len(calls) > 5 else None
+
+        monkeypatch.setattr(dynamics, "check_blowup", late)
+        g = Grid.from_length(128, 20.0, -10.0, "periodic")
+        hist = simulate(gaussian_state(g), params, g,
+                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1),
+                        blowup=BlowupThresholds())
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "blowup:gradient-pair"
+        assert hist.n_steps == 5 and len(calls) == 6
+        assert hist.trigger == (hist.abort_time, "gradient-pair")
+        _assert_abort_history_consistent(hist)
+
     def test_smooth_run_never_triggers_default_thresholds(self, params):
         g = Grid.from_length(256, 40.0, -20.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
