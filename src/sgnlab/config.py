@@ -146,7 +146,7 @@ _SCHEMA = {
 
 
 def _read(text: str, overrides: list[str] | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -237,7 +237,7 @@ def _format(value) -> str:
 
 def config_echo(cfg: ScenarioConfig) -> str:
     """Canonical INI text with every effective value materialized."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     for section, table in _SCHEMA.items():
         if section == "sweep" and cfg.box is None and cfg.sweep_mollifier_tied:
             continue  # the default sweep: nothing to state

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import BlowupThresholds, SimHistory, check_blowup
+from .dynamics import BlowupThresholds, SimHistory, check_blowup, depth_floor
 from .errors import ContractViolationError, ModeError, ThresholdExceededError
 from .grid import Grid
 from .kinematics import FlowState, Params, a_priori_bounds, gradients
@@ -290,15 +290,12 @@ def blowup_report(history: SimHistory) -> BlowupReport:
 
 def blowup_monitor(s: FlowState, p: Params, g: Grid,
                    thresholds: BlowupThresholds | None = None) -> str | None:
-    """Evaluate the paired blow-up criterion on a single state."""
+    """Evaluate the paired blow-up criterion on a single state, with the depth
+    floor that :func:`~sgnlab.dynamics.simulate` would resolve starting from it."""
     thr = thresholds if thresholds is not None else BlowupThresholds()
     d = gradients(s, p, g)
-    if thr.depth is not None:
-        floor = thr.depth
-    else:
-        floor = 0.05 * p.hbar
     return check_blowup(float(np.max(np.abs(d.ux))), float(np.max(np.abs(d.hx))),
-                        float(s.h.min()), thr, floor)
+                        float(s.h.min()), thr, depth_floor(thr, s, p, g))
 
 
 def lp_box_norm(history: SimHistory, alpha: float, box: Box) -> float:

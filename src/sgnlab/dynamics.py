@@ -31,7 +31,6 @@ from .errors import (
     BoundaryContaminationError,
     ContractViolationError,
     DepthCollapseError,
-    ModeError,
     NonFiniteError,
     PositivityError,
     SolverFailureError,
@@ -44,6 +43,7 @@ __all__ = [
     "RhsEval",
     "StepControl",
     "BlowupThresholds",
+    "depth_floor",
     "check_blowup",
     "rhs",
     "cfl_dt",
@@ -100,7 +100,19 @@ class BlowupThresholds:
 
     ux: float = 1e3
     hx: float = 1e3
-    depth: float | None = None  # resolved against the a-priori h_min at run start
+    depth: float | None = None  # resolved by depth_floor
+
+
+def depth_floor(thr: BlowupThresholds, s: FlowState, p: Params, g: Grid) -> float:
+    """The depth companion's floor: ``thr.depth`` when given, else a tenth of the
+    a-priori ``h_min`` for the energy of ``s`` (the run's initial state), or
+    ``0.05 hbar`` when that bound is vacuous."""
+    if thr.depth is not None:
+        return thr.depth
+    try:
+        return 0.1 * a_priori_bounds(total_energy(s, p, g), p).h_min
+    except ThresholdExceededError:
+        return 0.05 * p.hbar
 
 
 def check_blowup(max_abs_ux: float, max_abs_hx: float, min_h: float,
@@ -117,7 +129,7 @@ def check_blowup(max_abs_ux: float, max_abs_hx: float, min_h: float,
 
 def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     """Semi-discrete right-hand side; regularized sources only when active."""
-    sys = assemble_L(s.h, g, p.hbar if not g.periodic else None)
+    sys = assemble_L(s.h, g, p.hbar)
     d = gradients(s, p, g)
     hu_x = derivative(s.h * s.u, g)
     nonlocal_term = solve_L_refined(sys, s.h, derivative(curly_c(s, p, d) + f_of_h(s, p), g), g)
@@ -259,24 +271,12 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     Aborts (blow-up trigger, depth collapse, boundary contamination, solver
     failure, non-finite fields) are recorded in the history with a reason
     code.  Snapshots include the initial and final states.  Invalid inputs
-    raise before the first step: eps > 0 on a periodic grid is a
-    :class:`ModeError`; an initial state whose derived fields overflow (say
-    ``u_x ~ 1e160``) is a :class:`NonFiniteError`.
+    raise before the first step: an initial state whose derived fields
+    overflow (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.
     """
-    if p.epsilon > 0.0 and g.periodic:
-        raise ModeError("eps > 0 runs require line mode (V1 needs the primitive from -infinity)")
     hist = SimHistory(grid=g, params=p, control=c)
     series: dict[str, list] = {k: [] for k in _SERIES_COLUMNS}
-    depth_floor = 0.0
-    if blowup is not None:
-        if blowup.depth is not None:
-            depth_floor = blowup.depth
-        else:
-            try:
-                e_start = total_energy(s0, p, g)
-                depth_floor = 0.1 * a_priori_bounds(e_start, p).h_min
-            except ThresholdExceededError:
-                depth_floor = 0.05 * p.hbar
+    floor = 0.0 if blowup is None else depth_floor(blowup, s0, p, g)
 
     def snapshot(s: FlowState):
         hist.snapshots.append(FlowState(s.h.copy(), s.u.copy(), s.t))
@@ -293,7 +293,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
         try:
             check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol, ncells=2 * FARFIELD_CLAMP_CELLS)
             if blowup is not None:
-                code = check_blowup(max_ux, max_hx, min_h, blowup, depth_floor)
+                code = check_blowup(max_ux, max_hx, min_h, blowup, floor)
                 if code is not None:
                     hist.trigger = (s.t, code)
                     reason = f"blowup:{code}"

@@ -1,18 +1,22 @@
-"""The depth-weighted Sturm-Liouville operator and its inverse.
+"""The depth-weighted Sturm-Liouville operator, the Helmholtz operator and their inverses.
 
-The operator ``L_h u = h u - (1/3) (h^3 u_x)_x`` is discretized in flux form::
+Both elliptic operators of the model, ``L_h u = h u - (1/3) (h^3 u_x)_x`` and
+``g - gamma d_xx``, share one flux form::
 
-    (L_h u)_i = h_i u_i - [ f_{i+1/2} (u_{i+1} - u_i) - f_{i-1/2} (u_i - u_{i-1}) ] / (3 dx^2)
+    (A u)_i = order0_i u_i + f_i (u_i - u_{i-1}) + f_{i+1} (u_i - u_{i+1})
 
-with face weights ``f_{i+1/2} = ((h_i + h_{i+1})/2)^3`` (average the depth,
-then cube: this keeps the matrix symmetric positive-definite and exact for
-constant depth).  In periodic mode the first and last rows couple through a
-corner entry; in line mode the ghost cells carry the reference depth and a
-prescribed far-field value of the solution (zero for decaying solutions,
-``psi(+-inf)/hbar`` for right-hand sides with nonzero limits, mirroring the
-extension of the inverse operator to functions with limits at infinity).
+with n+1 positive face couplings ``f``: ``order0 = h`` and
+``f_i = ((h_{i-1} + h_i)/2)^3 / (3 dx^2)`` for ``L_h`` (average the depth,
+then cube: symmetric positive-definite and exact for constant depth), and
+``order0 = g``, ``f_i = gamma / dx^2`` for Helmholtz.  The grid mode decides
+only the two pad values beyond the ends: the wrapped neighbours on a periodic
+grid (``f_0 == f_n`` is the wrap face), the ghost cells on a line grid.
+``L_h`` ghosts carry the reference depth and a prescribed far-field value of
+the solution (zero for decaying solutions, ``psi(+-inf)/hbar`` for
+right-hand sides with nonzero limits, mirroring the extension of the inverse
+operator to functions with limits at infinity).
 
-The discrete operator is an M-matrix, so it inherits the maximum principle
+The discrete ``L_h`` is an M-matrix, so it inherits the maximum principle
 ``|L_h^{-1} psi| <= ||1/h||_inf ||psi||_inf`` exactly.
 
 ``(g - gamma d_xx)^{-1}`` is realized as a second-order linear solve rather
@@ -20,11 +24,11 @@ than a literal convolution with its exponential kernel
 ``exp(-sqrt(g/gamma)|x|) / (2 sqrt(g gamma))``: identical on the real line,
 well defined on both grid modes, and O(n) instead of O(n^2).
 
-Both operators are SPD tridiagonal.  Each system is factored once with
-LAPACK's ``L D L^T`` (``dpttrf``) and every solve on it is one ``dpttrs``;
-periodic systems add a Sherman-Morrison correction for the corner entries.
-The Helmholtz system is built and factored once per (parameters, grid).
-Every solve verifies its own residual and refuses to return garbage.
+Each system is factored once with LAPACK's ``L D L^T`` (``dpttrf``) and
+every solve on it is one ``dpttrs``; periodic systems add a Sherman-Morrison
+correction for the wrap face.  The Helmholtz system is built and factored
+once per (parameters, grid).  Every solve verifies its own residual and
+refuses to return garbage.
 """
 
 from __future__ import annotations
@@ -56,38 +60,30 @@ RESIDUAL_LIMIT = 1e-10
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    """Symmetric tridiagonal system, optionally cyclic (periodic corner) or
-    with ghost couplings (line mode).
+    """Symmetric tridiagonal system in the flux form of the module docstring.
 
-    ``sub[i] = A[i, i-1]`` (``sub[0]`` unused), ``sup[i] = A[i, i+1]``
-    (``sup[n-1]`` unused).  ``corner`` is the periodic coupling
-    ``A[0, n-1] = A[n-1, 0]``; zero in line mode.  ``ghost`` holds the
-    positive coefficients multiplying the prescribed ghost values of the
-    solution just outside a line-mode domain; zero in periodic mode.
+    ``faces[i]`` couples cells i-1 and i.  Periodic: ``faces[0] == faces[n]``
+    is the wrap face.  Line: the two end faces couple to the ghost values.
     """
 
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    corner: float
-    ghost: tuple[float, float]
-    periodic: bool
+    faces: np.ndarray
     order0: np.ndarray  # zeroth-order coefficient (h, or g for the Helmholtz operator)
+    periodic: bool
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.order0.shape[0]
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
         """``(d, e, z, r, 1 + v.z)``, made on the first solve: the ``L D L^T`` factor
-        ``(d, e)``; periodic, of ``T = A - u v^T`` (SPD) with ``u = (-diag[0], 0, ..., corner)``,
-        ``v = (1, 0, ..., r)`` and ``z = T^{-1} u`` for Sherman-Morrison (line: ``z = None``)."""
-        off = self.sup[:-1]
+        ``(d, e)``; periodic, of ``T = A - u v^T`` (SPD) with ``u = (-diag[0], 0, ..., c)``,
+        ``c = -faces[0]``, ``v = (1, 0, ..., r)`` and ``z = T^{-1} u`` for Sherman-Morrison (line: ``z = None``)."""
+        diag = self.order0 + self.faces[1:] + self.faces[:-1]
+        off = -self.faces[1:-1]
         if not self.periodic:
-            return (*_checked(dpttrf(self.diag, off)), None, 0.0, 1.0)
-        d0, c = self.diag[0], self.corner
-        diag = self.diag.copy()
+            return (*_checked(dpttrf(diag, off)), None, 0.0, 1.0)
+        d0, c = diag[0], -self.faces[0]
         diag[0] += d0
         diag[-1] += c * c / d0
         d, e = _checked(dpttrf(diag, off))
@@ -98,41 +94,24 @@ class TridiagonalSystem:
         return d, e, z, r, 1.0 + (z[0] + r * z[-1])
 
 
-def _face_cubes(h: np.ndarray, hbar: float | None, g: Grid) -> np.ndarray:
-    """Face values of h^3: average the two adjacent cell depths, then cube."""
-    if g.periodic:
-        return (0.5 * (h + np.roll(h, -1))) ** 3  # face i sits between cells i and i+1 (mod n)
-    if hbar is None:
-        raise ContractViolationError("line-mode assembly needs the reference depth hbar for ghost cells")
-    hpad = np.empty(g.n + 2)
-    hpad[0] = hpad[-1] = hbar
-    hpad[1:-1] = h
-    return (0.5 * (hpad[:-1] + hpad[1:])) ** 3  # n+1 faces, f[i] between cells i-1 and i
+def _padded(v: np.ndarray, left: float, right: float) -> np.ndarray:
+    """``v`` with one pad value on each side."""
+    return np.concatenate(([left], v, [right]))
 
 
 def assemble_L(h: np.ndarray, g: Grid, hbar: float | None = None) -> TridiagonalSystem:
-    """Assemble the flux-form discretization of ``L_h``; requires ``h > 0``."""
+    """Assemble the flux-form ``L_h``; requires ``h > 0``, and ``hbar`` for line-mode ghosts."""
     h = as_field(h, g)
     if not np.all(h > 0.0):
         raise PositivityError(f"cannot assemble the operator for non-positive depth; min h = {h.min():.6e}")
-    w = 1.0 / (3.0 * g.dx**2)
-    n = g.n
-    sub = np.zeros(n)
-    sup = np.zeros(n)
-    diag = np.empty(n)
     if g.periodic:
-        f = _face_cubes(h, None, g) * w  # f[i]: face between i and i+1 (mod n)
-        diag[:] = h + f + np.roll(f, 1)
-        sub[1:] = -f[:-1]
-        sup[:-1] = -f[:-1]
-        return TridiagonalSystem(sub, diag, sup, corner=float(-f[-1]), ghost=(0.0, 0.0),
-                                 periodic=True, order0=h)
-    f = _face_cubes(h, hbar, g) * w  # f[i]: face between cells i-1 and i, ghosts at h = hbar
-    diag[:] = h + f[:-1] + f[1:]
-    sub[1:] = -f[1:-1]
-    sup[:-1] = -f[1:-1]
-    return TridiagonalSystem(sub, diag, sup, corner=0.0, ghost=(float(f[0]), float(f[-1])),
-                             periodic=False, order0=h)
+        hp = _padded(h, h[-1], h[0])
+    elif hbar is None:
+        raise ContractViolationError("line-mode assembly needs the reference depth hbar for ghost cells")
+    else:
+        hp = _padded(h, hbar, hbar)
+    faces = (0.5 * (hp[:-1] + hp[1:])) ** 3 * (1.0 / (3.0 * g.dx**2))
+    return TridiagonalSystem(faces, h, g.periodic)
 
 
 def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
@@ -144,16 +123,8 @@ def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (sys.n,):
         raise ContractViolationError(f"vector has shape {u.shape}, expected ({sys.n},)")
-    out = sys.order0 * u
-    out[:-1] += sys.sup[:-1] * (u[1:] - u[:-1])
-    out[1:] += sys.sub[1:] * (u[:-1] - u[1:])
-    if sys.periodic:
-        out[0] += sys.corner * (u[-1] - u[0])
-        out[-1] += sys.corner * (u[0] - u[-1])
-    else:
-        out[0] += sys.ghost[0] * u[0]
-        out[-1] += sys.ghost[1] * u[-1]
-    return out
+    up = _padded(u, u[-1], u[0]) if sys.periodic else _padded(u, 0.0, 0.0)
+    return sys.order0 * u + sys.faces[1:] * (u - up[2:]) + sys.faces[:-1] * (u - up[:-2])
 
 
 def _checked(lapack_result: tuple) -> list[np.ndarray]:
@@ -170,8 +141,8 @@ def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, floa
         adjusted = rhs
     else:
         adjusted = rhs.copy()
-        adjusted[0] += sys.ghost[0] * far_field[0]
-        adjusted[-1] += sys.ghost[1] * far_field[1]
+        adjusted[0] += sys.faces[0] * far_field[0]
+        adjusted[-1] += sys.faces[-1] * far_field[1]
     d, e, z, r, denom = sys._factor
     (u,) = _checked(dpttrs(d, e, adjusted))
     if z is not None:
@@ -199,11 +170,7 @@ def solve_L(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, flo
 @lru_cache(maxsize=16)
 def _helmholtz_system(p: Params, g: Grid) -> TridiagonalSystem:
     """``g - gamma d_xx`` with the standard second difference; one per (p, g)."""
-    w = p.gamma / g.dx**2
-    off = np.full(g.n, -w)
-    return TridiagonalSystem(off, np.full(g.n, p.g + 2.0 * w), off, corner=-w if g.periodic else 0.0,
-                             ghost=(0.0, 0.0) if g.periodic else (w, w), periodic=g.periodic,
-                             order0=np.full(g.n, p.g))
+    return TridiagonalSystem(np.full(g.n + 1, p.gamma / g.dx**2), np.full(g.n, p.g), g.periodic)
 
 
 def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid) -> np.ndarray:

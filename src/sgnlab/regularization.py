@@ -20,8 +20,11 @@ evaluates ``chi`` once per state and returns ``A, A_x, B``.  ``V1``, ``V2``,
 ``M`` and ``N`` enter only the Riccati equations along characteristics, and
 ``characteristics._riccati_rhs_field`` is their one caller.
 
-``V1`` needs the primitive from minus infinity, so runs with ``eps > 0``
-require a line-mode grid.  When neither P nor Q dips below ``-1/eps`` every
+``A``, ``A_x`` and ``B`` are well defined on both grid modes, so ``eps > 0``
+runs on either.  Only ``V1`` needs the primitive from minus infinity:
+:func:`compute_V1` on a periodic grid raises :class:`ModeError` (through
+``cumulative_integral``), so the Riccati diagnostic of an active cut-off is
+line-mode only.  When neither P nor Q dips below ``-1/eps`` every
 field is identically zero and the regularized right-hand side coincides with
 the unregularized one bitwise.
 """
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L
-from .errors import ContractViolationError, ModeError
+from .errors import ContractViolationError
 from .grid import Grid, cumulative_integral, derivative
 from .kinematics import FlowState, Params
 
@@ -131,12 +134,10 @@ def compute_reg_fields(s: FlowState, ux: np.ndarray, P: np.ndarray, Q: np.ndarra
 
     Returning ``None`` (rather than zero fields) lets the stepper skip the
     extra elliptic solves and reproduce the unregularized right-hand side
-    bitwise.  An active cut-off on a periodic grid is a :class:`ModeError`.
+    bitwise.
     """
     if not cutoff_active(P, Q, p.epsilon):
         return None
-    if g.periodic:
-        raise ModeError("an active cut-off needs line mode (V1 needs the primitive from -infinity)")
     chiP = chi(P, p.epsilon)
     chiQ = chi(Q, p.epsilon)
     a, a_x = compute_A(s, chiP, chiQ, p, g)

@@ -92,9 +92,6 @@ class ScenarioConfig:
             raise ConfigError("sine scenarios require a periodic grid")
         if self.kind == "steep" and self.grid.periodic:
             raise ConfigError("steep scenarios require a line-mode grid")
-        if self.params.epsilon > 0.0 and self.grid.periodic:
-            raise ConfigError("eps > 0 runs require a line-mode grid "
-                              "(the V1 source needs the primitive from -infinity)")
         if self.kind == "custom" and not self.file:
             raise ConfigError("custom scenarios need a file")
         if self.mollifier_epsilon < 0:

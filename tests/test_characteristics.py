@@ -10,7 +10,7 @@ from sgnlab.characteristics import (
     trace,
 )
 from sgnlab.dynamics import StepControl, simulate
-from sgnlab.errors import ContractViolationError
+from sgnlab.errors import ContractViolationError, ModeError
 from sgnlab.kinematics import pq_fields
 from sgnlab.regularization import chi, compute_A, compute_V2, cutoff_active
 
@@ -140,6 +140,18 @@ class TestRiccatiResidual:
         scale = np.max(np.abs(minus)) + np.max(np.abs(plus))
         assert np.max(np.abs((minus - plus) - expected)) <= 1e-13 * scale
         assert np.max(np.abs(chiP - chiQ)) > 0.0
+
+    def test_periodic_active_cutoff_refused(self):
+        # V1 needs the primitive from -infinity: the one line-mode restriction
+        p = Params(epsilon=1.0)
+        g = Grid.from_length(256, 40.0, -20.0, "periodic")
+        x = g.cells()
+        s0 = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+        hist = simulate(s0, p, g, StepControl(cfl=0.3, dt_max=0.01, t_end=0.05, output_dt=0.005))
+        assert hist.status == "completed" and hist.series["diss_rate"][0] < 0.0
+        path = trace(hist, 0.0, "minus")
+        with pytest.raises(ModeError):
+            riccati_residual(hist, path, p)
 
     def test_undersampled_warns(self):
         hist, p, g = gaussian_history(n=256, t_end=0.2, output_dt=0.1)

@@ -18,7 +18,7 @@ CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").gl
 
 _REAL = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(1e-6, 1e6)
-_FILE = st.from_regex(r"[a-z0-9_/]{1,12}\.csv", fullmatch=True)
+_FILE = st.from_regex(r"[a-z0-9_/%]{1,12}\.csv", fullmatch=True)
 
 
 @st.composite
@@ -32,7 +32,7 @@ def scenario_configs(draw):
     thresholds = st.builds(BlowupThresholds, _POSITIVE, _POSITIVE, st.none() | _POSITIVE)
     return ScenarioConfig(
         params=Params(g=draw(_POSITIVE), gamma=draw(_POSITIVE), hbar=draw(_POSITIVE),
-                      epsilon=0.0 if mode == "periodic" else draw(st.floats(0.0, 1.0))),
+                      epsilon=draw(st.floats(0.0, 1.0))),
         grid=Grid(n=draw(st.integers(8, 10**6)), dx=draw(_POSITIVE), x_left=draw(_REAL), mode=mode),
         step=StepControl(cfl=draw(st.floats(1e-3, 1.0)), dt_max=draw(_POSITIVE),
                          t_end=draw(st.floats(0.0, 1e3)), output_every=draw(st.integers(0, 100)),
@@ -73,6 +73,7 @@ class TestEchoRoundTrip:
     @example(cfg=_cfg(sweep_mollifier_tied=False, box=Box(0.1, 0.5, -4.0, 6.0)))
     @example(cfg=_cfg(blowup=BlowupThresholds(55.0, 4.8)))
     @example(cfg=_cfg(checks=("blowup",), blowup=BlowupThresholds(55.0, 4.8, 0.3)))
+    @example(cfg=_cfg(kind="custom", file="run%1.csv"))
     def test_echo_reproduces_config(self, cfg):
         assert parse_config_text(config_echo(cfg)) == cfg
 
@@ -134,6 +135,22 @@ class TestNothingSilentlyDropped:
             parse_config(str(path))
         assert main(["check", "--config", str(path)]) == 2
         assert "error: [grid] needs n" in capsys.readouterr().err
+
+
+class TestPercentInValues:
+    """A ``%`` is an ordinary character in a value, not an interpolation."""
+
+    FLAT = CONFIGS[0].parent / "flat.cfg"
+
+    def test_check_accepts_percent(self, tmp_path, capsys):
+        path = tmp_path / "percent.cfg"
+        path.write_text(self.FLAT.read_text().replace("kind = flat\n", "kind = flat\nfile = run%1.csv\n"))
+        assert parse_config(str(path)).file == "run%1.csv"
+        assert main(["check", "--config", str(path)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_override_accepts_percent(self):
+        assert parse_config(str(self.FLAT), ["scenario.file=run%1.csv"]).file == "run%1.csv"
 
 
 def test_unknown_check_name_rejected():

@@ -16,7 +16,7 @@ from sgnlab.diagnostics import (
     measure_phase_speed,
     oleinik_report,
 )
-from sgnlab.dynamics import BlowupThresholds, StepControl, simulate
+from sgnlab.dynamics import BlowupThresholds, StepControl, depth_floor, simulate
 from sgnlab.errors import ContractViolationError, ModeError
 from sgnlab.grid import derivative
 
@@ -63,6 +63,24 @@ class TestEnergyBudget:
             kind="steep", amplitude=-0.45, width=0.45, center=2.0, plateau=0.7)
         hist = simulate(build_initial(cfg), p, g, cfg.step)
         rep = energy_budget(hist, p)
+        assert rep.dissipation_integral < 0.0
+        assert rep.verdicts["energy_monotonic"].passed
+        assert rep.verdicts["budget_closure"].passed
+
+    def test_periodic_dissipative_run_monotone_and_closed(self):
+        # the same steep data on a periodic grid: the cut-off needs no line mode
+        p = Params(g=9.81, gamma=30.0, hbar=1.0, epsilon=0.1)
+        line = Grid.from_length(2048, 36.0, -16.0, "line")
+        from sgnlab.scenarios import ScenarioConfig, build_initial
+
+        cfg = ScenarioConfig(
+            params=p, grid=line,
+            step=StepControl(cfl=0.2, dt_max=0.05, t_end=0.15, output_dt=0.05, farfield_rtol=1e-5),
+            kind="steep", amplitude=-0.45, width=0.45, center=2.0, plateau=0.7)
+        g = Grid.from_length(2048, 36.0, -16.0, "periodic")
+        hist = simulate(build_initial(cfg), p, g, cfg.step)
+        rep = energy_budget(hist, p)
+        assert hist.status == "completed"
         assert rep.dissipation_integral < 0.0
         assert rep.verdicts["energy_monotonic"].passed
         assert rep.verdicts["budget_closure"].passed
@@ -162,6 +180,20 @@ class TestBlowupDiagnostics:
         # steep u alone: no trigger even far beyond the slope threshold
         s = FlowState(np.ones(g.n), 100.0 * np.sin(2 * np.pi * x / 20.0))
         assert blowup_monitor(s, p, g, BlowupThresholds(ux=1.0, hx=1e9)) is None
+
+    def test_depth_floor_agrees_with_simulate(self):
+        # min h = 0.042 lies between the a-priori floor (0.1 h_min = 0.002)
+        # and 0.05 hbar: the monitor and the run must give the same verdict
+        p = Params()
+        g = Grid.from_length(1024, 40.0, -20.0, "periodic")
+        x = g.cells()
+        s = FlowState(1.0 - 0.96 * np.exp(0.1 - np.sqrt(x**2 + 0.01)), 1e-3 * np.sin(2 * np.pi * x / 20.0))
+        assert depth_floor(BlowupThresholds(), s, p, g) < s.h.min() < 0.05 * p.hbar
+        for depth, expected in ((None, None), (0.05, "depth-pair")):
+            thr = BlowupThresholds(ux=1e-6, hx=1e9, depth=depth)
+            hist = simulate(s, p, g, StepControl(t_end=1e-6, dt_fixed=1e-6), blowup=thr)
+            assert (hist.trigger[1] if hist.trigger else None) == expected
+            assert blowup_monitor(s, p, g, thr) == expected
 
     def test_report_carries_series(self):
         hist, p, g = gaussian_history(t_end=0.3)

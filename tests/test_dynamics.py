@@ -12,7 +12,7 @@ from sgnlab.dynamics import (
     rk4_step,
     simulate,
 )
-from sgnlab.errors import ContractViolationError, DepthCollapseError, ModeError, NonFiniteError
+from sgnlab.errors import ContractViolationError, DepthCollapseError, NonFiniteError
 from sgnlab.grid import derivative, integrate
 from sgnlab.kinematics import pq_fields, total_energy
 from sgnlab.regularization import cutoff_active
@@ -394,14 +394,15 @@ class TestSimulate:
         assert hist.abort_reason == "boundary-contamination"
         _assert_abort_history_consistent(hist)
 
-    def test_periodic_epsilon_refused_before_first_step(self, monkeypatch):
-        # eps > 0 needs line mode; the refusal comes at entry, not when the cut-off fires
-        import sgnlab.dynamics as dynamics
-
+    def test_periodic_epsilon_runs_like_eps0_while_inactive(self):
+        # eps > 0 runs on a periodic grid; with the cut-off quiescent it steps like eps = 0
         g = Grid.from_length(256, 20.0, -10.0, "periodic")
-        monkeypatch.setattr(dynamics, "rk4_step", lambda *a: pytest.fail("stepped"))
-        with pytest.raises(ModeError):
-            simulate(gaussian_state(g), Params(epsilon=0.5), g, StepControl(t_end=0.1))
+        runs = [simulate(gaussian_state(g), Params(epsilon=eps), g, StepControl(t_end=0.1))
+                for eps in (0.0, 0.5)]
+        assert runs[1].status == "completed" and runs[1].n_steps > 0
+        assert np.all(runs[1].series["diss_rate"] == 0.0)
+        assert np.array_equal(runs[0].snapshots[-1].h, runs[1].snapshots[-1].h)
+        assert np.array_equal(runs[0].snapshots[-1].u, runs[1].snapshots[-1].u)
 
 
 def _assert_abort_history_consistent(hist):

@@ -35,13 +35,13 @@ def random_depth(g, rng, lo=0.5, hi=2.0):
 
 
 def dense_matrix(sys):
-    n = sys.n
-    A = np.diag(sys.diag)
-    A += np.diag(sys.sub[1:], -1)
-    A += np.diag(sys.sup[:-1], 1)
+    f = sys.faces
+    A = np.diag(sys.order0 + f[1:] + f[:-1])
+    A -= np.diag(f[1:-1], -1)
+    A -= np.diag(f[1:-1], 1)
     if sys.periodic:
-        A[0, -1] = sys.corner
-        A[-1, 0] = sys.corner
+        A[0, -1] = -f[0]
+        A[-1, 0] = -f[0]
     return A
 
 
@@ -202,10 +202,12 @@ class TestFactorSolve:
                 far = tuple(rng.standard_normal(2)) if mode == "line" else (0.0, 0.0)
                 u = solve_L(sys, psi, far_field=far)
                 b = psi.copy()
-                b[0] += sys.ghost[0] * far[0]
-                b[-1] += sys.ghost[1] * far[1]
-                u_dense = np.linalg.solve(dense_matrix(sys), b)
+                b[0] += sys.faces[0] * far[0]
+                b[-1] += sys.faces[-1] * far[1]
+                A = dense_matrix(sys)
+                u_dense = np.linalg.solve(A, b)
                 assert np.max(np.abs(u - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
+                assert np.max(np.abs(apply_L(sys, psi) - A @ psi)) <= 1e-13 * np.max(np.abs(A @ psi))
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_nan_rhs_fails_closed(self, rng, mode):
@@ -220,10 +222,7 @@ class TestFactorSolve:
     def test_non_spd_system_refused(self, periodic):
         # tridiag(-1, 1, -1) in flux form: order0 = -1, unit couplings; indefinite
         n = 16
-        off = np.full(n, -1.0)
-        sys = TridiagonalSystem(off, np.ones(n), off, corner=-1.0 if periodic else 0.0,
-                                ghost=(0.0, 0.0) if periodic else (1.0, 1.0),
-                                periodic=periodic, order0=np.full(n, -1.0))
+        sys = TridiagonalSystem(np.ones(n + 1), np.full(n, -1.0), periodic)
         assert np.linalg.eigvalsh(dense_matrix(sys)).min() < 0
         with pytest.raises(SolverFailureError):
             solve_L(sys, np.ones(n))

@@ -288,13 +288,23 @@ class TestOrchestration:
         assert np.all(fields.chiP >= 0) and np.all(fields.chiQ >= 0)
         assert np.all(fields.chiP <= P**2) and np.all(fields.chiQ <= Q**2)
 
-    def test_periodic_activation_rejected(self):
+    def test_periodic_activation_matches_line(self):
+        # the stepper sources need no primitive: an active cut-off works on a
+        # periodic grid and, for a localized state, agrees with line mode
         g = Grid.from_length(128, 10.0, 0.0, "periodic")
         p = Params(epsilon=0.5)
         s = FlowState(np.ones(g.n), np.zeros(g.n))
-        # the mode policy applies only once the cut-off fires
         inactive = np.full(g.n, -1.0)
         assert compute_reg_fields(s, np.zeros(g.n), inactive, inactive, p, g, assemble_L(s.h, g)) is None
-        P = np.full(g.n, -3.0)
-        with pytest.raises(ModeError):
-            compute_reg_fields(s, np.zeros(g.n), P, P, p, g, assemble_L(s.h, g))
+        p = Params(epsilon=1.0)
+        fields = {}
+        for mode in ("periodic", "line"):
+            g = Grid.from_length(256, 40.0, -20.0, mode)
+            x = g.cells()
+            s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+            d = gradients(s, p, g)
+            fields[mode] = compute_reg_fields(s, d.ux, *d.pq, p, g, assemble_L(s.h, g, p.hbar))
+        for name in ("A", "A_x", "B", "chiP", "chiQ"):
+            per, line = getattr(fields["periodic"], name), getattr(fields["line"], name)
+            assert np.max(np.abs(line)) > 0.0
+            assert np.max(np.abs(per - line)) <= 1e-8 * np.max(np.abs(line))

@@ -100,9 +100,9 @@ class TestBuildInitial:
         with pytest.raises(ConfigError):
             default_cfg(kind="steep")
 
-    def test_epsilon_requires_line(self):
-        with pytest.raises(ConfigError):
-            default_cfg(params=Params(epsilon=0.1))
+    def test_epsilon_accepted_on_periodic_grid(self):
+        cfg = default_cfg(params=Params(epsilon=0.1))
+        assert cfg.grid.periodic and build_initial(cfg).h.shape == (cfg.grid.n,)
 
     def test_target_energy_tuning(self):
         cfg = default_cfg(target_energy=0.0981)
@@ -174,8 +174,9 @@ class TestSweep:
             epsilon_sweep(cfg, [0.1, 0.2])
         with pytest.raises(ConfigError):
             epsilon_sweep(cfg, [0.1, 0.0])
-        with pytest.raises(ConfigError):
-            epsilon_sweep(default_cfg(), [0.2, 0.1])  # periodic
+        res = epsilon_sweep(default_cfg(), [0.2, 0.1])  # periodic grids sweep too
+        assert [a.history.status for a in res.artifacts] == ["completed", "completed"]
+        assert [a.config.params.epsilon for a in res.artifacts] == [0.2, 0.1]
 
     def test_quiescent_sweep_differences_at_mollification_level(self):
         # no cut-off activity: runs differ only through the mollified data
