@@ -215,7 +215,9 @@ class SimHistory:
     min_ux, max_abs_hx, sup_P, sup_Q, diss_rate) to aligned arrays with one
     row per accepted step (including the initial state).  ``status`` is
     ``completed`` or ``aborted``; aborts keep everything recorded so far and
-    carry a reason code instead of throwing the run away.
+    carry a reason code instead of throwing the run away.  The private
+    ``_characteristics`` holds the path-independent fields that
+    :mod:`sgnlab.characteristics` builds once per parameter set.
     """
 
     grid: Grid
@@ -229,6 +231,7 @@ class SimHistory:
     trigger: tuple[float, str] | None = None
     e0: float = 0.0
     n_steps: int = 0
+    _characteristics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def t_final(self) -> float:

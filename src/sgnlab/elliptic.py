@@ -217,14 +217,17 @@ def solve_L_refined(sys: TridiagonalSystem, h: np.ndarray, rhs: np.ndarray, g: G
     return u + solve_L(sys, defect)
 
 
-def script_r(s: FlowState, p: Params, g: Grid) -> np.ndarray:
+def script_r(s: FlowState, p: Params, g: Grid, *, _sys: TridiagonalSystem | None = None) -> np.ndarray:
     """Nonlocal field ``C + (1/3) h^3 d_x L_h^{-1} d_x (C + F(h))``.
 
     Computed from the operator composition (valid in both grid modes) rather
-    than from the cumulative-integral form.
+    than from the cumulative-integral form.  ``_sys`` is private: a caller
+    that has already assembled ``L_h`` of ``s.h`` (with ``p.hbar``) passes it
+    so the operator is assembled and factored once.
     """
     c = curly_c(s, p, gradients(s, p, g))
-    w = inv_L_dx(s.h, c + f_of_h(s, p), g, p.hbar)
+    sys = assemble_L(s.h, g, p.hbar) if _sys is None else _sys
+    w = solve_L(sys, derivative(c + f_of_h(s, p), g))
     return c + (1.0 / 3.0) * s.h**3 * derivative(w, g)
 
 

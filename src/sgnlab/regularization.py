@@ -18,7 +18,9 @@ From the cut-off, the source fields of the regularized system::
 The stepper reads only ``A_x`` and ``B``: :func:`compute_reg_fields`
 evaluates ``chi`` once per state and returns ``A, A_x, B``.  ``V1``, ``V2``,
 ``M`` and ``N`` enter only the Riccati equations along characteristics, and
-``characteristics._riccati_rhs_field`` is their one caller.
+``characteristics._riccati_rhs_fields`` is their one caller: it builds
+``chi``, ``A`` and ``A_x`` itself (it needs no ``B``) and hands ``V1`` the
+``L_h`` it shares with ``script_r``.
 
 ``A``, ``A_x`` and ``B`` are well defined on both grid modes, so ``eps > 0``
 runs on either.  Only ``V1`` needs the primitive from minus infinity:

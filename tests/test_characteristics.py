@@ -1,18 +1,30 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sgnlab import FlowState, Grid, Params
+from sgnlab import FlowState, Grid, Params, characteristics, elliptic, regularization
 from sgnlab.characteristics import (
-    _riccati_rhs_field,
+    _riccati_rhs_fields,
+    _wrap,
     interp_cubic,
     pq_square_integral,
     riccati_residual,
     trace,
 )
 from sgnlab.dynamics import StepControl, simulate
+from sgnlab.elliptic import assemble_L, script_r
 from sgnlab.errors import ContractViolationError, ModeError
-from sgnlab.kinematics import pq_fields
-from sgnlab.regularization import chi, compute_A, compute_V2, cutoff_active
+from sgnlab.kinematics import char_speeds, gradients, pq_fields
+from sgnlab.regularization import (
+    chi,
+    compute_A,
+    compute_MN,
+    compute_reg_fields,
+    compute_V1,
+    compute_V2,
+    cutoff_active,
+)
 
 
 def flat_history(gamma=3.0, t_end=1.0, n=256, mode="periodic"):
@@ -31,7 +43,69 @@ def gaussian_history(n=384, t_end=1.0, output_dt=0.05, dt_fixed=None, gamma=9.81
     return simulate(s0, p, g, c), p, g
 
 
+def active_line_history():
+    """Line-mode eps = 1 run on which the cut-off fires."""
+    p = Params(epsilon=1.0)
+    g = Grid.from_length(256, 40.0, -20.0, "line")
+    x = g.cells()
+    s0 = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+    return simulate(s0, p, g, StepControl(cfl=0.3, dt_max=0.01, t_end=0.05, output_dt=0.005)), p, g
+
+
+def unshared_rhs_field(s, p, g, branch):
+    """One branch's Riccati right-hand side at one state, built from scratch."""
+    d = gradients(s, p, g)
+    P, Q = d.pq
+    own, other = (P, Q) if branch == "minus" else (Q, P)
+    out = (-own**2 + other**2) / (8.0 * s.h)
+    v1 = v2 = 0.0
+    if cutoff_active(P, Q, p.epsilon):
+        sys = assemble_L(s.h, g, p.hbar)
+        f = compute_reg_fields(s, d.ux, P, Q, p, g, sys)
+        out = out + (f.chiP if branch == "minus" else f.chiQ) / (8.0 * s.h) - f.A_x * own / (2.0 * s.h)
+        v1 = compute_V1(s, d.ux, f.A, f.A_x, f.chiP, f.chiQ, p, g, sys)
+        v2 = compute_V2(s, f.A, p)
+    M, N = compute_MN(s, v1, v2, script_r(s, p, g))
+    return out + (M if branch == "minus" else N)
+
+
+def unshared_residual(hist, x0, branch, p):
+    """Path points and Riccati residual, every field built per snapshot and per
+    branch and every sample interpolated by its own scalar call."""
+    g, snaps = hist.grid, hist.snapshots
+
+    def at(field, x):
+        return float(interp_cubic(field, g, _wrap(x, g))[0])
+
+    speeds = [char_speeds(s, hist.params)[1 if branch == "plus" else 0] for s in snaps]
+    times = np.array([s.t for s in snaps])
+    x, xs = float(x0), [float(x0)]
+    for k in range(len(snaps) - 1):
+        dt = times[k + 1] - times[k]
+        xh = x + 0.5 * dt * at(speeds[k], x)
+        x = x + dt * (0.5 * (at(speeds[k], xh) + at(speeds[k + 1], xh)))
+        if not g.periodic and not (g.x_left + 2 * g.dx < x < g.x_right - 2 * g.dx):
+            break
+        xs.append(x)
+    xarr = np.asarray(xs)
+    m = len(xs)
+    own = [pq_fields(s, hist.params, g)[0 if branch == "minus" else 1] for s in snaps[:m]]
+    values = np.array([at(f, xi) for f, xi in zip(own, xarr)])
+    rhs = np.array([at(unshared_rhs_field(s, p, g, branch), xi) for s, xi in zip(snaps, xarr)])
+    return xarr, np.gradient(values, times[:m]) - rhs
+
+
 class TestInterpCubic:
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_stacked_rows_match_single_field_calls(self, mode, rng):
+        g = Grid.from_length(64, 8.0, -4.0, mode)
+        fields = rng.standard_normal((5, g.n))
+        xq = rng.uniform(g.x_left, g.x_right, 5)
+        expected = [interp_cubic(f, g, x)[0] for f, x in zip(fields, xq)]
+        assert np.array_equal(interp_cubic(fields, g, xq), expected)
+        with pytest.raises(ContractViolationError):
+            interp_cubic(fields, g, xq[:4])
+
     def test_reproduces_cubic_polynomials(self):
         g = Grid.from_length(64, 8.0, -4.0, "line")
         x = g.cells()
@@ -129,10 +203,10 @@ class TestRiccatiResidual:
         x = g.cells()
         p = Params(epsilon=1.0)
         s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
-        P, Q = pq_fields(s, p, g)
+        d = gradients(s, p, g)
+        P, Q = d.pq
         assert cutoff_active(P, Q, p.epsilon)
-        minus = _riccati_rhs_field(s, p, g, "minus")
-        plus = _riccati_rhs_field(s, p, g, "plus")
+        minus, plus = _riccati_rhs_fields(s, p, g, d.ux, P, Q)
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
         A, A_x = compute_A(s, chiP, chiQ, p, g)
         expected = (2.0 * (Q**2 - P**2) / (8.0 * s.h) + (chiP - chiQ) / (8.0 * s.h)
@@ -153,12 +227,100 @@ class TestRiccatiResidual:
         with pytest.raises(ModeError):
             riccati_residual(hist, path, p)
 
+    def test_single_sample_path_refused(self):
+        p = Params(g=9.81, gamma=9.81, hbar=1.0)
+        g = Grid.from_length(512, 20.0, -10.0, "line")
+        s0 = FlowState(np.ones(g.n), np.zeros(g.n), 0.0)
+        hist = simulate(s0, p, g, StepControl(cfl=0.4, dt_max=0.02, t_end=1.0, output_dt=0.2))
+        path = trace(hist, 9.5, "plus")  # leaves the interior in the first interval
+        assert path.exited and path.t.shape == (1,)
+        with pytest.raises(ContractViolationError, match="two samples"):
+            riccati_residual(hist, path, p)
+
     def test_undersampled_warns(self):
         hist, p, g = gaussian_history(n=256, t_end=0.2, output_dt=0.1)
         path = trace(hist, 0.0, "minus")
         with pytest.warns(UserWarning, match="undersampled"):
             res = riccati_residual(hist, path, p)
         assert res.undersampled
+
+
+class TestSharedFields:
+    """Path-independent fields are built once per (history, params) and
+    shared by every path; the results equal the unshared formulas bitwise."""
+
+    def test_one_script_r_per_snapshot_bitwise(self, monkeypatch):
+        hist, p, g = gaussian_history(n=256)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return script_r(*args, **kwargs)
+
+        monkeypatch.setattr(characteristics, "script_r", counting)
+        paths = [trace(hist, x0, b) for x0 in np.linspace(-4.0, 4.0, 8) for b in ("plus", "minus")]
+        residuals = [riccati_residual(hist, path, p).values for path in paths]
+        assert len(calls) == len(hist.snapshots)
+        monkeypatch.undo()
+        for path, values in zip(paths, residuals):
+            x_ref, res_ref = unshared_residual(hist, path.x0, path.branch, p)
+            assert np.array_equal(path.x, x_ref)
+            assert np.array_equal(values, res_ref)
+
+    def test_active_cutoff_one_assembly_per_snapshot_bitwise(self, monkeypatch):
+        hist, p, g = active_line_history()
+        assert any(cutoff_active(*pq_fields(s, p, g), p.epsilon) for s in hist.snapshots)
+        assemblies = []
+
+        def counting(*args, **kwargs):
+            assemblies.append(1)
+            return assemble_L(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Riccati field needs no B")
+
+        monkeypatch.setattr(characteristics, "assemble_L", counting)
+        monkeypatch.setattr(elliptic, "assemble_L", counting)
+        monkeypatch.setattr(regularization, "compute_B", refuse)
+        monkeypatch.setattr(regularization, "compute_reg_fields", refuse)
+        paths = [trace(hist, x0, b) for x0 in (-1.0, 0.0, 1.0) for b in ("plus", "minus")]
+        residuals = [riccati_residual(hist, path, p).values for path in paths]
+        assert len(assemblies) == len(hist.snapshots)
+        monkeypatch.undo()
+        for path, values in zip(paths, residuals):
+            x_ref, res_ref = unshared_residual(hist, path.x0, path.branch, p)
+            assert np.array_equal(path.x, x_ref)
+            assert np.array_equal(values, res_ref)
+
+    def test_each_params_matches_fresh_history(self):
+        hist, p, g = active_line_history()
+        path = trace(hist, 0.0, "minus")
+        changed = dataclasses.replace(p, gamma=5.0)
+        first = riccati_residual(hist, path, p).values
+        second = riccati_residual(hist, path, changed).values
+        assert not np.array_equal(first, second)
+        for params, values in ((p, first), (changed, second)):
+            fresh = dataclasses.replace(hist, snapshots=list(hist.snapshots))
+            assert np.array_equal(riccati_residual(fresh, path, params).values, values)
+        assert np.array_equal(riccati_residual(hist, path, p).values, first)
+
+    def test_replaced_or_appended_snapshots_rebuild(self):
+        hist, p, g = gaussian_history(n=256)
+        before = riccati_residual(hist, trace(hist, 0.5, "minus"), p).values
+        s = hist.snapshots[5]
+        hist.snapshots[5] = FlowState(s.h, 1.5 * s.u, s.t)
+        last = hist.snapshots[-1]
+        for change in ("replaced", "appended"):
+            if change == "appended":
+                hist.snapshots.append(FlowState(last.h, last.u, last.t + 0.05))
+            path = trace(hist, 0.5, "minus")
+            values = riccati_residual(hist, path, p).values
+            fresh = dataclasses.replace(hist, snapshots=list(hist.snapshots))
+            fresh_path = trace(fresh, 0.5, "minus")
+            assert path.t.shape == (len(hist.snapshots),)
+            assert np.array_equal(path.x, fresh_path.x) and np.array_equal(path.P, fresh_path.P)
+            assert np.array_equal(values, riccati_residual(fresh, fresh_path, p).values)
+            assert not np.array_equal(values[:before.shape[0]], before)
 
 
 class TestPqSquareIntegral:

@@ -12,7 +12,13 @@ from sgnlab.dynamics import (
     rk4_step,
     simulate,
 )
-from sgnlab.errors import ContractViolationError, DepthCollapseError, NonFiniteError
+from sgnlab.errors import (
+    BoundaryContaminationError,
+    ContractViolationError,
+    DepthCollapseError,
+    NonFiniteError,
+    SolverFailureError,
+)
 from sgnlab.grid import derivative, integrate
 from sgnlab.kinematics import pq_fields, total_energy
 from sgnlab.regularization import cutoff_active
@@ -412,6 +418,46 @@ def _assert_abort_history_consistent(hist):
     assert all(len(col) == len(t) for col in hist.series.values())
     assert [s.t for s in hist.snapshots] == list(t)
     assert hist.abort_time == hist.t_final == t[-1]
+
+
+# abort code -> the error a failing step raises for it (blow-up codes come from the monitor)
+_STEP_FAULTS = {
+    "boundary-contamination": lambda: BoundaryContaminationError("injected"),
+    "depth-collapse": lambda: DepthCollapseError("injected", 0.0),
+    "nonfinite-fields": lambda: NonFiniteError("injected"),
+    "solver-failure": lambda: SolverFailureError("injected"),
+}
+
+
+class TestAbortProperties:
+    @given(code=st.sampled_from([*_STEP_FAULTS, "blowup:gradient-pair", "blowup:depth-pair"]),
+           steps=st.integers(1, 8))
+    def test_every_abort_leaves_consistent_history(self, code, steps):
+        # fault injection: the drawn abort fires once ``steps`` steps have been accepted
+        real_step, real_check = dynamics.rk4_step, dynamics.check_blowup
+        attempts = []
+
+        def failing_step(*args):
+            if len(attempts) > steps and code in _STEP_FAULTS:
+                raise _STEP_FAULTS[code]()
+            return real_step(*args)
+
+        def failing_check(*args):
+            attempts.append(1)
+            assert real_check(*args) is None
+            return code.removeprefix("blowup:") if len(attempts) > steps and code not in _STEP_FAULTS else None
+
+        p = Params(g=9.81, gamma=9.81, hbar=1.0)
+        g = Grid.from_length(64, 20.0, -10.0, "periodic")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "rk4_step", failing_step)
+            mp.setattr(dynamics, "check_blowup", failing_check)
+            hist = simulate(gaussian_state(g), p, g, StepControl(cfl=0.3, dt_max=0.1, t_end=5.0, output_every=1),
+                            blowup=BlowupThresholds())
+        assert hist.status == "aborted" and hist.abort_reason == code
+        assert hist.n_steps == steps
+        assert (hist.trigger is not None) == code.startswith("blowup:")
+        _assert_abort_history_consistent(hist)
 
 
 def _active_line_state():
