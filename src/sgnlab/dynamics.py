@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regularization as reg
-from .elliptic import assemble_L, solve_L_refined
+from .elliptic import _assemble_L, solve_L_refined
 from .errors import (
     BoundaryContaminationError,
     ContractViolationError,
@@ -36,7 +36,7 @@ from .errors import (
     SolverFailureError,
     ThresholdExceededError,
 )
-from .grid import Grid, check_far_field, derivative, integrate
+from .grid import Grid, _derivative, check_far_field, derivative, integrate
 from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h, gradients, total_energy
 
 __all__ = [
@@ -129,11 +129,10 @@ def check_blowup(max_abs_ux: float, max_abs_hx: float, min_h: float,
 
 def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     """Semi-discrete right-hand side; regularized sources only when active."""
-    sys = assemble_L(s.h, g, p.hbar)
     d = gradients(s, p, g)
-    hu_x = derivative(s.h * s.u, g)
+    sys = _assemble_L(s.h, g, p.hbar)
+    dh = -_derivative(s.h * s.u, g)
     nonlocal_term = solve_L_refined(sys, s.h, derivative(curly_c(s, p, d) + f_of_h(s, p), g), g)
-    dh = -hu_x
     du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - nonlocal_term
     if p.epsilon > 0.0:
         P, Q = d.pq

@@ -28,7 +28,9 @@ Each system is factored once with LAPACK's ``L D L^T`` (``dpttrf``) and
 every solve on it is one ``dpttrs``; periodic systems add a Sherman-Morrison
 correction for the wrap face.  The Helmholtz system is built and factored
 once per (parameters, grid).  Every solve verifies its own residual and
-refuses to return garbage.
+refuses to return garbage.  Public functions check their inputs; the stepper
+assembles with the unchecked ``_assemble_L``, and :func:`solve_L_refined`
+scans its defect, so a non-finite field is a ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
-from .grid import Grid, as_field, cumulative_integral, derivative
+from .grid import Grid, _derivative, _finite, as_field, cumulative_integral, derivative
 from .kinematics import FlowState, Params, curly_c, f_of_h, gradients
 
 __all__ = [
@@ -102,14 +104,16 @@ def _padded(v: np.ndarray, left: float, right: float) -> np.ndarray:
 def assemble_L(h: np.ndarray, g: Grid, hbar: float | None = None) -> TridiagonalSystem:
     """Assemble the flux-form ``L_h``; requires ``h > 0``, and ``hbar`` for line-mode ghosts."""
     h = as_field(h, g)
-    if not np.all(h > 0.0):
+    if not (h > 0.0).all():
         raise PositivityError(f"cannot assemble the operator for non-positive depth; min h = {h.min():.6e}")
-    if g.periodic:
-        hp = _padded(h, h[-1], h[0])
-    elif hbar is None:
+    if hbar is None and not g.periodic:
         raise ContractViolationError("line-mode assembly needs the reference depth hbar for ghost cells")
-    else:
-        hp = _padded(h, hbar, hbar)
+    return _assemble_L(h, g, hbar)
+
+
+def _assemble_L(h: np.ndarray, g: Grid, hbar: float | None) -> TridiagonalSystem:
+    """:func:`assemble_L` without its checks: ``h`` is a finite positive field on ``g``."""
+    hp = _padded(h, h[-1], h[0]) if g.periodic else _padded(h, hbar, hbar)
     faces = (0.5 * (hp[:-1] + hp[1:])) ** 3 * (1.0 / (3.0 * g.dx**2))
     return TridiagonalSystem(faces, h, g.periodic)
 
@@ -187,7 +191,7 @@ def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid) -> np.ndarray:
 def inv_L_dx(h: np.ndarray, psi: np.ndarray, g: Grid, hbar: float | None = None) -> np.ndarray:
     """``L_h^{-1} d_x psi``; the nonlocal building block of the momentum equation."""
     sys = assemble_L(h, g, hbar)
-    return solve_L(sys, derivative(as_field(psi, g), g))
+    return solve_L(sys, derivative(psi, g))
 
 
 def apply_L_compatible(h: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -196,7 +200,7 @@ def apply_L_compatible(h: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
     Symmetric positive-definite (by discrete integration by parts) but not an
     M-matrix; used only as the correction target below, never as a solver.
     """
-    return h * u - (1.0 / 3.0) * derivative(h**3 * derivative(u, g), g)
+    return h * u - (1.0 / 3.0) * _derivative(h**3 * _derivative(u, g), g)
 
 
 def solve_L_refined(sys: TridiagonalSystem, h: np.ndarray, rhs: np.ndarray, g: Grid) -> np.ndarray:
@@ -213,7 +217,7 @@ def solve_L_refined(sys: TridiagonalSystem, h: np.ndarray, rhs: np.ndarray, g: G
     plain flux form.
     """
     u = solve_L(sys, rhs)
-    defect = rhs - apply_L_compatible(h, u, g)
+    defect = _finite(rhs - apply_L_compatible(h, u, g))
     return u + solve_L(sys, defect)
 
 

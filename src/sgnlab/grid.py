@@ -15,7 +15,9 @@ modes share one code path.  Integration is the midpoint rule (spectrally
 accurate for smooth periodic fields).  The running primitive
 ``x -> int_{x_left}^{x} f`` is a trapezoid cumulative sum and exists only in
 line mode: on a circle the primitive of a field with nonzero mean is not
-single-valued, and we refuse rather than guess.
+single-valued, and we refuse rather than guess.  Public functions check their
+input (:func:`as_field`); the stepper differentiates fields derived from a
+checked state with the unchecked kernel ``_derivative``.
 """
 
 from __future__ import annotations
@@ -85,7 +87,11 @@ def as_field(values, g: Grid) -> np.ndarray:
     f = np.asarray(values, dtype=np.float64)
     if f.shape != (g.n,):
         raise ContractViolationError(f"field has shape {f.shape}, expected ({g.n},)")
-    if not np.all(np.isfinite(f)):
+    return _finite(f)
+
+
+def _finite(f: np.ndarray) -> np.ndarray:
+    if not np.isfinite(f).all():
         raise NonFiniteError("field contains non-finite entries")
     return f
 
@@ -97,7 +103,11 @@ def derivative(f: np.ndarray, g: Grid) -> np.ndarray:
     interior stencil; line mode uses one-sided 4th-order stencils at the two
     boundary cells on each side.  Exact for polynomials up to degree 4.
     """
-    f = as_field(f, g)
+    return _derivative(as_field(f, g), g)
+
+
+def _derivative(f: np.ndarray, g: Grid) -> np.ndarray:
+    """:func:`derivative` without the input check: ``f`` is a finite float64 field on ``g``."""
     inv12dx = 1.0 / (12.0 * g.dx)
     # stencils written as combinations of differences so constants are
     # annihilated exactly (flat states must be exact fixed points downstream)

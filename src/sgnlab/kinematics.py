@@ -30,7 +30,8 @@ Every gradient above comes from one per-state bundle, :class:`Gradients`,
 built by :func:`gradients`: ``u_x`` and ``h_x`` taken once, ``(P, Q)`` formed
 on first use.  ``C``, ``E`` and ``D`` take the bundle and are pointwise.
 
-All functions are pure and operate on immutable inputs.
+All functions are pure and operate on immutable inputs.  :class:`FlowState`
+checks its fields, so :func:`gradients` uses the unchecked ``_derivative``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, NonFiniteError, PositivityError, ThresholdExceededError
-from .grid import Grid, derivative, integrate
+from .grid import Grid, _derivative, integrate
 
 __all__ = [
     "Params",
@@ -109,9 +110,9 @@ class FlowState:
         object.__setattr__(self, "u", u)
         if h.shape != u.shape or h.ndim != 1:
             raise ContractViolationError(f"h and u must be 1d arrays of equal length, got {h.shape} and {u.shape}")
-        if not np.all(np.isfinite(h)) or not np.all(np.isfinite(u)):
+        if not np.isfinite(h).all() or not np.isfinite(u).all():
             raise NonFiniteError("state contains non-finite entries")
-        if not np.all(h > 0.0):
+        if not (h > 0.0).all():
             raise PositivityError(f"depth must be positive everywhere; min h = {h.min():.6e}")
 
 
@@ -145,7 +146,9 @@ class Gradients:
 
 def gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
     """The one place where a state's ``u`` and ``h`` are differentiated."""
-    return Gradients(s.h, derivative(s.u, g), derivative(s.h, g), p.sqrt_3gamma)
+    if s.h.shape != (g.n,):
+        raise ContractViolationError(f"state has shape {s.h.shape}, grid has {g.n} cells")
+    return Gradients(s.h, _derivative(s.u, g), _derivative(s.h, g), p.sqrt_3gamma)
 
 
 def riemann_invariants(s: FlowState, p: Params) -> tuple[np.ndarray, np.ndarray]:

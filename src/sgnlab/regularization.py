@@ -39,7 +39,7 @@ import numpy as np
 
 from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L
 from .errors import ContractViolationError
-from .grid import Grid, cumulative_integral, derivative
+from .grid import Grid, _derivative, cumulative_integral, derivative
 from .kinematics import FlowState, Params
 
 __all__ = [
@@ -94,7 +94,7 @@ def compute_A(s: FlowState, chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Gr
     """Helmholtz solve for the mass-equation source and its derivative."""
     rhs = (p.sqrt_3gamma / 48.0) * (chiP - chiQ) / np.sqrt(s.h)
     a = solve_helmholtz(rhs, p, g)
-    return a, derivative(a, g)
+    return a, _derivative(a, g)
 
 
 def compute_V2(s: FlowState, A: np.ndarray, p: Params) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from sgnlab import FlowState, Grid, Params, dynamics, elliptic, kinematics, regularization
+from sgnlab import FlowState, Grid, Params, dynamics, elliptic, grid, kinematics, regularization
 from sgnlab.dynamics import (
     BlowupThresholds,
     StepControl,
@@ -70,6 +70,13 @@ class TestRhs:
         assert np.array_equal(ev0.dh_dt, ev1.dh_dt)
         assert np.array_equal(ev0.du_dt, ev1.du_dt)
 
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_state_of_another_grid_rejected(self, params, mode):
+        g = Grid.from_length(128, 20.0, -10.0, mode)
+        s = gaussian_state(Grid.from_length(129, 20.0, -10.0, mode))
+        with pytest.raises(ContractViolationError):
+            rhs(s, params, g)
+
 
 class TestCflDt:
     def test_hand_value(self):
@@ -124,6 +131,29 @@ class TestRk4Step:
         with pytest.raises(DepthCollapseError) as err:
             rk4_step(s, 0.5, params, g)
         assert err.value.time == 0.0
+
+    def test_retry_advances_half_step(self, params, monkeypatch):
+        # fault injection: the fourth stage of the full step drains the depth, so
+        # the step fails positivity and is retried from scratch at dt/2
+        g = Grid.from_length(128, 20.0, -10.0, "periodic")
+        s = gaussian_state(g)
+        dt = cfl_dt(s, params, g, StepControl(cfl=0.3))
+        half = rk4_step(s, 0.5 * dt, params, g)
+        real = dynamics.rhs
+        calls = []
+
+        def draining_k4(s, p, g):
+            ev = real(s, p, g)
+            calls.append(1)
+            if len(calls) == 4:
+                ev.dh_dt[:] = -1e6
+            return ev
+
+        monkeypatch.setattr(dynamics, "rhs", draining_k4)
+        retried = rk4_step(s, dt, params, g)
+        assert len(calls) == 8
+        assert retried.t == half.t == 0.5 * dt
+        assert np.array_equal(retried.h, half.h) and np.array_equal(retried.u, half.u)
 
     def test_temporal_self_convergence_order(self, params):
         # Richardson triple on a smooth periodic run with fixed dt
@@ -358,6 +388,32 @@ class TestSimulate:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             simulate(s0, params, g, StepControl(cfl=0.3, dt_max=0.1, t_end=1.0))
 
+    @pytest.mark.parametrize("source", ["helmholtz", "B"])
+    def test_nonfinite_cutoff_source_aborts_with_code(self, monkeypatch, source):
+        # fault injection on an active line-mode run: after 8 firings an inf
+        # enters the Helmholtz source (through chi(P)) or the B source (through
+        # A_x); the finiteness check, not the solver's residual check, stops it
+        real = regularization.compute_A
+        calls = []
+
+        def poisoned(s, chiP, chiQ, p, g):
+            calls.append(1)
+            if len(calls) > 8 and source == "helmholtz":
+                chiP = chiP.copy()
+                chiP[128] = np.inf
+            a, a_x = real(s, chiP, chiQ, p, g)
+            if len(calls) > 8 and source == "B":
+                a_x[128] = np.inf
+            return a, a_x
+
+        monkeypatch.setattr(regularization, "compute_A", poisoned)
+        s, p, g = _active_line_state()
+        hist = simulate(s, p, g, StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "nonfinite-fields"
+        assert len(calls) == 9 and hist.n_steps == 2
+        _assert_abort_history_consistent(hist)
+
     def test_depth_collapse_aborts_with_code(self, params, monkeypatch):
         # fault injection: after 20 evaluations the depth drains at a rate no
         # step (nor its dt/2 retry) survives
@@ -471,16 +527,16 @@ def _active_line_state():
 
 
 def _count_derivative_calls(monkeypatch) -> list:
-    """Count every ``derivative`` call made through the modules that import it."""
-    real = derivative
+    """Count every call of the derivative kernel, through the public ``derivative`` or not."""
+    real = grid._derivative
     calls = []
 
     def counting(f, g):
         calls.append(1)
         return real(f, g)
 
-    for mod in (dynamics, elliptic, kinematics, regularization):
-        monkeypatch.setattr(mod, "derivative", counting)
+    for mod in (grid, dynamics, elliptic, kinematics, regularization):
+        monkeypatch.setattr(mod, "_derivative", counting)
     return calls
 
 
@@ -499,6 +555,26 @@ class TestOneHome:
         calls.clear()
         rhs(s, p, g)
         assert len(calls) == 8
+
+    def test_field_checks_below_rhs(self, monkeypatch):
+        # rhs hands the fields of its checked state to the unchecked kernels;
+        # as_field scans only the derived sources of solves: the nonlocal
+        # source and, with an active cut-off, the Helmholtz and B sources
+        real = grid.as_field
+        calls = []
+
+        def counting(values, g):
+            calls.append(1)
+            return real(values, g)
+
+        for mod in (grid, elliptic):
+            monkeypatch.setattr(mod, "as_field", counting)
+        cases = [(gaussian_state(g), Params(), g, 1)
+                 for g in (Grid.from_length(128, 20.0, -10.0, mode) for mode in ("periodic", "line"))]
+        for s, p, g, expected in cases + [(*_active_line_state(), 3)]:
+            calls.clear()
+            rhs(s, p, g)
+            assert len(calls) == expected
 
     def test_active_rhs_skips_riccati_sources(self, monkeypatch):
         # V1 (and the primitive it needs) enters only the Riccati equations

@@ -15,7 +15,7 @@ from sgnlab.elliptic import (
     solve_L_refined,
     solve_helmholtz,
 )
-from sgnlab.errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
+from sgnlab.errors import ContractViolationError, ModeError, NonFiniteError, PositivityError, SolverFailureError
 from sgnlab.grid import cumulative_integral, derivative
 
 from conftest import convergence_orders
@@ -257,6 +257,20 @@ class TestFactorSolve:
             assert len(calls) == 1
 
 
+@pytest.mark.parametrize("call", [lambda f, g: assemble_L(f, g, hbar=1.0),
+                                  lambda f, g: solve_helmholtz(f, Params(), g)],
+                         ids=["assemble_L", "solve_helmholtz"])
+@pytest.mark.parametrize("mode", ["periodic", "line"])
+def test_public_entry_rejects_wrong_length_and_nonfinite(call, mode):
+    g = Grid.from_length(64, 10.0, -5.0, mode)
+    with pytest.raises(ContractViolationError):
+        call(np.ones(g.n + 1), g)
+    f = np.ones(g.n)
+    f[17] = np.nan
+    with pytest.raises(NonFiniteError):
+        call(f, g)
+
+
 class TestHelmholtz:
     def test_constant(self, periodic_grid, line_grid, params):
         for g in (periodic_grid, line_grid):
@@ -326,6 +340,22 @@ class TestRefinedSolve:
         plain = solve_L(sys, rhs)
         refined = solve_L_refined(sys, h, rhs, g)
         assert np.max(np.abs(refined - np.sin(k * x))) <= np.max(np.abs(plain - np.sin(k * x)))
+
+    def test_nonfinite_defect_is_nonfinite_error(self, monkeypatch):
+        # fault injection: an overflow in the compatible apply must not reach
+        # the second solve, which would report it as a solver failure
+        g = Grid.from_length(64, 10.0, -5.0, "periodic")
+        h = np.ones(g.n)
+        real = apply_L_compatible
+
+        def overflowing(h, u, g):
+            out = real(h, u, g)
+            out[17] = np.inf
+            return out
+
+        monkeypatch.setattr(elliptic, "apply_L_compatible", overflowing)
+        with pytest.raises(NonFiniteError):
+            solve_L_refined(assemble_L(h, g), h, np.sin(g.cells()), g)
 
     def test_compatible_apply_is_symmetric(self, rng):
         g = Grid.from_length(128, 2 * np.pi, 0.0, "periodic")

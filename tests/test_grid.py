@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgnlab import Grid
-from sgnlab.errors import BoundaryContaminationError, ContractViolationError, ModeError
-from sgnlab.grid import check_far_field, cumulative_integral, derivative, integrate
+from sgnlab.errors import BoundaryContaminationError, ContractViolationError, ModeError, NonFiniteError
+from sgnlab.grid import _derivative, check_far_field, cumulative_integral, derivative, integrate
 
 from conftest import convergence_orders
 
@@ -92,6 +92,14 @@ class TestDerivative:
 
 
 class TestIntegrate:
+    def test_length_mismatch_and_nonfinite_rejected(self, periodic_grid):
+        with pytest.raises(ContractViolationError):
+            integrate(np.ones(periodic_grid.n - 1), periodic_grid)
+        f = np.ones(periodic_grid.n)
+        f[3] = np.nan
+        with pytest.raises(NonFiniteError):
+            integrate(f, periodic_grid)
+
     def test_constant(self):
         g = Grid.from_length(100, 7.0, 0.0, "periodic")
         assert integrate(np.full(g.n, 2.5), g) == pytest.approx(2.5 * 7.0, abs=1e-12)
@@ -181,3 +189,11 @@ class TestFarFieldGuard:
 def test_derivative_of_constant_hypothesis(c):
     g = Grid.from_length(64, 5.0, 0.0, "line")
     assert np.all(derivative(np.full(g.n, c), g) == 0.0)
+
+
+@given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 300), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-6, 1e6))
+def test_unchecked_kernel_equals_public_derivative_hypothesis(mode, n, seed, scale):
+    g = Grid.from_length(n, 3.0, -1.0, mode)
+    f = scale * np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(_derivative(f, g), derivative(f, g))

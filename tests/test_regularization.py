@@ -105,6 +105,19 @@ class TestComputeA:
         assert np.array_equal(A, solve_helmholtz(r, p, g))
 
 
+@pytest.mark.parametrize("which", ["A", "B"])
+def test_state_of_another_grid_rejected(which):
+    g, p = make_line_setup(n=128)
+    other = Grid.from_length(129, 40.0, -20.0, "line")
+    s = FlowState(np.ones(other.n), np.zeros(other.n))
+    z = np.zeros(other.n)
+    with pytest.raises(ContractViolationError):
+        if which == "A":
+            compute_A(s, z, z, p, g)
+        else:
+            compute_B(s, z, z, z, z, p, g, assemble_L(s.h, other, p.hbar))
+
+
 class TestComputeV2:
     def test_zero_A(self):
         g, p = make_line_setup()
