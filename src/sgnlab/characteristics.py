@@ -25,10 +25,10 @@ Everything that does not depend on the path is computed once per (history,
 parameters) and shared by every launch point and both branches: the branch
 speeds, ``P`` and ``Q`` (one :func:`~sgnlab.kinematics.gradients` call per
 snapshot) and, on the first :func:`riccati_residual`, both branches'
-right-hand sides (one ``script_r`` per snapshot; with an active cut-off one
-``chi``, ``A``, ``A_x`` and one ``L_h`` assembly shared by ``V1`` and
-``script_r``).  They are stacked ``(snapshots, n)``, so each path quantity is
-one row-wise :func:`interp_cubic` call.  The fields live with the history
+right-hand sides at every snapshot (one ``script_r`` each; with an active
+cut-off one ``chi``, ``A``, ``A_x`` and one ``L_h`` assembly shared by ``V1``
+and ``script_r``).  They are stacked ``(snapshots, n)``, so each path
+quantity is one row-wise :func:`interp_cubic` call.  The fields live with the history
 (``SimHistory._characteristics``), keyed by :class:`Params` and the grid, and
 are rebuilt as soon as ``history.snapshots`` no longer holds the same
 :class:`FlowState` objects (a snapshot replaced, added or removed); snapshots
@@ -145,13 +145,11 @@ class _SnapshotFields:
     """Path-independent fields of one history under one parameter set.
 
     Every array is stacked ``(snapshots, n)``, row ``k`` belonging to
-    ``snaps[k]``; ``speed`` and ``_rhs`` carry a leading branch axis (``_ROW``).
+    ``snaps[k]``; ``speed`` and ``riccati_rhs`` lead with a branch axis (``_ROW``).
     """
 
     def __init__(self, snaps: tuple[FlowState, ...], p: Params, g: Grid):
         self.snaps, self.p, self.g = snaps, p, g
-        self._rhs = np.empty((2, len(snaps), g.n))
-        self._rhs_rows = 0  # leading rows of ``_rhs`` built so far
 
     def holds(self, snaps: list[FlowState]) -> bool:
         return len(snaps) == len(self.snaps) and all(a is b for a, b in zip(snaps, self.snaps))
@@ -167,13 +165,12 @@ class _SnapshotFields:
         ds = [gradients(s, self.p, self.g) for s in self.snaps]
         return np.stack([d.ux for d in ds]), np.stack([d.pq[0] for d in ds]), np.stack([d.pq[1] for d in ds])
 
-    def riccati_rhs(self, branch: str, m: int) -> np.ndarray:
-        """The branch's Riccati right-hand side at the first ``m`` snapshots."""
+    @cached_property
+    def riccati_rhs(self) -> np.ndarray:
+        """Both branches' Riccati right-hand sides at every snapshot."""
         ux, P, Q = self.grads
-        for k in range(self._rhs_rows, m):
-            self._rhs[:, k] = _riccati_rhs_fields(self.snaps[k], self.p, self.g, ux[k], P[k], Q[k])
-            self._rhs_rows = k + 1
-        return self._rhs[_ROW[branch], :m]
+        return np.stack([_riccati_rhs_fields(s, self.p, self.g, ux[k], P[k], Q[k])
+                         for k, s in enumerate(self.snaps)], axis=1)
 
 
 def _snapshot_fields(history, p: Params) -> _SnapshotFields:
@@ -259,7 +256,7 @@ def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
     values = path.P if path.branch == MINUS else path.Q
     dval = np.gradient(values, path.t)
     xeval = np.array([_wrap(xi, g) for xi in path.x])
-    rhs_on_path = interp_cubic(_snapshot_fields(history, p).riccati_rhs(path.branch, m), g, xeval)
+    rhs_on_path = interp_cubic(_snapshot_fields(history, p).riccati_rhs[_ROW[path.branch], :m], g, xeval)
     return RiccatiResidual(values=dval - rhs_on_path, t=path.t.copy(), undersampled=undersampled)
 
 

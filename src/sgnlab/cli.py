@@ -37,7 +37,7 @@ def _print_verdicts(art: RunArtifact) -> bool:
     ok = True
     for name, verdict in sorted(art.verdicts.items()):
         if verdict == "skipped":
-            print(f"[SKIP] {name}: initial energy {art.e0:.6g} >= threshold {art.config.params.e_max:.6g}")
+            print(f"[SKIP] {name}: initial energy {hist.e0:.6g} >= threshold {art.config.params.e_max:.6g}")
             continue
         tag = "PASS" if verdict else "FAIL"
         detail = ""
@@ -62,7 +62,7 @@ def _print_verdicts(art: RunArtifact) -> bool:
         print(f"[{tag}] {name}: {detail}")
         ok = ok and bool(verdict)
     print(f"run {hist.status} at t={hist.t_final:.6g} after {hist.n_steps} steps "
-          f"(E0={art.e0:.9g}, wall {art.wall_time:.2f}s)")
+          f"(E0={hist.e0:.9g}, wall {art.wall_time:.2f}s)")
     return ok
 
 

@@ -51,6 +51,14 @@ __all__ = [
     "bond_number",
 ]
 
+#: energy gates of a regularized run, relative to E(0): the largest rise between recorded
+#: steps, and the budget-closure tolerance ``max(BUDGET_REL |E(T) - E(0)|, BUDGET_FLOOR E(0))``
+MONOTONE_SLACK = 1e-8
+BUDGET_REL = 1e-2
+BUDGET_FLOOR = 1e-8
+#: slack of the a-priori bounds check, relative to hbar (depth) and u_max (velocity)
+BOUNDS_TOL_FACTOR = 1e-4
+
 
 class Box(NamedTuple):
     """Space-time box [t1, t2] x [a, b]."""
@@ -168,7 +176,6 @@ class BlowupReport:
 class PhaseSpeed:
     speed: float | None
     status: str  # "ok", "undefined", "nonlinear-warning"
-    amplitude_ratio: float
 
 
 @dataclass
@@ -184,11 +191,7 @@ class DispersionReport:
         return {"rtol": float(self.rtol), "modes": self.lines}
 
 
-def energy_budget(history: SimHistory, p: Params,
-                  conserve_rtol: float = 1e-6,
-                  monotone_slack: float = 1e-8,
-                  budget_rel: float = 1e-2,
-                  budget_floor: float = 1e-8) -> EnergyReport:
+def energy_budget(history: SimHistory, p: Params, conserve_rtol: float = 1e-6) -> EnergyReport:
     """Energy conservation (eps = 0) or dissipation and budget closure (eps > 0).
 
     The budget residual is ``E(T) - E(0) - integral of the production term``;
@@ -208,9 +211,9 @@ def energy_budget(history: SimHistory, p: Params,
         verdicts["energy_conservation"] = Check(abs(delta) / scale <= conserve_rtol, abs(delta) / scale, conserve_rtol)
     else:
         max_rise = float(np.max(np.diff(e))) if e.shape[0] > 1 else 0.0
-        tol_rise = monotone_slack * scale
+        tol_rise = MONOTONE_SLACK * scale
         verdicts["energy_monotonic"] = Check(max_rise <= tol_rise, max_rise, tol_rise)
-        tol_budget = max(budget_rel * abs(delta), budget_floor * scale)
+        tol_budget = max(BUDGET_REL * abs(delta), BUDGET_FLOOR * scale)
         verdicts["budget_closure"] = Check(abs(residual) <= tol_budget, abs(residual), tol_budget)
     return EnergyReport(
         t=t, mass=history.series["mass"], energy=e,
@@ -218,8 +221,7 @@ def energy_budget(history: SimHistory, p: Params,
     )
 
 
-def bounds_check(history: SimHistory, p: Params,
-                 tol_h_factor: float = 1e-4) -> BoundsReport:
+def bounds_check(history: SimHistory, p: Params) -> BoundsReport:
     """A-priori depth and velocity bounds over the whole recorded run.
 
     Skipped (explicitly, not passed) when the measured initial energy reaches
@@ -230,8 +232,8 @@ def bounds_check(history: SimHistory, p: Params,
         bounds = a_priori_bounds(e0, p)
     except ThresholdExceededError:
         return BoundsReport(status="skipped", e0=e0, e_max=p.e_max)
-    tol_h = tol_h_factor * p.hbar
-    tol_u = tol_h_factor * bounds.u_max + 1e-8
+    tol_h = BOUNDS_TOL_FACTOR * p.hbar
+    tol_u = BOUNDS_TOL_FACTOR * bounds.u_max + 1e-8
     min_h = float(np.min(history.series["min_h"]))
     max_h = float(np.max(history.series["max_h"]))
     max_u = float(np.max(history.series["max_abs_u"]))
@@ -393,11 +395,11 @@ def measure_phase_speed(history: SimHistory, k: float) -> PhaseSpeed:
     coeffs = np.array([np.fft.rfft(s.h - p.hbar)[m] for s in history.snapshots])
     amps = np.abs(coeffs)
     if np.max(amps) < 1e-12 * g.n * p.hbar:
-        return PhaseSpeed(speed=None, status="undefined", amplitude_ratio=1.0)
+        return PhaseSpeed(speed=None, status="undefined")
     t = np.array([s.t for s in history.snapshots])
     phase = np.unwrap(np.angle(coeffs))
     slope = np.polyfit(t, phase, 1)[0]
     speed = -slope / k
     ratio = float(amps[-1] / amps[0]) if amps[0] > 0 else math.inf
     status = "ok" if 0.1 < ratio < 10.0 else "nonlinear-warning"
-    return PhaseSpeed(speed=float(speed), status=status, amplitude_ratio=ratio)
+    return PhaseSpeed(speed=float(speed), status=status)

@@ -254,6 +254,7 @@ def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> tuple[
     max_hx = float(np.max(np.abs(d.hx)))
     series["t"].append(s.t)
     series["mass"].append(integrate(s.h, g))
+    # integrate's scan makes an overflowing initial state raise NonFiniteError before the first step
     series["energy"].append(integrate(energy_density(s, p, d), g))
     series["min_h"].append(min_h)
     series["max_h"].append(float(s.h.max()))
@@ -305,17 +306,8 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
             if next_out is not None and s.t < next_out:
                 dt = min(dt, next_out - s.t)
             s = _pin_far_field(rk4_step(s, dt, p, g), p, g)
-        except BoundaryContaminationError:
-            reason = "boundary-contamination"
-            break
-        except DepthCollapseError:
-            reason = "depth-collapse"
-            break
-        except NonFiniteError:
-            reason = "nonfinite-fields"
-            break
-        except SolverFailureError:
-            reason = "solver-failure"
+        except (BoundaryContaminationError, DepthCollapseError, NonFiniteError, SolverFailureError) as exc:
+            reason = exc.reason
             break
         hist.n_steps += 1
         steps_since_out += 1

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all solver modules."""
+"""Exception hierarchy shared by all solver modules; ``reason`` is the abort code a run records."""
 
 
 class SgnError(Exception):
@@ -15,6 +15,7 @@ class PositivityError(SgnError):
 
 class NonFiniteError(ContractViolationError):
     """A state or field holds NaN or infinite entries; unlike a depth collapse, a smaller step cannot cure it."""
+    reason = "nonfinite-fields"
 
 
 class ModeError(SgnError):
@@ -23,14 +24,17 @@ class ModeError(SgnError):
 
 class SolverFailureError(SgnError):
     """A linear solve produced a residual above its guaranteed bound."""
+    reason = "solver-failure"
 
 
 class BoundaryContaminationError(SgnError):
     """Waves reached the boundary of a line-mode grid; the truncation of the real line is no longer valid."""
+    reason = "boundary-contamination"
 
 
 class DepthCollapseError(SgnError):
     """The depth went non-positive during time stepping, even after a retry at half step."""
+    reason = "depth-collapse"
 
     def __init__(self, message: str, time: float):
         super().__init__(message)

@@ -55,9 +55,9 @@ def summary_dict(art: RunArtifact) -> dict:
         "trigger": None if hist.trigger is None else {"t": hist.trigger[0], "code": hist.trigger[1]},
         "t_final": hist.t_final,
         "n_steps": hist.n_steps,
-        "e0": art.e0,
+        "e0": hist.e0,
         "e_max": art.config.params.e_max,
-        "bounds_applicable": art.bounds_applicable,
+        "bounds_applicable": hist.e0 < art.config.params.e_max,
         "wall_time_s": art.wall_time,
         "verdicts": {k: v for k, v in art.verdicts.items()},
         "reports": {name: rep.to_dict() for name, rep in art.reports.items()},
@@ -91,7 +91,7 @@ def write_sweep_result(result: SweepResult, out_dir: str) -> None:
         "epsilons": result.epsilons,
         "table": result.table,
         "runs": [
-            {"epsilon": eps, "status": art.history.status, "e0": art.e0,
+            {"epsilon": eps, "status": art.history.status, "e0": art.history.e0,
              "verdicts": art.verdicts}
             for eps, art in zip(result.epsilons, result.artifacts)
         ],

@@ -124,7 +124,6 @@ class Bounds:
     h_max: float
     u_min: float
     u_max: float
-    e0: float
 
 
 @dataclass(frozen=True)
@@ -228,4 +227,4 @@ def a_priori_bounds(e0: float, p: Params) -> Bounds:
     h_min = p.hbar - half_width
     h_max = p.hbar + half_width
     u_max = 3.0**0.25 * math.sqrt(e0) / h_min
-    return Bounds(h_min=h_min, h_max=h_max, u_min=-u_max, u_max=u_max, e0=e0)
+    return Bounds(h_min=h_min, h_max=h_max, u_min=-u_max, u_max=u_max)

@@ -511,6 +511,7 @@ class TestAbortProperties:
             hist = simulate(gaussian_state(g), p, g, StepControl(cfl=0.3, dt_max=0.1, t_end=5.0, output_every=1),
                             blowup=BlowupThresholds())
         assert hist.status == "aborted" and hist.abort_reason == code
+        assert code not in _STEP_FAULTS or _STEP_FAULTS[code]().reason == code
         assert hist.n_steps == steps
         assert (hist.trigger is not None) == code.startswith("blowup:")
         _assert_abort_history_consistent(hist)

@@ -8,7 +8,6 @@ from sgnlab.elliptic import (
     apply_L,
     apply_L_compatible,
     assemble_L,
-    inv_L_dx,
     psi_identity_residual,
     script_r,
     solve_L,
@@ -304,8 +303,11 @@ class TestHelmholtz:
 
 
 class TestInvLdx:
+    """``L_h^{-1} d_x psi``: the composition behind the nonlocal term of the momentum equation."""
+
     def test_constant_killed(self, periodic_grid):
-        out = inv_L_dx(np.ones(periodic_grid.n), np.full(periodic_grid.n, 4.2), periodic_grid)
+        out = solve_L(assemble_L(np.ones(periodic_grid.n), periodic_grid),
+                      derivative(np.full(periodic_grid.n, 4.2), periodic_grid))
         assert np.all(out == 0.0)
 
     def test_flat_state_source_zero(self, periodic_grid, params):
@@ -313,7 +315,7 @@ class TestInvLdx:
 
         s = FlowState(np.ones(periodic_grid.n), np.zeros(periodic_grid.n))
         psi = curly_c(s, params, gradients(s, params, periodic_grid)) + f_of_h(s, params)
-        out = inv_L_dx(s.h, psi, periodic_grid)
+        out = solve_L(assemble_L(s.h, periodic_grid), derivative(psi, periodic_grid))
         assert np.all(out == 0.0)
 
     def test_eigenfunction(self):
@@ -322,7 +324,7 @@ class TestInvLdx:
         for n in (256, 512):
             g = Grid.from_length(n, 2 * np.pi, 0.0, "periodic")
             x = g.cells()
-            out = inv_L_dx(np.ones(n), np.cos(k * x), g)
+            out = solve_L(assemble_L(np.ones(n), g), derivative(np.cos(k * x), g))
             expected = -k * np.sin(k * x) / (1 + k**2 / 3)
             errs.append(np.max(np.abs(out - expected)))
         assert convergence_orders(errs)[0] >= 1.9

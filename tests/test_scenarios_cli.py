@@ -252,6 +252,7 @@ class TestCli:
             summary = json.load(fh)
         assert summary["status"] == "completed"
         assert summary["verdicts"]["energy"] is True
+        assert summary["e0"] == 0.0 and summary["bounds_applicable"] is True
         # flat run: energy series identically zero
         series = np.genfromtxt(os.path.join(out_dir, "series.csv"),
                                delimiter=",", names=True)
@@ -300,6 +301,7 @@ class TestCli:
         with open(os.path.join(out_dir, "sweep_summary.json")) as fh:
             summary = json.load(fh)
         assert summary["epsilons"] == [0.2, 0.1]
+        assert all(math.isfinite(run["e0"]) for run in summary["runs"])
 
     def test_shipped_flat_config(self, tmp_path, capsys):
         import pathlib
