@@ -15,10 +15,10 @@ import numpy as np
 
 sys.path.insert(0, "src")
 
-from sgnlab import Grid, Params
+from sgnlab.config import parse_config
 from sgnlab.diagnostics import oleinik_report
-from sgnlab.dynamics import BlowupThresholds, StepControl, simulate
-from sgnlab.scenarios import ScenarioConfig, build_initial
+from sgnlab.dynamics import simulate
+from sgnlab.scenarios import build_initial
 
 
 def main():
@@ -27,17 +27,11 @@ def main():
     ap.add_argument("--n", type=int, default=4400)
     args = ap.parse_args()
 
-    grid = Grid.from_length(args.n, 44.0, -20.0, "line")
-    thresholds = BlowupThresholds(ux=55.0, hx=4.8)
-    for eps in (0.0, 0.1):
-        p = Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=eps)
-        cfg = ScenarioConfig(
-            params=p, grid=grid,
-            step=StepControl(cfl=0.2, dt_max=0.05, t_end=args.t_end,
-                             output_dt=0.1, farfield_rtol=1e-5),
-            kind="steep", amplitude=-0.45, width=0.08, center=2.0, plateau=0.5)
-        hist = simulate(build_initial(cfg), p, grid, cfg.step, blowup=thresholds)
-        print(f"\n=== eps = {eps} ===")
+    for name in ("steep_eps0", "steep_eps01"):
+        cfg = parse_config(f"configs/{name}.cfg", [f"grid.n={args.n}", f"step.t_end={args.t_end}"])
+        p = cfg.params
+        hist = simulate(build_initial(cfg), p, cfg.grid, cfg.step, blowup=cfg.blowup)
+        print(f"\n=== eps = {p.epsilon} ===")
         ser = hist.series
         t = ser["t"]
         for tq in np.arange(0.0, hist.t_final + 1e-9, 0.2):

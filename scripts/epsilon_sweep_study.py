@@ -14,10 +14,9 @@ import sys
 
 sys.path.insert(0, "src")
 
-from sgnlab import Grid, Params
-from sgnlab.diagnostics import Box, lp_box_norm
-from sgnlab.dynamics import StepControl
-from sgnlab.scenarios import ScenarioConfig, epsilon_sweep
+from sgnlab.config import parse_config
+from sgnlab.diagnostics import lp_box_norm
+from sgnlab.scenarios import epsilon_sweep
 
 
 def main():
@@ -27,22 +26,14 @@ def main():
     args = ap.parse_args()
     epsilons = [float(tok) for tok in args.epsilons.split(",")]
 
-    p = Params(g=9.81, gamma=30.0, hbar=1.0, epsilon=epsilons[0])
-    grid = Grid.from_length(2048, 36.0, -16.0, "line")
-    box = Box(0.1, 0.5, -4.0, 6.0)
-    cfg = ScenarioConfig(
-        params=p, grid=grid,
-        step=StepControl(cfl=0.2, dt_max=0.05, t_end=0.6, output_dt=0.02,
-                         farfield_rtol=1e-5),
-        kind="steep", amplitude=-0.45, width=0.45, center=2.0, plateau=0.7,
-        checks=("energy", "oleinik"), box=box)
+    cfg = parse_config("configs/steep_sweep.cfg")
     result = epsilon_sweep(cfg, epsilons)
 
     print("run summary:")
     for eps, art in zip(result.epsilons, result.artifacts):
         e = art.history.series["energy"]
         c = art.reports["oleinik"].fitted_C
-        lp = lp_box_norm(art.history, args.alpha, box)
+        lp = lp_box_norm(art.history, args.alpha, cfg.box)
         print(f"  eps={eps:5g}  E0={e[0]:8.4f}  dE={e[-1] - e[0]:+9.5f}  "
               f"fitted_C={c:6.3f}  L^{2 + args.alpha:g} box norm={lp:9.3f}  "
               f"[{art.history.status}]")

@@ -49,11 +49,11 @@ def _print_verdicts(art: RunArtifact) -> bool:
         elif name == "oleinik" and rep is not None:
             detail = f"fitted_C={rep.fitted_C:.6g}, violations={rep.violations}"
         elif name == "dispersion" and rep is not None:
-            for row in rep.lines:
+            for row in rep.modes:
                 speed = "n/a" if row["measured"] is None else f"{row['measured']:.4f}"
                 print(f"    k={row['k']:g}: measured c={speed}, predicted {row['predicted']:.4f}, "
                       f"rel err {row['rel_err']:.2%} ({'ok' if row['pass'] else 'off'})")
-            detail = f"{len(rep.lines)} modes within {rep.rtol:.0%}" if verdict else "mode mismatch"
+            detail = f"{len(rep.modes)} modes within {rep.rtol:.0%}" if verdict else "mode mismatch"
         elif name == "blowup" and rep is not None:
             detail = (f"triggered at t={hist.trigger[0]:.6g} ({hist.trigger[1]})"
                       if hist.trigger else "no trigger")
@@ -82,6 +82,9 @@ def _cmd_sweep(args) -> int:
         epsilons = [float(tok) for tok in args.epsilons.replace(" ", "").split(",") if tok]
     except ValueError:
         print(f"cannot parse epsilon list {args.epsilons!r}", file=sys.stderr)
+        return 2
+    if len({f"{eps:g}" for eps in epsilons}) < len(epsilons):
+        print(f"epsilons {args.epsilons!r} share a member directory eps_<epsilon as %g>", file=sys.stderr)
         return 2
     result = epsilon_sweep(cfg, epsilons)
     out = args.out or os.path.join(_default_out(), "sweep")

@@ -15,8 +15,9 @@ Covered:
   ``omega^2 = g hbar k^2 (1 + gamma k^2/g) / (1 + hbar^2 k^2 / 3)``
   and its dispersionless collapse at Bond number ``g hbar^2/gamma = 3``.
 
-All reports are read-only over a stored history and serialize to flat dicts
-with stable key names.
+All reports are read-only over a stored history.  Each is a flat record whose
+fields are its ``summary.json`` keys, in order: :mod:`sgnlab.io` writes every
+report's fields with one serializer, so renaming a field renames its key.
 """
 
 from __future__ import annotations
@@ -69,20 +70,19 @@ class Box(NamedTuple):
     b: float
 
 
-class Check(NamedTuple):
+@dataclass(frozen=True)
+class Check:
     passed: bool
     value: float
     tol: float
 
-    def to_dict(self) -> dict:
-        return {"pass": bool(self.passed), "value": float(self.value), "tol": float(self.tol)}
-
 
 @dataclass
 class EnergyReport:
-    t: np.ndarray
-    mass: np.ndarray
-    energy: np.ndarray
+    e_initial: float
+    e_final: float
+    mass_initial: float
+    mass_final: float
     dissipation_integral: float
     budget_residual: float
     verdicts: dict[str, Check]
@@ -90,17 +90,6 @@ class EnergyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.verdicts.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "e_initial": float(self.energy[0]),
-            "e_final": float(self.energy[-1]),
-            "mass_initial": float(self.mass[0]),
-            "mass_final": float(self.mass[-1]),
-            "dissipation_integral": float(self.dissipation_integral),
-            "budget_residual": float(self.budget_residual),
-            "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
-        }
 
 
 @dataclass
@@ -120,56 +109,24 @@ class BoundsReport:
             return False
         return all(c.passed for c in self.verdicts.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "e0": float(self.e0),
-            "e_max": float(self.e_max),
-            "h_min": self.h_min,
-            "h_max": self.h_max,
-            "u_max": self.u_max,
-            "margins": {k: float(v) for k, v in self.margins.items()},
-            "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
-        }
-
 
 @dataclass
 class OleinikReport:
-    t: np.ndarray
-    sup_P: np.ndarray
-    sup_Q: np.ndarray
     fitted_C: float
-    normalization: float
+    normalization_h: float
+    bound_form: str = field(default="sup(P,Q)/h_min <= C (1 + 1/t)", init=False)
     violations: int
     user_C: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "fitted_C": float(self.fitted_C),
-            "normalization_h": float(self.normalization),
-            "bound_form": "sup(P,Q)/h_min <= C (1 + 1/t)",
-            "violations": int(self.violations),
-            "user_C": self.user_C,
-        }
 
 
 @dataclass
 class BlowupReport:
-    t: np.ndarray
-    min_ux: np.ndarray
-    max_abs_hx: np.ndarray
-    min_h: np.ndarray
-    triggered: tuple[float, str] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "triggered": bool(self.triggered),
-            "trigger_time": None if self.triggered is None else float(self.triggered[0]),
-            "trigger_code": None if self.triggered is None else self.triggered[1],
-            "final_min_ux": float(self.min_ux[-1]),
-            "final_max_abs_hx": float(self.max_abs_hx[-1]),
-            "final_min_h": float(self.min_h[-1]),
-        }
+    triggered: bool
+    trigger_time: float | None
+    trigger_code: str | None
+    final_min_ux: float
+    final_max_abs_hx: float
+    final_min_h: float
 
 
 @dataclass
@@ -180,15 +137,12 @@ class PhaseSpeed:
 
 @dataclass
 class DispersionReport:
-    lines: list
     rtol: float
+    modes: list[dict]
 
     @property
     def passed(self) -> bool:
-        return bool(self.lines) and all(row["pass"] for row in self.lines)
-
-    def to_dict(self) -> dict:
-        return {"rtol": float(self.rtol), "modes": self.lines}
+        return bool(self.modes) and all(row["pass"] for row in self.modes)
 
 
 def energy_budget(history: SimHistory, p: Params, conserve_rtol: float = 1e-6) -> EnergyReport:
@@ -215,10 +169,10 @@ def energy_budget(history: SimHistory, p: Params, conserve_rtol: float = 1e-6) -
         verdicts["energy_monotonic"] = Check(max_rise <= tol_rise, max_rise, tol_rise)
         tol_budget = max(BUDGET_REL * abs(delta), BUDGET_FLOOR * scale)
         verdicts["budget_closure"] = Check(abs(residual) <= tol_budget, abs(residual), tol_budget)
-    return EnergyReport(
-        t=t, mass=history.series["mass"], energy=e,
-        dissipation_integral=diss, budget_residual=residual, verdicts=verdicts,
-    )
+    mass = history.series["mass"]
+    return EnergyReport(e_initial=e0, e_final=float(e[-1]), mass_initial=float(mass[0]),
+                        mass_final=float(mass[-1]), dissipation_integral=diss,
+                        budget_residual=residual, verdicts=verdicts)
 
 
 def bounds_check(history: SimHistory, p: Params) -> BoundsReport:
@@ -260,14 +214,12 @@ def oleinik_report(history: SimHistory, p: Params, user_c: float | None = None) 
     violations.
     """
     t = history.series["t"]
-    sup_p = history.series["sup_P"]
-    sup_q = history.series["sup_Q"]
     mask = t > 0.0
     try:
         h_norm = a_priori_bounds(history.e0, p).h_min
     except ThresholdExceededError:
         h_norm = float(np.min(history.series["min_h"]))
-    sup = np.maximum(np.maximum(sup_p, sup_q), 0.0)
+    sup = np.maximum(np.maximum(history.series["sup_P"], history.series["sup_Q"]), 0.0)
     fitted = 0.0
     violations = 0
     if np.any(mask):
@@ -275,19 +227,15 @@ def oleinik_report(history: SimHistory, p: Params, user_c: float | None = None) 
         fitted = float(np.max(ratio))
         if user_c is not None:
             violations = int(np.sum(ratio > user_c))
-    return OleinikReport(t=t[mask], sup_P=sup_p[mask], sup_Q=sup_q[mask],
-                         fitted_C=fitted, normalization=h_norm,
-                         violations=violations, user_C=user_c)
+    return OleinikReport(fitted_C=fitted, normalization_h=h_norm, violations=violations, user_C=user_c)
 
 
 def blowup_report(history: SimHistory) -> BlowupReport:
-    return BlowupReport(
-        t=history.series["t"],
-        min_ux=history.series["min_ux"],
-        max_abs_hx=history.series["max_abs_hx"],
-        min_h=history.series["min_h"],
-        triggered=history.trigger,
-    )
+    t, code = history.trigger or (None, None)
+    ser = history.series
+    return BlowupReport(triggered=history.trigger is not None, trigger_time=t, trigger_code=code,
+                        final_min_ux=float(ser["min_ux"][-1]), final_max_abs_hx=float(ser["max_abs_hx"][-1]),
+                        final_min_h=float(ser["min_h"][-1]))
 
 
 def blowup_monitor(s: FlowState, p: Params, g: Grid,
@@ -361,12 +309,12 @@ def bond_number(p: Params) -> float:
 def dispersion_report(history: SimHistory, wavenumbers, rtol: float = 1e-2) -> DispersionReport:
     """Measured vs predicted phase speed for each seeded mode."""
     p = history.params
-    lines = []
+    modes = []
     for k in wavenumbers:
         meas = measure_phase_speed(history, k)
         predicted = dispersion_omega(k, p) / k
         rel = abs(meas.speed - predicted) / predicted if meas.speed is not None else math.inf
-        lines.append({
+        modes.append({
             "k": float(k),
             "measured": meas.speed,
             "predicted": float(predicted),
@@ -374,7 +322,7 @@ def dispersion_report(history: SimHistory, wavenumbers, rtol: float = 1e-2) -> D
             "status": meas.status,
             "pass": bool(meas.status == "ok" and rel <= rtol),
         })
-    return DispersionReport(lines=lines, rtol=rtol)
+    return DispersionReport(rtol=float(rtol), modes=modes)
 
 
 def measure_phase_speed(history: SimHistory, k: float) -> PhaseSpeed:

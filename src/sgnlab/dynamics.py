@@ -84,8 +84,14 @@ class StepControl:
             raise ContractViolationError(f"cfl must be in (0, 1], got {self.cfl}")
         if not self.dt_max > 0:
             raise ContractViolationError("dt_max must be positive")
-        if self.t_end < 0:
-            raise ContractViolationError("t_end must be nonnegative")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ContractViolationError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if self.output_every < 0:
+            raise ContractViolationError(f"output_every must be >= 0, got {self.output_every}")
+        for name in ("output_dt", "dt_fixed", "farfield_rtol"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ContractViolationError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,24 @@
 
 One directory per run: ``run.cfg`` (full config echo), ``series.csv`` (one
 row per accepted step), ``snap_NNNN.csv`` (one file per saved time, columns
-x, h, u, P, Q) and ``summary.json`` (reports with stable keys).  CSV numbers
-carry 17 significant digits; JSON floats use exact round-trip representations.
+x, h, u, P, Q) and ``summary.json``.  CSV numbers carry 17 significant
+digits; JSON floats use exact round-trip representations.
+
+The report dataclasses of :mod:`sgnlab.diagnostics` declare the reports'
+schema: :func:`_json_record` writes every report as its fields in order, a
+``Check`` as ``{"pass", "value", "tol"}`` and a dict value by value.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
+
+import numpy as np
 
 from .config import config_echo
+from .diagnostics import Check
 from .dynamics import SimHistory
 from .kinematics import pq_fields
 from .scenarios import RunArtifact, SweepResult
@@ -27,11 +35,9 @@ def _fmt(v: float) -> str:
 
 
 def write_series_csv(hist: SimHistory, path: str) -> None:
-    cols = [hist.series[c] for c in SERIES_CSV_COLUMNS]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SERIES_CSV_COLUMNS) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, np.column_stack([hist.series[c] for c in SERIES_CSV_COLUMNS]), fmt="%.17g", delimiter=",")
 
 
 def write_snapshot_csv(hist: SimHistory, index: int, path: str) -> None:
@@ -41,8 +47,15 @@ def write_snapshot_csv(hist: SimHistory, index: int, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# t = {_fmt(s.t)}\n")
         fh.write("x,h,u,P,Q\n")
-        for row in zip(x, s.h, s.u, P, Q):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, np.column_stack([x, s.h, s.u, P, Q]), fmt="%.17g", delimiter=",")
+
+
+def _json_record(obj) -> dict:
+    """``json.dump``'s hook for reports: a Check as pass/value/tol, any other
+    dataclass as its fields in order."""
+    if isinstance(obj, Check):
+        return {"pass": obj.passed, "value": obj.value, "tol": obj.tol}
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def summary_dict(art: RunArtifact) -> dict:
@@ -59,8 +72,8 @@ def summary_dict(art: RunArtifact) -> dict:
         "e_max": art.config.params.e_max,
         "bounds_applicable": hist.e0 < art.config.params.e_max,
         "wall_time_s": art.wall_time,
-        "verdicts": {k: v for k, v in art.verdicts.items()},
-        "reports": {name: rep.to_dict() for name, rep in art.reports.items()},
+        "verdicts": art.verdicts,
+        "reports": art.reports,
         "config": config_echo(art.config),
     }
 
@@ -73,7 +86,7 @@ def write_run_artifact(art: RunArtifact, out_dir: str) -> None:
     for i in range(len(art.history.snapshots)):
         write_snapshot_csv(art.history, i, os.path.join(out_dir, f"snap_{i:04d}.csv"))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(art), fh, indent=2)
+        json.dump(summary_dict(art), fh, indent=2, default=_json_record)
         fh.write("\n")
 
 

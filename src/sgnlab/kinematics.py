@@ -82,8 +82,8 @@ class Params:
     def __post_init__(self):
         if not (self.g > 0 and self.gamma > 0 and self.hbar > 0):
             raise ContractViolationError("g, gamma and hbar must all be positive")
-        if self.epsilon < 0:
-            raise ContractViolationError("epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ContractViolationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
     @property
     def e_max(self) -> float:

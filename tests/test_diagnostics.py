@@ -137,9 +137,10 @@ class TestOleinik:
     def test_fitted_constant_covers_series(self):
         hist, p, g = gaussian_history()
         rep = oleinik_report(hist, p)
-        t = rep.t
-        sup = np.maximum(np.maximum(rep.sup_P, rep.sup_Q), 0.0)
-        assert np.all(sup / rep.normalization <= rep.fitted_C * (1 + 1.0 / t) * (1 + 1e-12))
+        mask = hist.series["t"] > 0.0
+        t = hist.series["t"][mask]
+        sup = np.maximum(np.maximum(hist.series["sup_P"][mask], hist.series["sup_Q"][mask]), 0.0)
+        assert np.all(sup / rep.normalization_h <= rep.fitted_C * (1 + 1.0 / t) * (1 + 1e-12))
 
     def test_user_constant_violations_counted(self):
         hist, p, g = gaussian_history()
@@ -198,8 +199,10 @@ class TestBlowupDiagnostics:
     def test_report_carries_series(self):
         hist, p, g = gaussian_history(t_end=0.3)
         rep = blowup_report(hist)
-        assert rep.triggered is None
-        assert rep.t.shape == rep.min_ux.shape == rep.max_abs_hx.shape == rep.min_h.shape
+        assert rep.triggered is False
+        assert rep.trigger_time is None and rep.trigger_code is None
+        assert (rep.final_min_ux, rep.final_max_abs_hx, rep.final_min_h) == (
+            hist.series["min_ux"][-1], hist.series["max_abs_hx"][-1], hist.series["min_h"][-1])
 
 
 class TestLpBoxNorm:

@@ -172,6 +172,19 @@ class TestRk4Step:
         assert np.log2(e1 / e2) >= 3.8
 
 
+class TestStepControl:
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", float("nan")), ("t_end", float("inf")), ("t_end", -float("inf")),
+        ("output_dt", 0.0), ("output_dt", -1.0), ("output_dt", float("nan")), ("output_dt", float("inf")),
+        ("dt_fixed", 0.0), ("dt_fixed", -1.0), ("dt_fixed", float("nan")),
+        ("farfield_rtol", -1.0), ("farfield_rtol", 0.0), ("farfield_rtol", float("inf")),
+        ("output_every", -3),
+    ])
+    def test_malformed_setting_rejected(self, field, value):
+        with pytest.raises(ContractViolationError, match=field):
+            StepControl(**{field: value})
+
+
 class TestBlowupCheck:
     def test_never_on_slope_alone(self):
         thr = BlowupThresholds(ux=10.0, hx=10.0)

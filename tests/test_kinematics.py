@@ -36,6 +36,11 @@ class TestParams:
         with pytest.raises(ContractViolationError):
             Params(epsilon=-0.1)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ContractViolationError):
+            Params(epsilon=epsilon)
+
     def test_threshold(self):
         p = Params(g=9.81, gamma=9.81, hbar=1.0)
         assert p.e_max == pytest.approx(9.81)

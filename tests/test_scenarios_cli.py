@@ -12,6 +12,7 @@ from sgnlab.diagnostics import Box
 from sgnlab.dynamics import StepControl
 from sgnlab.errors import ConfigError
 from sgnlab.grid import integrate
+from sgnlab.io import write_run_artifact
 from sgnlab.kinematics import riemann_invariants, total_energy
 from sgnlab.scenarios import (
     ScenarioConfig,
@@ -166,6 +167,34 @@ class TestRunScenario:
         assert np.array_equal(a1.history.series["energy"], a2.history.series["energy"])
 
 
+class TestSummarySchema:
+    """The ordered keys of each report in summary.json: renaming a report field fails here."""
+
+    REPORTS = {
+        "energy": ["e_initial", "e_final", "mass_initial", "mass_final", "dissipation_integral",
+                   "budget_residual", "verdicts"],
+        "bounds": ["status", "e0", "e_max", "h_min", "h_max", "u_max", "margins", "verdicts"],
+        "oleinik": ["fitted_C", "normalization_h", "bound_form", "violations", "user_C"],
+        "blowup": ["triggered", "trigger_time", "trigger_code", "final_min_ux", "final_max_abs_hx",
+                   "final_min_h"],
+        "dispersion": ["rtol", "modes"],
+    }
+
+    def test_report_keys(self, tmp_path):
+        k = 2.0 * math.pi * 4 / 40.0  # four periods of the 40-long domain
+        cfgs = {"checks": default_cfg(checks=("energy", "bounds", "oleinik", "blowup"), oleinik_C=1.0),
+                "sine": default_cfg(kind="sine", amplitude=1e-4, wavenumbers=(k,), checks=("dispersion",))}
+        reports = {}
+        for name, cfg in cfgs.items():
+            write_run_artifact(run_scenario(cfg), str(tmp_path / name))
+            with open(tmp_path / name / "summary.json") as fh:
+                reports.update(json.load(fh)["reports"])
+        assert {name: list(rep) for name, rep in reports.items()} == self.REPORTS
+        for name in ("energy", "bounds"):
+            assert all(list(v) == ["pass", "value", "tol"] for v in reports[name]["verdicts"].values())
+        assert list(reports["dispersion"]["modes"][0]) == ["k", "measured", "predicted", "rel_err", "status", "pass"]
+
+
 class TestSweep:
     def test_epsilons_validated(self):
         cfg = default_cfg(grid=Grid.from_length(256, 40.0, -20.0, "line"),
@@ -279,6 +308,13 @@ class TestCli:
     def test_usage_error_exit_two(self):
         assert main(["run"]) == 2
 
+    def test_nonfinite_override_exit_two(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, BASE_CFG)
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", path, "--override", "step.t_end=nan", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: t_end")
+        assert not out_dir.exists()
+
     def test_failed_check_exit_one(self, tmp_path, capsys):
         # an impossibly tight tolerance forces an honest FAIL
         text = BASE_CFG.replace("energy_rtol = 1e-4", "energy_rtol = 1e-16")
@@ -302,6 +338,14 @@ class TestCli:
             summary = json.load(fh)
         assert summary["epsilons"] == [0.2, 0.1]
         assert all(math.isfinite(run["e0"]) for run in summary["runs"])
+
+    def test_sweep_labels_must_differ(self, tmp_path, capsys):
+        # both members would be written to eps_0.1
+        path = self.write_cfg(tmp_path, BASE_CFG)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--epsilons", "0.1000001,0.1", "--out", str(out_dir)]) == 2
+        assert "eps_" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_shipped_flat_config(self, tmp_path, capsys):
         import pathlib
