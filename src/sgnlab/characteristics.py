@@ -21,25 +21,22 @@ The square-integral diagnostic pairs the branches the other way around
 (transversally, as in the energy-flux argument): P^2 is integrated along a
 plus-branch path and Q^2 along a minus-branch path that meet.
 
-Everything that does not depend on the path is computed once per (history,
-parameters) and shared by every launch point and both branches: the branch
-speeds, ``P`` and ``Q`` (one :func:`~sgnlab.kinematics.gradients` call per
-snapshot) and, on the first :func:`riccati_residual`, both branches'
-right-hand sides at every snapshot (one ``script_r`` each; with an active
-cut-off one ``chi``, ``A``, ``A_x`` and one ``L_h`` assembly shared by ``V1``
-and ``script_r``).  They are stacked ``(snapshots, n)``, so each path
-quantity is one row-wise :func:`interp_cubic` call.  The fields live with the history
-(``SimHistory._characteristics``), keyed by :class:`Params` and the grid, and
-are rebuilt as soon as ``history.snapshots`` no longer holds the same
-:class:`FlowState` objects (a snapshot replaced, added or removed); snapshots
-are immutable, so their arrays must not be changed in place.
+The path-independent fields of a snapshot are memoized on the snapshot
+itself (:class:`FlowState`), once per parameters and grid, and shared by
+every launch point and both branches: ``u_x``, ``P``, ``Q`` and the cut-off
+values (one :func:`~sgnlab.kinematics.gradients` bundle, which ``script_r``
+reads too) and both branches' Riccati right-hand sides (one ``script_r``;
+with an active cut-off one ``A``, ``A_x`` and one ``L_h`` assembly shared by
+``V1`` and ``script_r``).  Each call stacks the rows it needs ``(snapshots,
+n)``, so each path quantity is one row-wise :func:`interp_cubic` call.  A
+history whose snapshots are replaced or appended needs no invalidation: a
+new snapshot is a new state with its own memo.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -141,47 +138,6 @@ def _wrap(x: float, g: Grid) -> float:
     return x
 
 
-class _SnapshotFields:
-    """Path-independent fields of one history under one parameter set.
-
-    Every array is stacked ``(snapshots, n)``, row ``k`` belonging to
-    ``snaps[k]``; ``speed`` and ``riccati_rhs`` lead with a branch axis (``_ROW``).
-    """
-
-    def __init__(self, snaps: tuple[FlowState, ...], p: Params, g: Grid):
-        self.snaps, self.p, self.g = snaps, p, g
-
-    def holds(self, snaps: list[FlowState]) -> bool:
-        return len(snaps) == len(self.snaps) and all(a is b for a, b in zip(snaps, self.snaps))
-
-    @cached_property
-    def speed(self) -> np.ndarray:
-        """``(lambda, eta)`` of every snapshot."""
-        return np.stack([char_speeds(s, self.p) for s in self.snaps], axis=1)
-
-    @cached_property
-    def grads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(u_x, P, Q)`` of every snapshot, from one :func:`gradients` call each."""
-        ds = [gradients(s, self.p, self.g) for s in self.snaps]
-        return np.stack([d.ux for d in ds]), np.stack([d.pq[0] for d in ds]), np.stack([d.pq[1] for d in ds])
-
-    @cached_property
-    def riccati_rhs(self) -> np.ndarray:
-        """Both branches' Riccati right-hand sides at every snapshot."""
-        ux, P, Q = self.grads
-        return np.stack([_riccati_rhs_fields(s, self.p, self.g, ux[k], P[k], Q[k])
-                         for k, s in enumerate(self.snaps)], axis=1)
-
-
-def _snapshot_fields(history, p: Params) -> _SnapshotFields:
-    """The fields of ``history`` under ``p``: kept with the history, rebuilt when its snapshots change."""
-    key = (p, history.grid)
-    fields = history._characteristics.get(key)
-    if fields is None or not fields.holds(history.snapshots):
-        fields = history._characteristics[key] = _SnapshotFields(tuple(history.snapshots), p, history.grid)
-    return fields
-
-
 def trace(history, x0: float, branch: str) -> CharPath:
     """Trace one characteristic through the snapshots of ``history``."""
     if branch not in (PLUS, MINUS):
@@ -194,8 +150,8 @@ def trace(history, x0: float, branch: str) -> CharPath:
         lo, hi = g.x_left + 2 * g.dx, g.x_right - 2 * g.dx
         if not (lo < x0 < hi):
             raise ContractViolationError(f"launch point {x0} outside the domain interior")
-    fields = _snapshot_fields(history, history.params)
-    speed = fields.speed[_ROW[branch]]
+    p = history.params
+    speed = np.stack([char_speeds(s, p)[_ROW[branch]] for s in snaps])
     times = np.array([s.t for s in snaps])
     xs = [float(x0)]
     exited = False
@@ -213,31 +169,32 @@ def trace(history, x0: float, branch: str) -> CharPath:
     m = len(xs)
     xarr = np.asarray(xs)
     xeval = np.array([_wrap(xi, g) for xi in xarr])
-    _, P, Q = fields.grads
+    P, Q = map(np.stack, zip(*(gradients(s, p, g).pq for s in snaps[:m])))
     return CharPath(branch=branch, x0=float(x0), t=times[:m], x=xarr,
                     speed=interp_cubic(speed[:m], g, xeval),
-                    P=interp_cubic(P[:m], g, xeval), Q=interp_cubic(Q[:m], g, xeval), exited=exited)
+                    P=interp_cubic(P, g, xeval), Q=interp_cubic(Q, g, xeval), exited=exited)
 
 
-def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid, ux: np.ndarray, P: np.ndarray,
-                        Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Gridded right-hand sides ``(minus, plus)`` of the Riccati equations at one state.
 
-    ``ux``, ``P`` and ``Q`` are the state's gradients.  An active cut-off
-    adds ``chi``, ``A``, ``A_x`` and ``V1``, ``V2``; the stepper's ``B`` is
-    not needed, and ``V1`` and ``script_r`` share one ``L_h``.
+    Reads the state's gradient bundle.  An active cut-off adds its ``chi``
+    values, ``A``, ``A_x`` and ``V1``, ``V2``; the stepper's ``B`` is not
+    needed, and ``V1`` and ``script_r`` share one ``L_h``.
     """
+    d = gradients(s, p, g)
+    P, Q = d.pq
     minus = (-P**2 + Q**2) / (8.0 * s.h)
     plus = (-Q**2 + P**2) / (8.0 * s.h)
     v1 = v2 = 0.0
     sys = None
-    if reg.cutoff_active(P, Q, p.epsilon):
-        chiP, chiQ = reg.chi(P, p.epsilon), reg.chi(Q, p.epsilon)
+    if d.cutoff is not None:
+        chiP, chiQ = d.cutoff
         A, A_x = reg.compute_A(s, chiP, chiQ, p, g)
         minus = minus + chiP / (8.0 * s.h) - A_x * P / (2.0 * s.h)
         plus = plus + chiQ / (8.0 * s.h) - A_x * Q / (2.0 * s.h)
         sys = assemble_L(s.h, g, p.hbar)
-        v1 = reg.compute_V1(s, ux, A, A_x, chiP, chiQ, p, g, sys)
+        v1 = reg.compute_V1(s, d.ux, A, A_x, chiP, chiQ, p, g, sys)
         v2 = reg.compute_V2(s, A, p)
     M, N = reg.compute_MN(s, v1, v2, script_r(s, p, g, _sys=sys))
     return minus + M, plus + N
@@ -256,7 +213,8 @@ def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
     values = path.P if path.branch == MINUS else path.Q
     dval = np.gradient(values, path.t)
     xeval = np.array([_wrap(xi, g) for xi in path.x])
-    rhs_on_path = interp_cubic(_snapshot_fields(history, p).riccati_rhs[_ROW[path.branch], :m], g, xeval)
+    rows = np.stack([s._derived(_riccati_rhs_fields, p, g)[_ROW[path.branch]] for s in history.snapshots[:m]])
+    rhs_on_path = interp_cubic(rows, g, xeval)
     return RiccatiResidual(values=dval - rhs_on_path, t=path.t.copy(), undersampled=undersampled)
 
 

@@ -108,6 +108,13 @@ class BlowupThresholds:
     hx: float = 1e3
     depth: float | None = None  # resolved by depth_floor
 
+    def __post_init__(self):
+        # a NaN threshold compares False both ways and would switch off half of the pair
+        for name in ("ux", "hx", "depth"):
+            value = getattr(self, name)
+            if value is not None and np.isnan(value):
+                raise ContractViolationError(f"blow-up threshold {name} must not be NaN")
+
 
 def depth_floor(thr: BlowupThresholds, s: FlowState, p: Params, g: Grid) -> float:
     """The depth companion's floor: ``thr.depth`` when given, else a tenth of the
@@ -141,8 +148,7 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     nonlocal_term = solve_L_refined(sys, s.h, derivative(curly_c(s, p, d) + f_of_h(s, p), g), g)
     du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - nonlocal_term
     if p.epsilon > 0.0:
-        P, Q = d.pq
-        fields = reg.compute_reg_fields(s, d.ux, P, Q, p, g, sys)
+        fields = reg.compute_reg_fields(s, p, g, sys)
         if fields is not None:
             dh = dh + fields.A_x
             du = du + fields.B
@@ -202,14 +208,16 @@ FARFIELD_CLAMP_CELLS = 4
 
 
 def _pin_far_field(s: FlowState, p: Params, g: Grid) -> FlowState:
+    """``s`` with its far-field strips at the reference state, as a new state (line mode)."""
     if g.periodic:
         return s
     k = FARFIELD_CLAMP_CELLS
-    s.h[:k] = p.hbar
-    s.h[-k:] = p.hbar
-    s.u[:k] = 0.0
-    s.u[-k:] = 0.0
-    return s
+    h, u = s.h.copy(), s.u.copy()
+    h[:k] = p.hbar
+    h[-k:] = p.hbar
+    u[:k] = 0.0
+    u[-k:] = 0.0
+    return FlowState(h, u, s.t)
 
 
 @dataclass
@@ -220,9 +228,9 @@ class SimHistory:
     min_ux, max_abs_hx, sup_P, sup_Q, diss_rate) to aligned arrays with one
     row per accepted step (including the initial state).  ``status`` is
     ``completed`` or ``aborted``; aborts keep everything recorded so far and
-    carry a reason code instead of throwing the run away.  The private
-    ``_characteristics`` holds the path-independent fields that
-    :mod:`sgnlab.characteristics` builds once per parameter set.
+    carry a reason code instead of throwing the run away.  A snapshot shares
+    the arrays of the stepper's state but not its memo, so the fields that
+    post-processing derives from it are memoized on the snapshot itself.
     """
 
     grid: Grid
@@ -236,7 +244,6 @@ class SimHistory:
     trigger: tuple[float, str] | None = None
     e0: float = 0.0
     n_steps: int = 0
-    _characteristics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def t_final(self) -> float:
@@ -251,10 +258,7 @@ def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> tuple[
     """Append one series row; returns (max|u_x|, max|h_x|, min h) for the monitors."""
     d = gradients(s, p, g)
     P, Q = d.pq
-    if p.epsilon > 0.0 and reg.cutoff_active(P, Q, p.epsilon):
-        diss = integrate(P * reg.chi(P, p.epsilon) + Q * reg.chi(Q, p.epsilon), g) / 48.0
-    else:
-        diss = 0.0
+    diss = 0.0 if d.cutoff is None else integrate(P * d.cutoff[0] + Q * d.cutoff[1], g) / 48.0
     min_h = float(s.h.min())
     max_ux = float(np.max(np.abs(d.ux)))
     max_hx = float(np.max(np.abs(d.hx)))
@@ -288,7 +292,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     floor = 0.0 if blowup is None else depth_floor(blowup, s0, p, g)
 
     def snapshot(s: FlowState):
-        hist.snapshots.append(FlowState(s.h.copy(), s.u.copy(), s.t))
+        hist.snapshots.append(FlowState(s.h, s.u, s.t))
 
     check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol, ncells=2 * FARFIELD_CLAMP_CELLS)
     s = _pin_far_field(FlowState(s0.h.copy(), s0.u.copy(), s0.t), p, g)

@@ -27,17 +27,20 @@ below the threshold ``sqrt(g gamma) hbar^2``::
     u_max = -u_min = 3^(1/4) sqrt(E0) / h_min
 
 Every gradient above comes from one per-state bundle, :class:`Gradients`,
-built by :func:`gradients`: ``u_x`` and ``h_x`` taken once, ``(P, Q)`` formed
-on first use.  ``C``, ``E`` and ``D`` take the bundle and are pointwise.
+built by :func:`gradients` and memoized on the state per (params, grid):
+``u_x`` and ``h_x`` taken once, ``(P, Q)`` and the cut-off values
+``chi(P), chi(Q)`` formed on first use.  ``C``, ``E`` and ``D`` take the
+bundle and are pointwise.
 
-All functions are pure and operate on immutable inputs.  :class:`FlowState`
-checks its fields, so :func:`gradients` uses the unchecked ``_derivative``.
+All functions are pure and operate on immutable inputs: a state's arrays are
+never written after construction.  :class:`FlowState` checks its fields, so
+:func:`gradients` uses the unchecked ``_derivative``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +54,8 @@ __all__ = [
     "Bounds",
     "Gradients",
     "gradients",
+    "chi",
+    "cutoff_active",
     "riemann_invariants",
     "char_speeds",
     "pq_fields",
@@ -80,8 +85,9 @@ class Params:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not (self.g > 0 and self.gamma > 0 and self.hbar > 0):
-            raise ContractViolationError("g, gamma and hbar must all be positive")
+        if not all(0.0 < v < math.inf for v in (self.g, self.gamma, self.hbar)):
+            raise ContractViolationError(f"g, gamma and hbar must all be positive and finite, got {self.g}, "
+                                         f"{self.gamma}, {self.hbar}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ContractViolationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
@@ -97,11 +103,17 @@ class Params:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Fields h (depth) and u (depth-averaged velocity) at one time instant."""
+    """Fields h (depth) and u (depth-averaged velocity) at one time instant.
+
+    The arrays are never written after construction; derived fields are
+    memoized on the state once per (params, grid) (:meth:`_derived`).
+    ``FlowState(s.h, s.u, s.t)`` shares the arrays with an empty memo.
+    """
 
     h: np.ndarray
     u: np.ndarray
     t: float = 0.0
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.float64)
@@ -115,6 +127,13 @@ class FlowState:
         if not (h > 0.0).all():
             raise PositivityError(f"depth must be positive everywhere; min h = {h.min():.6e}")
 
+    def _derived(self, fn, p: Params, g: Grid):
+        """``fn(self, p, g)``, evaluated on first use and kept in the memo."""
+        value = self._memo.get((fn, p, g))
+        if value is None:
+            value = self._memo[fn, p, g] = fn(self, p, g)
+        return value
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -126,14 +145,39 @@ class Bounds:
     u_max: float
 
 
+def chi(zeta, epsilon: float):
+    """Cut-off ``(zeta + 1/eps)^2 1_{zeta <= -1/eps}``; scalar or array.
+
+    C^1 across the activation point.  Requires ``epsilon > 0`` (callers bypass
+    with zero when the regularization is off).
+    """
+    if not epsilon > 0.0:
+        raise ContractViolationError("chi needs epsilon > 0; the eps = 0 system has no cut-off")
+    z = np.asarray(zeta, dtype=np.float64)
+    shifted = z + 1.0 / epsilon
+    out = np.where(z <= -1.0 / epsilon, shifted * shifted, 0.0)
+    if np.isscalar(zeta) or out.ndim == 0:
+        return float(out)
+    return out
+
+
+def cutoff_active(P: np.ndarray, Q: np.ndarray, epsilon: float) -> bool:
+    """True when some gradient invariant reaches the cut-off threshold ``-1/eps``."""
+    if epsilon <= 0.0:
+        return False
+    thr = -1.0 / epsilon
+    return bool(P.min() <= thr or Q.min() <= thr)
+
+
 @dataclass(frozen=True)
 class Gradients:
-    """Gridded gradients of one state: ``ux``, ``hx`` and, on first use, ``pq``."""
+    """Gridded gradients of one state: ``ux``, ``hx`` and, on first use, ``pq`` and ``cutoff``."""
 
     h: np.ndarray
     ux: np.ndarray
     hx: np.ndarray
     sqrt_3gamma: float
+    epsilon: float
 
     @cached_property
     def pq(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,12 +186,25 @@ class Gradients:
         b = self.sqrt_3gamma * self.hx / np.sqrt(self.h)
         return a - b, a + b
 
+    @cached_property
+    def cutoff(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(chi(P), chi(Q))`` while the cut-off is active, else ``None`` (at eps = 0 without forming P, Q)."""
+        if self.epsilon == 0.0 or not cutoff_active(*self.pq, self.epsilon):
+            return None
+        P, Q = self.pq
+        return chi(P, self.epsilon), chi(Q, self.epsilon)
 
-def gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
-    """The one place where a state's ``u`` and ``h`` are differentiated."""
+
+def _gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
     if s.h.shape != (g.n,):
         raise ContractViolationError(f"state has shape {s.h.shape}, grid has {g.n} cells")
-    return Gradients(s.h, _derivative(s.u, g), _derivative(s.h, g), p.sqrt_3gamma)
+    return Gradients(s.h, _derivative(s.u, g), _derivative(s.h, g), p.sqrt_3gamma, p.epsilon)
+
+
+def gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
+    """The one place where a state's ``u`` and ``h`` are differentiated:
+    once per (params, grid), memoized on ``s``."""
+    return s._derived(_gradients, p, g)
 
 
 def riemann_invariants(s: FlowState, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -163,8 +220,9 @@ def char_speeds(s: FlowState, p: Params) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pq_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient invariants ``(P, Q)`` of ``s``, as :attr:`Gradients.pq`."""
-    return gradients(s, p, g).pq
+    """Gradient invariants ``(P, Q)`` of ``s``, as :attr:`Gradients.pq`, formed without
+    filling its memo: a one-shot read (a snapshot CSV) keeps no fields alive on a history."""
+    return _gradients(s, p, g).pq
 
 
 def pq_to_gradients(P: np.ndarray, Q: np.ndarray, h: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:

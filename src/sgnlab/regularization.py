@@ -15,12 +15,14 @@ From the cut-off, the source fields of the regularized system::
     V2 = (3 g / sqrt(3 gamma)) h^{-1/2} A
     M  = -3 h^{-2} R_script + V1 - V2        N = -3 h^{-2} R_script + V1 + V2
 
-The stepper reads only ``A_x`` and ``B``: :func:`compute_reg_fields`
-evaluates ``chi`` once per state and returns ``A, A_x, B``.  ``V1``, ``V2``,
-``M`` and ``N`` enter only the Riccati equations along characteristics, and
-``characteristics._riccati_rhs_fields`` is their one caller: it builds
-``chi``, ``A`` and ``A_x`` itself (it needs no ``B``) and hands ``V1`` the
-``L_h`` it shares with ``script_r``.
+``chi`` and :func:`cutoff_active` live in :mod:`sgnlab.kinematics` (re-exported
+here): a state's cut-off values are part of its memoized gradient bundle,
+``Gradients.cutoff``.  The stepper reads only ``A_x`` and ``B``:
+:func:`compute_reg_fields` returns ``A, A_x, B``.  ``V1``, ``V2``, ``M`` and
+``N`` enter only the Riccati equations along characteristics, and
+``characteristics._riccati_rhs_fields`` is their one caller: it builds ``A``
+and ``A_x`` itself (it needs no ``B``) and hands ``V1`` the ``L_h`` it shares
+with ``script_r``.
 
 ``A``, ``A_x`` and ``B`` are well defined on both grid modes, so ``eps > 0``
 runs on either.  Only ``V1`` needs the primitive from minus infinity:
@@ -38,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L
-from .errors import ContractViolationError
 from .grid import Grid, _derivative, cumulative_integral, derivative
-from .kinematics import FlowState, Params
+from .kinematics import FlowState, Params, chi, cutoff_active, gradients
 
 __all__ = [
     "chi",
@@ -55,39 +56,13 @@ __all__ = [
 ]
 
 
-def chi(zeta, epsilon: float):
-    """Cut-off ``(zeta + 1/eps)^2 1_{zeta <= -1/eps}``; scalar or array.
-
-    C^1 across the activation point.  Requires ``epsilon > 0`` (callers bypass
-    with zero when the regularization is off).
-    """
-    if not epsilon > 0.0:
-        raise ContractViolationError("chi needs epsilon > 0; the eps = 0 system has no cut-off")
-    z = np.asarray(zeta, dtype=np.float64)
-    shifted = z + 1.0 / epsilon
-    out = np.where(z <= -1.0 / epsilon, shifted * shifted, 0.0)
-    if np.isscalar(zeta) or out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class RegFields:
-    """Stepper sources of the regularized system at one state, with the cut-off values."""
+    """Stepper sources of the regularized system at one state."""
 
     A: np.ndarray
     A_x: np.ndarray
     B: np.ndarray
-    chiP: np.ndarray
-    chiQ: np.ndarray
-
-
-def cutoff_active(P: np.ndarray, Q: np.ndarray, epsilon: float) -> bool:
-    """True when some gradient invariant reaches the cut-off threshold ``-1/eps``."""
-    if epsilon <= 0.0:
-        return False
-    thr = -1.0 / epsilon
-    return bool(P.min() <= thr or Q.min() <= thr)
 
 
 def compute_A(s: FlowState, chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -130,18 +105,17 @@ def compute_MN(s: FlowState, V1, V2, scriptR: np.ndarray) -> tuple[np.ndarray, n
     return base - V2, base + V2
 
 
-def compute_reg_fields(s: FlowState, ux: np.ndarray, P: np.ndarray, Q: np.ndarray, p: Params,
-                       g: Grid, sys: TridiagonalSystem) -> RegFields | None:
+def compute_reg_fields(s: FlowState, p: Params, g: Grid, sys: TridiagonalSystem) -> RegFields | None:
     """Stepper sources ``A, A_x, B`` at once, or ``None`` when the cut-off is inactive.
 
-    Returning ``None`` (rather than zero fields) lets the stepper skip the
-    extra elliptic solves and reproduce the unregularized right-hand side
-    bitwise.
+    ``sys`` is ``L_h`` of ``s.h``.  Returning ``None`` (rather than zero
+    fields) lets the stepper skip the extra elliptic solves and reproduce the
+    unregularized right-hand side bitwise.
     """
-    if not cutoff_active(P, Q, p.epsilon):
+    d = gradients(s, p, g)
+    if d.cutoff is None:
         return None
-    chiP = chi(P, p.epsilon)
-    chiQ = chi(Q, p.epsilon)
+    chiP, chiQ = d.cutoff
     a, a_x = compute_A(s, chiP, chiQ, p, g)
-    b = compute_B(s, ux, a_x, chiP, chiQ, p, g, sys)
-    return RegFields(A=a, A_x=a_x, B=b, chiP=chiP, chiQ=chiQ)
+    b = compute_B(s, d.ux, a_x, chiP, chiQ, p, g, sys)
+    return RegFields(A=a, A_x=a_x, B=b)

@@ -98,6 +98,10 @@ class ScenarioConfig:
             raise ConfigError("custom scenarios need a file")
         if self.mollifier_epsilon < 0:
             raise ConfigError("mollifier_epsilon must be >= 0")
+        for name in ("energy_rtol", "dispersion_rtol", "oleinik_C"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ConfigError(f"{name} must not be NaN")
         unknown = sorted(set(self.checks) - set(CHECKS))
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")

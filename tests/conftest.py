@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sgnlab import Grid, Params
+from sgnlab import Grid, Params, dynamics, elliptic, grid, kinematics, regularization
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -48,3 +48,17 @@ def bump_field(g, rng=None, width=3.0, amplitude=1.0, center=None):
 def convergence_orders(errors):
     e = np.asarray(errors, dtype=float)
     return list(np.log2(e[:-1] / e[1:]))
+
+
+def count_derivative_calls(monkeypatch) -> list:
+    """Count every call of the derivative kernel, through the public ``derivative`` or not."""
+    real = grid._derivative
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    for mod in (grid, dynamics, elliptic, kinematics, regularization):
+        monkeypatch.setattr(mod, "_derivative", counting)
+    return calls

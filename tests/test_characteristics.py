@@ -20,11 +20,12 @@ from sgnlab.regularization import (
     chi,
     compute_A,
     compute_MN,
-    compute_reg_fields,
     compute_V1,
     compute_V2,
     cutoff_active,
 )
+
+from conftest import count_derivative_calls
 
 
 def flat_history(gamma=3.0, t_end=1.0, n=256, mode="periodic"):
@@ -54,6 +55,7 @@ def active_line_history():
 
 def unshared_rhs_field(s, p, g, branch):
     """One branch's Riccati right-hand side at one state, built from scratch."""
+    s = FlowState(s.h, s.u, s.t)  # same arrays, empty memo
     d = gradients(s, p, g)
     P, Q = d.pq
     own, other = (P, Q) if branch == "minus" else (Q, P)
@@ -61,10 +63,11 @@ def unshared_rhs_field(s, p, g, branch):
     v1 = v2 = 0.0
     if cutoff_active(P, Q, p.epsilon):
         sys = assemble_L(s.h, g, p.hbar)
-        f = compute_reg_fields(s, d.ux, P, Q, p, g, sys)
-        out = out + (f.chiP if branch == "minus" else f.chiQ) / (8.0 * s.h) - f.A_x * own / (2.0 * s.h)
-        v1 = compute_V1(s, d.ux, f.A, f.A_x, f.chiP, f.chiQ, p, g, sys)
-        v2 = compute_V2(s, f.A, p)
+        chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
+        A, A_x = compute_A(s, chiP, chiQ, p, g)
+        out = out + (chiP if branch == "minus" else chiQ) / (8.0 * s.h) - A_x * own / (2.0 * s.h)
+        v1 = compute_V1(s, d.ux, A, A_x, chiP, chiQ, p, g, sys)
+        v2 = compute_V2(s, A, p)
     M, N = compute_MN(s, v1, v2, script_r(s, p, g))
     return out + (M if branch == "minus" else N)
 
@@ -206,7 +209,7 @@ class TestRiccatiResidual:
         d = gradients(s, p, g)
         P, Q = d.pq
         assert cutoff_active(P, Q, p.epsilon)
-        minus, plus = _riccati_rhs_fields(s, p, g, d.ux, P, Q)
+        minus, plus = _riccati_rhs_fields(s, p, g)
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
         A, A_x = compute_A(s, chiP, chiQ, p, g)
         expected = (2.0 * (Q**2 - P**2) / (8.0 * s.h) + (chiP - chiQ) / (8.0 * s.h)
@@ -245,9 +248,39 @@ class TestRiccatiResidual:
         assert res.undersampled
 
 
+def fresh_history(hist):
+    """``hist`` over new snapshot states: the same arrays, empty memos."""
+    return dataclasses.replace(hist, snapshots=[FlowState(s.h, s.u, s.t) for s in hist.snapshots])
+
+
 class TestSharedFields:
-    """Path-independent fields are built once per (history, params) and
+    """Path-independent fields are built once per (snapshot, params) and
     shared by every path; the results equal the unshared formulas bitwise."""
+
+    def test_post_processing_kernel_calls_per_snapshot(self, monkeypatch):
+        # per snapshot: u_x and h_x once (P, Q for tracing, read again by
+        # script_r), then script_r's two derivatives; nothing on a second pass
+        hist, p, g = gaussian_history(n=256)
+        calls = count_derivative_calls(monkeypatch)
+        for _ in range(2):
+            for x0 in np.linspace(-4.0, 4.0, 8):
+                for b in ("plus", "minus"):
+                    riccati_residual(hist, trace(hist, x0, b), p)
+            assert len(calls) == 4 * len(hist.snapshots)
+
+    def test_second_params_gets_own_fields(self, monkeypatch):
+        hist, p, g = gaussian_history(n=256, t_end=0.5)
+        path = trace(hist, 0.5, "minus")
+        first = riccati_residual(hist, path, p).values
+        calls = count_derivative_calls(monkeypatch)
+        changed = dataclasses.replace(p, gamma=5.0)
+        second = riccati_residual(hist, path, changed).values
+        assert len(calls) == 4 * len(hist.snapshots)
+        assert np.array_equal(riccati_residual(hist, path, p).values, first)
+        assert len(calls) == 4 * len(hist.snapshots)
+        assert not np.array_equal(first, second)
+        for s in hist.snapshots:
+            assert gradients(s, p, g) is not gradients(s, changed, g)
 
     def test_one_script_r_per_snapshot_bitwise(self, monkeypatch):
         hist, p, g = gaussian_history(n=256)
@@ -300,7 +333,7 @@ class TestSharedFields:
         second = riccati_residual(hist, path, changed).values
         assert not np.array_equal(first, second)
         for params, values in ((p, first), (changed, second)):
-            fresh = dataclasses.replace(hist, snapshots=list(hist.snapshots))
+            fresh = fresh_history(hist)
             assert np.array_equal(riccati_residual(fresh, path, params).values, values)
         assert np.array_equal(riccati_residual(hist, path, p).values, first)
 
@@ -315,7 +348,7 @@ class TestSharedFields:
                 hist.snapshots.append(FlowState(last.h, last.u, last.t + 0.05))
             path = trace(hist, 0.5, "minus")
             values = riccati_residual(hist, path, p).values
-            fresh = dataclasses.replace(hist, snapshots=list(hist.snapshots))
+            fresh = fresh_history(hist)
             fresh_path = trace(fresh, 0.5, "minus")
             assert path.t.shape == (len(hist.snapshots),)
             assert np.array_equal(path.x, fresh_path.x) and np.array_equal(path.P, fresh_path.P)

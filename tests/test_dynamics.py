@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sgnlab import FlowState, Grid, Params, dynamics, elliptic, grid, kinematics, regularization
 from sgnlab.dynamics import (
@@ -23,7 +23,7 @@ from sgnlab.grid import derivative, integrate
 from sgnlab.kinematics import pq_fields, total_energy
 from sgnlab.regularization import cutoff_active
 
-from conftest import convergence_orders
+from conftest import convergence_orders, count_derivative_calls
 
 
 def gaussian_state(g, a=0.05, w=1.0, hbar=1.0):
@@ -197,6 +197,12 @@ class TestBlowupCheck:
     def test_depth_pair(self):
         thr = BlowupThresholds(ux=10.0, hx=10.0)
         assert check_blowup(50.0, 1.0, 0.05, thr, depth_floor=0.1) == "depth-pair"
+
+    @pytest.mark.parametrize("field", ["ux", "hx", "depth"])
+    def test_nan_threshold_rejected(self, field):
+        # a NaN slope threshold would let a lone companion trigger the pair
+        with pytest.raises(ContractViolationError, match=field):
+            BlowupThresholds(**{field: float("nan")})
 
 
 class TestSimulate:
@@ -540,25 +546,11 @@ def _active_line_state():
     return s, p, g
 
 
-def _count_derivative_calls(monkeypatch) -> list:
-    """Count every call of the derivative kernel, through the public ``derivative`` or not."""
-    real = grid._derivative
-    calls = []
-
-    def counting(f, g):
-        calls.append(1)
-        return real(f, g)
-
-    for mod in (grid, dynamics, elliptic, kinematics, regularization):
-        monkeypatch.setattr(mod, "_derivative", counting)
-    return calls
-
-
 class TestOneHome:
     """Each per-state quantity is computed in one place, once per state."""
 
     def test_derivative_calls_per_rhs(self, monkeypatch):
-        calls = _count_derivative_calls(monkeypatch)
+        calls = count_derivative_calls(monkeypatch)
         for mode in ("periodic", "line"):
             g = Grid.from_length(128, 20.0, -10.0, mode)
             calls.clear()
@@ -602,7 +594,7 @@ class TestOneHome:
         assert np.all(np.isfinite(ev.dh_dt)) and np.all(np.isfinite(ev.du_dt))
 
     def test_derivative_calls_per_record(self, monkeypatch):
-        calls = _count_derivative_calls(monkeypatch)
+        calls = count_derivative_calls(monkeypatch)
         for mode, eps in (("periodic", 0.0), ("line", 0.0), ("line", 1.0)):
             g = Grid.from_length(256, 40.0, -20.0, mode)
             x = g.cells()
@@ -610,6 +602,51 @@ class TestOneHome:
             calls.clear()
             dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, Params(epsilon=eps), g)
             assert len(calls) == 2
+
+    def test_recorded_state_reuses_its_gradients(self, monkeypatch):
+        # the recorder fills the state's memo; the next step's first rhs reads
+        # it: 4 kernel calls instead of 6, plus A_x and B's 2 when active
+        calls = count_derivative_calls(monkeypatch)
+        cases = [(gaussian_state(g), Params(), g, 0)
+                 for g in (Grid.from_length(128, 20.0, -10.0, mode) for mode in ("periodic", "line"))]
+        for s, p, g, active in cases + [(*_active_line_state(), 2)]:
+            dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, p, g)
+            calls.clear()
+            recorded = rhs(s, p, g)
+            assert len(calls) == 4 + active
+            calls.clear()
+            fresh = rhs(FlowState(s.h, s.u, s.t), p, g)
+            assert len(calls) == 6 + active
+            assert np.array_equal(recorded.dh_dt, fresh.dh_dt) and np.array_equal(recorded.du_dt, fresh.du_dt)
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_derivative_calls_per_fixed_step_run(self, monkeypatch, params, mode):
+        # 2 for the initial record, then per step 4 rhs (the first on the
+        # recorded state) plus the new state's record: 4 + 3 * 6 + 2 = 24
+        calls = count_derivative_calls(monkeypatch)
+        g = Grid.from_length(128, 20.0, -10.0, mode)
+        hist = simulate(gaussian_state(g), params, g, StepControl(t_end=0.01, dt_fixed=1e-3))
+        assert hist.status == "completed" and hist.n_steps == 10
+        assert len(calls) == 2 + 24 * hist.n_steps
+
+    def test_one_bundle_per_params_and_grid(self, monkeypatch):
+        g = Grid.from_length(128, 20.0, -10.0, "line")
+        p = Params(epsilon=0.1)
+        s = gaussian_state(g)
+        d = kinematics.gradients(s, p, g)
+        calls = count_derivative_calls(monkeypatch)
+        assert kinematics.gradients(s, p, g) is d and not calls
+        other_p = Params(gamma=5.0, epsilon=0.1)
+        other_g = Grid.from_length(128, 40.0, -20.0, "line")
+        for q, h in ((other_p, g), (p, other_g)):
+            calls.clear()
+            e = kinematics.gradients(s, q, h)
+            assert e is not d and len(calls) == 2
+            assert kinematics.gradients(s, q, h) is e and len(calls) == 2
+        assert np.array_equal(kinematics.gradients(s, other_p, g).ux, d.ux)
+        assert not np.array_equal(kinematics.gradients(s, other_p, g).pq[0], d.pq[0])
+        assert np.allclose(kinematics.gradients(s, p, other_g).ux, 0.5 * d.ux, rtol=1e-14, atol=0.0)
+        assert kinematics.gradients(s, p, g) is d
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_series_agree_with_snapshots_bitwise(self, params, mode):
@@ -675,3 +712,42 @@ class TestStepProperties:
         out = rk4_step(s, dt, p, g)
         assert np.array_equal(out.h, s.h) and np.array_equal(out.u, s.u)
         assert out.t == dt
+
+
+def _final_states_by_mode(eps, amp, width, centre, velocity):
+    """Final states of one localized run on a periodic and on a line grid of the
+    same cells, and the number of records on which the cut-off was active."""
+    p = Params(epsilon=eps)
+    out, active = {}, {}
+    for mode in ("periodic", "line"):
+        g = Grid.from_length(256, 60.0, -30.0, mode)
+        bump = np.exp(-(((g.cells() - centre) / width) ** 2))
+        hist = simulate(FlowState(1.0 + amp * bump, velocity * bump), p, g, StepControl(t_end=0.2, dt_fixed=2e-3))
+        assert hist.status == "completed" and hist.n_steps == 100
+        out[mode] = hist.snapshots[-1]
+        active[mode] = int(np.sum(hist.series["diss_rate"] < 0.0))
+    assert active["periodic"] == active["line"]
+    return out["periodic"], out["line"], active["line"]
+
+
+def _assert_modes_agree(per: FlowState, line: FlowState):
+    for a, b in ((per.h, line.h), (per.u, line.u)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+class TestGridModeAgreement:
+    """Data that stay far from the ends evolve alike on both grid modes: the line
+    mode's one-sided closures, ghost rows and pinned far field against the
+    periodic mode's wrap padding and Sherman-Morrison correction."""
+
+    @settings(max_examples=10)
+    @given(eps=st.sampled_from([0.0, 0.5, 1.0, 2.0]), amp=st.floats(-0.1, 0.1), width=st.floats(0.8, 2.0),
+           centre=st.floats(-3.0, 3.0), velocity=st.floats(-2.0, 2.0))
+    def test_localized_run_agrees(self, eps, amp, width, centre, velocity):
+        per, line, _ = _final_states_by_mode(eps, amp, width, centre, velocity)
+        _assert_modes_agree(per, line)
+
+    def test_active_cutoff_run_agrees(self):
+        per, line, active = _final_states_by_mode(2.0, 0.1, 1.0, 0.5, -2.0)
+        assert active == 101  # every record, the initial one included
+        _assert_modes_agree(per, line)

@@ -41,6 +41,11 @@ class TestParams:
         with pytest.raises(ContractViolationError):
             Params(epsilon=epsilon)
 
+    @pytest.mark.parametrize("field", ["g", "gamma", "hbar"])
+    def test_infinite_constant_rejected(self, field):
+        with pytest.raises(ContractViolationError, match="finite"):
+            Params(**{field: float("inf")})
+
     def test_threshold(self):
         p = Params(g=9.81, gamma=9.81, hbar=1.0)
         assert p.e_max == pytest.approx(9.81)

@@ -274,7 +274,8 @@ class TestOrchestration:
         s = FlowState(h, np.zeros(g.n))
         P, Q = pq_fields(s, p, g)
         assert not cutoff_active(P, Q, p.epsilon)
-        assert compute_reg_fields(s, gradients(s, p, g).ux, P, Q, p, g, assemble_L(h, g, p.hbar)) is None
+        assert gradients(s, p, g).cutoff is None
+        assert compute_reg_fields(s, p, g, assemble_L(h, g, p.hbar)) is None
 
     def test_epsilon_zero_never_active(self, rng):
         P = rng.uniform(-1e6, 0, 64)
@@ -284,22 +285,23 @@ class TestOrchestration:
         g, p = make_line_setup(n=1024, eps=0.2)
         x = g.cells()
         h = 1.0 + 0.2 * np.exp(-(x**2))
-        u = 2.0 * np.tanh(x) * np.exp(-(x**2) / 9)
+        u = -6.0 * np.tanh(x) * np.exp(-(x**2) / 9)  # u_x(0) = -6: P and Q reach -1/eps
         s = FlowState(h, u)
-        P, Q = pq_fields(s, p, g)
-        P = P - 10.0 * np.exp(-(x**2))  # force activation
-        ux = gradients(s, p, g).ux
+        d = gradients(s, p, g)
         sys = assemble_L(h, g, p.hbar)
-        fields = compute_reg_fields(s, ux, P, Q, p, g, sys)
-        assert fields is not None
-        for name in ("A", "A_x", "B", "chiP", "chiQ"):
+        fields = compute_reg_fields(s, p, g, sys)
+        assert fields is not None and d.cutoff is not None
+        for name in ("A", "A_x", "B"):
             assert np.all(np.isfinite(getattr(fields, name)))
         # V1, V2 belong to the Riccati equations, not to the stepper sources
-        v1 = compute_V1(s, ux, fields.A, fields.A_x, fields.chiP, fields.chiQ, p, g, sys)
+        chiP, chiQ = d.cutoff
+        v1 = compute_V1(s, d.ux, fields.A, fields.A_x, chiP, chiQ, p, g, sys)
         for v in (v1, compute_V2(s, fields.A, p)):
             assert np.all(np.isfinite(v))
-        assert np.all(fields.chiP >= 0) and np.all(fields.chiQ >= 0)
-        assert np.all(fields.chiP <= P**2) and np.all(fields.chiQ <= Q**2)
+        P, Q = d.pq
+        assert np.all(chiP >= 0) and np.all(chiQ >= 0)
+        assert np.all(chiP <= P**2) and np.all(chiQ <= Q**2)
+        assert np.max(chiP) > 0.0 and np.max(chiQ) > 0.0
 
     def test_periodic_activation_matches_line(self):
         # the stepper sources need no primitive: an active cut-off works on a
@@ -307,17 +309,17 @@ class TestOrchestration:
         g = Grid.from_length(128, 10.0, 0.0, "periodic")
         p = Params(epsilon=0.5)
         s = FlowState(np.ones(g.n), np.zeros(g.n))
-        inactive = np.full(g.n, -1.0)
-        assert compute_reg_fields(s, np.zeros(g.n), inactive, inactive, p, g, assemble_L(s.h, g)) is None
+        assert compute_reg_fields(s, p, g, assemble_L(s.h, g)) is None
         p = Params(epsilon=1.0)
         fields = {}
         for mode in ("periodic", "line"):
             g = Grid.from_length(256, 40.0, -20.0, mode)
             x = g.cells()
             s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
-            d = gradients(s, p, g)
-            fields[mode] = compute_reg_fields(s, d.ux, *d.pq, p, g, assemble_L(s.h, g, p.hbar))
-        for name in ("A", "A_x", "B", "chiP", "chiQ"):
-            per, line = getattr(fields["periodic"], name), getattr(fields["line"], name)
+            f = compute_reg_fields(s, p, g, assemble_L(s.h, g, p.hbar))
+            chiP, chiQ = gradients(s, p, g).cutoff
+            fields[mode] = {"A": f.A, "A_x": f.A_x, "B": f.B, "chiP": chiP, "chiQ": chiQ}
+        for name in fields["line"]:
+            per, line = fields["periodic"][name], fields["line"][name]
             assert np.max(np.abs(line)) > 0.0
             assert np.max(np.abs(per - line)) <= 1e-8 * np.max(np.abs(line))

@@ -149,6 +149,14 @@ class TestBuildInitial:
         assert np.allclose(s.h, h)
 
 
+class TestScenarioConfig:
+    @pytest.mark.parametrize("field", ["energy_rtol", "dispersion_rtol", "oleinik_C"])
+    def test_nan_tolerance_rejected(self, field):
+        # a NaN oleinik_C would count no violations and pass silently
+        with pytest.raises(ConfigError, match=field):
+            default_cfg(**{field: float("nan")})
+
+
 class TestRunScenario:
     def test_flat_run_passes(self):
         art = run_scenario(default_cfg(kind="flat", amplitude=0.0, checks=("energy",)))
@@ -313,6 +321,19 @@ class TestCli:
         out_dir = tmp_path / "o"
         assert main(["run", "--config", path, "--override", "step.t_end=nan", "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: t_end")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["checks.energy_rtol=nan"], "error: energy_rtol"),
+        (["checks.blowup=true", "checks.ux_threshold=nan", "checks.hx_threshold=0.01"],
+         "error: blow-up threshold ux"),
+    ])
+    def test_nan_check_setting_exit_two(self, tmp_path, capsys, overrides, message):
+        path = self.write_cfg(tmp_path, BASE_CFG)
+        out_dir = tmp_path / "o"
+        args = [a for o in overrides for a in ("--override", o)]
+        assert main(["run", "--config", path, *args, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not out_dir.exists()
 
     def test_failed_check_exit_one(self, tmp_path, capsys):
