@@ -155,8 +155,7 @@ def _read(text: str, overrides: list[str] | None) -> configparser.ConfigParser:
         if "=" not in entry or "." not in entry.split("=", 1)[0]:
             raise ConfigError(f"override {entry!r} must look like section.key=value")
         target, value = entry.split("=", 1)
-        section, key = target.split(".", 1)
-        section, key = section.strip(), key.strip()
+        section, key = (part.strip() for part in target.split(".", 1))
         if not cp.has_section(section):
             cp.add_section(section)
         cp[section][key] = value.strip()
@@ -192,9 +191,7 @@ def parse_config_text(text: str, overrides: list[str] | None = None) -> Scenario
     # a switch left out keeps its state in ScenarioConfig's default checks
     switches = given["checks"]
     checks = tuple(name for name in CHECKS if switches.get(name, name in ScenarioConfig.checks))
-    blowup = None
-    if "blowup" in checks or given["blowup"]:
-        blowup = BlowupThresholds(**given["blowup"])
+    blowup = BlowupThresholds(**given["blowup"]) if "blowup" in checks or given["blowup"] else None
     box = None
     if given["box"]:
         if len(given["box"]) != len(Box._fields):

@@ -196,11 +196,7 @@ def bounds_check(history: SimHistory, p: Params) -> BoundsReport:
         "h_upper": Check(max_h <= bounds.h_max + tol_h, max_h, bounds.h_max + tol_h),
         "u_bound": Check(max_u <= bounds.u_max + tol_u, max_u, bounds.u_max + tol_u),
     }
-    margins = {
-        "h_lower": min_h - bounds.h_min,
-        "h_upper": bounds.h_max - max_h,
-        "u_bound": bounds.u_max - max_u,
-    }
+    margins = {"h_lower": min_h - bounds.h_min, "h_upper": bounds.h_max - max_h, "u_bound": bounds.u_max - max_u}
     return BoundsReport(status="checked", e0=e0, e_max=p.e_max,
                         h_min=bounds.h_min, h_max=bounds.h_max, u_max=bounds.u_max,
                         margins=margins, verdicts=verdicts)

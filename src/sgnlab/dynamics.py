@@ -145,7 +145,7 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     d = gradients(s, p, g)
     sys = _assemble_L(s.h, g, p.hbar)
     dh = -_derivative(s.h * s.u, g)
-    nonlocal_term = solve_L_refined(sys, s.h, derivative(curly_c(s, p, d) + f_of_h(s, p), g), g)
+    nonlocal_term = solve_L_refined(sys, d, derivative(curly_c(s, p, d) + f_of_h(s, p), g), g)
     du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - nonlocal_term
     if p.epsilon > 0.0:
         fields = reg.compute_reg_fields(s, p, g, sys)
@@ -213,10 +213,8 @@ def _pin_far_field(s: FlowState, p: Params, g: Grid) -> FlowState:
         return s
     k = FARFIELD_CLAMP_CELLS
     h, u = s.h.copy(), s.u.copy()
-    h[:k] = p.hbar
-    h[-k:] = p.hbar
-    u[:k] = 0.0
-    u[-k:] = 0.0
+    h[:k] = h[-k:] = p.hbar
+    u[:k] = u[-k:] = 0.0
     return FlowState(h, u, s.t)
 
 
@@ -299,7 +297,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     max_ux, max_hx, min_h = _record(series, s, p, g)
     hist.e0 = series["energy"][0]
     snapshot(s)
-    next_out = None if c.output_dt is None else c.output_dt
+    next_out = c.output_dt
     steps_since_out = 0
     reason = None
     while s.t < c.t_end - 1e-12 * max(1.0, c.t_end):

@@ -30,7 +30,9 @@ correction for the wrap face.  The Helmholtz system is built and factored
 once per (parameters, grid).  Every solve verifies its own residual and
 refuses to return garbage.  Public functions check their inputs; the stepper
 assembles with the unchecked ``_assemble_L``, and :func:`solve_L_refined`
-scans its defect, so a non-finite field is a ``NonFiniteError``.
+scans its defect, so a non-finite field is a ``NonFiniteError``.  The faces
+and each residual's apply (``_apply_L``, shared by :func:`apply_L`) are
+computed in place in arrays the kernel allocates, repeating the same operations.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
 from .grid import Grid, _derivative, _finite, as_field, cumulative_integral, derivative
-from .kinematics import FlowState, Params, curly_c, f_of_h, gradients
+from .kinematics import FlowState, Gradients, Params, curly_c, f_of_h, gradients
 
 __all__ = [
     "TridiagonalSystem",
@@ -95,11 +97,6 @@ class TridiagonalSystem:
         return d, e, z, r, 1.0 + (z[0] + r * z[-1])
 
 
-def _padded(v: np.ndarray, left: float, right: float) -> np.ndarray:
-    """``v`` with one pad value on each side."""
-    return np.concatenate(([left], v, [right]))
-
-
 def assemble_L(h: np.ndarray, g: Grid, hbar: float | None = None) -> TridiagonalSystem:
     """Assemble the flux-form ``L_h``; requires ``h > 0``, and ``hbar`` for line-mode ghosts."""
     h = as_field(h, g)
@@ -112,8 +109,13 @@ def assemble_L(h: np.ndarray, g: Grid, hbar: float | None = None) -> Tridiagonal
 
 def _assemble_L(h: np.ndarray, g: Grid, hbar: float | None) -> TridiagonalSystem:
     """:func:`assemble_L` without its checks: ``h`` is a finite positive field on ``g``."""
-    hp = _padded(h, h[-1], h[0]) if g.periodic else _padded(h, hbar, hbar)
-    faces = (0.5 * (hp[:-1] + hp[1:])) ** 3 * (1.0 / (3.0 * g.dx**2))
+    left, right = (h[-1], h[0]) if g.periodic else (hbar, hbar)
+    faces = np.empty(g.n + 1)
+    np.add(h[:-1], h[1:], out=faces[1:-1])
+    faces[0], faces[-1] = left + h[0], h[-1] + right
+    faces *= 0.5
+    faces **= 3
+    faces *= 1.0 / (3.0 * g.dx**2)
     return TridiagonalSystem(faces, h, g.periodic)
 
 
@@ -126,8 +128,20 @@ def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (sys.n,):
         raise ContractViolationError(f"vector has shape {u.shape}, expected ({sys.n},)")
-    up = _padded(u, u[-1], u[0]) if sys.periodic else _padded(u, 0.0, 0.0)
-    return sys.order0 * u + sys.faces[1:] * (u - up[2:]) + sys.faces[:-1] * (u - up[:-2])
+    return _apply_L(sys, u)
+
+
+def _apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
+    """:func:`apply_L` without its checks: ``u`` is a float64 vector of length ``sys.n``."""
+    left, right = (u[-1], u[0]) if sys.periodic else (0.0, 0.0)
+    out, diff = sys.order0 * u, np.empty_like(u)
+    np.subtract(u[:-1], u[1:], out=diff[:-1])
+    diff[-1] = u[-1] - right
+    out += np.multiply(diff, sys.faces[1:], out=diff)
+    np.subtract(u[1:], u[:-1], out=diff[1:])
+    diff[0] = u[0] - left
+    out += np.multiply(diff, sys.faces[:-1], out=diff)
+    return out
 
 
 def _checked(lapack_result: tuple) -> list[np.ndarray]:
@@ -149,9 +163,11 @@ def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, floa
     d, e, z, r, denom = sys._factor
     (u,) = _checked(dpttrs(d, e, adjusted))
     if z is not None:
-        u = u - z * ((u[0] + r * u[-1]) / denom)
-    scale = max(float(np.max(np.abs(adjusted))), 1e-300)
-    residual = float(np.max(np.abs(apply_L(sys, u) - adjusted))) / scale
+        u -= z * ((u[0] + r * u[-1]) / denom)
+    scale = max(float(np.abs(adjusted).max()), 1e-300)
+    defect = _apply_L(sys, u)
+    defect -= adjusted
+    residual = float(np.abs(defect, out=defect).max()) / scale
     if not residual <= RESIDUAL_LIMIT:  # NaN fails too
         raise SolverFailureError(f"solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.1e}")
     return u
@@ -187,16 +203,16 @@ def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid) -> np.ndarray:
     return _solve(_helmholtz_system(p, g), rhs, (rhs[0] / p.g, rhs[-1] / p.g))
 
 
-def apply_L_compatible(h: np.ndarray, u: np.ndarray, g: Grid) -> np.ndarray:
-    """Apply ``h u - (1/3) D(h^3 D u)`` with the 4th-order derivative D.
+def apply_L_compatible(d: Gradients, u: np.ndarray, g: Grid) -> np.ndarray:
+    """Apply ``h u - (1/3) D(h^3 D u)`` with the 4th-order derivative D; ``h``, ``h^3`` from the bundle ``d``.
 
     Symmetric positive-definite (by discrete integration by parts) but not an
     M-matrix; used only as the correction target below, never as a solver.
     """
-    return h * u - (1.0 / 3.0) * _derivative(h**3 * _derivative(u, g), g)
+    return d.h * u - (1.0 / 3.0) * _derivative(d.h3 * _derivative(u, g), g)
 
 
-def solve_L_refined(sys: TridiagonalSystem, h: np.ndarray, rhs: np.ndarray, g: Grid) -> np.ndarray:
+def solve_L_refined(sys: TridiagonalSystem, d: Gradients, rhs: np.ndarray, g: Grid) -> np.ndarray:
     """Solve ``L_h u = rhs`` with one defect-correction sweep against the
     derivative-compatible operator.
 
@@ -207,10 +223,11 @@ def solve_L_refined(sys: TridiagonalSystem, h: np.ndarray, rhs: np.ndarray, g: G
     form.  It brings criterion 1's energy drift (+5.4e-6 without it) under
     the 1e-6 tolerance, at Bond number 3 too, where ``g hbar - 3 gamma/hbar``
     vanishes; more sweeps do not close the eps = 0.05 energy budget of
-    ``configs/steep_sweep.cfg`` (README, numerical notes).
+    ``configs/steep_sweep.cfg`` (README, numerical notes).  ``d`` is the
+    gradient bundle of the state whose depth ``sys`` was assembled from.
     """
     u = solve_L(sys, rhs)
-    defect = _finite(rhs - apply_L_compatible(h, u, g))
+    defect = _finite(rhs - apply_L_compatible(d, u, g))
     return u + solve_L(sys, defect)
 
 
@@ -222,10 +239,11 @@ def script_r(s: FlowState, p: Params, g: Grid, *, _sys: TridiagonalSystem | None
     that has already assembled ``L_h`` of ``s.h`` (with ``p.hbar``) passes it
     so the operator is assembled and factored once.
     """
-    c = curly_c(s, p, gradients(s, p, g))
+    d = gradients(s, p, g)
+    c = curly_c(s, p, d)
     sys = assemble_L(s.h, g, p.hbar) if _sys is None else _sys
     w = solve_L(sys, derivative(c + f_of_h(s, p), g))
-    return c + (1.0 / 3.0) * s.h**3 * derivative(w, g)
+    return c + (1.0 / 3.0) * d.h3 * derivative(w, g)
 
 
 def psi_identity_residual(h: np.ndarray, psi: np.ndarray, g: Grid, hbar: float) -> float:

@@ -17,7 +17,8 @@ accurate for smooth periodic fields).  The running primitive
 line mode: on a circle the primitive of a field with nonzero mean is not
 single-valued, and we refuse rather than guess.  Public functions check their
 input (:func:`as_field`); the stepper differentiates fields derived from a
-checked state with the unchecked kernel ``_derivative``.
+checked state with the unchecked kernel ``_derivative``, which computes in
+place into the one array it returns, repeating the stencils' operations in order.
 """
 
 from __future__ import annotations
@@ -112,19 +113,21 @@ def _derivative(f: np.ndarray, g: Grid) -> np.ndarray:
     # stencils written as combinations of differences so constants are
     # annihilated exactly (flat states must be exact fixed points downstream)
     fp = np.concatenate((f[-2:], f, f[:2])) if g.periodic else f
-    interior = (8.0 * (fp[3:-1] - fp[1:-3]) - (fp[4:] - fp[:-4])) * inv12dx
-    if g.periodic:
-        return interior
     out = np.empty_like(f)
-    out[2:-2] = interior
-    out[0] = (48.0 * (f[1] - f[0]) - 36.0 * (f[2] - f[0])
-              + 16.0 * (f[3] - f[0]) - 3.0 * (f[4] - f[0])) * inv12dx
-    out[1] = (-3.0 * (f[0] - f[1]) + 18.0 * (f[2] - f[1])
-              - 6.0 * (f[3] - f[1]) + (f[4] - f[1])) * inv12dx
-    out[-2] = (3.0 * (f[-1] - f[-2]) - 18.0 * (f[-3] - f[-2])
-               + 6.0 * (f[-4] - f[-2]) - (f[-5] - f[-2])) * inv12dx
-    out[-1] = (-48.0 * (f[-2] - f[-1]) + 36.0 * (f[-3] - f[-1])
-               - 16.0 * (f[-4] - f[-1]) + 3.0 * (f[-5] - f[-1])) * inv12dx
+    interior = out if g.periodic else out[2:-2]
+    np.subtract(fp[3:-1], fp[1:-3], out=interior)
+    interior *= 8.0
+    interior -= fp[4:] - fp[:-4]
+    interior *= inv12dx
+    if g.periodic:
+        return out
+    # closure rows in Python floats: the same IEEE operations, in the same order
+    f0, f1, f2, f3, f4 = f[:5].tolist()
+    out[0] = (48.0 * (f1 - f0) - 36.0 * (f2 - f0) + 16.0 * (f3 - f0) - 3.0 * (f4 - f0)) * inv12dx
+    out[1] = (-3.0 * (f0 - f1) + 18.0 * (f2 - f1) - 6.0 * (f3 - f1) + (f4 - f1)) * inv12dx
+    e1, e2, e3, e4, e5 = f[-1:-6:-1].tolist()  # f[-1], ..., f[-5]
+    out[-2] = (3.0 * (e1 - e2) - 18.0 * (e3 - e2) + 6.0 * (e4 - e2) - (e5 - e2)) * inv12dx
+    out[-1] = (-48.0 * (e2 - e1) + 36.0 * (e3 - e1) - 16.0 * (e4 - e1) + 3.0 * (e5 - e1)) * inv12dx
     return out
 
 
@@ -163,9 +166,9 @@ def check_far_field(h: np.ndarray, u: np.ndarray, g: Grid, hbar: float,
     if g.periodic:
         return
     tol = rtol * hbar
-    edges = np.r_[0:ncells, g.n - ncells : g.n]
-    dh = np.max(np.abs(h[edges] - hbar))
-    du = np.max(np.abs(u[edges]))
+    left, right = slice(0, ncells), slice(g.n - ncells, g.n)
+    dh = np.maximum(np.abs(h[left] - hbar).max(), np.abs(h[right] - hbar).max())
+    du = np.maximum(np.abs(u[left]).max(), np.abs(u[right]).max())
     if dh > tol or du > tol:
         raise BoundaryContaminationError(
             f"far field contaminated: max|h-hbar|={dh:.3e}, max|u|={du:.3e} "

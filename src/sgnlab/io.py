@@ -34,10 +34,16 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _csv_rows(columns: list[np.ndarray]) -> str:
+    """``np.savetxt(fmt="%.17g", delimiter=",")``'s bytes for ``columns``, formatted with one ``%``."""
+    rows = np.column_stack(columns)
+    return (",".join(["%.17g"] * rows.shape[1]) + "\n") * rows.shape[0] % tuple(rows.ravel().tolist())
+
+
 def write_series_csv(hist: SimHistory, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SERIES_CSV_COLUMNS) + "\n")
-        np.savetxt(fh, np.column_stack([hist.series[c] for c in SERIES_CSV_COLUMNS]), fmt="%.17g", delimiter=",")
+        fh.write(_csv_rows([hist.series[c] for c in SERIES_CSV_COLUMNS]))
 
 
 def write_snapshot_csv(hist: SimHistory, index: int, path: str) -> None:
@@ -47,7 +53,7 @@ def write_snapshot_csv(hist: SimHistory, index: int, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# t = {_fmt(s.t)}\n")
         fh.write("x,h,u,P,Q\n")
-        np.savetxt(fh, np.column_stack([x, s.h, s.u, P, Q]), fmt="%.17g", delimiter=",")
+        fh.write(_csv_rows([x, s.h, s.u, P, Q]))
 
 
 def _json_record(obj) -> dict:

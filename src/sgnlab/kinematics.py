@@ -171,13 +171,18 @@ def cutoff_active(P: np.ndarray, Q: np.ndarray, epsilon: float) -> bool:
 
 @dataclass(frozen=True)
 class Gradients:
-    """Gridded gradients of one state: ``ux``, ``hx`` and, on first use, ``pq`` and ``cutoff``."""
+    """Gridded gradients of one state: ``ux``, ``hx`` and, on first use, ``h3``, ``pq`` and ``cutoff``."""
 
     h: np.ndarray
     ux: np.ndarray
     hx: np.ndarray
     sqrt_3gamma: float
     epsilon: float
+
+    @cached_property
+    def h3(self) -> np.ndarray:
+        """``h**3``, the one cube of the state's depth."""
+        return self.h**3
 
     @cached_property
     def pq(self) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +239,7 @@ def pq_to_gradients(P: np.ndarray, Q: np.ndarray, h: np.ndarray, p: Params) -> t
 
 def curly_c(s: FlowState, p: Params, d: Gradients) -> np.ndarray:
     """Quadratic source ``(2/3) h^3 u_x^2 - (3/2) gamma h_x^2``."""
-    return (2.0 / 3.0) * s.h**3 * d.ux**2 - 1.5 * p.gamma * d.hx**2
+    return (2.0 / 3.0) * d.h3 * d.ux**2 - 1.5 * p.gamma * d.hx**2
 
 
 def f_of_h(s: FlowState, p: Params) -> np.ndarray:
@@ -247,7 +252,7 @@ def energy_density(s: FlowState, p: Params, d: Gradients) -> np.ndarray:
     return (
         0.5 * s.h * s.u**2
         + 0.5 * p.g * (s.h - p.hbar) ** 2
-        + (1.0 / 6.0) * s.h**3 * d.ux**2
+        + (1.0 / 6.0) * d.h3 * d.ux**2
         + 0.5 * p.gamma * d.hx**2
     )
 

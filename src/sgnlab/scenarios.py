@@ -98,10 +98,11 @@ class ScenarioConfig:
             raise ConfigError("custom scenarios need a file")
         if self.mollifier_epsilon < 0:
             raise ConfigError("mollifier_epsilon must be >= 0")
-        for name in ("energy_rtol", "dispersion_rtol", "oleinik_C"):
-            value = getattr(self, name)
-            if value is not None and math.isnan(value):
-                raise ConfigError(f"{name} must not be NaN")
+        for name in ("energy_rtol", "dispersion_rtol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.oleinik_C is not None and not 0.0 <= self.oleinik_C < math.inf:
+            raise ConfigError(f"oleinik_C must be finite and >= 0, got {self.oleinik_C}")
         unknown = sorted(set(self.checks) - set(CHECKS))
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
@@ -215,28 +216,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
     hist = simulate(s0, p, g, cfg.step, blowup=thresholds)
     art = RunArtifact(config=cfg, history=hist)
     if "energy" in cfg.checks:
-        rep = energy_budget(hist, p, conserve_rtol=cfg.energy_rtol)
-        art.reports["energy"] = rep
+        art.reports["energy"] = rep = energy_budget(hist, p, conserve_rtol=cfg.energy_rtol)
         art.verdicts["energy"] = rep.passed
     if "bounds" in cfg.checks:
-        rep = bounds_check(hist, p)
-        art.reports["bounds"] = rep
+        art.reports["bounds"] = rep = bounds_check(hist, p)
         art.verdicts["bounds"] = "skipped" if rep.status == "skipped" else rep.passed
     if "oleinik" in cfg.checks:
-        rep = oleinik_report(hist, p, user_c=cfg.oleinik_C)
-        art.reports["oleinik"] = rep
+        art.reports["oleinik"] = rep = oleinik_report(hist, p, user_c=cfg.oleinik_C)
         art.verdicts["oleinik"] = math.isfinite(rep.fitted_C) and rep.violations == 0
     if "dispersion" in cfg.checks:
-        rep = dispersion_report(hist, cfg.wavenumbers, rtol=cfg.dispersion_rtol)
-        art.reports["dispersion"] = rep
+        art.reports["dispersion"] = rep = dispersion_report(hist, cfg.wavenumbers, rtol=cfg.dispersion_rtol)
         art.verdicts["dispersion"] = rep.passed
     if thresholds is not None:
-        rep = blowup_report(hist)
-        art.reports["blowup"] = rep
-        if cfg.expect_blowup:
-            art.verdicts["blowup"] = hist.trigger is not None
-        else:
-            art.verdicts["blowup"] = hist.trigger is None
+        art.reports["blowup"] = blowup_report(hist)
+        # an expected blow-up passes when it triggers, any other run when it does not
+        art.verdicts["blowup"] = (hist.trigger is not None) == cfg.expect_blowup
     if not cfg.expect_blowup and hist.status == "aborted":
         art.verdicts["completed"] = False
     art.wall_time = _time.perf_counter() - t0
@@ -246,11 +240,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
 def _snapshot_at(hist: SimHistory, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Fields at time t, linearly interpolated between snapshots."""
     times = np.array([s.t for s in hist.snapshots])
-    if t <= times[0]:
-        s = hist.snapshots[0]
-        return s.h, s.u
-    if t >= times[-1]:
-        s = hist.snapshots[-1]
+    if t <= times[0] or t >= times[-1]:
+        s = hist.snapshots[0 if t <= times[0] else -1]
         return s.h, s.u
     k = int(np.searchsorted(times, t) - 1)
     th = (t - times[k]) / (times[k + 1] - times[k])
@@ -313,9 +304,7 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
     table = []
     for (ea, arta), (eb, artb) in zip(zip(epsilons, artifacts), zip(epsilons[1:], artifacts[1:])):
         row: dict = {"eps_coarse": ea, "eps_fine": eb}
-        ok_a = arta.history.status == "completed"
-        ok_b = artb.history.status == "completed"
-        if ok_a and ok_b:
+        if arta.history.status == artb.history.status == "completed":
             dh, du = l2_box_difference(arta.history, artb.history, box)
             row.update(dh_l2=dh, du_l2=du, comparable=True)
         else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgnlab import Grid, Params, dynamics, elliptic, grid, kinematics, regularization
 
@@ -62,3 +63,18 @@ def count_derivative_calls(monkeypatch) -> list:
     for mod in (grid, dynamics, elliptic, kinematics, regularization):
         monkeypatch.setattr(mod, "_derivative", counting)
     return calls
+
+
+def kernel_fields(n: int, positive: bool = False):
+    """Random fields of length ``n`` whose values mix magnitudes from 1e-6 to 1e6
+    with subnormals and (unless ``positive``) both signs and signed zeros."""
+    values = st.floats(1e-6, 1e6) | st.sampled_from((5e-324, 1e-310, 2.2250738585072009e-308))
+    if not positive:
+        values = values | values.map(lambda v: -v) | st.sampled_from((0.0, -0.0))
+    return hnp.arrays(np.float64, n, elements=values)
+
+
+def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal bit for bit: signed zeros must agree too."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()

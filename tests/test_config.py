@@ -51,7 +51,7 @@ def scenario_configs(draw):
         checks=tuple(name for name in CHECKS if name in switches),  # the order parsing yields
         energy_rtol=draw(_POSITIVE),
         dispersion_rtol=draw(_POSITIVE),
-        oleinik_C=draw(st.none() | _REAL),
+        oleinik_C=draw(st.none() | st.floats(0.0, allow_infinity=False)),
         # parsing builds thresholds whenever the blow-up check is on
         blowup=draw(thresholds if "blowup" in switches else st.none() | thresholds),
         box=draw(st.none() | st.builds(Box, _REAL, _REAL, _REAL, _REAL)),

@@ -662,6 +662,36 @@ class TestOneHome:
             assert hist.series["sup_Q"][k] == float(Q.max())
 
 
+class _ReadOnlyState(FlowState):
+    """A state whose arrays refuse every write."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.h.flags.writeable = False
+        self.u.flags.writeable = False
+
+
+class TestNoWritesIntoStates:
+    """The kernels write in place only into arrays they allocate: with every
+    stepper state read-only, nothing raises."""
+
+    @pytest.mark.parametrize("case", ["periodic", "line", "line-cutoff"])
+    def test_read_only_states(self, monkeypatch, case):
+        if case == "line-cutoff":
+            s, p, g = _active_line_state()
+        else:
+            g = Grid.from_length(128, 20.0, -10.0, case)
+            s, p = gaussian_state(g), Params(epsilon=0.1)
+        monkeypatch.setattr(dynamics, "FlowState", _ReadOnlyState)
+        s = _ReadOnlyState(s.h.copy(), s.u.copy())
+        assert (kinematics.gradients(s, p, g).cutoff is not None) == (case == "line-cutoff")
+        rhs(s, p, g)
+        rk4_step(s, 1e-3, p, g)
+        hist = simulate(s, p, g, StepControl(t_end=5e-3, dt_fixed=1e-3, output_every=2))
+        assert hist.status == "completed" and hist.n_steps == 5
+        assert all(not snap.h.flags.writeable and not snap.u.flags.writeable for snap in hist.snapshots)
+
+
 _MODES = st.sampled_from(["periodic", "line"])
 _PARAMS = st.builds(Params, g=st.floats(1.0, 20.0), gamma=st.floats(0.5, 20.0),
                     hbar=st.floats(0.5, 2.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import sgnlab.elliptic as elliptic
 from sgnlab import FlowState, Grid, Params
@@ -16,8 +17,9 @@ from sgnlab.elliptic import (
 )
 from sgnlab.errors import ContractViolationError, ModeError, NonFiniteError, PositivityError, SolverFailureError
 from sgnlab.grid import cumulative_integral, derivative
+from sgnlab.kinematics import gradients
 
-from conftest import convergence_orders
+from conftest import assert_bitwise, convergence_orders, kernel_fields
 
 
 def random_depth(g, rng, lo=0.5, hi=2.0):
@@ -31,6 +33,11 @@ def random_depth(g, rng, lo=0.5, hi=2.0):
     raw /= max(np.max(np.abs(raw)), 1e-12)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + 0.9 * half * raw
+
+
+def depth_bundle(h, g):
+    """The gradient bundle of depth ``h`` at rest: what the refined solve reads ``h`` and ``h^3`` from."""
+    return gradients(FlowState(h, np.zeros(g.n)), Params(), g)
 
 
 def dense_matrix(sys):
@@ -340,7 +347,7 @@ class TestRefinedSolve:
         k = 0.5
         rhs = (1 + k**2 / 3) * np.sin(k * x)
         plain = solve_L(sys, rhs)
-        refined = solve_L_refined(sys, h, rhs, g)
+        refined = solve_L_refined(sys, depth_bundle(h, g), rhs, g)
         assert np.max(np.abs(refined - np.sin(k * x))) <= np.max(np.abs(plain - np.sin(k * x)))
 
     def test_nonfinite_defect_is_nonfinite_error(self, monkeypatch):
@@ -350,24 +357,91 @@ class TestRefinedSolve:
         h = np.ones(g.n)
         real = apply_L_compatible
 
-        def overflowing(h, u, g):
-            out = real(h, u, g)
+        def overflowing(d, u, g):
+            out = real(d, u, g)
             out[17] = np.inf
             return out
 
         monkeypatch.setattr(elliptic, "apply_L_compatible", overflowing)
         with pytest.raises(NonFiniteError):
-            solve_L_refined(assemble_L(h, g), h, np.sin(g.cells()), g)
+            solve_L_refined(assemble_L(h, g), depth_bundle(h, g), np.sin(g.cells()), g)
 
     def test_compatible_apply_is_symmetric(self, rng):
         g = Grid.from_length(128, 2 * np.pi, 0.0, "periodic")
-        h = random_depth(g, rng)
+        d = depth_bundle(random_depth(g, rng), g)
         A = np.empty((g.n, g.n))
         for j in range(g.n):
             e = np.zeros(g.n)
             e[j] = 1.0
-            A[:, j] = apply_L_compatible(h, e, g)
+            A[:, j] = apply_L_compatible(d, e, g)
         assert np.max(np.abs(A - A.T)) < 1e-10
+
+
+class TestSolveFaults:
+    """Fault injection below the residual check: a LAPACK solve that returns a
+    wrong solution must be caught by the solve's own residual verification."""
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    @pytest.mark.parametrize("operator", ["L_h", "helmholtz"])
+    @pytest.mark.parametrize("fault", ["perturbed", "nan"])
+    def test_corrupted_solution_fails_residual(self, monkeypatch, rng, mode, operator, fault):
+        g = Grid.from_length(128, 20.0, -10.0, mode)
+        p = Params(gamma=2.0)
+        rhs = np.sin(2 * np.pi * g.cells() / g.length) + 0.5
+        if operator == "L_h":
+            sys = assemble_L(random_depth(g, rng), g, hbar=1.0)
+            solve = lambda: solve_L(sys, rhs)
+        else:
+            solve = lambda: solve_helmholtz(rhs, p, g)
+        solve()  # the factor is made (and the Helmholtz system cached) before the fault
+        real = elliptic.dpttrs
+
+        def corrupted(d, e, b):
+            x, info = real(d, e, b)
+            if fault == "perturbed":
+                return x * (1.0 + 1e-6), info
+            x[len(x) // 2] = np.nan
+            return x, info
+
+        monkeypatch.setattr(elliptic, "dpttrs", corrupted)
+        with pytest.raises(SolverFailureError, match="solve residual .* exceeds"):
+            solve()
+
+
+def _apply_L_reference(sys, u):
+    """The flux-form apply as it was written before it shared the unchecked kernel."""
+    up = np.concatenate(([u[-1]], u, [u[0]])) if sys.periodic else np.concatenate(([0.0], u, [0.0]))
+    return sys.order0 * u + sys.faces[1:] * (u - up[2:]) + sys.faces[:-1] * (u - up[:-2])
+
+
+def _faces_reference(h, g, hbar):
+    """The ``L_h`` faces as they were assembled before they were built in place."""
+    hp = np.concatenate(([h[-1]], h, [h[0]])) if g.periodic else np.concatenate(([hbar], h, [hbar]))
+    return (0.5 * (hp[:-1] + hp[1:])) ** 3 * (1.0 / (3.0 * g.dx**2))
+
+
+class TestKernelsPinned:
+    """The lean kernels equal the expressions they replaced, bit for bit."""
+
+    @given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 64), dx=st.floats(1e-2, 1e2), hbar=st.floats(1e-6, 1e6),
+           data=st.data())
+    def test_assembled_faces_hypothesis(self, mode, n, dx, hbar, data):
+        g = Grid(n=n, dx=dx, mode=mode)
+        h = data.draw(kernel_fields(n, positive=True))
+        sys = elliptic._assemble_L(h, g, hbar)
+        assert_bitwise(sys.faces, _faces_reference(h, g, hbar))
+        assert sys.order0 is h
+
+    @given(periodic=st.booleans(), n=st.integers(8, 64), data=st.data())
+    def test_flux_form_apply_hypothesis(self, periodic, n, data):
+        faces = data.draw(kernel_fields(n + 1, positive=True))
+        if periodic:
+            faces[-1] = faces[0]
+        sys = TridiagonalSystem(faces, data.draw(kernel_fields(n, positive=True)), periodic)
+        u = data.draw(kernel_fields(n))
+        expected = _apply_L_reference(sys, u)
+        assert_bitwise(apply_L(sys, u), expected)
+        assert_bitwise(elliptic._apply_L(sys, u), expected)
 
 
 class TestScriptR:

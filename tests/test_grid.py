@@ -6,7 +6,7 @@ from sgnlab import Grid
 from sgnlab.errors import BoundaryContaminationError, ContractViolationError, ModeError, NonFiniteError
 from sgnlab.grid import _derivative, check_far_field, cumulative_integral, derivative, integrate
 
-from conftest import convergence_orders
+from conftest import assert_bitwise, convergence_orders, kernel_fields
 
 
 class TestGridConstruction:
@@ -197,3 +197,30 @@ def test_unchecked_kernel_equals_public_derivative_hypothesis(mode, n, seed, sca
     g = Grid.from_length(n, 3.0, -1.0, mode)
     f = scale * np.random.default_rng(seed).standard_normal(n)
     assert np.array_equal(_derivative(f, g), derivative(f, g))
+
+
+def _derivative_reference(f, g):
+    """The derivative kernel as it was written before it computed in place."""
+    inv12dx = 1.0 / (12.0 * g.dx)
+    fp = np.concatenate((f[-2:], f, f[:2])) if g.periodic else f
+    interior = (8.0 * (fp[3:-1] - fp[1:-3]) - (fp[4:] - fp[:-4])) * inv12dx
+    if g.periodic:
+        return interior
+    out = np.empty_like(f)
+    out[2:-2] = interior
+    out[0] = (48.0 * (f[1] - f[0]) - 36.0 * (f[2] - f[0])
+              + 16.0 * (f[3] - f[0]) - 3.0 * (f[4] - f[0])) * inv12dx
+    out[1] = (-3.0 * (f[0] - f[1]) + 18.0 * (f[2] - f[1])
+              - 6.0 * (f[3] - f[1]) + (f[4] - f[1])) * inv12dx
+    out[-2] = (3.0 * (f[-1] - f[-2]) - 18.0 * (f[-3] - f[-2])
+               + 6.0 * (f[-4] - f[-2]) - (f[-5] - f[-2])) * inv12dx
+    out[-1] = (-48.0 * (f[-2] - f[-1]) + 36.0 * (f[-3] - f[-1])
+               - 16.0 * (f[-4] - f[-1]) + 3.0 * (f[-5] - f[-1])) * inv12dx
+    return out
+
+
+@given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 64), dx=st.floats(1e-2, 1e2), data=st.data())
+def test_derivative_kernel_pinned_bitwise_hypothesis(mode, n, dx, data):
+    g = Grid(n=n, dx=dx, x_left=-1.0, mode=mode)
+    f = data.draw(kernel_fields(n))
+    assert_bitwise(_derivative(f, g), _derivative_reference(f, g))

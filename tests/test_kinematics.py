@@ -21,6 +21,8 @@ from sgnlab.kinematics import (
     total_energy,
 )
 
+from conftest import assert_bitwise, kernel_fields
+
 
 def make_state(g, h, u, t=0.0):
     return FlowState(np.broadcast_to(h, (g.n,)).copy() if np.isscalar(h) else h,
@@ -166,6 +168,23 @@ class TestCurlyCAndF:
         for sign in (+1, -1):
             f = f_of_h(make_state(periodic_grid, 1.0 + sign * 0.01, 0.0), p3)
             assert np.all(f > 0.0)
+
+
+@given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 64), dx=st.floats(1e-2, 1e2),
+       data=st.data())
+def test_shared_cube_pinned_bitwise_hypothesis(mode, n, dx, data):
+    # curly_c and energy_density read h^3 from the state's bundle; the values
+    # equal the s.h**3 forms they replaced, bit for bit
+    g = Grid(n=n, dx=dx, mode=mode)
+    s = FlowState(data.draw(kernel_fields(n, positive=True)), data.draw(kernel_fields(n)))
+    p = Params(g=9.81, gamma=2.0, hbar=1.0)
+    d = gradients(s, p, g)
+    assert d.h3 is d.h3
+    assert_bitwise(d.h3, s.h**3)
+    assert_bitwise(curly_c(s, p, d), (2.0 / 3.0) * s.h**3 * d.ux**2 - 1.5 * p.gamma * d.hx**2)
+    expected = (0.5 * s.h * s.u**2 + 0.5 * p.g * (s.h - p.hbar) ** 2
+                + (1.0 / 6.0) * s.h**3 * d.ux**2 + 0.5 * p.gamma * d.hx**2)
+    assert_bitwise(energy_density(s, p, d), expected)
 
 
 class TestEnergy:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -9,11 +10,11 @@ from sgnlab import FlowState, Grid, Params
 from sgnlab.cli import main
 from sgnlab.config import config_echo, parse_config, parse_config_text
 from sgnlab.diagnostics import Box
-from sgnlab.dynamics import StepControl
+from sgnlab.dynamics import SimHistory, StepControl
 from sgnlab.errors import ConfigError
 from sgnlab.grid import integrate
-from sgnlab.io import write_run_artifact
-from sgnlab.kinematics import riemann_invariants, total_energy
+from sgnlab.io import SERIES_CSV_COLUMNS, write_run_artifact, write_series_csv, write_snapshot_csv
+from sgnlab.kinematics import pq_fields, riemann_invariants, total_energy
 from sgnlab.scenarios import (
     ScenarioConfig,
     build_initial,
@@ -155,6 +156,54 @@ class TestScenarioConfig:
         # a NaN oleinik_C would count no violations and pass silently
         with pytest.raises(ConfigError, match=field):
             default_cfg(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("field", ["energy_rtol", "dispersion_rtol"])
+    def test_rtol_must_be_positive_and_finite(self, field, value):
+        # an infinite tolerance passes every run; a non-positive one fails every run
+        with pytest.raises(ConfigError, match=field):
+            default_cfg(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, -1.0])
+    def test_oleinik_constant_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigError, match="oleinik_C"):
+            default_cfg(oleinik_C=value)
+
+    def test_zero_oleinik_constant_accepted(self):
+        assert default_cfg(oleinik_C=0.0).oleinik_C == 0.0
+
+
+class TestCsvBytes:
+    """The CSV writers format every row with one ``%``; the bytes are ``np.savetxt``'s."""
+
+    SPECIAL = np.array([-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072009e-308, np.inf, -np.inf, np.nan,
+                        1.0 / 3.0, -2.5e300, 1e-6, 123456789.0])
+
+    @staticmethod
+    def savetxt_bytes(columns):
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack(columns), fmt="%.17g", delimiter=",")
+        return buf.getvalue()
+
+    def test_series_csv_matches_savetxt(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [rng.permutation(self.SPECIAL) for _ in SERIES_CSV_COLUMNS]
+        hist = SimHistory(grid=Grid.from_length(16, 1.0), params=Params(), control=StepControl(),
+                          series=dict(zip(SERIES_CSV_COLUMNS, columns)))
+        path = tmp_path / "series.csv"
+        write_series_csv(hist, str(path))
+        assert path.read_text() == ",".join(SERIES_CSV_COLUMNS) + "\n" + self.savetxt_bytes(columns)
+
+    def test_snapshot_csv_matches_savetxt(self, tmp_path):
+        g = Grid.from_length(16, 8.0, -4.0, "line")
+        u = np.resize(self.SPECIAL[np.isfinite(self.SPECIAL)], g.n)
+        s = FlowState(1.0 + 1e-6 * np.arange(g.n), u, -0.0)
+        hist = SimHistory(grid=g, params=Params(), control=StepControl(), snapshots=[s])
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(hist, 0, str(path))
+        P, Q = pq_fields(s, hist.params, g)
+        expected = "# t = -0\nx,h,u,P,Q\n" + self.savetxt_bytes([g.cells(), s.h, s.u, P, Q])
+        assert path.read_text() == expected
 
 
 class TestRunScenario:
@@ -333,6 +382,20 @@ class TestCli:
         out_dir = tmp_path / "o"
         args = [a for o in overrides for a in ("--override", o)]
         assert main(["run", "--config", path, *args, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("checks.energy_rtol=inf", "error: energy_rtol"),
+        ("checks.energy_rtol=-1", "error: energy_rtol"),
+        ("checks.dispersion_rtol=-inf", "error: dispersion_rtol"),
+        ("checks.oleinik_c=inf", "error: oleinik_C"),
+        ("checks.oleinik_c=-1", "error: oleinik_C"),
+    ])
+    def test_unbounded_tolerance_exit_two(self, tmp_path, capsys, override, message):
+        path = self.write_cfg(tmp_path, BASE_CFG)
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", path, "--override", override, "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith(message)
         assert not out_dir.exists()
 
