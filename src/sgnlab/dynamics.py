@@ -4,9 +4,11 @@ The evolution solved here, in nonlocal form::
 
     h_t = -(h u)_x                                  [+ A_x   if eps > 0]
     u_t = -u u_x - 3 gamma h^{-2} h_x
-          - L_h^{-1} d_x { C + F(h) }               [+ B     if eps > 0]
+          - L_h^{-1} { d_x (C + F(h) [- b]) [+ u A_x / 2] }
 
-The regularized sources are computed only while the cut-off is active, so in
+with ``B = L_h^{-1}{ -u A_x/2 + d_x b }``, ``b = h^2 u_x A_x/2 - h (chi(P) +
+chi(Q))/48``, folded into the one momentum solve (``L_h^{-1}`` is linear).
+The bracketed sources are computed only while the cut-off is active, so in
 the quiescent regime the eps > 0 stepper reproduces the eps = 0 stepper
 bitwise.  Time integration is the classical four-stage Runge-Kutta scheme
 with a CFL step based on the largest of the characteristic speed scale
@@ -145,13 +147,15 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     d = gradients(s, p, g)
     sys = _assemble_L(s.h, g, p.hbar)
     dh = -_derivative(s.h * s.u, g)
-    nonlocal_term = solve_L_refined(sys, d, derivative(curly_c(s, p, d) + f_of_h(s, p), g), g)
-    du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - nonlocal_term
-    if p.epsilon > 0.0:
-        fields = reg.compute_reg_fields(s, p, g, sys)
-        if fields is not None:
-            dh = dh + fields.A_x
-            du = du + fields.B
+    fields = reg.compute_reg_fields(s, p, g) if p.epsilon > 0.0 else None
+    if fields is None:
+        source = derivative(curly_c(s, p, d) + f_of_h(s, p), g)
+    else:
+        a_x, b_flux = fields
+        source = derivative(curly_c(s, p, d) + f_of_h(s, p) - b_flux, g)
+        source += 0.5 * s.u * a_x
+        dh += a_x
+    du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - solve_L_refined(sys, d, source, g)
     return RhsEval(dh_dt=dh, du_dt=du)
 
 

@@ -57,8 +57,10 @@ class Grid:
     def __post_init__(self):
         if self.n < 8:
             raise ContractViolationError(f"grid needs n >= 8 cells, got {self.n}")
-        if not self.dx > 0:
-            raise ContractViolationError(f"grid spacing must be positive, got {self.dx}")
+        if not 0.0 < self.dx < np.inf:
+            raise ContractViolationError(f"grid spacing must be positive and finite, got {self.dx}")
+        if not np.isfinite(self.x_left):
+            raise ContractViolationError(f"grid origin x_left must be finite, got {self.x_left}")
         if self.mode not in (PERIODIC, LINE):
             raise ContractViolationError(f"unknown grid mode {self.mode!r}")
 

@@ -153,9 +153,8 @@ def chi(zeta, epsilon: float):
     """
     if not epsilon > 0.0:
         raise ContractViolationError("chi needs epsilon > 0; the eps = 0 system has no cut-off")
-    z = np.asarray(zeta, dtype=np.float64)
-    shifted = z + 1.0 / epsilon
-    out = np.where(z <= -1.0 / epsilon, shifted * shifted, 0.0)
+    out = np.minimum(np.asarray(zeta, dtype=np.float64) + 1.0 / epsilon, 0.0)
+    out *= out
     if np.isscalar(zeta) or out.ndim == 0:
         return float(out)
     return out

@@ -17,12 +17,14 @@ From the cut-off, the source fields of the regularized system::
 
 ``chi`` and :func:`cutoff_active` live in :mod:`sgnlab.kinematics` (re-exported
 here): a state's cut-off values are part of its memoized gradient bundle,
-``Gradients.cutoff``.  The stepper reads only ``A_x`` and ``B``:
-:func:`compute_reg_fields` returns ``A, A_x, B``.  ``V1``, ``V2``, ``M`` and
-``N`` enter only the Riccati equations along characteristics, and
-``characteristics._riccati_rhs_fields`` is their one caller: it builds ``A``
-and ``A_x`` itself (it needs no ``B``) and hands ``V1`` the ``L_h`` it shares
-with ``script_r``.
+``Gradients.cutoff``.  The stepper reads ``A_x`` and ``B``'s flux
+``h^2 u_x A_x/2 - h (chi(P) + chi(Q))/48``: :func:`compute_reg_fields` returns
+both, and ``dynamics.rhs`` folds ``B``'s source into its one ``L_h`` solve
+(``L_h^{-1}`` is linear).  :func:`compute_B` solves for ``B`` alone from the
+same flux.  ``V1``, ``V2``, ``M`` and ``N`` enter only the Riccati equations
+along characteristics, and ``characteristics._riccati_rhs_fields`` is their
+one caller: it builds ``A`` and ``A_x`` itself and hands ``V1`` the ``L_h``
+it shares with ``script_r``.
 
 ``A``, ``A_x`` and ``B`` are well defined on both grid modes, so ``eps > 0``
 runs on either.  Only ``V1`` needs the primitive from minus infinity:
@@ -35,8 +37,6 @@ the unregularized one bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L
@@ -45,7 +45,6 @@ from .kinematics import FlowState, Params, chi, cutoff_active, gradients
 
 __all__ = [
     "chi",
-    "RegFields",
     "cutoff_active",
     "compute_A",
     "compute_V2",
@@ -54,15 +53,6 @@ __all__ = [
     "compute_MN",
     "compute_reg_fields",
 ]
-
-
-@dataclass(frozen=True)
-class RegFields:
-    """Stepper sources of the regularized system at one state."""
-
-    A: np.ndarray
-    A_x: np.ndarray
-    B: np.ndarray
 
 
 def compute_A(s: FlowState, chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -91,12 +81,15 @@ def compute_V1(s: FlowState, ux: np.ndarray, A: np.ndarray, A_x: np.ndarray,
     return 0.5 * s.h * derivative(w, g)
 
 
+def _b_flux(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray) -> np.ndarray:
+    """The flux ``h^2 u_x A_x/2 - h (chiP + chiQ)/48`` under the derivative in ``B``'s source."""
+    return 0.5 * s.h**2 * ux * A_x - (1.0 / 48.0) * s.h * (chiP + chiQ)
+
+
 def compute_B(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray,
               p: Params, g: Grid, sys: TridiagonalSystem) -> np.ndarray:
     """Momentum-equation source ``L_h^{-1}{ -u A_x/2 + d_x{ h^2 u_x A_x/2 - h(chiP+chiQ)/48 } }``."""
-    inner = 0.5 * s.h**2 * ux * A_x - (1.0 / 48.0) * s.h * (chiP + chiQ)
-    rhs = -0.5 * s.u * A_x + derivative(inner, g)
-    return solve_L(sys, rhs)
+    return solve_L(sys, -0.5 * s.u * A_x + derivative(_b_flux(s, ux, A_x, chiP, chiQ), g))
 
 
 def compute_MN(s: FlowState, V1, V2, scriptR: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,17 +98,15 @@ def compute_MN(s: FlowState, V1, V2, scriptR: np.ndarray) -> tuple[np.ndarray, n
     return base - V2, base + V2
 
 
-def compute_reg_fields(s: FlowState, p: Params, g: Grid, sys: TridiagonalSystem) -> RegFields | None:
-    """Stepper sources ``A, A_x, B`` at once, or ``None`` when the cut-off is inactive.
+def compute_reg_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stepper sources ``(A_x, b_flux)``, ``b_flux`` being ``B``'s flux, or ``None`` when the cut-off is inactive.
 
-    ``sys`` is ``L_h`` of ``s.h``.  Returning ``None`` (rather than zero
-    fields) lets the stepper skip the extra elliptic solves and reproduce the
-    unregularized right-hand side bitwise.
+    Returning ``None`` (rather than zero fields) lets the stepper skip the
+    Helmholtz solve and reproduce the unregularized right-hand side bitwise.
     """
     d = gradients(s, p, g)
     if d.cutoff is None:
         return None
     chiP, chiQ = d.cutoff
-    a, a_x = compute_A(s, chiP, chiQ, p, g)
-    b = compute_B(s, d.ux, a_x, chiP, chiQ, p, g, sys)
-    return RegFields(A=a, A_x=a_x, B=b)
+    _, a_x = compute_A(s, chiP, chiQ, p, g)
+    return a_x, _b_flux(s, d.ux, a_x, chiP, chiQ)

@@ -96,13 +96,17 @@ class ScenarioConfig:
             raise ConfigError("steep scenarios require a line-mode grid")
         if self.kind == "custom" and not self.file:
             raise ConfigError("custom scenarios need a file")
-        if self.mollifier_epsilon < 0:
-            raise ConfigError("mollifier_epsilon must be >= 0")
-        for name in ("energy_rtol", "dispersion_rtol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.oleinik_C is not None and not 0.0 <= self.oleinik_C < math.inf:
-            raise ConfigError(f"oleinik_C must be finite and >= 0, got {self.oleinik_C}")
+        for name in ("amplitude", "center", "wavenumbers"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("width", "plateau", "target_energy", "energy_rtol", "dispersion_rtol"):
+            value = getattr(self, name)  # None takes the default
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("mollifier_epsilon", "oleinik_C"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         unknown = sorted(set(self.checks) - set(CHECKS))
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")

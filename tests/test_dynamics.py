@@ -23,7 +23,7 @@ from sgnlab.grid import derivative, integrate
 from sgnlab.kinematics import pq_fields, total_energy
 from sgnlab.regularization import cutoff_active
 
-from conftest import convergence_orders, count_derivative_calls
+from conftest import assert_bitwise, convergence_orders, count_derivative_calls
 
 
 def gaussian_state(g, a=0.05, w=1.0, hbar=1.0):
@@ -61,14 +61,16 @@ class TestRhs:
         assert rel < 0.01
 
     def test_epsilon_inactive_matches_eps0_bitwise(self, periodic_grid):
-        # quiescent regime: the regularized right-hand side is the plain one
-        g = Grid.from_length(512, 40.0, -20.0, "line")
-        x = g.cells()
-        s = FlowState(1.0 + 0.02 * np.exp(-(x**2)), 0.01 * np.exp(-(x**2)), 0.0)
-        ev0 = rhs(s, Params(epsilon=0.0), g)
-        ev1 = rhs(s, Params(epsilon=0.1), g)
-        assert np.array_equal(ev0.dh_dt, ev1.dh_dt)
-        assert np.array_equal(ev0.du_dt, ev1.du_dt)
+        # quiescent regime: the regularized right-hand side is the plain one, signed zeros included
+        for mode in ("line", "periodic"):
+            g = Grid.from_length(512, 40.0, -20.0, mode)
+            x = g.cells()
+            s = FlowState(1.0 + 0.02 * np.exp(-(x**2)), 0.01 * np.exp(-(x**2)), 0.0)
+            assert regularization.compute_reg_fields(s, Params(epsilon=0.1), g) is None
+            ev0 = rhs(s, Params(epsilon=0.0), g)
+            ev1 = rhs(s, Params(epsilon=0.1), g)
+            assert_bitwise(ev1.dh_dt, ev0.dh_dt)
+            assert_bitwise(ev1.du_dt, ev0.du_dt)
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_state_of_another_grid_rejected(self, params, mode):
@@ -556,16 +558,16 @@ class TestOneHome:
             calls.clear()
             rhs(gaussian_state(g), Params(), g)
             assert len(calls) == 6
-        # line mode, cut-off active: the stepper sources A_x and B add two more
+        # line mode, cut-off active: A_x adds one more (B's flux joins the momentum source)
         s, p, g = _active_line_state()
         calls.clear()
         rhs(s, p, g)
-        assert len(calls) == 8
+        assert len(calls) == 7
 
     def test_field_checks_below_rhs(self, monkeypatch):
         # rhs hands the fields of its checked state to the unchecked kernels;
-        # as_field scans only the derived sources of solves: the nonlocal
-        # source and, with an active cut-off, the Helmholtz and B sources
+        # as_field scans only the derived sources of solves: the momentum
+        # source (with B's flux folded in) and, with an active cut-off, the Helmholtz source
         real = grid.as_field
         calls = []
 
@@ -577,7 +579,7 @@ class TestOneHome:
             monkeypatch.setattr(mod, "as_field", counting)
         cases = [(gaussian_state(g), Params(), g, 1)
                  for g in (Grid.from_length(128, 20.0, -10.0, mode) for mode in ("periodic", "line"))]
-        for s, p, g, expected in cases + [(*_active_line_state(), 3)]:
+        for s, p, g, expected in cases + [(*_active_line_state(), 2)]:
             calls.clear()
             rhs(s, p, g)
             assert len(calls) == expected
@@ -605,11 +607,11 @@ class TestOneHome:
 
     def test_recorded_state_reuses_its_gradients(self, monkeypatch):
         # the recorder fills the state's memo; the next step's first rhs reads
-        # it: 4 kernel calls instead of 6, plus A_x and B's 2 when active
+        # it: 4 kernel calls instead of 6, plus A_x's 1 when active
         calls = count_derivative_calls(monkeypatch)
         cases = [(gaussian_state(g), Params(), g, 0)
                  for g in (Grid.from_length(128, 20.0, -10.0, mode) for mode in ("periodic", "line"))]
-        for s, p, g, active in cases + [(*_active_line_state(), 2)]:
+        for s, p, g, active in cases + [(*_active_line_state(), 1)]:
             dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, p, g)
             calls.clear()
             recorded = rhs(s, p, g)
@@ -660,6 +662,70 @@ class TestOneHome:
             P, Q = pq_fields(s, params, g)
             assert hist.series["sup_P"][k] == float(P.max())
             assert hist.series["sup_Q"][k] == float(Q.max())
+
+
+def _active_periodic_state():
+    """Periodic-mode state on which the cut-off is active."""
+    g = Grid.from_length(256, 40.0, -20.0, "periodic")
+    x = g.cells()
+    p = Params(epsilon=1.0)
+    s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+    assert cutoff_active(*pq_fields(s, p, g), p.epsilon)
+    return s, p, g
+
+
+class TestFoldedMomentumSolve:
+    """B's source joins the nonlocal source in the one refined L_h solve of an active rhs."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        real = elliptic._solve
+        systems = []
+
+        def counting(sys, rhs_, far_field):
+            systems.append(sys)
+            return real(sys, rhs_, far_field)
+
+        monkeypatch.setattr(elliptic, "_solve", counting)
+        return systems
+
+    @pytest.mark.parametrize("state", [_active_line_state, _active_periodic_state])
+    def test_active_rhs_makes_three_solves(self, monkeypatch, state):
+        s, p, g = state()
+        systems = self.count_solves(monkeypatch)
+        rhs(s, p, g)
+        helmholtz = elliptic._helmholtz_system(p, g)
+        assert len(systems) == 3
+        assert [sys is helmholtz for sys in systems].count(True) == 1
+        L_h = [sys for sys in systems if sys is not helmholtz]
+        assert L_h[0] is L_h[1] and np.array_equal(L_h[0].order0, s.h)
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_inactive_rhs_makes_two_solves(self, monkeypatch, mode, eps):
+        g = Grid.from_length(128, 20.0, -10.0, mode)
+        systems = self.count_solves(monkeypatch)
+        rhs(gaussian_state(g), Params(epsilon=eps), g)
+        assert len(systems) == 2 and systems[0] is systems[1]
+
+    @pytest.mark.parametrize("state", [_active_line_state, _active_periodic_state])
+    def test_fold_is_linear_superposition(self, state):
+        # -u u_x - 3 gamma h_x/h^2 - L^{-1} D(C + F) + L^{-1}{-u A_x/2 + D(h^2 u_x A_x/2 - h (chiP+chiQ)/48)}
+        s, p, g = state()
+        d = kinematics.gradients(s, p, g)
+        chiP, chiQ = d.cutoff
+        sys = elliptic.assemble_L(s.h, g, p.hbar)
+        _, A_x = regularization.compute_A(s, chiP, chiQ, p, g)
+        nonlocal_source = derivative(kinematics.curly_c(s, p, d) + kinematics.f_of_h(s, p), g)
+        b_source = -0.5 * s.u * A_x + derivative(0.5 * s.h**2 * d.ux * A_x - s.h * (chiP + chiQ) / 48.0, g)
+        expected = (-s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2
+                    - elliptic.solve_L_refined(sys, d, nonlocal_source, g)
+                    + elliptic.solve_L_refined(sys, d, b_source, g))
+        ev = rhs(s, p, g)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(b_source)) > 1e-3 * np.max(np.abs(nonlocal_source))  # the fold is not vacuous
+        assert np.max(np.abs(ev.du_dt - expected)) <= 1e-12 * scale
+        assert np.array_equal(ev.dh_dt, -derivative(s.h * s.u, g) + A_x)
 
 
 class _ReadOnlyState(FlowState):

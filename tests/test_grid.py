@@ -18,6 +18,14 @@ class TestGridConstruction:
         with pytest.raises(ContractViolationError):
             Grid(n=64, dx=0.0)
 
+    @pytest.mark.parametrize("dx, x_left", [(np.inf, 0.0), (np.nan, 0.0), (0.1, np.inf), (0.1, -np.inf),
+                                            (0.1, np.nan)])
+    def test_rejects_nonfinite_spacing_or_origin(self, dx, x_left):
+        with pytest.raises(ContractViolationError):
+            Grid(n=64, dx=dx, x_left=x_left, mode="line")
+        with pytest.raises(ContractViolationError):
+            Grid.from_length(64, 64 * dx, x_left, "periodic")
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ContractViolationError):
             Grid(n=64, dx=0.1, mode="moebius")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sgnlab import FlowState, Grid, Params
-from sgnlab.elliptic import assemble_L, solve_helmholtz
+from sgnlab.elliptic import assemble_L, solve_helmholtz, solve_L
 from sgnlab.errors import ContractViolationError, ModeError
 from sgnlab.grid import derivative
 from sgnlab.kinematics import gradients, pq_fields
@@ -18,7 +18,7 @@ from sgnlab.regularization import (
     cutoff_active,
 )
 
-from conftest import convergence_orders
+from conftest import assert_bitwise, convergence_orders
 
 
 class TestChi:
@@ -37,8 +37,10 @@ class TestChi:
         assert np.allclose(out, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_requires_positive_epsilon(self):
-        with pytest.raises(ContractViolationError):
-            chi(-1.0, 0.0)
+        for eps in (0.0, -0.0, -1.0, float("nan"), -float("inf")):
+            for z in (-1.0, np.array([-3.0, 1.0])):
+                with pytest.raises(ContractViolationError):
+                    chi(z, eps)
 
     @given(z=st.floats(-1e6, 1e6, allow_nan=False),
            eps=st.floats(1e-3, 10.0, allow_nan=False))
@@ -55,6 +57,30 @@ class TestChi:
             assert np.all(z * chi(z, eps) <= 0.0)
             v = chi(z, eps)
             assert np.all(v >= 0.0) and np.all(v <= z * z)
+
+    @given(z=st.lists(st.floats(allow_nan=False), max_size=64), eps=st.floats(1e-300, 1e300))
+    @example(z=[], eps=0.05)
+    @example(z=[], eps=0.1)
+    @example(z=[], eps=0.2)
+    @example(z=[], eps=1.0 / 3.0)
+    @example(z=[], eps=0.7)
+    @example(z=[], eps=3.0)
+    @example(z=[-1e308, 1e308], eps=1e-300)
+    @example(z=[-90821017.46178226], eps=134217729.0)
+    def test_two_pass_form_pinned_bitwise_hypothesis(self, z, eps):
+        # chi squares min(z + 1/eps, 0) in place: bit for bit the where-form, signbits included
+        c = 1.0 / eps
+        edge = [-c, np.nextafter(-c, -np.inf), np.nextafter(-c, np.inf), 0.0, -0.0]
+        zz = np.array(z + edge, dtype=np.float64)
+        with np.errstate(over="ignore"):  # squares of huge shifts overflow to inf in both forms
+            assert_bitwise(chi(zz, eps), np.where(zz <= -1.0 / eps, (zz + 1.0 / eps) ** 2, 0.0))
+            for value in zz[-5:].tolist() + z[:4]:
+                out = chi(value, eps)
+                assert type(out) is float
+                # reference on a one-element array: a float64 scalar's ``** 2`` calls libm pow,
+                # which can sit one ulp off the exact square that the array form and chi take
+                v = np.array([value], dtype=np.float64)
+                assert_bitwise(np.array(out), np.where(v <= -c, (v + c) ** 2, 0.0)[0])
 
     def test_c1_at_activation(self):
         # finite-difference slope tends to zero approaching the threshold
@@ -275,7 +301,7 @@ class TestOrchestration:
         P, Q = pq_fields(s, p, g)
         assert not cutoff_active(P, Q, p.epsilon)
         assert gradients(s, p, g).cutoff is None
-        assert compute_reg_fields(s, p, g, assemble_L(h, g, p.hbar)) is None
+        assert compute_reg_fields(s, p, g) is None
 
     def test_epsilon_zero_never_active(self, rng):
         P = rng.uniform(-1e6, 0, 64)
@@ -289,14 +315,18 @@ class TestOrchestration:
         s = FlowState(h, u)
         d = gradients(s, p, g)
         sys = assemble_L(h, g, p.hbar)
-        fields = compute_reg_fields(s, p, g, sys)
+        fields = compute_reg_fields(s, p, g)
         assert fields is not None and d.cutoff is not None
-        for name in ("A", "A_x", "B"):
-            assert np.all(np.isfinite(getattr(fields, name)))
-        # V1, V2 belong to the Riccati equations, not to the stepper sources
+        A_x, b_flux = fields
         chiP, chiQ = d.cutoff
-        v1 = compute_V1(s, d.ux, fields.A, fields.A_x, chiP, chiQ, p, g, sys)
-        for v in (v1, compute_V2(s, fields.A, p)):
+        A, A_x_direct = compute_A(s, chiP, chiQ, p, g)
+        assert np.array_equal(A_x, A_x_direct)
+        # B's source has one home: compute_B solves over the flux the stepper folds in
+        B = compute_B(s, d.ux, A_x, chiP, chiQ, p, g, sys)
+        assert np.array_equal(B, solve_L(sys, -0.5 * s.u * A_x + derivative(b_flux, g)))
+        # V1, V2 belong to the Riccati equations, not to the stepper sources
+        v1 = compute_V1(s, d.ux, A, A_x, chiP, chiQ, p, g, sys)
+        for v in (A, A_x, b_flux, B, v1, compute_V2(s, A, p)):
             assert np.all(np.isfinite(v))
         P, Q = d.pq
         assert np.all(chiP >= 0) and np.all(chiQ >= 0)
@@ -309,16 +339,19 @@ class TestOrchestration:
         g = Grid.from_length(128, 10.0, 0.0, "periodic")
         p = Params(epsilon=0.5)
         s = FlowState(np.ones(g.n), np.zeros(g.n))
-        assert compute_reg_fields(s, p, g, assemble_L(s.h, g)) is None
+        assert compute_reg_fields(s, p, g) is None
         p = Params(epsilon=1.0)
         fields = {}
         for mode in ("periodic", "line"):
             g = Grid.from_length(256, 40.0, -20.0, mode)
             x = g.cells()
             s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
-            f = compute_reg_fields(s, p, g, assemble_L(s.h, g, p.hbar))
-            chiP, chiQ = gradients(s, p, g).cutoff
-            fields[mode] = {"A": f.A, "A_x": f.A_x, "B": f.B, "chiP": chiP, "chiQ": chiQ}
+            A_x, b_flux = compute_reg_fields(s, p, g)
+            d = gradients(s, p, g)
+            chiP, chiQ = d.cutoff
+            B = compute_B(s, d.ux, A_x, chiP, chiQ, p, g, assemble_L(s.h, g, p.hbar))
+            fields[mode] = {"A": compute_A(s, chiP, chiQ, p, g)[0], "A_x": A_x, "b_flux": b_flux, "B": B,
+                            "chiP": chiP, "chiQ": chiQ}
         for name in fields["line"]:
             per, line = fields["periodic"][name], fields["line"][name]
             assert np.max(np.abs(line)) > 0.0

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -171,6 +172,25 @@ class TestScenarioConfig:
 
     def test_zero_oleinik_constant_accepted(self):
         assert default_cfg(oleinik_C=0.0).oleinik_C == 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", math.inf), ("amplitude", math.nan),
+        ("center", math.inf), ("center", -math.inf), ("center", math.nan),
+        ("wavenumbers", (1.0, math.inf)), ("wavenumbers", (math.nan,)),
+        ("width", -1.0), ("width", 0.0), ("width", math.inf), ("width", math.nan),
+        ("plateau", -1.0), ("plateau", 0.0), ("plateau", math.inf), ("plateau", math.nan),
+        ("target_energy", -1.0), ("target_energy", 0.0), ("target_energy", math.inf), ("target_energy", math.nan),
+        ("mollifier_epsilon", -1.0), ("mollifier_epsilon", math.inf), ("mollifier_epsilon", math.nan),
+    ])
+    def test_shape_value_out_of_range_rejected(self, field, value):
+        # a negative plateau turns a steep dip into a bump; an infinite centre runs a flat state
+        with pytest.raises(ConfigError, match=field):
+            default_cfg(**{field: value})
+
+    def test_shape_values_in_range_accepted(self):
+        cfg = default_cfg(amplitude=-0.45, center=-3.0, wavenumbers=(-1.0, 0.0), width=1e-3, plateau=1e-3,
+                          target_energy=1e-9, mollifier_epsilon=0.0)
+        assert cfg.plateau == 1e-3 and cfg.mollifier_epsilon == 0.0
 
 
 class TestCsvBytes:
@@ -399,6 +419,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith(message)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("config, override, message", [
+        ("steep_eps01.cfg", "scenario.mollifier_epsilon=inf", "error: mollifier_epsilon"),
+        ("steep_eps01.cfg", "scenario.target_energy=nan", "error: target_energy"),
+        ("steep_eps01.cfg", "scenario.plateau=-1", "error: plateau"),
+        ("steep_eps01.cfg", "scenario.width=-1", "error: width"),
+        ("steep_eps01.cfg", "scenario.amplitude=inf", "error: amplitude"),
+        ("gaussian_energy.cfg", "scenario.center=inf", "error: center"),
+        ("dispersion_b3.cfg", "scenario.wavenumber=1,inf", "error: wavenumbers"),
+        ("gaussian_energy.cfg", "grid.length=inf", "error: grid spacing"),
+        ("gaussian_energy.cfg", "grid.x_left=-inf", "error: grid origin"),
+    ])
+    def test_nonfinite_shape_or_grid_exit_two(self, tmp_path, capsys, config, override, message):
+        path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
+        out_dir = tmp_path / "o"
+        args = ["--config", str(path), "--override", "step.t_end=0.002", "--override", override]
+        assert main(["run", *args, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out_dir.exists()
+        assert main(["check", *args]) == 2
+        assert "OK" not in capsys.readouterr().out
+
     def test_failed_check_exit_one(self, tmp_path, capsys):
         # an impossibly tight tolerance forces an honest FAIL
         text = BASE_CFG.replace("energy_rtol = 1e-4", "energy_rtol = 1e-16")
@@ -432,7 +473,6 @@ class TestCli:
         assert not out_dir.exists()
 
     def test_shipped_flat_config(self, tmp_path, capsys):
-        import pathlib
 
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -440,7 +480,6 @@ class TestCli:
         assert np.all(series["energy"] == 0.0)
 
     def test_shipped_dispersion_config(self, tmp_path, capsys):
-        import pathlib
 
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -449,7 +488,6 @@ class TestCli:
         assert "[PASS] dispersion" in out
 
     def test_shipped_blowup_config(self, tmp_path, capsys):
-        import pathlib
 
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_eps0.cfg"
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
