@@ -7,8 +7,9 @@
 ``run`` simulates one scenario, writes its artifacts and prints one verdict
 line per enabled check; exit code 0 iff every enabled check passes (an
 expected blow-up counts as a pass when it triggers; a skipped check does not
-fail the run).  ``check`` only validates the configuration.  Usage and
-configuration errors exit with code 2, failed checks with 1.
+fail the run).  ``check`` validates the configuration and builds the initial
+state, so it refuses whatever ``run`` refuses before the first step.  Usage
+and configuration errors exit with code 2, failed checks with 1.
 
 The default output directory comes from the SGNLAB_OUT environment variable
 (falling back to ./sgnlab_out).
@@ -20,10 +21,10 @@ import argparse
 import os
 import sys
 
-from .config import parse_config
+from .config import _floats, parse_config
 from .errors import SgnError
 from .io import write_run_artifact, write_sweep_result
-from .scenarios import RunArtifact, epsilon_sweep, run_scenario
+from .scenarios import RunArtifact, build_initial, epsilon_sweep, run_scenario
 
 __all__ = ["main"]
 
@@ -34,7 +35,6 @@ def _default_out() -> str:
 
 def _print_verdicts(art: RunArtifact) -> bool:
     hist = art.history
-    ok = True
     for name, verdict in sorted(art.verdicts.items()):
         if verdict == "skipped":
             print(f"[SKIP] {name}: initial energy {hist.e0:.6g} >= threshold {art.config.params.e_max:.6g}")
@@ -60,10 +60,9 @@ def _print_verdicts(art: RunArtifact) -> bool:
         elif name == "completed":
             detail = f"aborted: {hist.abort_reason} at t={hist.abort_time:.6g}"
         print(f"[{tag}] {name}: {detail}")
-        ok = ok and bool(verdict)
     print(f"run {hist.status} at t={hist.t_final:.6g} after {hist.n_steps} steps "
           f"(E0={hist.e0:.9g}, wall {art.wall_time:.2f}s)")
-    return ok
+    return art.passed
 
 
 def _cmd_run(args) -> int:
@@ -78,15 +77,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config, args.override)
-    try:
-        epsilons = [float(tok) for tok in args.epsilons.replace(" ", "").split(",") if tok]
-    except ValueError:
-        print(f"cannot parse epsilon list {args.epsilons!r}", file=sys.stderr)
-        return 2
-    if len({f"{eps:g}" for eps in epsilons}) < len(epsilons):
-        print(f"epsilons {args.epsilons!r} share a member directory eps_<epsilon as %g>", file=sys.stderr)
-        return 2
-    result = epsilon_sweep(cfg, epsilons)
+    result = epsilon_sweep(cfg, _floats("epsilons", args.epsilons))
     out = args.out or os.path.join(_default_out(), "sweep")
     write_sweep_result(result, out)
     ok = True
@@ -104,7 +95,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    parse_config(args.config, args.override)
+    build_initial(parse_config(args.config, args.override))
     print(f"config {args.config} OK")
     return 0
 

@@ -199,7 +199,7 @@ def rk4_step(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
     try:
         return _rk4_raw(s, 0.5 * dt, p, g)
     except PositivityError as exc:
-        raise DepthCollapseError(f"depth collapsed near t = {s.t:.6g}: {exc}", time=s.t) from exc
+        raise DepthCollapseError(f"depth collapsed near t = {s.t:.6g}: {exc}") from exc
 
 
 #: width (in cells, each side) of the far-field strip pinned to the reference
@@ -228,11 +228,12 @@ class SimHistory:
 
     ``series`` maps column names (t, mass, energy, min_h, max_h, max_abs_u,
     min_ux, max_abs_hx, sup_P, sup_Q, diss_rate) to aligned arrays with one
-    row per accepted step (including the initial state).  ``status`` is
-    ``completed`` or ``aborted``; aborts keep everything recorded so far and
-    carry a reason code instead of throwing the run away.  A snapshot shares
-    the arrays of the stepper's state but not its memo, so the fields that
-    post-processing derives from it are memoized on the snapshot itself.
+    row per accepted step (including the initial state).  How the run ended
+    is stored once, in ``abort_reason`` (``None`` when it completed); an
+    abort keeps everything recorded so far and ends at the last recorded
+    state.  A snapshot shares the arrays of the stepper's state but not its
+    memo, so the fields that post-processing derives from it are memoized on
+    the snapshot itself.
     """
 
     grid: Grid
@@ -240,16 +241,32 @@ class SimHistory:
     control: StepControl
     snapshots: list[FlowState] = field(default_factory=list)
     series: dict[str, np.ndarray] = field(default_factory=dict)
-    status: str = "completed"
     abort_reason: str | None = None
-    abort_time: float | None = None
-    trigger: tuple[float, str] | None = None
-    e0: float = 0.0
-    n_steps: int = 0
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.abort_reason is None else "aborted"
 
     @property
     def t_final(self) -> float:
         return self.snapshots[-1].t if self.snapshots else 0.0
+
+    @property
+    def abort_time(self) -> float | None:
+        return None if self.abort_reason is None else self.t_final
+
+    @property
+    def trigger(self) -> tuple[float, str] | None:
+        kind, _, code = (self.abort_reason or "").partition(":")
+        return (self.t_final, code) if kind == "blowup" else None
+
+    @property
+    def e0(self) -> float:
+        return float(self.series["energy"][0])
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.series["t"]) - 1
 
 
 _SERIES_COLUMNS = ("t", "mass", "energy", "min_h", "max_h", "max_abs_u",
@@ -257,25 +274,18 @@ _SERIES_COLUMNS = ("t", "mass", "energy", "min_h", "max_h", "max_abs_u",
 
 
 def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> tuple[float, float, float]:
-    """Append one series row; returns (max|u_x|, max|h_x|, min h) for the monitors."""
+    """Append one row to every series column, or to none if a field raises; returns (max|u_x|, max|h_x|, min h)."""
     d = gradients(s, p, g)
     P, Q = d.pq
     diss = 0.0 if d.cutoff is None else integrate(P * d.cutoff[0] + Q * d.cutoff[1], g) / 48.0
     min_h = float(s.h.min())
     max_ux = float(np.max(np.abs(d.ux)))
     max_hx = float(np.max(np.abs(d.hx)))
-    series["t"].append(s.t)
-    series["mass"].append(integrate(s.h, g))
-    # integrate's scan makes an overflowing initial state raise NonFiniteError before the first step
-    series["energy"].append(integrate(energy_density(s, p, d), g))
-    series["min_h"].append(min_h)
-    series["max_h"].append(float(s.h.max()))
-    series["max_abs_u"].append(float(np.max(np.abs(s.u))))
-    series["min_ux"].append(float(d.ux.min()))
-    series["max_abs_hx"].append(max_hx)
-    series["sup_P"].append(float(P.max()))
-    series["sup_Q"].append(float(Q.max()))
-    series["diss_rate"].append(diss)
+    # integrate's scan makes an overflowing energy density raise NonFiniteError
+    row = (s.t, integrate(s.h, g), integrate(energy_density(s, p, d), g), min_h, float(s.h.max()),
+           float(np.max(np.abs(s.u))), float(d.ux.min()), max_hx, float(P.max()), float(Q.max()), diss)
+    for column, value in zip(series.values(), row):
+        column.append(value)
     return max_ux, max_hx, min_h
 
 
@@ -283,10 +293,12 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
              blowup: BlowupThresholds | None = None) -> SimHistory:
     """March to ``t_end`` or to a monitor abort; never throws past the first step.
 
-    Aborts (blow-up trigger, depth collapse, boundary contamination, solver
-    failure, non-finite fields) are recorded in the history with a reason
-    code.  Snapshots include the initial and final states.  Invalid inputs
-    raise before the first step: an initial state whose derived fields
+    A step, its far-field pin and its series row form one guarded unit: the
+    stepped state becomes current only once its row is recorded.  Aborts
+    (blow-up trigger, depth collapse, boundary contamination, solver failure,
+    non-finite fields) are stored as a reason code, stamped at the last
+    recorded state.  Snapshots include the initial and final states.  Invalid
+    inputs raise before the first step: an initial state whose derived fields
     overflow (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.
     """
     hist = SimHistory(grid=g, params=p, control=c)
@@ -299,31 +311,27 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol, ncells=2 * FARFIELD_CLAMP_CELLS)
     s = _pin_far_field(FlowState(s0.h.copy(), s0.u.copy(), s0.t), p, g)
     max_ux, max_hx, min_h = _record(series, s, p, g)
-    hist.e0 = series["energy"][0]
     snapshot(s)
     next_out = c.output_dt
     steps_since_out = 0
-    reason = None
     while s.t < c.t_end - 1e-12 * max(1.0, c.t_end):
         try:
             check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol, ncells=2 * FARFIELD_CLAMP_CELLS)
-            if blowup is not None:
-                code = check_blowup(max_ux, max_hx, min_h, blowup, floor)
-                if code is not None:
-                    hist.trigger = (s.t, code)
-                    reason = f"blowup:{code}"
-                    break
+            code = None if blowup is None else check_blowup(max_ux, max_hx, min_h, blowup, floor)
+            if code is not None:
+                hist.abort_reason = f"blowup:{code}"
+                break
             dt = c.dt_fixed if c.dt_fixed is not None else cfl_dt(s, p, g, c)
             dt = min(dt, c.t_end - s.t)
             if next_out is not None and s.t < next_out:
                 dt = min(dt, next_out - s.t)
-            s = _pin_far_field(rk4_step(s, dt, p, g), p, g)
+            stepped = _pin_far_field(rk4_step(s, dt, p, g), p, g)
+            max_ux, max_hx, min_h = _record(series, stepped, p, g)
         except (BoundaryContaminationError, DepthCollapseError, NonFiniteError, SolverFailureError) as exc:
-            reason = exc.reason
+            hist.abort_reason = exc.reason
             break
-        hist.n_steps += 1
+        s = stepped
         steps_since_out += 1
-        max_ux, max_hx, min_h = _record(series, s, p, g)
         due = False
         if next_out is not None and s.t >= next_out - 1e-12:
             due = True
@@ -333,11 +341,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
         if due:
             snapshot(s)
             steps_since_out = 0
-    if reason is not None:
-        hist.status = "aborted"
-        hist.abort_reason = reason
-        hist.abort_time = s.t
-    if not hist.snapshots or hist.snapshots[-1].t != s.t:
+    if hist.snapshots[-1].t != s.t:
         snapshot(s)
     hist.series = {k: np.asarray(v) for k, v in series.items()}
     return hist

@@ -36,10 +36,6 @@ class DepthCollapseError(SgnError):
     """The depth went non-positive during time stepping, even after a retry at half step."""
     reason = "depth-collapse"
 
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
-
 
 class ThresholdExceededError(SgnError):
     """The measured initial energy exceeds the a-priori bound threshold; the bounds are vacuous."""

@@ -22,7 +22,7 @@ from .config import config_echo
 from .diagnostics import Check
 from .dynamics import SimHistory
 from .kinematics import pq_fields
-from .scenarios import RunArtifact, SweepResult
+from .scenarios import RunArtifact, SWEEP_LABEL, SweepResult
 
 __all__ = ["write_run_artifact", "write_sweep_result", "SERIES_CSV_COLUMNS"]
 
@@ -99,7 +99,7 @@ def write_run_artifact(art: RunArtifact, out_dir: str) -> None:
 def write_sweep_result(result: SweepResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for eps, art in zip(result.epsilons, result.artifacts):
-        write_run_artifact(art, os.path.join(out_dir, f"eps_{eps:g}"))
+        write_run_artifact(art, os.path.join(out_dir, SWEEP_LABEL.format(eps)))
     with open(os.path.join(out_dir, "sweep_table.csv"), "w", encoding="utf-8") as fh:
         fh.write("eps_coarse,eps_fine,dh_l2,du_l2,comparable\n")
         for row in result.table:

@@ -60,6 +60,8 @@ KINDS = ("flat", "gaussian", "sine", "steep", "custom")
 CHECKS = ("energy", "bounds", "oleinik", "blowup", "dispersion")
 #: time samples of the box window in :func:`l2_box_difference`
 BOX_TIME_SAMPLES = 33
+#: the directory of each member of a sweep, by its epsilon
+SWEEP_LABEL = "eps_{:g}"
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
         if "dispersion" in self.checks and self.kind != "sine":
             raise ConfigError("the dispersion check needs a sine scenario")
+        box, g = self.box, self.grid
+        if box is not None and not (-math.inf < box.t1 < box.t2 < math.inf and g.x_left <= box.a < box.b <= g.x_right):
+            raise ConfigError(f"[sweep] box needs finite t1 < t2 and x_left <= a < b <= x_right, got {box}")
 
 
 @dataclass
@@ -171,12 +176,13 @@ def _shape(cfg: ScenarioConfig, amplitude: float) -> tuple[np.ndarray, np.ndarra
             raise ConfigError("steep amplitude drives the depth non-positive")
         u = 2.0 * p.sqrt_3gamma * (1.0 / np.sqrt(h) - 1.0 / math.sqrt(p.hbar))
         return h, u
-    if cfg.kind == "custom":
+    try:  # custom
         data = np.loadtxt(cfg.file, delimiter=",", skiprows=1)
-        if data.shape != (g.n, 3):
-            raise ConfigError(f"custom file must hold {g.n} rows of x,h,u; got shape {data.shape}")
-        return data[:, 1].copy(), data[:, 2].copy()
-    raise ConfigError(f"unknown scenario kind {cfg.kind!r}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read custom file {cfg.file}: {exc}") from exc
+    if data.shape != (g.n, 3):
+        raise ConfigError(f"custom file must hold {g.n} rows of x,h,u; got shape {data.shape}")
+    return data[:, 1].copy(), data[:, 2].copy()
 
 
 def build_initial(cfg: ScenarioConfig) -> FlowState:
@@ -288,6 +294,8 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
         raise ConfigError("sweep epsilons must all be positive")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigError("sweep epsilons must be strictly decreasing")
+    if len(set(map(SWEEP_LABEL.format, epsilons))) < len(epsilons):
+        raise ConfigError(f"sweep epsilons {list(epsilons)} share a member directory {SWEEP_LABEL}")
     box = cfg.box
     if box is None:
         box = Box(0.0, cfg.step.t_end, cfg.grid.x_left + 0.25 * cfg.grid.length,

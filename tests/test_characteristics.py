@@ -172,6 +172,12 @@ class TestTrace:
         with pytest.raises(ContractViolationError):
             trace(hist, g.x_right + 1.0, "plus")
 
+    def test_single_snapshot_refused(self):
+        hist, p, g = flat_history(t_end=0.0)
+        assert len(hist.snapshots) == 1
+        with pytest.raises(ContractViolationError, match="two snapshots"):
+            trace(hist, 0.0, "plus")
+
 
 class TestRiccatiResidual:
     def test_flat_run_zero(self):

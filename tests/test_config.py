@@ -21,6 +21,17 @@ _POSITIVE = st.floats(1e-6, 1e6)
 _FILE = st.from_regex(r"[a-z0-9_/%]{1,12}\.csv", fullmatch=True)
 
 
+def _boxes(g: Grid):
+    """``None`` or a comparison box valid on ``g``: finite t1 < t2 and x_left <= a < b <= x_right."""
+    if not g.x_left < g.x_right:  # a far-off origin can absorb the whole length in rounding
+        return st.none()
+
+    def pairs(elements):
+        return st.lists(elements, min_size=2, max_size=2, unique=True).map(sorted)
+
+    return st.none() | st.builds(lambda t, x: Box(*t, *x), pairs(_REAL), pairs(st.floats(g.x_left, g.x_right)))
+
+
 @st.composite
 def scenario_configs(draw):
     """Random valid configurations, including every optional left as ``None``."""
@@ -30,10 +41,12 @@ def scenario_configs(draw):
     if kind != "sine":
         switches.discard("dispersion")
     thresholds = st.builds(BlowupThresholds, _POSITIVE, _POSITIVE, st.none() | _POSITIVE)
+    params = Params(g=draw(_POSITIVE), gamma=draw(_POSITIVE), hbar=draw(_POSITIVE),
+                    epsilon=draw(st.floats(0.0, 1.0)))
+    grid = Grid(n=draw(st.integers(8, 10**6)), dx=draw(_POSITIVE), x_left=draw(_REAL), mode=mode)
     return ScenarioConfig(
-        params=Params(g=draw(_POSITIVE), gamma=draw(_POSITIVE), hbar=draw(_POSITIVE),
-                      epsilon=draw(st.floats(0.0, 1.0))),
-        grid=Grid(n=draw(st.integers(8, 10**6)), dx=draw(_POSITIVE), x_left=draw(_REAL), mode=mode),
+        params=params,
+        grid=grid,
         step=StepControl(cfl=draw(st.floats(1e-3, 1.0)), dt_max=draw(_POSITIVE),
                          t_end=draw(st.floats(0.0, 1e3)), output_every=draw(st.integers(0, 100)),
                          output_dt=draw(st.none() | _POSITIVE), dt_fixed=draw(st.none() | _POSITIVE),
@@ -54,7 +67,7 @@ def scenario_configs(draw):
         oleinik_C=draw(st.none() | st.floats(0.0, allow_infinity=False)),
         # parsing builds thresholds whenever the blow-up check is on
         blowup=draw(thresholds if "blowup" in switches else st.none() | thresholds),
-        box=draw(st.none() | st.builds(Box, _REAL, _REAL, _REAL, _REAL)),
+        box=draw(_boxes(grid)),
         sweep_mollifier_tied=draw(st.booleans()),
     )
 
@@ -135,6 +148,35 @@ class TestNothingSilentlyDropped:
             parse_config(str(path))
         assert main(["check", "--config", str(path)]) == 2
         assert "error: [grid] needs n" in capsys.readouterr().err
+
+
+class TestRefusals:
+    """Every malformed entry is a ConfigError, which the CLI reports as one ``error:`` line, exit 2."""
+
+    FLAT = CONFIGS[0].parent / "flat.cfg"
+
+    @pytest.mark.parametrize("override, message", [
+        ("params.g=abc", "not a number"),
+        ("scenario.wavenumber=,", "not a number list"),
+        ("checks.energy=maybe", "not a boolean"),
+        ("grid_n=3", "must look like section.key=value"),
+        ("grid.wavelength=3", r"unknown keys in \[grid\]"),
+    ])
+    def test_malformed_override_exit_two(self, override, message, capsys):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(str(self.FLAT), [override])
+        assert main(["check", "--config", str(self.FLAT), "--override", override]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_grid_section_rejected(self):
+        text = self.FLAT.read_text()
+        text = text[:text.index("[grid]")] + text[text.index("[scenario]"):]
+        with pytest.raises(ConfigError, match=r"needs a \[grid\] section"):
+            parse_config_text(text)
+
+    def test_unreadable_config_exit_two(self, tmp_path, capsys):
+        assert main(["check", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
 class TestPercentInValues:

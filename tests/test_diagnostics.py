@@ -242,6 +242,17 @@ class TestLpBoxNorm:
         with pytest.raises(ContractViolationError):
             lp_box_norm(hist, 0.5, Box(0.0, 0.2, -500.0, 5.0))
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 2.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        hist, p, g = flat_history(t_end=0.3)
+        with pytest.raises(ContractViolationError, match="alpha"):
+            lp_box_norm(hist, alpha, Box(0.0, 0.3, -5.0, 5.0))
+
+    def test_box_with_two_snapshots_rejected(self):
+        hist, p, g = flat_history(t_end=0.3)  # snapshots every 0.1
+        with pytest.raises(ContractViolationError, match="3 snapshots"):
+            lp_box_norm(hist, 0.5, Box(0.05, 0.2, -5.0, 5.0))
+
     def test_sparse_sampling_warns(self):
         hist, p, g = gaussian_history(t_end=0.3)
         with pytest.warns(UserWarning, match="time samples"):
@@ -265,6 +276,11 @@ class TestDispersion:
         c0 = math.sqrt(9.81)
         for k in (0.5, 1.0, 2.0, 4.0, 8.0):
             assert dispersion_omega(k, p) / k == pytest.approx(c0, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, float("nan")])
+    def test_nonpositive_wavenumber_rejected(self, k):
+        with pytest.raises(ContractViolationError, match="wavenumber"):
+            dispersion_omega(k, Params())
 
     def test_bond_number(self):
         assert bond_number(Params(g=9.81, gamma=3.27, hbar=1.0)) == pytest.approx(3.0)

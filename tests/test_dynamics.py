@@ -132,7 +132,7 @@ class TestRk4Step:
         s = FlowState(0.02 + 0.01 * np.cos(x), 5.0 * np.sin(x), 0.0)
         with pytest.raises(DepthCollapseError) as err:
             rk4_step(s, 0.5, params, g)
-        assert err.value.time == 0.0
+        assert "near t = 0:" in str(err.value)
 
     def test_retry_advances_half_step(self, params, monkeypatch):
         # fault injection: the fourth stage of the full step drains the depth, so
@@ -181,6 +181,7 @@ class TestStepControl:
         ("dt_fixed", 0.0), ("dt_fixed", -1.0), ("dt_fixed", float("nan")),
         ("farfield_rtol", -1.0), ("farfield_rtol", 0.0), ("farfield_rtol", float("inf")),
         ("output_every", -3),
+        ("cfl", 0.0), ("cfl", 1.5), ("cfl", float("nan")), ("dt_max", 0.0), ("dt_max", float("nan")),
     ])
     def test_malformed_setting_rejected(self, field, value):
         with pytest.raises(ContractViolationError, match=field):
@@ -435,6 +436,30 @@ class TestSimulate:
         assert len(calls) == 9 and hist.n_steps == 2
         _assert_abort_history_consistent(hist)
 
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_nonfinite_record_aborts_with_code(self, params, monkeypatch, mode):
+        # fault injection: the energy density of the fourth recorded state
+        # overflows; the step whose row fails is not accepted, and no column
+        # keeps a partial row
+        real = dynamics.energy_density
+        calls = []
+
+        def overflowing(s, p, d):
+            out = real(s, p, d)
+            calls.append(1)
+            if len(calls) == 4:
+                out[20] = np.inf
+            return out
+
+        monkeypatch.setattr(dynamics, "energy_density", overflowing)
+        g = Grid.from_length(256, 40.0, -20.0, mode)
+        hist = simulate(gaussian_state(g), params, g,
+                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        assert hist.status == "aborted"
+        assert hist.abort_reason == "nonfinite-fields"
+        assert len(calls) == 4 and hist.n_steps == 2
+        _assert_abort_history_consistent(hist)
+
     def test_depth_collapse_aborts_with_code(self, params, monkeypatch):
         # fault injection: after 20 evaluations the depth drains at a rate no
         # step (nor its dt/2 retry) survives
@@ -500,7 +525,7 @@ def _assert_abort_history_consistent(hist):
 # abort code -> the error a failing step raises for it (blow-up codes come from the monitor)
 _STEP_FAULTS = {
     "boundary-contamination": lambda: BoundaryContaminationError("injected"),
-    "depth-collapse": lambda: DepthCollapseError("injected", 0.0),
+    "depth-collapse": lambda: DepthCollapseError("injected"),
     "nonfinite-fields": lambda: NonFiniteError("injected"),
     "solver-failure": lambda: SolverFailureError("injected"),
 }

@@ -277,6 +277,16 @@ def test_public_entry_rejects_wrong_length_and_nonfinite(call, mode):
         call(f, g)
 
 
+@pytest.mark.parametrize("op", [apply_L, solve_L], ids=["apply_L", "solve_L"])
+@pytest.mark.parametrize("mode", ["periodic", "line"])
+def test_operator_rejects_wrong_shape(op, mode):
+    g = Grid.from_length(64, 10.0, -5.0, mode)
+    sys = assemble_L(np.ones(g.n), g, hbar=1.0)
+    for bad in (np.ones(g.n + 1), np.ones(g.n - 1), np.ones((g.n, 1))):
+        with pytest.raises(ContractViolationError, match="shape"):
+            op(sys, bad)
+
+
 class TestHelmholtz:
     def test_constant(self, periodic_grid, line_grid, params):
         for g in (periodic_grid, line_grid):

@@ -56,6 +56,12 @@ class TestParams:
         with pytest.raises(PositivityError):
             FlowState(np.array([1.0, -1.0] * 8), np.zeros(16))
 
+    @pytest.mark.parametrize("h, u", [(np.ones(16), np.zeros(15)), (np.ones((4, 4)), np.zeros((4, 4)))],
+                             ids=["unequal-length", "two-dimensional"])
+    def test_state_shape_rejected(self, h, u):
+        with pytest.raises(ContractViolationError, match="1d arrays of equal length"):
+            FlowState(h, u)
+
 
 class TestRiemannInvariants:
     def test_flat_unit_depth(self, periodic_grid):
@@ -252,6 +258,11 @@ class TestAPrioriBounds:
         p = Params(g=9.81, gamma=9.81, hbar=1.0)
         with pytest.raises(ThresholdExceededError):
             a_priori_bounds(p.e_max, p)
+
+    @pytest.mark.parametrize("e0", [-1e-12, float("nan")])
+    def test_negative_energy_rejected(self, e0):
+        with pytest.raises(ContractViolationError, match="e0 must be nonnegative"):
+            a_priori_bounds(e0, Params())
 
     @given(e0=st.floats(1e-6, 0.99), scale=st.floats(0.1, 10.0))
     def test_bounds_ordering_hypothesis(self, e0, scale):

@@ -1,8 +1,12 @@
-"""The benchmark's tracer looks up sgnlab functions by name; every name must resolve."""
+"""The benchmark looks up sgnlab functions by name and uses ``SimHistory`` directly; both must keep working."""
 
 import importlib
 import runpy
 from pathlib import Path
+
+import numpy as np
+
+from sgnlab import FlowState, Grid, Params, dynamics
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -13,3 +17,18 @@ def test_every_traced_layer_resolves_to_a_callable():
     missing = [f"{mod}.{name}" for mod, names in layers.items() for name in names
                if not callable(getattr(importlib.import_module(f"sgnlab.{mod}"), name, None))]
     assert layers and not missing
+
+
+def test_sim_history_as_the_benchmark_uses_it():
+    # the sweep workload rebuilds a history from snapshot files by keyword; the
+    # others read the outcome, the step count, the series and the snapshots
+    p = Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=0.0)
+    g = Grid.from_length(64, 40.0, -20.0, "periodic")
+    control = dynamics.StepControl(cfl=0.3, dt_max=0.1, t_end=0.2, output_dt=0.1)
+    s0 = FlowState(1.0 + 0.05 * np.exp(-(g.cells() ** 2)), np.zeros(g.n), 0.0)
+    rebuilt = dynamics.SimHistory(grid=g, params=p, control=control, snapshots=[s0])
+    assert rebuilt.snapshots[0] is s0 and rebuilt.grid == g and rebuilt.control == control
+    hist = dynamics.simulate(s0, p, g, control)
+    assert hist.status == "completed" and hist.n_steps > 0
+    assert len(hist.series["energy"]) == hist.n_steps + 1
+    assert hist.snapshots[-1].h.shape == (g.n,) and hist.snapshots[-1].t == hist.t_final

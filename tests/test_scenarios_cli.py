@@ -284,6 +284,12 @@ class TestSweep:
         assert [a.history.status for a in res.artifacts] == ["completed", "completed"]
         assert [a.config.params.epsilon for a in res.artifacts] == [0.2, 0.1]
 
+    def test_box_difference_needs_one_grid(self):
+        runs = [run_scenario(default_cfg(grid=Grid.from_length(n, 40.0, -20.0, "periodic"),
+                                         step=StepControl(t_end=0.0))).history for n in (256, 128)]
+        with pytest.raises(ConfigError, match="different grids"):
+            l2_box_difference(*runs, Box(0.0, 0.0, -5.0, 5.0))
+
     def test_quiescent_sweep_differences_at_mollification_level(self):
         # no cut-off activity: runs differ only through the mollified data
         g = Grid.from_length(512, 40.0, -20.0, "line")
@@ -429,6 +435,14 @@ class TestCli:
         ("dispersion_b3.cfg", "scenario.wavenumber=1,inf", "error: wavenumbers"),
         ("gaussian_energy.cfg", "grid.length=inf", "error: grid spacing"),
         ("gaussian_energy.cfg", "grid.x_left=-inf", "error: grid origin"),
+        # refused by the scenario or while building the initial state: ``check`` refuses what ``run`` refuses
+        ("flat.cfg", "scenario.kind=cnoidal", "error: unknown scenario kind"),
+        ("flat.cfg", "scenario.kind=custom", "error: custom scenarios need a file"),
+        ("gaussian_energy.cfg", "checks.dispersion=true", "error: the dispersion check needs a sine scenario"),
+        ("dispersion_b3.cfg", "scenario.wavenumber=1.1", "error: wavenumber 1.1 does not fit"),
+        ("steep_sweep.cfg", "scenario.amplitude=-1.5", "error: steep amplitude drives the depth non-positive"),
+        ("flat.cfg", "scenario.target_energy=0.1", "error: cannot tune a flat scenario"),
+        ("gaussian_energy.cfg", "scenario.target_energy=1e300", "error: target energy unreachable"),
     ])
     def test_nonfinite_shape_or_grid_exit_two(self, tmp_path, capsys, config, override, message):
         path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
@@ -439,6 +453,67 @@ class TestCli:
         assert not out_dir.exists()
         assert main(["check", *args]) == 2
         assert "OK" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [None, "x,h,u\n1,one,0\n", "x,h,u\n0,1,0\n1,1,0\n"],
+                             ids=["missing", "non-numeric", "wrong-shape"])
+    def test_unreadable_custom_file_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path / "state.csv"
+        if content is not None:
+            path.write_text(content)
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "gaussian_energy.cfg"
+        overrides = ["scenario.kind=custom", f"scenario.file={path}"]
+        with pytest.raises(ConfigError, match="custom file"):
+            build_initial(parse_config(str(cfg), overrides))
+        args = ["--config", str(cfg), "--override", overrides[0], "--override", overrides[1]]
+        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["check", *args]) == 2
+
+    @pytest.mark.parametrize("box", [("nan", "0.5", "-4", "6"), ("0.5", "0.1", "-4", "6"),
+                                     ("0.1", "0.5", "6", "-4"), ("0.1", "0.5", "-40", "6"),
+                                     ("0.1", "inf", "-4", "6")],
+                             ids=["nan-t1", "reversed-t", "reversed-x", "outside-grid", "infinite-t2"])
+    def test_malformed_sweep_box_exit_two(self, tmp_path, capsys, box):
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
+        args = ["--config", str(cfg)]
+        for key, value in zip(("box_t1", "box_t2", "box_a", "box_b"), box):
+            args += ["--override", f"sweep.{key}={value}"]
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", *args, "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: [sweep] box")
+        assert not out_dir.exists()
+        assert main(["check", *args]) == 2
+
+    def test_skip_and_detail_lines(self, tmp_path, capsys):
+        # above the energy threshold the bounds check is skipped, and the run still passes
+        path = self.write_cfg(tmp_path, BASE_CFG + "bounds = true\noleinik = true\n")
+        args = ["run", "--config", path, "--out", str(tmp_path / "o"), "--override", "step.t_end=0"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] bounds: h_lower: margin=" in out and "[PASS] oleinik: fitted_C=" in out
+        assert main([*args, "--override", "scenario.target_energy=10"]) == 0
+        assert "[SKIP] bounds: initial energy 10 >= threshold 9.81" in capsys.readouterr().out
+
+    def test_aborted_members_fail_and_are_incomparable(self, tmp_path, capsys):
+        # absurdly low thresholds abort every member after its first step
+        path = self.write_cfg(tmp_path, BASE_CFG)
+        out_dir = tmp_path / "sweep"
+        args = ["--override", "checks.blowup=true", "--override", "checks.ux_threshold=1e-12",
+                "--override", "checks.hx_threshold=1e-12"]
+        assert main(["sweep", "--config", path, *args, "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAIL] completed: aborted: blowup:gradient-pair at t=") == 2
+        assert out.count("run aborted at t=") == 2 and "after 1 steps" in out
+        assert "pair (0.2, 0.1): incomparable (aborted run)" in out
+        with open(out_dir / "sweep_table.csv") as fh:
+            assert fh.read().splitlines()[1] == "0.20000000000000001,0.10000000000000001,,,False"
+
+    def test_bad_epsilon_list_exit_two(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, BASE_CFG)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--epsilons", "0.2,abc", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: key epsilons = 'abc' is not a number")
+        assert not out_dir.exists()
 
     def test_failed_check_exit_one(self, tmp_path, capsys):
         # an impossibly tight tolerance forces an honest FAIL
