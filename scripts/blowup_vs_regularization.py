@@ -42,7 +42,7 @@ def main():
         if hist.trigger:
             print(f"  -> blow-up monitor fired: {hist.trigger[1]} at t = {hist.trigger[0]:.3f}")
         else:
-            rep = oleinik_report(hist, p)
+            rep = oleinik_report(hist)
             print(f"  -> reached t = {hist.t_final:.3f}; fitted Oleinik constant {rep.fitted_C:.2f}")
 
 

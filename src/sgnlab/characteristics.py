@@ -194,7 +194,7 @@ def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, n
         minus = minus + chiP / (8.0 * s.h) - A_x * P / (2.0 * s.h)
         plus = plus + chiQ / (8.0 * s.h) - A_x * Q / (2.0 * s.h)
         sys = assemble_L(s.h, g, p.hbar)
-        v1 = reg.compute_V1(s, d.ux, A, A_x, chiP, chiQ, p, g, sys)
+        v1 = reg.compute_V1(s, d.ux, A_x, chiP, chiQ, g, sys)
         v2 = reg.compute_V2(s, A, p)
     M, N = reg.compute_MN(s, v1, v2, script_r(s, p, g, _sys=sys))
     return minus + M, plus + N
@@ -218,7 +218,7 @@ def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
     return RiccatiResidual(values=dval - rhs_on_path, t=path.t.copy(), undersampled=undersampled)
 
 
-def pq_square_integral(history, path_plus: CharPath, path_minus: CharPath) -> PQSquareIntegral:
+def pq_square_integral(path_plus: CharPath, path_minus: CharPath) -> PQSquareIntegral:
     """``int P^2`` along the plus path plus ``int Q^2`` along the minus path,
     up to their meeting time (transversal pairing).
 

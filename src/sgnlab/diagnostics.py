@@ -15,9 +15,11 @@ Covered:
   ``omega^2 = g hbar k^2 (1 + gamma k^2/g) / (1 + hbar^2 k^2 / 3)``
   and its dispersionless collapse at Bond number ``g hbar^2/gamma = 3``.
 
-All reports are read-only over a stored history.  Each is a flat record whose
-fields are its ``summary.json`` keys, in order: :mod:`sgnlab.io` writes every
-report's fields with one serializer, so renaming a field renames its key.
+All reports are read-only over a stored history and read the run's
+parameters from it (``history.params``), so a report cannot judge a run by
+another run's parameters.  Each is a flat record whose fields are its
+``summary.json`` keys, in order: :mod:`sgnlab.io` writes every report's
+fields with one serializer, so renaming a field renames its key.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import BlowupThresholds, SimHistory, check_blowup, depth_floor
+from .dynamics import SimHistory
 from .errors import ContractViolationError, ModeError, ThresholdExceededError
-from .grid import Grid
-from .kinematics import FlowState, Params, a_priori_bounds, gradients
+from .kinematics import Params, a_priori_bounds, gradients
 
 __all__ = [
     "Box",
@@ -45,7 +46,6 @@ __all__ = [
     "bounds_check",
     "oleinik_report",
     "blowup_report",
-    "blowup_monitor",
     "lp_box_norm",
     "dispersion_omega",
     "measure_phase_speed",
@@ -145,7 +145,7 @@ class DispersionReport:
         return bool(self.modes) and all(row["pass"] for row in self.modes)
 
 
-def energy_budget(history: SimHistory, p: Params, conserve_rtol: float = 1e-6) -> EnergyReport:
+def energy_budget(history: SimHistory, conserve_rtol: float = 1e-6) -> EnergyReport:
     """Energy conservation (eps = 0) or dissipation and budget closure (eps > 0).
 
     The budget residual is ``E(T) - E(0) - integral of the production term``;
@@ -161,7 +161,7 @@ def energy_budget(history: SimHistory, p: Params, conserve_rtol: float = 1e-6) -
     e0 = float(e[0])
     scale = max(abs(e0), 1e-300)
     verdicts: dict[str, Check] = {}
-    if p.epsilon == 0.0:
+    if history.params.epsilon == 0.0:
         verdicts["energy_conservation"] = Check(abs(delta) / scale <= conserve_rtol, abs(delta) / scale, conserve_rtol)
     else:
         max_rise = float(np.max(np.diff(e))) if e.shape[0] > 1 else 0.0
@@ -175,13 +175,13 @@ def energy_budget(history: SimHistory, p: Params, conserve_rtol: float = 1e-6) -
                         budget_residual=residual, verdicts=verdicts)
 
 
-def bounds_check(history: SimHistory, p: Params) -> BoundsReport:
+def bounds_check(history: SimHistory) -> BoundsReport:
     """A-priori depth and velocity bounds over the whole recorded run.
 
     Skipped (explicitly, not passed) when the measured initial energy reaches
     the threshold: the bounds are vacuous there and silence would mislead.
     """
-    e0 = history.e0
+    e0, p = history.e0, history.params
     try:
         bounds = a_priori_bounds(e0, p)
     except ThresholdExceededError:
@@ -202,7 +202,7 @@ def bounds_check(history: SimHistory, p: Params) -> BoundsReport:
                         margins=margins, verdicts=verdicts)
 
 
-def oleinik_report(history: SimHistory, p: Params, user_c: float | None = None) -> OleinikReport:
+def oleinik_report(history: SimHistory, user_c: float | None = None) -> OleinikReport:
     """One-sided bound ``sup(P, Q)/h_min <= C (1 + 1/t)`` fitted over the run.
 
     ``fitted_C`` is the smallest constant covering every recorded step with
@@ -212,7 +212,7 @@ def oleinik_report(history: SimHistory, p: Params, user_c: float | None = None) 
     t = history.series["t"]
     mask = t > 0.0
     try:
-        h_norm = a_priori_bounds(history.e0, p).h_min
+        h_norm = a_priori_bounds(history.e0, history.params).h_min
     except ThresholdExceededError:
         h_norm = float(np.min(history.series["min_h"]))
     sup = np.maximum(np.maximum(history.series["sup_P"], history.series["sup_Q"]), 0.0)
@@ -232,16 +232,6 @@ def blowup_report(history: SimHistory) -> BlowupReport:
     return BlowupReport(triggered=history.trigger is not None, trigger_time=t, trigger_code=code,
                         final_min_ux=float(ser["min_ux"][-1]), final_max_abs_hx=float(ser["max_abs_hx"][-1]),
                         final_min_h=float(ser["min_h"][-1]))
-
-
-def blowup_monitor(s: FlowState, p: Params, g: Grid,
-                   thresholds: BlowupThresholds | None = None) -> str | None:
-    """Evaluate the paired blow-up criterion on a single state, with the depth
-    floor that :func:`~sgnlab.dynamics.simulate` would resolve starting from it."""
-    thr = thresholds if thresholds is not None else BlowupThresholds()
-    d = gradients(s, p, g)
-    return check_blowup(float(np.max(np.abs(d.ux))), float(np.max(np.abs(d.hx))),
-                        float(s.h.min()), thr, depth_floor(thr, s, p, g))
 
 
 def lp_box_norm(history: SimHistory, alpha: float, box: Box) -> float:

@@ -88,8 +88,8 @@ class StepControl:
             raise ContractViolationError("dt_max must be positive")
         if not 0.0 <= self.t_end < np.inf:
             raise ContractViolationError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if self.output_every < 0:
-            raise ContractViolationError(f"output_every must be >= 0, got {self.output_every}")
+        if not isinstance(self.output_every, (int, np.integer)) or self.output_every < 0:
+            raise ContractViolationError(f"output_every must be an integer >= 0, got {self.output_every!r}")
         for name in ("output_dt", "dt_fixed", "farfield_rtol"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
@@ -149,10 +149,10 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     dh = -_derivative(s.h * s.u, g)
     fields = reg.compute_reg_fields(s, p, g) if p.epsilon > 0.0 else None
     if fields is None:
-        source = derivative(curly_c(s, p, d) + f_of_h(s, p), g)
+        source = derivative(curly_c(p, d) + f_of_h(s, p), g)
     else:
         a_x, b_flux = fields
-        source = derivative(curly_c(s, p, d) + f_of_h(s, p) - b_flux, g)
+        source = derivative(curly_c(p, d) + f_of_h(s, p) - b_flux, g)
         source += 0.5 * s.u * a_x
         dh += a_x
     du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - solve_L_refined(sys, d, source, g)

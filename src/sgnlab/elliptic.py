@@ -128,7 +128,7 @@ def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (sys.n,):
         raise ContractViolationError(f"vector has shape {u.shape}, expected ({sys.n},)")
-    return _apply_L(sys, u)
+    return _apply_L(sys, _finite(u))
 
 
 def _apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
@@ -240,7 +240,7 @@ def script_r(s: FlowState, p: Params, g: Grid, *, _sys: TridiagonalSystem | None
     so the operator is assembled and factored once.
     """
     d = gradients(s, p, g)
-    c = curly_c(s, p, d)
+    c = curly_c(p, d)
     sys = assemble_L(s.h, g, p.hbar) if _sys is None else _sys
     w = solve_L(sys, derivative(c + f_of_h(s, p), g))
     return c + (1.0 / 3.0) * d.h3 * derivative(w, g)

@@ -55,8 +55,8 @@ class Grid:
     mode: str = PERIODIC
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ContractViolationError(f"grid needs n >= 8 cells, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 8:
+            raise ContractViolationError(f"grid needs an integer n >= 8 cells, got {self.n!r}")
         if not 0.0 < self.dx < np.inf:
             raise ContractViolationError(f"grid spacing must be positive and finite, got {self.dx}")
         if not np.isfinite(self.x_left):

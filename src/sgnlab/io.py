@@ -18,6 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import __version__
 from .config import config_echo
 from .diagnostics import Check
 from .dynamics import SimHistory
@@ -67,7 +68,7 @@ def _json_record(obj) -> dict:
 def summary_dict(art: RunArtifact) -> dict:
     hist = art.history
     return {
-        "version": art.version,
+        "version": __version__,
         "status": hist.status,
         "abort_reason": hist.abort_reason,
         "abort_time": hist.abort_time,

@@ -236,7 +236,7 @@ def pq_to_gradients(P: np.ndarray, Q: np.ndarray, h: np.ndarray, p: Params) -> t
     return ux, hx
 
 
-def curly_c(s: FlowState, p: Params, d: Gradients) -> np.ndarray:
+def curly_c(p: Params, d: Gradients) -> np.ndarray:
     """Quadratic source ``(2/3) h^3 u_x^2 - (3/2) gamma h_x^2``."""
     return (2.0 / 3.0) * d.h3 * d.ux**2 - 1.5 * p.gamma * d.hx**2
 

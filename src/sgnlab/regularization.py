@@ -15,16 +15,16 @@ From the cut-off, the source fields of the regularized system::
     V2 = (3 g / sqrt(3 gamma)) h^{-1/2} A
     M  = -3 h^{-2} R_script + V1 - V2        N = -3 h^{-2} R_script + V1 + V2
 
-``chi`` and :func:`cutoff_active` live in :mod:`sgnlab.kinematics` (re-exported
-here): a state's cut-off values are part of its memoized gradient bundle,
-``Gradients.cutoff``.  The stepper reads ``A_x`` and ``B``'s flux
-``h^2 u_x A_x/2 - h (chi(P) + chi(Q))/48``: :func:`compute_reg_fields` returns
-both, and ``dynamics.rhs`` folds ``B``'s source into its one ``L_h`` solve
-(``L_h^{-1}`` is linear).  :func:`compute_B` solves for ``B`` alone from the
-same flux.  ``V1``, ``V2``, ``M`` and ``N`` enter only the Riccati equations
-along characteristics, and ``characteristics._riccati_rhs_fields`` is their
-one caller: it builds ``A`` and ``A_x`` itself and hands ``V1`` the ``L_h``
-it shares with ``script_r``.
+``chi`` and ``cutoff_active`` live in :mod:`sgnlab.kinematics`: a state's
+cut-off values are part of its memoized gradient bundle, ``Gradients.cutoff``.
+The stepper reads ``A_x`` and ``B``'s flux ``h^2 u_x A_x/2 - h (chi(P) +
+chi(Q))/48``: :func:`compute_reg_fields` returns both, and ``dynamics.rhs``
+folds ``B``'s source into its one ``L_h`` solve (``L_h^{-1}`` is linear).
+:func:`compute_B` solves for ``B`` alone from the same flux.  ``V1``,
+``V2``, ``M`` and ``N`` enter only the Riccati equations along
+characteristics, and ``characteristics._riccati_rhs_fields`` is their one
+caller: it builds ``A`` and ``A_x`` itself and hands ``V1`` the ``L_h`` it
+shares with ``script_r``.
 
 ``A``, ``A_x`` and ``B`` are well defined on both grid modes, so ``eps > 0``
 runs on either.  Only ``V1`` needs the primitive from minus infinity:
@@ -41,11 +41,9 @@ import numpy as np
 
 from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L
 from .grid import Grid, _derivative, cumulative_integral, derivative
-from .kinematics import FlowState, Params, chi, cutoff_active, gradients
+from .kinematics import FlowState, Params, gradients
 
 __all__ = [
-    "chi",
-    "cutoff_active",
     "compute_A",
     "compute_V2",
     "compute_V1",
@@ -71,9 +69,8 @@ def compute_V2(s: FlowState, A: np.ndarray, p: Params) -> np.ndarray:
     return (3.0 * p.g / p.sqrt_3gamma) * A / np.sqrt(s.h)
 
 
-def compute_V1(s: FlowState, ux: np.ndarray, A: np.ndarray, A_x: np.ndarray,
-               chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid,
-               sys: TridiagonalSystem) -> np.ndarray:
+def compute_V1(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray,
+               g: Grid, sys: TridiagonalSystem) -> np.ndarray:
     """Transport-correction field; needs the primitive from -infinity (line mode)."""
     integrand = 3.0 * ux * A_x / s.h - (chiP + chiQ) / (8.0 * s.h**2)
     arg = -s.u * A_x + s.h * cumulative_integral(integrand, g)
@@ -87,7 +84,7 @@ def _b_flux(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chi
 
 
 def compute_B(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray,
-              p: Params, g: Grid, sys: TridiagonalSystem) -> np.ndarray:
+              g: Grid, sys: TridiagonalSystem) -> np.ndarray:
     """Momentum-equation source ``L_h^{-1}{ -u A_x/2 + d_x{ h^2 u_x A_x/2 - h(chiP+chiQ)/48 } }``."""
     return solve_L(sys, -0.5 * s.u * A_x + derivative(_b_flux(s, ux, A_x, chiP, chiQ), g))
 

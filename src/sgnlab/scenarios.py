@@ -32,7 +32,6 @@ import numpy as np
 from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import brentq
 
-from . import __version__
 from .diagnostics import (
     Box,
     blowup_report,
@@ -128,7 +127,6 @@ class RunArtifact:
     reports: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     wall_time: float = 0.0
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -139,7 +137,10 @@ class RunArtifact:
 class SweepResult:
     artifacts: list[RunArtifact]
     table: list[dict]
-    epsilons: list[float]
+
+    @property
+    def epsilons(self) -> list[float]:
+        return [art.config.params.epsilon for art in self.artifacts]
 
 
 def _mollify(pert: np.ndarray, g: Grid, sigma: float) -> np.ndarray:
@@ -226,13 +227,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
     hist = simulate(s0, p, g, cfg.step, blowup=thresholds)
     art = RunArtifact(config=cfg, history=hist)
     if "energy" in cfg.checks:
-        art.reports["energy"] = rep = energy_budget(hist, p, conserve_rtol=cfg.energy_rtol)
+        art.reports["energy"] = rep = energy_budget(hist, conserve_rtol=cfg.energy_rtol)
         art.verdicts["energy"] = rep.passed
     if "bounds" in cfg.checks:
-        art.reports["bounds"] = rep = bounds_check(hist, p)
+        art.reports["bounds"] = rep = bounds_check(hist)
         art.verdicts["bounds"] = "skipped" if rep.status == "skipped" else rep.passed
     if "oleinik" in cfg.checks:
-        art.reports["oleinik"] = rep = oleinik_report(hist, p, user_c=cfg.oleinik_C)
+        art.reports["oleinik"] = rep = oleinik_report(hist, user_c=cfg.oleinik_C)
         art.verdicts["oleinik"] = math.isfinite(rep.fitted_C) and rep.violations == 0
     if "dispersion" in cfg.checks:
         art.reports["dispersion"] = rep = dispersion_report(hist, cfg.wavenumbers, rtol=cfg.dispersion_rtol)
@@ -298,6 +299,9 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
         raise ConfigError(f"sweep epsilons {list(epsilons)} share a member directory {SWEEP_LABEL}")
     box = cfg.box
     if box is None:
+        if not cfg.step.t_end > 0.0:
+            raise ConfigError(f"sweep t_end must be > 0 to compare on [0, t_end] without a [sweep] box, "
+                              f"got {cfg.step.t_end}")
         box = Box(0.0, cfg.step.t_end, cfg.grid.x_left + 0.25 * cfg.grid.length,
                   cfg.grid.x_right - 0.25 * cfg.grid.length)
     step = cfg.step
@@ -322,4 +326,4 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
         else:
             row.update(dh_l2=None, du_l2=None, comparable=False)
         table.append(row)
-    return SweepResult(artifacts=artifacts, table=table, epsilons=list(epsilons))
+    return SweepResult(artifacts=artifacts, table=table)

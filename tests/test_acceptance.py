@@ -99,7 +99,7 @@ def test_criterion_2_energy_dissipation_budget():
         **STEEP_DISSIPATIVE)
     s0 = build_initial(cfg)
     hist = simulate(s0, p, g, cfg.step)
-    rep = energy_budget(hist, p)
+    rep = energy_budget(hist)
     e = hist.series["energy"]
     max_rise = float(np.max(np.diff(e)))
     ok = (hist.status == "completed"
@@ -122,7 +122,7 @@ def test_criterion_3_a_priori_bounds():
                          target_energy=0.0981)
     s0 = build_initial(cfg)
     hist = simulate(s0, p, g, cfg.step)
-    rep = bounds_check(hist, p)
+    rep = bounds_check(hist)
     min_h = float(np.min(hist.series["min_h"]))
     max_u = float(np.max(hist.series["max_abs_u"]))
     ok = (hist.status == "completed"
@@ -229,7 +229,7 @@ def test_criterion_7_blowup_vs_regularization(blowup_pair):
     sup_pq = max(np.max(np.abs(hist1.series["sup_P"])),
                  np.max(np.abs(hist1.series["sup_Q"])),
                  np.max(np.abs(hist1.series["min_ux"])) * 2.0 * np.max(hist1.series["max_h"]))
-    olk = oleinik_report(hist1, p1)
+    olk = oleinik_report(hist1)
     ok1 = (hist1.status == "completed" and hist1.t_final >= 2.0 - 1e-9
            and np.isfinite(sup_pq) and math.isfinite(olk.fitted_C) and olk.violations == 0)
     report(7, "blow-up (eps=0) vs global regularized run (eps=0.1)", ok0 and ok1,

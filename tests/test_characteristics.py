@@ -15,15 +15,8 @@ from sgnlab.characteristics import (
 from sgnlab.dynamics import StepControl, simulate
 from sgnlab.elliptic import assemble_L, script_r
 from sgnlab.errors import ContractViolationError, ModeError
-from sgnlab.kinematics import char_speeds, gradients, pq_fields
-from sgnlab.regularization import (
-    chi,
-    compute_A,
-    compute_MN,
-    compute_V1,
-    compute_V2,
-    cutoff_active,
-)
+from sgnlab.kinematics import char_speeds, chi, cutoff_active, gradients, pq_fields
+from sgnlab.regularization import compute_A, compute_MN, compute_V1, compute_V2
 
 from conftest import count_derivative_calls
 
@@ -66,7 +59,7 @@ def unshared_rhs_field(s, p, g, branch):
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
         A, A_x = compute_A(s, chiP, chiQ, p, g)
         out = out + (chiP if branch == "minus" else chiQ) / (8.0 * s.h) - A_x * own / (2.0 * s.h)
-        v1 = compute_V1(s, d.ux, A, A_x, chiP, chiQ, p, g, sys)
+        v1 = compute_V1(s, d.ux, A_x, chiP, chiQ, g, sys)
         v2 = compute_V2(s, A, p)
     M, N = compute_MN(s, v1, v2, script_r(s, p, g))
     return out + (M if branch == "minus" else N)
@@ -367,7 +360,7 @@ class TestPqSquareIntegral:
         hist, p, g = flat_history(t_end=2.0)
         plus = trace(hist, -3.0, "plus")
         minus = trace(hist, 3.0, "minus")
-        out = pq_square_integral(hist, plus, minus)
+        out = pq_square_integral(plus, minus)
         assert out.value == 0.0
         assert out.met  # crossing at x = 0, t = 1
 
@@ -375,7 +368,7 @@ class TestPqSquareIntegral:
         hist, p, g = gaussian_history(t_end=1.5)
         plus = trace(hist, -3.0, "plus")
         minus = trace(hist, 3.0, "minus")
-        out = pq_square_integral(hist, plus, minus)
+        out = pq_square_integral(plus, minus)
         assert out.value >= 0.0
 
     def test_branch_order_enforced(self):
@@ -383,13 +376,13 @@ class TestPqSquareIntegral:
         plus = trace(hist, -3.0, "plus")
         minus = trace(hist, 3.0, "minus")
         with pytest.raises(ContractViolationError):
-            pq_square_integral(hist, minus, plus)
+            pq_square_integral(minus, plus)
 
     def test_never_meeting_flagged(self):
         hist, p, g = flat_history(t_end=0.5)
         plus = trace(hist, 3.0, "plus")    # to the right of the minus path,
         minus = trace(hist, -3.0, "minus")  # moving apart: they never meet
-        out = pq_square_integral(hist, plus, minus)
+        out = pq_square_integral(plus, minus)
         assert not out.met
 
     def test_affine_bound_across_epsilon_sweep(self):
@@ -406,7 +399,7 @@ class TestPqSquareIntegral:
             hist = simulate(s0, p, g, StepControl(cfl=0.3, dt_max=0.05, t_end=1.0, output_dt=0.05))
             plus = trace(hist, -2.5, "plus")
             minus = trace(hist, 2.5, "minus")
-            out = pq_square_integral(hist, plus, minus)
+            out = pq_square_integral(plus, minus)
             values.append(out.value)
             spans.append(out.t_end)
         # fit A, B >= 0 covering all points: A from the pair maximizing slope

@@ -6,7 +6,6 @@ import pytest
 from sgnlab import FlowState, Grid, Params
 from sgnlab.diagnostics import (
     Box,
-    blowup_monitor,
     blowup_report,
     bond_number,
     bounds_check,
@@ -39,7 +38,7 @@ def gaussian_history(t_end=1.0, n=512, a=0.05):
 class TestEnergyBudget:
     def test_flat_run_all_pass(self):
         hist, p, g = flat_history()
-        rep = energy_budget(hist, p)
+        rep = energy_budget(hist)
         assert rep.passed
         assert rep.dissipation_integral == 0.0
         assert rep.budget_residual == 0.0
@@ -47,7 +46,7 @@ class TestEnergyBudget:
     def test_smooth_conservation(self):
         hist, p, g = gaussian_history()
         # 1e-6 is the n = 1024 contract; this module test runs at n = 512
-        rep = energy_budget(hist, p, conserve_rtol=4e-6)
+        rep = energy_budget(hist, conserve_rtol=4e-6)
         assert rep.verdicts["energy_conservation"].passed
         assert rep.dissipation_integral == 0.0
 
@@ -62,7 +61,7 @@ class TestEnergyBudget:
             step=StepControl(cfl=0.2, dt_max=0.05, t_end=0.3, output_dt=0.05, farfield_rtol=1e-5),
             kind="steep", amplitude=-0.45, width=0.45, center=2.0, plateau=0.7)
         hist = simulate(build_initial(cfg), p, g, cfg.step)
-        rep = energy_budget(hist, p)
+        rep = energy_budget(hist)
         assert rep.dissipation_integral < 0.0
         assert rep.verdicts["energy_monotonic"].passed
         assert rep.verdicts["budget_closure"].passed
@@ -79,7 +78,7 @@ class TestEnergyBudget:
             kind="steep", amplitude=-0.45, width=0.45, center=2.0, plateau=0.7)
         g = Grid.from_length(2048, 36.0, -16.0, "periodic")
         hist = simulate(build_initial(cfg), p, g, cfg.step)
-        rep = energy_budget(hist, p)
+        rep = energy_budget(hist)
         assert hist.status == "completed"
         assert rep.dissipation_integral < 0.0
         assert rep.verdicts["energy_monotonic"].passed
@@ -87,14 +86,14 @@ class TestEnergyBudget:
 
     def test_dissipation_integral_never_positive(self):
         hist, p, g = gaussian_history(t_end=0.3)
-        rep = energy_budget(hist, p)
+        rep = energy_budget(hist)
         assert rep.dissipation_integral <= 0.0
 
 
 class TestBoundsCheck:
     def test_flat_run_margins_full_width(self):
         hist, p, g = flat_history()
-        rep = bounds_check(hist, p)
+        rep = bounds_check(hist)
         assert rep.status == "checked" and rep.passed
         assert rep.margins["h_lower"] == pytest.approx(p.hbar - rep.h_min, abs=1e-12)
 
@@ -111,7 +110,7 @@ class TestBoundsCheck:
         s0 = build_initial(cfg)
         hist = simulate(s0, p, g, cfg.step)
         assert hist.e0 == pytest.approx(0.0981, rel=1e-9)
-        rep = bounds_check(hist, p)
+        rep = bounds_check(hist)
         assert rep.passed
         assert np.min(hist.series["min_h"]) >= 0.9 - 1e-4
 
@@ -122,7 +121,7 @@ class TestBoundsCheck:
         s0 = FlowState(1.0 + 0.9 * np.exp(-((x / 4) ** 2)), np.zeros(g.n), 0.0)
         hist = simulate(s0, p, g, StepControl(cfl=0.3, dt_max=0.05, t_end=0.05))
         assert hist.e0 >= p.e_max
-        rep = bounds_check(hist, p)
+        rep = bounds_check(hist)
         assert rep.status == "skipped"
         assert not rep.passed  # a skip is not a pass
 
@@ -130,13 +129,13 @@ class TestBoundsCheck:
 class TestOleinik:
     def test_flat_run_zero(self):
         hist, p, g = flat_history()
-        rep = oleinik_report(hist, p)
+        rep = oleinik_report(hist)
         assert rep.fitted_C == 0.0
         assert rep.violations == 0
 
     def test_fitted_constant_covers_series(self):
         hist, p, g = gaussian_history()
-        rep = oleinik_report(hist, p)
+        rep = oleinik_report(hist)
         mask = hist.series["t"] > 0.0
         t = hist.series["t"][mask]
         sup = np.maximum(np.maximum(hist.series["sup_P"][mask], hist.series["sup_Q"][mask]), 0.0)
@@ -144,10 +143,10 @@ class TestOleinik:
 
     def test_user_constant_violations_counted(self):
         hist, p, g = gaussian_history()
-        rep = oleinik_report(hist, p)
-        tight = oleinik_report(hist, p, user_c=rep.fitted_C * 0.5)
+        rep = oleinik_report(hist)
+        tight = oleinik_report(hist, user_c=rep.fitted_C * 0.5)
         assert tight.violations > 0
-        loose = oleinik_report(hist, p, user_c=rep.fitted_C * 2.0)
+        loose = oleinik_report(hist, user_c=rep.fitted_C * 2.0)
         assert loose.violations == 0
 
     def test_fitted_c_stable_under_refinement(self):
@@ -163,8 +162,15 @@ class TestOleinik:
                 step=StepControl(cfl=0.2, dt_max=0.05, t_end=0.4, output_dt=0.1, farfield_rtol=1e-5),
                 kind="steep", amplitude=-0.45, width=0.45, center=2.0, plateau=0.7)
             hist = simulate(build_initial(cfg), p, g, cfg.step)
-            values.append(oleinik_report(hist, p).fitted_C)
+            values.append(oleinik_report(hist).fitted_C)
         assert abs(values[1] - values[0]) <= 0.2 * abs(values[0])
+
+
+def first_trigger(s, p, g, thr=None):
+    """The paired criterion's code on ``s``: the monitor of a one-step run checks its initial state first."""
+    thr = thr if thr is not None else BlowupThresholds()
+    hist = simulate(s, p, g, StepControl(t_end=1e-6, dt_fixed=1e-6), blowup=thr)
+    return hist.trigger[1] if hist.trigger else None
 
 
 class TestBlowupDiagnostics:
@@ -172,7 +178,7 @@ class TestBlowupDiagnostics:
         p = Params()
         g = Grid.from_length(256, 20.0, -10.0, "periodic")
         s = FlowState(np.ones(g.n), np.zeros(g.n))
-        assert blowup_monitor(s, p, g) is None
+        assert first_trigger(s, p, g) is None
 
     def test_monitor_requires_pairing(self):
         p = Params()
@@ -180,21 +186,18 @@ class TestBlowupDiagnostics:
         x = g.cells()
         # steep u alone: no trigger even far beyond the slope threshold
         s = FlowState(np.ones(g.n), 100.0 * np.sin(2 * np.pi * x / 20.0))
-        assert blowup_monitor(s, p, g, BlowupThresholds(ux=1.0, hx=1e9)) is None
+        assert first_trigger(s, p, g, BlowupThresholds(ux=1.0, hx=1e9)) is None
 
     def test_depth_floor_agrees_with_simulate(self):
         # min h = 0.042 lies between the a-priori floor (0.1 h_min = 0.002)
-        # and 0.05 hbar: the monitor and the run must give the same verdict
+        # and 0.05 hbar: only an explicit depth threshold above it triggers
         p = Params()
         g = Grid.from_length(1024, 40.0, -20.0, "periodic")
         x = g.cells()
         s = FlowState(1.0 - 0.96 * np.exp(0.1 - np.sqrt(x**2 + 0.01)), 1e-3 * np.sin(2 * np.pi * x / 20.0))
         assert depth_floor(BlowupThresholds(), s, p, g) < s.h.min() < 0.05 * p.hbar
         for depth, expected in ((None, None), (0.05, "depth-pair")):
-            thr = BlowupThresholds(ux=1e-6, hx=1e9, depth=depth)
-            hist = simulate(s, p, g, StepControl(t_end=1e-6, dt_fixed=1e-6), blowup=thr)
-            assert (hist.trigger[1] if hist.trigger else None) == expected
-            assert blowup_monitor(s, p, g, thr) == expected
+            assert first_trigger(s, p, g, BlowupThresholds(ux=1e-6, hx=1e9, depth=depth)) == expected
 
     def test_report_carries_series(self):
         hist, p, g = gaussian_history(t_end=0.3)

@@ -20,8 +20,7 @@ from sgnlab.errors import (
     SolverFailureError,
 )
 from sgnlab.grid import derivative, integrate
-from sgnlab.kinematics import pq_fields, total_energy
-from sgnlab.regularization import cutoff_active
+from sgnlab.kinematics import cutoff_active, pq_fields, total_energy
 
 from conftest import assert_bitwise, convergence_orders, count_derivative_calls
 
@@ -180,7 +179,7 @@ class TestStepControl:
         ("output_dt", 0.0), ("output_dt", -1.0), ("output_dt", float("nan")), ("output_dt", float("inf")),
         ("dt_fixed", 0.0), ("dt_fixed", -1.0), ("dt_fixed", float("nan")),
         ("farfield_rtol", -1.0), ("farfield_rtol", 0.0), ("farfield_rtol", float("inf")),
-        ("output_every", -3),
+        ("output_every", -3), ("output_every", 2.5), ("output_every", 2.0),
         ("cfl", 0.0), ("cfl", 1.5), ("cfl", float("nan")), ("dt_max", 0.0), ("dt_max", float("nan")),
     ])
     def test_malformed_setting_rejected(self, field, value):
@@ -741,7 +740,7 @@ class TestFoldedMomentumSolve:
         chiP, chiQ = d.cutoff
         sys = elliptic.assemble_L(s.h, g, p.hbar)
         _, A_x = regularization.compute_A(s, chiP, chiQ, p, g)
-        nonlocal_source = derivative(kinematics.curly_c(s, p, d) + kinematics.f_of_h(s, p), g)
+        nonlocal_source = derivative(kinematics.curly_c(p, d) + kinematics.f_of_h(s, p), g)
         b_source = -0.5 * s.u * A_x + derivative(0.5 * s.h**2 * d.ux * A_x - s.h * (chiP + chiQ) / 48.0, g)
         expected = (-s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2
                     - elliptic.solve_L_refined(sys, d, nonlocal_source, g)

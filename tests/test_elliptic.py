@@ -264,8 +264,9 @@ class TestFactorSolve:
 
 
 @pytest.mark.parametrize("call", [lambda f, g: assemble_L(f, g, hbar=1.0),
-                                  lambda f, g: solve_helmholtz(f, Params(), g)],
-                         ids=["assemble_L", "solve_helmholtz"])
+                                  lambda f, g: solve_helmholtz(f, Params(), g),
+                                  lambda f, g: apply_L(assemble_L(np.ones(g.n), g, hbar=1.0), f)],
+                         ids=["assemble_L", "solve_helmholtz", "apply_L"])
 @pytest.mark.parametrize("mode", ["periodic", "line"])
 def test_public_entry_rejects_wrong_length_and_nonfinite(call, mode):
     g = Grid.from_length(64, 10.0, -5.0, mode)
@@ -331,7 +332,7 @@ class TestInvLdx:
         from sgnlab.kinematics import curly_c, f_of_h, gradients
 
         s = FlowState(np.ones(periodic_grid.n), np.zeros(periodic_grid.n))
-        psi = curly_c(s, params, gradients(s, params, periodic_grid)) + f_of_h(s, params)
+        psi = curly_c(params, gradients(s, params, periodic_grid)) + f_of_h(s, params)
         out = solve_L(assemble_L(s.h, periodic_grid), derivative(psi, periodic_grid))
         assert np.all(out == 0.0)
 

@@ -26,6 +26,11 @@ class TestGridConstruction:
         with pytest.raises(ContractViolationError):
             Grid.from_length(64, 64 * dx, x_left, "periodic")
 
+    @pytest.mark.parametrize("n", [64.0, "64", np.float64(64.0)])
+    def test_rejects_noninteger_cell_count(self, n):
+        with pytest.raises(ContractViolationError, match="integer n"):
+            Grid(n=n, dx=0.5)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ContractViolationError):
             Grid(n=64, dx=0.1, mode="moebius")

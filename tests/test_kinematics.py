@@ -132,7 +132,7 @@ class TestPQFields:
 class TestCurlyCAndF:
     def test_flat_state(self, periodic_grid, params):
         s = make_state(periodic_grid, 1.0, 0.0)
-        c = curly_c(s, params, gradients(s, params, periodic_grid))
+        c = curly_c(params, gradients(s, params, periodic_grid))
         assert np.all(c == 0.0)
 
     def test_pure_shear(self):
@@ -141,7 +141,7 @@ class TestCurlyCAndF:
         p = Params(gamma=1.0)
         u = 0.7 * g.cells()
         s = make_state(g, 1.0, u)
-        c = curly_c(s, p, gradients(s, p, g))
+        c = curly_c(p, gradients(s, p, g))
         assert np.max(np.abs(c - (2.0 / 3.0) * 0.49)) < 1e-10
 
     def test_pure_depth_gradient(self):
@@ -149,7 +149,7 @@ class TestCurlyCAndF:
         p = Params(g=9.81, gamma=2.0, hbar=1.0)
         h = 5.0 + 0.3 * g.cells()
         s = make_state(g, h, 0.0)
-        c = curly_c(s, p, gradients(s, p, g))
+        c = curly_c(p, gradients(s, p, g))
         assert np.max(np.abs(c - (-1.5 * p.gamma * 0.09))) < 1e-9
 
     def test_f_reference_state(self, periodic_grid):
@@ -187,7 +187,7 @@ def test_shared_cube_pinned_bitwise_hypothesis(mode, n, dx, data):
     d = gradients(s, p, g)
     assert d.h3 is d.h3
     assert_bitwise(d.h3, s.h**3)
-    assert_bitwise(curly_c(s, p, d), (2.0 / 3.0) * s.h**3 * d.ux**2 - 1.5 * p.gamma * d.hx**2)
+    assert_bitwise(curly_c(p, d), (2.0 / 3.0) * s.h**3 * d.ux**2 - 1.5 * p.gamma * d.hx**2)
     expected = (0.5 * s.h * s.u**2 + 0.5 * p.g * (s.h - p.hbar) ** 2
                 + (1.0 / 6.0) * s.h**3 * d.ux**2 + 0.5 * p.gamma * d.hx**2)
     assert_bitwise(energy_density(s, p, d), expected)

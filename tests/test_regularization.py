@@ -6,16 +6,14 @@ from sgnlab import FlowState, Grid, Params
 from sgnlab.elliptic import assemble_L, solve_helmholtz, solve_L
 from sgnlab.errors import ContractViolationError, ModeError
 from sgnlab.grid import derivative
-from sgnlab.kinematics import gradients, pq_fields
+from sgnlab.kinematics import chi, cutoff_active, gradients, pq_fields
 from sgnlab.regularization import (
-    chi,
     compute_A,
     compute_B,
     compute_MN,
     compute_reg_fields,
     compute_V1,
     compute_V2,
-    cutoff_active,
 )
 
 from conftest import assert_bitwise, convergence_orders
@@ -141,7 +139,7 @@ def test_state_of_another_grid_rejected(which):
         if which == "A":
             compute_A(s, z, z, p, g)
         else:
-            compute_B(s, z, z, z, z, p, g, assemble_L(s.h, other, p.hbar))
+            compute_B(s, z, z, z, z, g, assemble_L(s.h, other, p.hbar))
 
 
 class TestComputeV2:
@@ -180,7 +178,7 @@ class TestComputeV1:
         g, p = make_line_setup()
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         z = np.zeros(g.n)
-        v1 = compute_V1(s, z, z, z, z, z, p, g, assemble_L(s.h, g, p.hbar))
+        v1 = compute_V1(s, z, z, z, z, g, assemble_L(s.h, g, p.hbar))
         assert np.all(v1 == 0.0)
 
     def test_mode_error_on_periodic(self):
@@ -189,7 +187,7 @@ class TestComputeV1:
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         z = np.zeros(g.n)
         with pytest.raises(ModeError):
-            compute_V1(s, z, z, z, z, z, p, g, assemble_L(s.h, g))
+            compute_V1(s, z, z, z, z, g, assemble_L(s.h, g))
 
     def test_decays_toward_boundaries(self):
         g, p = make_line_setup(n=1024)
@@ -201,7 +199,7 @@ class TestComputeV1:
         A_x = derivative(A, g)
         chiP = 4.0 * np.exp(-(x**2))
         chiQ = np.zeros(g.n)
-        v1 = compute_V1(s, derivative(u, g), A, A_x, chiP, chiQ, p, g, assemble_L(h, g, p.hbar))
+        v1 = compute_V1(s, derivative(u, g), A_x, chiP, chiQ, g, assemble_L(h, g, p.hbar))
         edge = max(np.max(np.abs(v1[:4])), np.max(np.abs(v1[-4:])))
         assert edge <= 1e-6 * np.max(np.abs(v1))
 
@@ -216,8 +214,8 @@ class TestComputeV1:
             u = 0.1 * np.sin(x) * np.exp(-(x**2) / 4)
             s = FlowState(h, u)
             A = 0.3 * np.exp(-(x**2) / 4.0)
-            v1 = compute_V1(s, derivative(u, g), A, derivative(A, g), 4.0 * np.exp(-(x**2)),
-                            np.zeros(g.n), p, g, assemble_L(h, g, p.hbar))
+            v1 = compute_V1(s, derivative(u, g), derivative(A, g), 4.0 * np.exp(-(x**2)),
+                            np.zeros(g.n), g, assemble_L(h, g, p.hbar))
             if prev is not None:
                 diffs.append(np.max(np.abs(0.5 * (v1[::2] + v1[1::2]) - prev)))
             prev = v1
@@ -229,7 +227,7 @@ class TestComputeB:
         g, p = make_line_setup()
         s = FlowState(np.ones(g.n), np.zeros(g.n))
         z = np.zeros(g.n)
-        b = compute_B(s, z, z, z, z, p, g, assemble_L(s.h, g, p.hbar))
+        b = compute_B(s, z, z, z, z, g, assemble_L(s.h, g, p.hbar))
         assert np.all(b == 0.0)
 
     def test_finite_on_active_state(self):
@@ -239,7 +237,7 @@ class TestComputeB:
         u = 0.1 * np.exp(-(x**2))
         s = FlowState(h, u)
         A_x = derivative(0.3 * np.exp(-(x**2) / 4.0), g)
-        b = compute_B(s, derivative(u, g), A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), p, g,
+        b = compute_B(s, derivative(u, g), A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), g,
                           assemble_L(h, g, p.hbar))
         assert np.all(np.isfinite(b)) and np.max(np.abs(b)) > 0
 
@@ -254,7 +252,7 @@ class TestComputeB:
             u = 0.1 * np.sin(x) * np.exp(-(x**2) / 4)
             s = FlowState(h, u)
             A_x = derivative(0.3 * np.exp(-(x**2) / 4.0), g)
-            b = compute_B(s, derivative(u, g), A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), p, g,
+            b = compute_B(s, derivative(u, g), A_x, 4.0 * np.exp(-(x**2)), np.zeros(g.n), g,
                           assemble_L(h, g, p.hbar))
             if prev is not None:
                 diffs.append(np.max(np.abs(0.5 * (b[::2] + b[1::2]) - prev)))
@@ -322,10 +320,10 @@ class TestOrchestration:
         A, A_x_direct = compute_A(s, chiP, chiQ, p, g)
         assert np.array_equal(A_x, A_x_direct)
         # B's source has one home: compute_B solves over the flux the stepper folds in
-        B = compute_B(s, d.ux, A_x, chiP, chiQ, p, g, sys)
+        B = compute_B(s, d.ux, A_x, chiP, chiQ, g, sys)
         assert np.array_equal(B, solve_L(sys, -0.5 * s.u * A_x + derivative(b_flux, g)))
         # V1, V2 belong to the Riccati equations, not to the stepper sources
-        v1 = compute_V1(s, d.ux, A, A_x, chiP, chiQ, p, g, sys)
+        v1 = compute_V1(s, d.ux, A_x, chiP, chiQ, g, sys)
         for v in (A, A_x, b_flux, B, v1, compute_V2(s, A, p)):
             assert np.all(np.isfinite(v))
         P, Q = d.pq
@@ -349,7 +347,7 @@ class TestOrchestration:
             A_x, b_flux = compute_reg_fields(s, p, g)
             d = gradients(s, p, g)
             chiP, chiQ = d.cutoff
-            B = compute_B(s, d.ux, A_x, chiP, chiQ, p, g, assemble_L(s.h, g, p.hbar))
+            B = compute_B(s, d.ux, A_x, chiP, chiQ, g, assemble_L(s.h, g, p.hbar))
             fields[mode] = {"A": compute_A(s, chiP, chiQ, p, g)[0], "A_x": A_x, "b_flux": b_flux, "B": B,
                             "chiP": chiP, "chiQ": chiQ}
         for name in fields["line"]:

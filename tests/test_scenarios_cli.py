@@ -484,6 +484,15 @@ class TestCli:
         assert not out_dir.exists()
         assert main(["check", *args]) == 2
 
+    def test_sweep_without_box_needs_positive_t_end(self, tmp_path, capsys):
+        # the default box is [0, t_end]: with t_end = 0 the refusal names t_end, not a box never given
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--override", "step.t_end=0",
+                     "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep t_end must be > 0")
+        assert not out_dir.exists()
+
     def test_skip_and_detail_lines(self, tmp_path, capsys):
         # above the energy threshold the bounds check is skipped, and the run still passes
         path = self.write_cfg(tmp_path, BASE_CFG + "bounds = true\noleinik = true\n")
