@@ -20,6 +20,12 @@ mollifier width to the regularization epsilon unless decoupled explicitly.
 Amplitudes can be tuned to a target measured initial energy (bisection on the
 discrete energy), which is how runs are placed exactly at a prescribed
 distance below the a-priori threshold.
+
+Only these two features load scipy beyond the LAPACK tridiagonal routines that
+every run uses: a mollifier loads ``scipy.ndimage`` (``gaussian_filter1d``)
+and a target energy loads ``scipy.optimize`` (``brentq``), each inside the
+function that calls it.  Importing ``sgnlab`` or running a configuration
+without either loads neither subpackage.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ import time as _time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
-from scipy.optimize import brentq
 
 from .diagnostics import (
     Box,
@@ -144,6 +148,7 @@ class SweepResult:
 
 
 def _mollify(pert: np.ndarray, g: Grid, sigma: float) -> np.ndarray:
+    from scipy.ndimage import gaussian_filter1d
     mode = "wrap" if g.periodic else "constant"
     return gaussian_filter1d(pert, sigma / g.dx, mode=mode, truncate=6.0)
 
@@ -201,6 +206,7 @@ def build_initial(cfg: ScenarioConfig) -> FlowState:
         return assemble(cfg.amplitude)
     if cfg.kind == "flat":
         raise ConfigError("cannot tune a flat scenario to a positive energy")
+    from scipy.optimize import brentq
     sign = 1.0 if cfg.amplitude == 0.0 else math.copysign(1.0, cfg.amplitude)
     seed = abs(cfg.amplitude) if cfg.amplitude != 0.0 else 0.05
 
@@ -272,6 +278,8 @@ def l2_box_difference(ha: SimHistory, hb: SimHistory, box: Box) -> tuple[float, 
     x = g.cells()
     cols = (x >= box.a) & (x <= box.b)
     t_hi = min(box.t2, ha.t_final, hb.t_final)
+    if not t_hi > box.t1:
+        raise ConfigError(f"box time window [{box.t1}, min({box.t2}, {ha.t_final}, {hb.t_final})] is empty")
     ts = np.linspace(box.t1, t_hi, BOX_TIME_SAMPLES)
     dh2 = np.empty(BOX_TIME_SAMPLES)
     du2 = np.empty(BOX_TIME_SAMPLES)
@@ -304,6 +312,9 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
                               f"got {cfg.step.t_end}")
         box = Box(0.0, cfg.step.t_end, cfg.grid.x_left + 0.25 * cfg.grid.length,
                   cfg.grid.x_right - 0.25 * cfg.grid.length)
+    elif not box.t1 < cfg.step.t_end:
+        raise ConfigError(f"sweep box_t1 must be < t_end, or the box holds no time of the runs; "
+                          f"got box_t1 = {box.t1}, t_end = {cfg.step.t_end}")
     step = cfg.step
     if step.output_dt is None:
         step = replace(step, output_dt=max((box.t2 - box.t1) / 32.0, 1e-6), output_every=0)

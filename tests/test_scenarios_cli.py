@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from sgnlab import FlowState, Grid, Params
+from sgnlab import FlowState, Grid, Params, scenarios
 from sgnlab.cli import main
 from sgnlab.config import config_echo, parse_config, parse_config_text
 from sgnlab.diagnostics import Box
@@ -290,6 +290,13 @@ class TestSweep:
         with pytest.raises(ConfigError, match="different grids"):
             l2_box_difference(*runs, Box(0.0, 0.0, -5.0, 5.0))
 
+    @pytest.mark.parametrize("t1", [0.1, 0.0], ids=["after-the-runs", "at-their-end"])
+    def test_box_difference_needs_a_nonempty_window(self, t1):
+        # both runs end at t = 0, so the window [t1, min(t2, t_final)] holds no time
+        runs = [run_scenario(default_cfg(step=StepControl(t_end=0.0))).history for _ in range(2)]
+        with pytest.raises(ConfigError, match="is empty"):
+            l2_box_difference(*runs, Box(t1, 0.5, -5.0, 5.0))
+
     def test_quiescent_sweep_differences_at_mollification_level(self):
         # no cut-off activity: runs differ only through the mollified data
         g = Grid.from_length(512, 40.0, -20.0, "line")
@@ -492,6 +499,20 @@ class TestCli:
                      "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: sweep t_end must be > 0")
         assert not out_dir.exists()
+
+    def test_sweep_box_from_t_end_on_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a box starting at or after t_end is refused before any member runs
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
+        monkeypatch.setattr(scenarios, "run_scenario", lambda cfg: pytest.fail("a member ran"))
+        out_dir = tmp_path / "sweep"
+        for t_end in ("0.05", "0.1"):
+            args = ["--config", str(cfg), "--override", f"step.t_end={t_end}"]
+            for key, value in (("box_t1", "0.1"), ("box_t2", "0.5"), ("box_a", "-4"), ("box_b", "6")):
+                args += ["--override", f"sweep.{key}={value}"]
+            assert main(["sweep", *args, "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 2
+            assert capsys.readouterr().err == (f"error: sweep box_t1 must be < t_end, or the box holds no time "
+                                               f"of the runs; got box_t1 = 0.1, t_end = {t_end}\n")
+            assert not out_dir.exists()
 
     def test_skip_and_detail_lines(self, tmp_path, capsys):
         # above the energy threshold the bounds check is skipped, and the run still passes
