@@ -27,14 +27,18 @@ every launch point and both branches: ``u_x``, ``P``, ``Q`` and the cut-off
 values (one :func:`~sgnlab.kinematics.gradients` bundle, which ``script_r``
 reads too) and both branches' Riccati right-hand sides (one ``script_r``;
 with an active cut-off one ``A``, ``A_x`` and one ``L_h`` assembly shared by
-``V1`` and ``script_r``).  Each call stacks the rows it needs ``(snapshots,
-n)``, so each path quantity is one row-wise :func:`interp_cubic` call.  A
-history whose snapshots are replaced or appended needs no invalidation: a
-new snapshot is a new state with its own memo.
+``V1`` and ``script_r``).  Each path quantity stacks the rows it needs
+``(snapshots, n)`` and is one row-wise :func:`interp_cubic` call: three per
+trace (speed, P, Q) and one per residual.  The RK2 loop that finds the path
+points makes no array call: each stage point gets one scalar cubic stencil,
+applied to every speed row that stage reads.  A history whose snapshots
+are replaced or appended needs no invalidation: a new snapshot is a new
+state with its own memo.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +46,7 @@ import numpy as np
 
 from . import regularization as reg
 from .elliptic import assemble_L, script_r
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NonFiniteError
 from .grid import Grid
 from .kinematics import FlowState, Params, char_speeds, gradients
 
@@ -61,6 +65,41 @@ MINUS = "minus"
 _ROW = {MINUS: 0, PLUS: 1}  # branch -> index of its stacked speed and right-hand side
 
 
+def _cubic_stencil(x: float, g: Grid) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Columns and weights of the 4-point Lagrange stencil at one point ``x``.
+
+    The stencil starts one cell left of ``floor(s)``, ``s`` being ``x`` in
+    cell units from the first centre; periodic grids wrap the columns, line
+    grids clamp the stencil inside the grid.  Scalar Python floats, since
+    :func:`trace`'s RK2 loop evaluates one point at a time.
+    """
+    if not math.isfinite(x):
+        raise NonFiniteError(f"interpolation point {x} is not finite")
+    s = (x - g.x_left) / g.dx - 0.5
+    j = math.floor(s)
+    if g.periodic:
+        n = g.n
+        cols = ((j - 1) % n, j % n, (j + 1) % n, (j + 2) % n)
+    else:
+        j = min(max(j, 1), g.n - 3)
+        cols = (j - 1, j, j + 1, j + 2)
+    th = s - j
+    return cols, (
+        -th * (th - 1.0) * (th - 2.0) / 6.0,
+        (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0,
+        -th * (th + 1.0) * (th - 2.0) / 2.0,
+        th * (th + 1.0) * (th - 1.0) / 6.0,
+    )
+
+
+def _apply(row: np.ndarray, stencil) -> float:
+    """One stencil applied to one field, summed in the order of ``np.sum``
+    over a stencil axis: left to right from +0.0, so results match a
+    vectorized evaluation bit for bit, signed zeros included."""
+    (c0, c1, c2, c3), (w0, w1, w2, w3) = stencil
+    return 0.0 + w0 * row.item(c0) + w1 * row.item(c1) + w2 * row.item(c2) + w3 * row.item(c3)
+
+
 def interp_cubic(values: np.ndarray, g: Grid, xq) -> np.ndarray:
     """4-point Lagrange (cubic) interpolation of a cell-centered field.
 
@@ -68,30 +107,16 @@ def interp_cubic(values: np.ndarray, g: Grid, xq) -> np.ndarray:
     a stack of fields ``(k, n)``, row ``i`` evaluated at ``xq[i]``; a stacked
     row gets the same arithmetic as a single-field call.  Periodic grids
     wrap; line grids clamp the stencil at the boundary (the far field is
-    constant there, so clamping is exact to rounding).
+    constant there, so clamping is exact to rounding).  A non-finite point
+    of ``xq`` raises :class:`NonFiniteError`.
     """
     values = np.asarray(values)
     xq = np.atleast_1d(np.asarray(xq, dtype=np.float64))
-    s = (xq - g.x_left) / g.dx - 0.5
-    j = np.floor(s).astype(int)
-    th = s - j
-    if g.periodic:
-        idx = np.stack([(j - 1) % g.n, j % g.n, (j + 1) % g.n, (j + 2) % g.n])
-    else:
-        j = np.clip(j, 1, g.n - 3)
-        th = s - j
-        idx = np.stack([j - 1, j, j + 1, j + 2])
-    if values.ndim == 2:
-        if xq.shape != values.shape[:1]:
-            raise ContractViolationError(f"{values.shape[0]} stacked fields need as many points, got {xq.shape}")
-        idx = (np.arange(values.shape[0]), idx)
-    w = np.stack([
-        -th * (th - 1.0) * (th - 2.0) / 6.0,
-        (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0,
-        -th * (th + 1.0) * (th - 2.0) / 2.0,
-        th * (th + 1.0) * (th - 1.0) / 6.0,
-    ])
-    return np.sum(values[idx] * w, axis=0)
+    if values.ndim == 2 and xq.shape != values.shape[:1]:
+        raise ContractViolationError(f"{values.shape[0]} stacked fields need as many points, got {xq.shape}")
+    rows = values if values.ndim == 2 else [values] * xq.size
+    out = [_apply(row, _cubic_stencil(x, g)) for row, x in zip(rows, xq.ravel().tolist())]
+    return np.array(out, dtype=np.float64).reshape(xq.shape)
 
 
 @dataclass
@@ -146,31 +171,28 @@ def trace(history, x0: float, branch: str) -> CharPath:
     if len(snaps) < 2:
         raise ContractViolationError("tracing needs at least two snapshots")
     g: Grid = history.grid
-    if not g.periodic:
-        lo, hi = g.x_left + 2 * g.dx, g.x_right - 2 * g.dx
-        if not (lo < x0 < hi):
-            raise ContractViolationError(f"launch point {x0} outside the domain interior")
+    lo, hi = (-math.inf, math.inf) if g.periodic else (g.x_left + 2 * g.dx, g.x_right - 2 * g.dx)
+    if not (lo < x0 < hi):
+        raise ContractViolationError(f"launch point {x0} is not a finite point of the domain interior")
     p = history.params
     speed = np.stack([char_speeds(s, p)[_ROW[branch]] for s in snaps])
-    times = np.array([s.t for s in snaps])
+    times = [s.t for s in snaps]
     xs = [float(x0)]
     exited = False
     x = float(x0)
     for k in range(len(snaps) - 1):
         dt = times[k + 1] - times[k]
-        v0 = float(interp_cubic(speed[k], g, _wrap(x, g))[0])
-        xh = _wrap(x + 0.5 * dt * v0, g)
-        va, vb = interp_cubic(speed[k:k + 2], g, [xh, xh])
-        x = x + dt * (0.5 * (float(va) + float(vb)))
-        if not g.periodic and not (g.x_left + 2 * g.dx < x < g.x_right - 2 * g.dx):
+        xh = _wrap(x + 0.5 * dt * _apply(speed[k], _cubic_stencil(_wrap(x, g), g)), g)
+        at_xh = _cubic_stencil(xh, g)
+        x = x + dt * (0.5 * (_apply(speed[k], at_xh) + _apply(speed[k + 1], at_xh)))
+        if not (lo < x < hi):
             exited = True
             break
         xs.append(x)
     m = len(xs)
-    xarr = np.asarray(xs)
-    xeval = np.array([_wrap(xi, g) for xi in xarr])
+    xeval = [_wrap(xi, g) for xi in xs]
     P, Q = map(np.stack, zip(*(gradients(s, p, g).pq for s in snaps[:m])))
-    return CharPath(branch=branch, x0=float(x0), t=times[:m], x=xarr,
+    return CharPath(branch=branch, x0=float(x0), t=np.array(times[:m]), x=np.array(xs),
                     speed=interp_cubic(speed[:m], g, xeval),
                     P=interp_cubic(P, g, xeval), Q=interp_cubic(Q, g, xeval), exited=exited)
 
@@ -207,13 +229,17 @@ def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
     m = path.t.shape[0]
     if m < 2:
         raise ContractViolationError("riccati_residual needs a path with at least two samples")
+    snaps = history.snapshots[:m]
+    if not np.array_equal(path.t, [s.t for s in snaps]):
+        raise ContractViolationError(f"the path's {m} sample times are not the history's first {m} snapshot times; "
+                                     "trace the path on this history")
     undersampled = m < 8
     if undersampled:
         warnings.warn("riccati_residual: fewer than 8 path samples; residual is undersampled")
     values = path.P if path.branch == MINUS else path.Q
     dval = np.gradient(values, path.t)
     xeval = np.array([_wrap(xi, g) for xi in path.x])
-    rows = np.stack([s._derived(_riccati_rhs_fields, p, g)[_ROW[path.branch]] for s in history.snapshots[:m]])
+    rows = np.stack([s._derived(_riccati_rhs_fields, p, g)[_ROW[path.branch]] for s in snaps])
     rhs_on_path = interp_cubic(rows, g, xeval)
     return RiccatiResidual(values=dval - rhs_on_path, t=path.t.copy(), undersampled=undersampled)
 
@@ -228,6 +254,8 @@ def pq_square_integral(path_plus: CharPath, path_minus: CharPath) -> PQSquareInt
     if path_plus.branch != PLUS or path_minus.branch != MINUS:
         raise ContractViolationError("pass a plus-branch path first and a minus-branch path second")
     m = min(path_plus.t.shape[0], path_minus.t.shape[0])
+    if not np.array_equal(path_plus.t[:m], path_minus.t[:m]):
+        raise ContractViolationError("the plus and minus paths must be sampled at the same times")
     gap0 = path_minus.x[0] - path_plus.x[0]
     met = False
     k_end = m - 1

@@ -118,8 +118,8 @@ class ScenarioConfig:
         if "dispersion" in self.checks and self.kind != "sine":
             raise ConfigError("the dispersion check needs a sine scenario")
         box, g = self.box, self.grid
-        if box is not None and not (-math.inf < box.t1 < box.t2 < math.inf and g.x_left <= box.a < box.b <= g.x_right):
-            raise ConfigError(f"[sweep] box needs finite t1 < t2 and x_left <= a < b <= x_right, got {box}")
+        if box is not None and not (0.0 <= box.t1 < box.t2 < math.inf and g.x_left <= box.a < box.b <= g.x_right):
+            raise ConfigError(f"[sweep] box needs finite 0 <= t1 < t2 and x_left <= a < b <= x_right, got {box}")
 
 
 @dataclass
@@ -270,13 +270,18 @@ def l2_box_difference(ha: SimHistory, hb: SimHistory, box: Box) -> tuple[float, 
     """Space-time L2 norms of (h_a - h_b, u_a - u_b) over the box.
 
     Histories must share the grid; snapshots are interpolated linearly in
-    time onto ``BOX_TIME_SAMPLES`` common times of the box's time window.
+    time onto ``BOX_TIME_SAMPLES`` common times of the box's time window,
+    which must start at or after both runs' first snapshots and hold some
+    time of both runs.
     """
     g = ha.grid
     if hb.grid != g:
         raise ConfigError("cannot compare runs on different grids")
     x = g.cells()
     cols = (x >= box.a) & (x <= box.b)
+    t_lo = max(ha.snapshots[0].t, hb.snapshots[0].t)
+    if box.t1 < t_lo:
+        raise ConfigError(f"box time window starts at {box.t1}, before the runs' first snapshots (t = {t_lo})")
     t_hi = min(box.t2, ha.t_final, hb.t_final)
     if not t_hi > box.t1:
         raise ConfigError(f"box time window [{box.t1}, min({box.t2}, {ha.t_final}, {hb.t_final})] is empty")

@@ -1,7 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sgnlab import FlowState, Grid, Params, characteristics, elliptic, regularization
 from sgnlab.characteristics import (
@@ -14,11 +16,11 @@ from sgnlab.characteristics import (
 )
 from sgnlab.dynamics import StepControl, simulate
 from sgnlab.elliptic import assemble_L, script_r
-from sgnlab.errors import ContractViolationError, ModeError
+from sgnlab.errors import ContractViolationError, ModeError, NonFiniteError
 from sgnlab.kinematics import char_speeds, chi, cutoff_active, gradients, pq_fields
 from sgnlab.regularization import compute_A, compute_MN, compute_V1, compute_V2
 
-from conftest import count_derivative_calls
+from conftest import assert_bitwise, count_derivative_calls, kernel_fields
 
 
 def flat_history(gamma=3.0, t_end=1.0, n=256, mode="periodic"):
@@ -91,7 +93,60 @@ def unshared_residual(hist, x0, branch, p):
     return xarr, np.gradient(values, times[:m]) - rhs
 
 
+def _interp_cubic_reference(values, g, xq):
+    """Cubic interpolation as it was written before each point got its own
+    scalar stencil: index and weight stacks, summed over the stencil axis."""
+    values = np.asarray(values)
+    xq = np.atleast_1d(np.asarray(xq, dtype=np.float64))
+    s = (xq - g.x_left) / g.dx - 0.5
+    j = np.floor(s).astype(int)
+    th = s - j
+    if g.periodic:
+        idx = np.stack([(j - 1) % g.n, j % g.n, (j + 1) % g.n, (j + 2) % g.n])
+    else:
+        j = np.clip(j, 1, g.n - 3)
+        th = s - j
+        idx = np.stack([j - 1, j, j + 1, j + 2])
+    if values.ndim == 2:
+        idx = (np.arange(values.shape[0]), idx)
+    w = np.stack([
+        -th * (th - 1.0) * (th - 2.0) / 6.0,
+        (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0,
+        -th * (th + 1.0) * (th - 2.0) / 2.0,
+        th * (th + 1.0) * (th - 1.0) / 6.0,
+    ])
+    return np.sum(values[idx] * w, axis=0)
+
+
+@given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 64), dx=st.floats(1e-2, 1e2),
+       x_left=st.floats(-1e3, 1e3), data=st.data())
+def test_interp_cubic_pinned_bitwise_hypothesis(mode, n, dx, x_left, data):
+    # the periodic seam, exact cell centres, and points up to three lengths
+    # past either end (several wraps; far outside a line grid's clamped stencil)
+    g = Grid(n=n, dx=dx, x_left=x_left, mode=mode)
+    lo, hi = g.x_left, g.x_right
+    seam = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+            np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)]
+    points = st.floats(lo - 3 * g.length, hi + 3 * g.length) | st.sampled_from(seam + g.cells().tolist())
+    xq = np.array(data.draw(st.lists(points, min_size=1, max_size=12)))
+    f = data.draw(kernel_fields(n))
+    assert_bitwise(interp_cubic(f, g, xq), _interp_cubic_reference(f, g, xq))
+    stack = np.stack([data.draw(kernel_fields(n)) for _ in xq])
+    assert_bitwise(interp_cubic(stack, g, xq), _interp_cubic_reference(stack, g, xq))
+
+
 class TestInterpCubic:
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_points_refused(self, mode, bad):
+        g = Grid.from_length(64, 8.0, -4.0, mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="not finite"):
+                interp_cubic(np.ones(g.n), g, [0.0, bad])
+            with pytest.raises(NonFiniteError, match="not finite"):
+                interp_cubic(np.ones((2, g.n)), g, [bad, 0.0])
+
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_stacked_rows_match_single_field_calls(self, mode, rng):
         g = Grid.from_length(64, 8.0, -4.0, mode)
@@ -165,6 +220,30 @@ class TestTrace:
         with pytest.raises(ContractViolationError):
             trace(hist, g.x_right + 1.0, "plus")
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_nonfinite_launch_refused(self, mode, x0):
+        hist, p, g = flat_history(t_end=0.2, mode=mode)
+        with pytest.raises(ContractViolationError, match="finite point"):
+            trace(hist, x0, "plus")
+
+    def test_three_interp_calls_per_trace(self, monkeypatch):
+        # one row-wise call per path quantity (speed, P, Q), whatever the
+        # number of snapshots: the RK2 loop makes no array call
+        real = characteristics.interp_cubic
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(characteristics, "interp_cubic", counting)
+        for t_end in (0.2, 2.0):
+            hist, p, g = flat_history(t_end=t_end)
+            calls.clear()
+            path = trace(hist, 0.0, "plus")
+            assert path.t.shape == (len(hist.snapshots),) and len(calls) == 3
+
     def test_single_snapshot_refused(self):
         hist, p, g = flat_history(t_end=0.0)
         assert len(hist.snapshots) == 1
@@ -172,7 +251,23 @@ class TestTrace:
             trace(hist, 0.0, "plus")
 
 
+@pytest.fixture(scope="module")
+def two_samplings():
+    """One periodic run stored at output_dt 0.05 and again at 0.025."""
+    coarse, p, g = gaussian_history(n=128, output_dt=0.05)
+    fine, _, _ = gaussian_history(n=128, output_dt=0.025)
+    return coarse, fine, p
+
+
 class TestRiccatiResidual:
+    def test_path_from_other_snapshot_times_refused(self, two_samplings):
+        coarse, fine, p = two_samplings
+        for traced_on, evaluated_on in ((coarse, fine), (fine, coarse)):
+            path = trace(traced_on, 0.5, "plus")
+            with pytest.raises(ContractViolationError, match="snapshot times"):
+                riccati_residual(evaluated_on, path, p)
+            assert np.all(np.isfinite(riccati_residual(traced_on, path, p).values))
+
     def test_flat_run_zero(self):
         hist, p, g = flat_history()
         for branch in ("plus", "minus"):
@@ -377,6 +472,12 @@ class TestPqSquareIntegral:
         minus = trace(hist, 3.0, "minus")
         with pytest.raises(ContractViolationError):
             pq_square_integral(minus, plus)
+
+    def test_paths_sampled_at_other_times_refused(self, two_samplings):
+        coarse, fine, _ = two_samplings
+        for plus_on, minus_on in ((coarse, fine), (fine, coarse)):
+            with pytest.raises(ContractViolationError, match="same times"):
+                pq_square_integral(trace(plus_on, -3.0, "plus"), trace(minus_on, 3.0, "minus"))
 
     def test_never_meeting_flagged(self):
         hist, p, g = flat_history(t_end=0.5)

@@ -22,14 +22,15 @@ _FILE = st.from_regex(r"[a-z0-9_/%]{1,12}\.csv", fullmatch=True)
 
 
 def _boxes(g: Grid):
-    """``None`` or a comparison box valid on ``g``: finite t1 < t2 and x_left <= a < b <= x_right."""
+    """``None`` or a comparison box valid on ``g``: finite 0 <= t1 < t2 and x_left <= a < b <= x_right."""
     if not g.x_left < g.x_right:  # a far-off origin can absorb the whole length in rounding
         return st.none()
 
     def pairs(elements):
         return st.lists(elements, min_size=2, max_size=2, unique=True).map(sorted)
 
-    return st.none() | st.builds(lambda t, x: Box(*t, *x), pairs(_REAL), pairs(st.floats(g.x_left, g.x_right)))
+    times = pairs(st.floats(0.0, allow_infinity=False))
+    return st.none() | st.builds(lambda t, x: Box(*t, *x), times, pairs(st.floats(g.x_left, g.x_right)))
 
 
 @st.composite

@@ -297,7 +297,14 @@ class TestSweep:
         with pytest.raises(ConfigError, match="is empty"):
             l2_box_difference(*runs, Box(t1, 0.5, -5.0, 5.0))
 
-    def test_quiescent_sweep_differences_at_mollification_level(self):
+    def test_box_difference_starts_at_the_first_snapshots(self):
+        # before the first snapshot, interpolation would clamp to the initial data
+        runs = [run_scenario(default_cfg(step=StepControl(cfl=0.3, dt_max=0.05, t_end=0.1))).history
+                for _ in range(2)]
+        with pytest.raises(ConfigError, match="before the runs' first snapshots"):
+            l2_box_difference(*runs, Box(-1.0, 0.1, -5.0, 5.0))
+        assert l2_box_difference(*runs, Box(0.0, 0.1, -5.0, 5.0)) == (0.0, 0.0)
+
         # no cut-off activity: runs differ only through the mollified data
         g = Grid.from_length(512, 40.0, -20.0, "line")
         cfg = default_cfg(kind="gaussian", amplitude=0.01, grid=g,
@@ -478,8 +485,9 @@ class TestCli:
 
     @pytest.mark.parametrize("box", [("nan", "0.5", "-4", "6"), ("0.5", "0.1", "-4", "6"),
                                      ("0.1", "0.5", "6", "-4"), ("0.1", "0.5", "-40", "6"),
-                                     ("0.1", "inf", "-4", "6")],
-                             ids=["nan-t1", "reversed-t", "reversed-x", "outside-grid", "infinite-t2"])
+                                     ("0.1", "inf", "-4", "6"), ("-1", "0.5", "-4", "6")],
+                             ids=["nan-t1", "reversed-t", "reversed-x", "outside-grid", "infinite-t2",
+                                  "before-the-runs"])
     def test_malformed_sweep_box_exit_two(self, tmp_path, capsys, box):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
         args = ["--config", str(cfg)]
