@@ -305,6 +305,7 @@ class TestSweep:
             l2_box_difference(*runs, Box(-1.0, 0.1, -5.0, 5.0))
         assert l2_box_difference(*runs, Box(0.0, 0.1, -5.0, 5.0)) == (0.0, 0.0)
 
+    def test_quiescent_sweep_differences_at_mollification_level(self):
         # no cut-off activity: runs differ only through the mollified data
         g = Grid.from_length(512, 40.0, -20.0, "line")
         cfg = default_cfg(kind="gaussian", amplitude=0.01, grid=g,
