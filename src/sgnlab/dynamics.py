@@ -17,8 +17,8 @@ filters: steep runs are allowed to steepen and are stopped by the monitors --
 that is the experiment.
 
 Flat states are exact fixed points: every spatial operator annihilates
-constants exactly, so a flat state steps to itself bitwise (only time
-advances).
+constants exactly (a line grid pads ``h`` with ``hbar``), so a flat state
+steps to itself bitwise (only time advances).
 """
 
 from __future__ import annotations
@@ -202,26 +202,6 @@ def rk4_step(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
         raise DepthCollapseError(f"depth collapsed near t = {s.t:.6g}: {exc}") from exc
 
 
-#: width (in cells, each side) of the far-field strip pinned to the reference
-#: state on line-mode grids.  The one-sided derivative closures coupled with
-#: the elliptic ghost rows carry wall-localized eigenmodes with Re(lambda) ~
-#: +10/time on otherwise quiescent far fields; pinning four cells per side
-#: removes them (verified spectrally at n = 128..1024) while touching only
-#: cells the far-field contract requires to be at reference anyway.
-FARFIELD_CLAMP_CELLS = 4
-
-
-def _pin_far_field(s: FlowState, p: Params, g: Grid) -> FlowState:
-    """``s`` with its far-field strips at the reference state, as a new state (line mode)."""
-    if g.periodic:
-        return s
-    k = FARFIELD_CLAMP_CELLS
-    h, u = s.h.copy(), s.u.copy()
-    h[:k] = h[-k:] = p.hbar
-    u[:k] = u[-k:] = 0.0
-    return FlowState(h, u, s.t)
-
-
 @dataclass
 class SimHistory:
     """Snapshots plus per-step series of a run.
@@ -293,13 +273,14 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
              blowup: BlowupThresholds | None = None) -> SimHistory:
     """March to ``t_end`` or to a monitor abort; never throws past the first step.
 
-    A step, its far-field pin and its series row form one guarded unit: the
-    stepped state becomes current only once its row is recorded.  Aborts
-    (blow-up trigger, depth collapse, boundary contamination, solver failure,
-    non-finite fields) are stored as a reason code, stamped at the last
-    recorded state.  Snapshots include the initial and final states.  Invalid
-    inputs raise before the first step: an initial state whose derived fields
-    overflow (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.
+    A step and its series row form one guarded unit: the stepped state
+    becomes current only once its row is recorded.  Aborts (blow-up trigger,
+    depth collapse, boundary contamination, solver failure, non-finite
+    fields) are stored as a reason code, stamped at the last recorded state.
+    Snapshots include the initial and final states.  Invalid inputs raise
+    before the first step: an initial state whose derived fields overflow
+    (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.  No cell is reset:
+    waves reaching a line grid's far field abort (``check_far_field``).
     """
     hist = SimHistory(grid=g, params=p, control=c)
     series: dict[str, list] = {k: [] for k in _SERIES_COLUMNS}
@@ -308,15 +289,15 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     def snapshot(s: FlowState):
         hist.snapshots.append(FlowState(s.h, s.u, s.t))
 
-    check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol, ncells=2 * FARFIELD_CLAMP_CELLS)
-    s = _pin_far_field(FlowState(s0.h.copy(), s0.u.copy(), s0.t), p, g)
+    check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol)
+    s = FlowState(s0.h.copy(), s0.u.copy(), s0.t)
     max_ux, max_hx, min_h = _record(series, s, p, g)
     snapshot(s)
     next_out = c.output_dt
     steps_since_out = 0
     while s.t < c.t_end - 1e-12 * max(1.0, c.t_end):
         try:
-            check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol, ncells=2 * FARFIELD_CLAMP_CELLS)
+            check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol)
             code = None if blowup is None else check_blowup(max_ux, max_hx, min_h, blowup, floor)
             if code is not None:
                 hist.abort_reason = f"blowup:{code}"
@@ -325,7 +306,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
             dt = min(dt, c.t_end - s.t)
             if next_out is not None and s.t < next_out:
                 dt = min(dt, next_out - s.t)
-            stepped = _pin_far_field(rk4_step(s, dt, p, g), p, g)
+            stepped = rk4_step(s, dt, p, g)
             max_ux, max_hx, min_h = _record(series, stepped, p, g)
         except (BoundaryContaminationError, DepthCollapseError, NonFiniteError, SolverFailureError) as exc:
             hist.abort_reason = exc.reason

@@ -262,6 +262,6 @@ def psi_identity_residual(h: np.ndarray, psi: np.ndarray, g: Grid, hbar: float) 
     lhs = derivative(solve_L(sys, derivative(psi, g)), g)
     prim = cumulative_integral(psi / h**3, g)
     arg = h * prim
-    w = solve_L(sys, arg, far_field=(arg[0] / h[0], arg[-1] / h[-1]))
-    rhs = -3.0 * psi / h**3 + 3.0 * derivative(w, g)
+    far = (arg[0] / h[0], arg[-1] / h[-1])
+    rhs = -3.0 * psi / h**3 + 3.0 * derivative(solve_L(sys, arg, far_field=far), g, far)
     return float(np.max(np.abs(lhs - rhs)))

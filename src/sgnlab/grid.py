@@ -9,16 +9,20 @@ Fields are plain ``float64`` arrays sampled at cell centers
   requirement that waves never reach the boundary; callers enforce it with
   :func:`check_far_field`.
 
-Derivatives are 4th-order central in the interior with one-sided 4th-order
-closures at the two outermost cells on each side of a line-mode grid, so both
-modes share one code path.  Integration is the midpoint rule (spectrally
-accurate for smooth periodic fields).  The running primitive
-``x -> int_{x_left}^{x} f`` is a trapezoid cumulative sum and exists only in
-line mode: on a circle the primitive of a field with nonzero mean is not
-single-valued, and we refuse rather than guess.  Public functions check their
-input (:func:`as_field`); the stepper differentiates fields derived from a
-checked state with the unchecked kernel ``_derivative``, which computes in
-place into the one array it returns, repeating the stencils' operations in order.
+Derivatives are one 4th-order central stencil on every cell of both modes;
+the mode decides only the two pad values beyond each end, as for the
+elliptic systems: the wrapped neighbours on a periodic grid, the field's
+far-field value on a line grid (zero unless the caller passes another).  With
+zero pads the line-mode matrix is exactly skew, like the periodic one, so
+discrete integration by parts holds in both modes.  Integration is the
+midpoint rule (spectrally accurate for smooth periodic fields).  The running
+primitive ``x -> int_{x_left}^{x} f`` is a trapezoid cumulative sum and exists
+only in line mode: on a circle the primitive of a field with nonzero mean is
+not single-valued, and we refuse rather than guess.  Public functions check
+their input (:func:`as_field`); the stepper differentiates fields derived from
+a checked state with the unchecked kernel ``_derivative``, which computes in
+place into the one array it returns, repeating the stencil's operations in
+order.
 """
 
 from __future__ import annotations
@@ -99,37 +103,40 @@ def _finite(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def derivative(f: np.ndarray, g: Grid) -> np.ndarray:
+def derivative(f: np.ndarray, g: Grid, far: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
     """4th-order first derivative of ``f`` on ``g``.
 
-    Periodic mode wraps by padding ``f`` with two cells per side for the same
-    interior stencil; line mode uses one-sided 4th-order stencils at the two
-    boundary cells on each side.  Exact for polynomials up to degree 4.
+    One central stencil on every cell.  A periodic grid reads the two wrapped
+    neighbours beyond each end; a line grid reads ``far`` (left, right) there,
+    the field's limit at minus and plus infinity.  Exact for polynomials up to
+    degree 4 on the cells ``[2:-2]``; a constant equal to its pads has a zero
+    derivative on every cell.
     """
-    return _derivative(as_field(f, g), g)
+    left, right = far
+    if not (np.isfinite(left) and np.isfinite(right)):
+        raise NonFiniteError(f"far-field pads must be finite, got {far!r}")
+    return _derivative(as_field(f, g), g, far)
 
 
-def _derivative(f: np.ndarray, g: Grid) -> np.ndarray:
-    """:func:`derivative` without the input check: ``f`` is a finite float64 field on ``g``."""
+def _derivative(f: np.ndarray, g: Grid, far: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+    """:func:`derivative` without the input checks: ``f`` is a finite float64 field on ``g``."""
     inv12dx = 1.0 / (12.0 * g.dx)
     # stencils written as combinations of differences so constants are
     # annihilated exactly (flat states must be exact fixed points downstream)
-    fp = np.concatenate((f[-2:], f, f[:2])) if g.periodic else f
     out = np.empty_like(f)
-    interior = out if g.periodic else out[2:-2]
-    np.subtract(fp[3:-1], fp[1:-3], out=interior)
+    interior = out[2:-2]
+    np.subtract(f[3:-1], f[1:-3], out=interior)
     interior *= 8.0
-    interior -= fp[4:] - fp[:-4]
+    interior -= f[4:] - f[:-4]
     interior *= inv12dx
-    if g.periodic:
-        return out
-    # closure rows in Python floats: the same IEEE operations, in the same order
-    f0, f1, f2, f3, f4 = f[:5].tolist()
-    out[0] = (48.0 * (f1 - f0) - 36.0 * (f2 - f0) + 16.0 * (f3 - f0) - 3.0 * (f4 - f0)) * inv12dx
-    out[1] = (-3.0 * (f0 - f1) + 18.0 * (f2 - f1) - 6.0 * (f3 - f1) + (f4 - f1)) * inv12dx
-    e1, e2, e3, e4, e5 = f[-1:-6:-1].tolist()  # f[-1], ..., f[-5]
-    out[-2] = (3.0 * (e1 - e2) - 18.0 * (e3 - e2) + 6.0 * (e4 - e2) - (e5 - e2)) * inv12dx
-    out[-1] = (-48.0 * (e2 - e1) + 36.0 * (e3 - e1) - 16.0 * (e4 - e1) + 3.0 * (e5 - e1)) * inv12dx
+    # the two cells at each end, in Python floats: the same IEEE operations, in the same order
+    f0, f1, f2, f3 = f[:4].tolist()
+    e3, e2, e1, e0 = f[-4:].tolist()  # f[-4], ..., f[-1]
+    l2, l1, r1, r2 = (e1, e0, f0, f1) if g.periodic else (far[0], far[0], far[1], far[1])  # cells -2, -1, n, n+1
+    out[0] = (8.0 * (f1 - l1) - (f2 - l2)) * inv12dx
+    out[1] = (8.0 * (f2 - f0) - (f3 - l1)) * inv12dx
+    out[-2] = (8.0 * (e0 - e2) - (r1 - e3)) * inv12dx
+    out[-1] = (8.0 * (r1 - e1) - (r2 - e2)) * inv12dx
     return out
 
 
@@ -157,7 +164,7 @@ def cumulative_integral(f: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def check_far_field(h: np.ndarray, u: np.ndarray, g: Grid, hbar: float,
-                    rtol: float = 1e-6, ncells: int = 4) -> None:
+                    rtol: float = 1e-6, ncells: int = 8) -> None:
     """Abort if waves contaminate the boundary of a line-mode grid.
 
     ``|h - hbar|`` and ``|u|`` at the ``ncells`` outermost cells on each side

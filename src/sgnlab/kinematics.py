@@ -34,7 +34,8 @@ bundle and are pointwise.
 
 All functions are pure and operate on immutable inputs: a state's arrays are
 never written after construction.  :class:`FlowState` checks its fields, so
-:func:`gradients` uses the unchecked ``_derivative``.
+:func:`gradients` uses the unchecked ``_derivative``; on a line grid ``h_x``
+reads the reference depth ``hbar`` beyond the ends, ``u_x`` reads zero.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class Gradients:
 def _gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
     if s.h.shape != (g.n,):
         raise ContractViolationError(f"state has shape {s.h.shape}, grid has {g.n} cells")
-    return Gradients(s.h, _derivative(s.u, g), _derivative(s.h, g), p.sqrt_3gamma, p.epsilon)
+    return Gradients(s.h, _derivative(s.u, g), _derivative(s.h, g, (p.hbar, p.hbar)), p.sqrt_3gamma, p.epsilon)
 
 
 def gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
@@ -242,8 +243,9 @@ def curly_c(p: Params, d: Gradients) -> np.ndarray:
 
 
 def f_of_h(s: FlowState, p: Params) -> np.ndarray:
-    """Potential part ``g h^2/2 - g hbar^2/2 - 3 gamma ln(h/hbar)``; zero at the reference depth."""
-    return 0.5 * p.g * s.h**2 - 0.5 * p.g * p.hbar**2 - 3.0 * p.gamma * np.log(s.h / p.hbar)
+    """Potential part ``g h^2/2 - g hbar^2/2 - 3 gamma ln(h/hbar)``; exactly zero at the reference depth."""
+    # hbar * hbar rounds as numpy's h**2 does; Python's hbar**2 can be an ulp off
+    return 0.5 * p.g * s.h**2 - 0.5 * p.g * (p.hbar * p.hbar) - 3.0 * p.gamma * np.log(s.h / p.hbar)
 
 
 def energy_density(s: FlowState, p: Params, d: Gradients) -> np.ndarray:

@@ -74,8 +74,8 @@ def compute_V1(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, 
     """Transport-correction field; needs the primitive from -infinity (line mode)."""
     integrand = 3.0 * ux * A_x / s.h - (chiP + chiQ) / (8.0 * s.h**2)
     arg = -s.u * A_x + s.h * cumulative_integral(integrand, g)
-    w = solve_L(sys, arg, far_field=(arg[0] / s.h[0], arg[-1] / s.h[-1]))
-    return 0.5 * s.h * derivative(w, g)
+    far = (arg[0] / s.h[0], arg[-1] / s.h[-1])
+    return 0.5 * s.h * derivative(solve_L(sys, arg, far_field=far), g, far)
 
 
 def _b_flux(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ Initial data families:
                   the velocity chosen so the minus Riemann invariant is
                   spatially constant: a near-simple wave that steepens.  The
                   sign of the amplitude selects which gradient sign blows up.
-* ``custom``   -- columns x, h, u read from a CSV file.
+* ``custom``   -- columns x, h, u read from a CSV file; x must be the grid's
+                  cell centres to a thousandth of a cell.
 
 When ``mollifier_epsilon > 0`` the perturbation (h - hbar, u) is convolved
 with a normalized Gaussian of that standard deviation, mirroring the mollified
@@ -188,6 +189,10 @@ def _shape(cfg: ScenarioConfig, amplitude: float) -> tuple[np.ndarray, np.ndarra
         raise ConfigError(f"cannot read custom file {cfg.file}: {exc}") from exc
     if data.shape != (g.n, 3):
         raise ConfigError(f"custom file must hold {g.n} rows of x,h,u; got shape {data.shape}")
+    offset = float(np.max(np.abs(data[:, 0] - x)))
+    if not offset <= 1e-3 * g.dx:
+        raise ConfigError(f"custom file x column is off the grid's cell centres by up to {offset:.3e} "
+                          f"(allowed {1e-3 * g.dx:.3e}, a thousandth of a cell)")
     return data[:, 1].copy(), data[:, 2].copy()
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sgnlab import FlowState, Grid, Params, dynamics, elliptic, grid, kinematics, regularization
 from sgnlab.dynamics import (
@@ -70,6 +70,24 @@ class TestRhs:
             ev1 = rhs(s, Params(epsilon=0.1), g)
             assert_bitwise(ev1.dh_dt, ev0.dh_dt)
             assert_bitwise(ev1.du_dt, ev0.du_dt)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_flat_line_state_has_no_growing_mode(self, params, n):
+        # central-difference Jacobian of rhs about the flat state: the far-field
+        # pads leave no wall mode, so the linearized spectrum stays on the
+        # imaginary axis to rounding
+        g = Grid.from_length(n, 40.0, -20.0, "line")
+        flat, delta = np.concatenate((np.full(n, params.hbar), np.zeros(n))), 1e-6
+        jac = np.empty((2 * n, 2 * n))
+        for j in range(2 * n):
+            rates = []
+            for step in (delta, -delta):
+                z = flat.copy()
+                z[j] += step
+                ev = rhs(FlowState(z[:n], z[n:]), params, g)
+                rates.append(np.concatenate((ev.dh_dt, ev.du_dt)))
+            jac[:, j] = (rates[0] - rates[1]) / (2.0 * delta)
+        assert np.linalg.eigvals(jac).real.max() <= 1e-6
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_state_of_another_grid_rejected(self, params, mode):
@@ -507,7 +525,7 @@ class TestSimulate:
 
     def test_boundary_contamination_aborts_with_code(self, params, monkeypatch):
         # fault injection: after 20 evaluations cell 5 is forced; it lies in
-        # the checked far-field strip (8 cells) but outside the pinned 4
+        # the checked far-field strip (8 cells per side)
         real = dynamics.rhs
         calls = []
 
@@ -849,6 +867,8 @@ class TestStepProperties:
         assert np.array_equal(out0.h, out1.h) and np.array_equal(out0.u, out1.u)
 
     @given(mode=_MODES, p=_PARAMS, eps=st.floats(0.0, 1.0), dt=st.floats(1e-4, 0.1))
+    # a depth whose Python square hbar**2 is an ulp off numpy's h**2: F(hbar) must still be exactly 0
+    @example(mode="line", p=Params(g=1.0, gamma=1.0, hbar=1.5443358483803993), eps=0.0, dt=0.0625)
     def test_flat_state_bitwise_fixed(self, mode, p, eps, dt):
         g = Grid.from_length(128, 40.0, -20.0, mode)
         if mode == "line":
@@ -882,8 +902,8 @@ def _assert_modes_agree(per: FlowState, line: FlowState):
 
 class TestGridModeAgreement:
     """Data that stay far from the ends evolve alike on both grid modes: the line
-    mode's one-sided closures, ghost rows and pinned far field against the
-    periodic mode's wrap padding and Sherman-Morrison correction."""
+    mode's far-field pads and ghost rows against the periodic mode's wrapped
+    neighbours and Sherman-Morrison correction."""
 
     @settings(max_examples=10)
     @given(eps=st.sampled_from([0.0, 0.5, 1.0, 2.0]), amp=st.floats(-0.1, 0.1), width=st.floats(0.8, 2.0),

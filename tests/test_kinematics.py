@@ -142,7 +142,8 @@ class TestCurlyCAndF:
         u = 0.7 * g.cells()
         s = make_state(g, 1.0, u)
         c = curly_c(p, gradients(s, p, g))
-        assert np.max(np.abs(c - (2.0 / 3.0) * 0.49)) < 1e-10
+        # a linear field has no far-field limit: the two cells per side that read the pads differ
+        assert np.max(np.abs(c[2:-2] - (2.0 / 3.0) * 0.49)) < 1e-10
 
     def test_pure_depth_gradient(self):
         g = Grid.from_length(64, 8.0, -4.0, "line")
@@ -150,7 +151,7 @@ class TestCurlyCAndF:
         h = 5.0 + 0.3 * g.cells()
         s = make_state(g, h, 0.0)
         c = curly_c(p, gradients(s, p, g))
-        assert np.max(np.abs(c - (-1.5 * p.gamma * 0.09))) < 1e-9
+        assert np.max(np.abs(c[2:-2] - (-1.5 * p.gamma * 0.09))) < 1e-9
 
     def test_f_reference_state(self, periodic_grid):
         p = Params(g=2.0, gamma=1.0, hbar=1.0)

@@ -484,6 +484,31 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert main(["check", *args]) == 2
 
+    @pytest.mark.parametrize("x_left, length", [(-20.0 + 7.3, 40.0), (-5.0, 10.0)], ids=["shifted", "narrower"])
+    def test_custom_file_off_the_grid_exit_two(self, tmp_path, capsys, x_left, length):
+        # the x column must be the configured grid's cell centres; a file written
+        # for another grid would put its data at the wrong places without a word
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "gaussian_energy.cfg"
+        grid = parse_config(str(cfg)).grid
+        path = tmp_path / "state.csv"
+
+        def write(x, fmt):
+            h = 1.0 + 0.01 * np.exp(-((x - 7.0) ** 2))
+            rows = "".join(f"{fmt % a},{fmt % b},0\n" for a, b in zip(x, h))
+            path.write_text("x,h,u\n" + rows)
+
+        overrides = ["scenario.kind=custom", f"scenario.file={path}"]
+        write(grid.cells(), "%.8g")  # rounded to 8 digits: within a thousandth of a cell
+        assert build_initial(parse_config(str(cfg), overrides)).h.shape == (grid.n,)
+        write(Grid.from_length(grid.n, length, x_left, grid.mode).cells(), "%.17g")
+        with pytest.raises(ConfigError, match="x column"):
+            build_initial(parse_config(str(cfg), overrides))
+        args = ["--config", str(cfg), "--override", overrides[0], "--override", overrides[1]]
+        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: custom file x column")
+        assert not (tmp_path / "o").exists()
+        assert main(["check", *args]) == 2
+
     @pytest.mark.parametrize("box", [("nan", "0.5", "-4", "6"), ("0.5", "0.1", "-4", "6"),
                                      ("0.1", "0.5", "6", "-4"), ("0.1", "0.5", "-40", "6"),
                                      ("0.1", "inf", "-4", "6"), ("-1", "0.5", "-4", "6")],
