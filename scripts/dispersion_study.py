@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from sgnlab import FlowState, Grid, Params
-from sgnlab.diagnostics import bond_number, dispersion_omega, measure_phase_speed
+from sgnlab.diagnostics import bond_number, dispersion_report
 from sgnlab.dynamics import StepControl, simulate
 
 
@@ -30,12 +30,9 @@ def measure(gamma, ks):
     hist = simulate(FlowState(h, u, 0.0), p, grid,
                     StepControl(cfl=0.3, dt_max=0.02, t_end=3.0, output_dt=0.1))
     print(f"gamma = {gamma:g}  (Bond number {bond_number(p):.3f})")
-    for k in ks:
-        meas = measure_phase_speed(hist, k)
-        pred = dispersion_omega(k, p) / k
-        rel = abs(meas.speed - pred) / pred
-        print(f"  k={k:4g}: measured {meas.speed:.5f}  predicted {pred:.5f}  "
-              f"rel err {rel:.2%}  [{meas.status}]")
+    for row in dispersion_report(hist, ks).modes:
+        print(f"  k={row['k']:4g}: measured {row['measured']:.5f}  predicted {row['predicted']:.5f}  "
+              f"rel err {row['rel_err']:.2%}  [{row['status']}]")
 
 
 def main():

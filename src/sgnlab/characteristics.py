@@ -223,9 +223,11 @@ def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, n
 
 
 def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
-    """Material derivative of P (minus branch) or Q (plus branch) along the
-    path minus the interpolated Riccati right-hand side."""
+    """Material derivative of P (minus branch) or Q (plus branch) along the path minus the
+    interpolated Riccati right-hand side of the run: ``p`` must equal ``history.params``."""
     g: Grid = history.grid
+    if p != history.params:
+        raise ContractViolationError(f"riccati_residual got {p}, not the run's parameters {history.params}")
     m = path.t.shape[0]
     if m < 2:
         raise ContractViolationError("riccati_residual needs a path with at least two samples")
@@ -239,7 +241,7 @@ def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
     values = path.P if path.branch == MINUS else path.Q
     dval = np.gradient(values, path.t)
     xeval = np.array([_wrap(xi, g) for xi in path.x])
-    rows = np.stack([s._derived(_riccati_rhs_fields, p, g)[_ROW[path.branch]] for s in snaps])
+    rows = np.stack([s._derived(_riccati_rhs_fields, history.params, g)[_ROW[path.branch]] for s in snaps])
     rhs_on_path = interp_cubic(rows, g, xeval)
     return RiccatiResidual(values=dval - rhs_on_path, t=path.t.copy(), undersampled=undersampled)
 

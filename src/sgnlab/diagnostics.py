@@ -322,9 +322,8 @@ def measure_phase_speed(history: SimHistory, k: float) -> PhaseSpeed:
     p = history.params
     if not g.periodic:
         raise ModeError("phase-speed measurement needs a periodic run")
-    m_float = k * g.length / (2.0 * math.pi)
-    m = int(round(m_float))
-    if abs(m_float - m) > 1e-8 or m < 1 or m > g.n // 2 - 1:
+    m = g.mode_index(k)
+    if m is None:
         raise ContractViolationError(f"wavenumber {k} does not fit the periodic domain")
     coeffs = np.array([np.fft.rfft(s.h - p.hbar)[m] for s in history.snapshots])
     amps = np.abs(coeffs)

@@ -9,12 +9,12 @@ with n+1 positive face couplings ``f``: ``order0 = h`` and
 ``f_i = ((h_{i-1} + h_i)/2)^3 / (3 dx^2)`` for ``L_h`` (average the depth,
 then cube: symmetric positive-definite and exact for constant depth), and
 ``order0 = g``, ``f_i = gamma / dx^2`` for Helmholtz.  The grid mode decides
-only the two pad values beyond the ends: the wrapped neighbours on a periodic
-grid (``f_0 == f_n`` is the wrap face), the ghost cells on a line grid.
-``L_h`` ghosts carry the reference depth and a prescribed far-field value of
-the solution (zero for decaying solutions, ``psi(+-inf)/hbar`` for
-right-hand sides with nonzero limits, mirroring the extension of the inverse
-operator to functions with limits at infinity).
+only the cells beyond the ends, by the derivative's halo rule (``grid._pad``):
+the wrapped neighbours on a periodic grid (``f_0 == f_n`` is the wrap face),
+the ghost cells on a line grid.  ``L_h`` ghosts carry the reference depth and
+a prescribed far-field value of the solution (zero for decaying solutions,
+``psi(+-inf)/hbar`` for right-hand sides with nonzero limits, mirroring the
+extension of the inverse operator to functions with limits at infinity).
 
 The discrete ``L_h`` is an M-matrix, so it inherits the maximum principle
 ``|L_h^{-1} psi| <= ||1/h||_inf ||psi||_inf`` exactly.
@@ -30,9 +30,7 @@ correction for the wrap face.  The Helmholtz system is built and factored
 once per (parameters, grid).  Every solve verifies its own residual and
 refuses to return garbage.  Public functions check their inputs; the stepper
 assembles with the unchecked ``_assemble_L``, and :func:`solve_L_refined`
-scans its defect, so a non-finite field is a ``NonFiniteError``.  The faces
-and each residual's apply (``_apply_L``, shared by :func:`apply_L`) are
-computed in place in arrays the kernel allocates, repeating the same operations.
+scans its defect, so a non-finite field is a ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
-from .grid import Grid, _derivative, _finite, as_field, cumulative_integral, derivative
+from .grid import Grid, _derivative, _finite, _pad, as_field, cumulative_integral, derivative
 from .kinematics import FlowState, Gradients, Params, curly_c, f_of_h, gradients
 
 __all__ = [
@@ -109,10 +107,8 @@ def assemble_L(h: np.ndarray, g: Grid, hbar: float | None = None) -> Tridiagonal
 
 def _assemble_L(h: np.ndarray, g: Grid, hbar: float | None) -> TridiagonalSystem:
     """:func:`assemble_L` without its checks: ``h`` is a finite positive field on ``g``."""
-    left, right = (h[-1], h[0]) if g.periodic else (hbar, hbar)
-    faces = np.empty(g.n + 1)
-    np.add(h[:-1], h[1:], out=faces[1:-1])
-    faces[0], faces[-1] = left + h[0], h[-1] + right
+    hp = _pad(h, g.periodic, 1, (hbar, hbar))
+    faces = hp[:-1] + hp[1:]
     faces *= 0.5
     faces **= 3
     faces *= 1.0 / (3.0 * g.dx**2)
@@ -133,6 +129,7 @@ def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
 
 def _apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     """:func:`apply_L` without its checks: ``u`` is a float64 vector of length ``sys.n``."""
+    # scalar ghosts, not _pad: padding u made rhs 1.01-1.03x slower at periodic n = 1024 (2 cores, 8-round medians)
     left, right = (u[-1], u[0]) if sys.periodic else (0.0, 0.0)
     out, diff = sys.order0 * u, np.empty_like(u)
     np.subtract(u[:-1], u[1:], out=diff[:-1])

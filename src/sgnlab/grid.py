@@ -9,20 +9,18 @@ Fields are plain ``float64`` arrays sampled at cell centers
   requirement that waves never reach the boundary; callers enforce it with
   :func:`check_far_field`.
 
-Derivatives are one 4th-order central stencil on every cell of both modes;
-the mode decides only the two pad values beyond each end, as for the
-elliptic systems: the wrapped neighbours on a periodic grid, the field's
-far-field value on a line grid (zero unless the caller passes another).  With
-zero pads the line-mode matrix is exactly skew, like the periodic one, so
-discrete integration by parts holds in both modes.  Integration is the
-midpoint rule (spectrally accurate for smooth periodic fields).  The running
-primitive ``x -> int_{x_left}^{x} f`` is a trapezoid cumulative sum and exists
-only in line mode: on a circle the primitive of a field with nonzero mean is
-not single-valued, and we refuse rather than guess.  Public functions check
-their input (:func:`as_field`); the stepper differentiates fields derived from
-a checked state with the unchecked kernel ``_derivative``, which computes in
-place into the one array it returns, repeating the stencil's operations in
-order.
+Derivatives are one 4th-order central stencil over the field padded by two
+cells per side.  The mode decides only the cells beyond each end, and ``_pad``
+builds them for the derivative and the ``L_h`` faces: the wrapped neighbours
+(periodic) or the field's far-field value (line; zero unless the caller passes
+another).  With zero pads the line-mode matrix is exactly skew, like the
+periodic one, so discrete integration by parts holds in both modes.
+Integration is the midpoint rule (spectrally accurate for smooth periodic
+fields).  The running primitive ``x -> int_{x_left}^{x} f`` is a trapezoid
+cumulative sum and exists only in line mode: on a circle the primitive of a
+field with nonzero mean is not single-valued, and we refuse rather than guess.
+Public functions check their input (:func:`as_field`); ``_derivative``, the
+stepper's kernel, skips that check for fields derived from a checked state.
 """
 
 from __future__ import annotations
@@ -88,6 +86,12 @@ class Grid:
     def periodic(self) -> bool:
         return self.mode == PERIODIC
 
+    def mode_index(self, k: float) -> int | None:
+        """m of ``k = 2 pi m / length`` if 1 <= m <= n/2 - 1 (a resolved Fourier mode), else ``None``."""
+        m_float = k * self.length / (2.0 * np.pi)
+        m = round(m_float) if abs(m_float) < self.n else 0  # also for an infinite or NaN k
+        return m if 1 <= m <= self.n // 2 - 1 and abs(m_float - m) <= 1e-8 else None
+
 
 def as_field(values, g: Grid) -> np.ndarray:
     """Validate and return ``values`` as a float64 field on ``g``."""
@@ -112,31 +116,28 @@ def derivative(f: np.ndarray, g: Grid, far: tuple[float, float] = (0.0, 0.0)) ->
     degree 4 on the cells ``[2:-2]``; a constant equal to its pads has a zero
     derivative on every cell.
     """
-    left, right = far
-    if not (np.isfinite(left) and np.isfinite(right)):
+    if not np.isfinite(far).all():
         raise NonFiniteError(f"far-field pads must be finite, got {far!r}")
     return _derivative(as_field(f, g), g, far)
 
 
 def _derivative(f: np.ndarray, g: Grid, far: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
     """:func:`derivative` without the input checks: ``f`` is a finite float64 field on ``g``."""
-    inv12dx = 1.0 / (12.0 * g.dx)
+    fp = _pad(f, g.periodic, 2, far)
     # stencils written as combinations of differences so constants are
     # annihilated exactly (flat states must be exact fixed points downstream)
-    out = np.empty_like(f)
-    interior = out[2:-2]
-    np.subtract(f[3:-1], f[1:-3], out=interior)
-    interior *= 8.0
-    interior -= f[4:] - f[:-4]
-    interior *= inv12dx
-    # the two cells at each end, in Python floats: the same IEEE operations, in the same order
-    f0, f1, f2, f3 = f[:4].tolist()
-    e3, e2, e1, e0 = f[-4:].tolist()  # f[-4], ..., f[-1]
-    l2, l1, r1, r2 = (e1, e0, f0, f1) if g.periodic else (far[0], far[0], far[1], far[1])  # cells -2, -1, n, n+1
-    out[0] = (8.0 * (f1 - l1) - (f2 - l2)) * inv12dx
-    out[1] = (8.0 * (f2 - f0) - (f3 - l1)) * inv12dx
-    out[-2] = (8.0 * (e0 - e2) - (r1 - e3)) * inv12dx
-    out[-1] = (8.0 * (r1 - e1) - (r2 - e2)) * inv12dx
+    out = fp[3:-1] - fp[1:-3]
+    out *= 8.0
+    out -= fp[4:] - fp[:-4]
+    out *= 1.0 / (12.0 * g.dx)
+    return out
+
+
+def _pad(f: np.ndarray, periodic: bool, width: int, far: tuple[float, float]) -> np.ndarray:
+    """``f`` with ``width`` cells beyond each end: the wrapped neighbours, or ``far = (left, right)`` on a line."""
+    out = np.empty(f.shape[0] + 2 * width)
+    out[width:-width] = f
+    out[:width], out[-width:] = (f[-width:], f[:width]) if periodic else far
     return out
 
 

@@ -287,10 +287,12 @@ class TestRiccatiResidual:
         assert np.log2(worsts[0] / worsts[1]) >= 1.0
 
     def test_epsilon_inactive_matches_eps0(self):
+        # the same snapshots labelled with an inactive eps = 0.1
         hist, p, g = gaussian_history(n=256, t_end=0.5)
         path = trace(hist, 0.5, "minus")
-        r0 = riccati_residual(hist, path, Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=0.0))
-        r1 = riccati_residual(hist, path, Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=0.1))
+        inactive = dataclasses.replace(p, epsilon=0.1)
+        r0 = riccati_residual(hist, path, p)
+        r1 = riccati_residual(dataclasses.replace(hist, params=inactive), path, inactive)
         assert np.array_equal(r0.values, r1.values)
 
     def test_active_cutoff_branch_pairing(self):
@@ -363,18 +365,20 @@ class TestSharedFields:
             assert len(calls) == 4 * len(hist.snapshots)
 
     def test_second_params_gets_own_fields(self, monkeypatch):
+        # the residual is the run's: other parameters are refused, equal ones share the memo;
+        # a snapshot still keeps one gradient bundle per parameters
         hist, p, g = gaussian_history(n=256, t_end=0.5)
         path = trace(hist, 0.5, "minus")
         first = riccati_residual(hist, path, p).values
         calls = count_derivative_calls(monkeypatch)
         changed = dataclasses.replace(p, gamma=5.0)
-        second = riccati_residual(hist, path, changed).values
-        assert len(calls) == 4 * len(hist.snapshots)
-        assert np.array_equal(riccati_residual(hist, path, p).values, first)
-        assert len(calls) == 4 * len(hist.snapshots)
-        assert not np.array_equal(first, second)
+        with pytest.raises(ContractViolationError, match="not the run's parameters"):
+            riccati_residual(hist, path, changed)
+        assert np.array_equal(riccati_residual(hist, path, dataclasses.replace(p)).values, first)
+        assert calls == []
         for s in hist.snapshots:
             assert gradients(s, p, g) is not gradients(s, changed, g)
+        assert len(calls) == 2 * len(hist.snapshots)
 
     def test_one_script_r_per_snapshot_bitwise(self, monkeypatch):
         hist, p, g = gaussian_history(n=256)
@@ -423,11 +427,12 @@ class TestSharedFields:
         hist, p, g = active_line_history()
         path = trace(hist, 0.0, "minus")
         changed = dataclasses.replace(p, gamma=5.0)
+        relabelled = dataclasses.replace(hist, params=changed)  # the same snapshots and their memos
         first = riccati_residual(hist, path, p).values
-        second = riccati_residual(hist, path, changed).values
+        second = riccati_residual(relabelled, path, changed).values
         assert not np.array_equal(first, second)
         for params, values in ((p, first), (changed, second)):
-            fresh = fresh_history(hist)
+            fresh = dataclasses.replace(fresh_history(hist), params=params)
             assert np.array_equal(riccati_residual(fresh, path, params).values, values)
         assert np.array_equal(riccati_residual(hist, path, p).values, first)
 

@@ -1,6 +1,7 @@
 """The configuration contract: every value the format can state survives the
 echo, typos and malformed values are rejected, and nothing is silently dropped."""
 
+import math
 import pathlib
 
 import pytest
@@ -45,6 +46,8 @@ def scenario_configs(draw):
     params = Params(g=draw(_POSITIVE), gamma=draw(_POSITIVE), hbar=draw(_POSITIVE),
                     epsilon=draw(st.floats(0.0, 1.0)))
     grid = Grid(n=draw(st.integers(8, 10**6)), dx=draw(_POSITIVE), x_left=draw(_REAL), mode=mode)
+    # a sine scenario's wavenumbers are resolved modes 2 pi m / L, 1 <= m <= n/2 - 1
+    modes = st.integers(1, grid.n // 2 - 1).map(lambda m: 2.0 * math.pi * m / grid.length)
     return ScenarioConfig(
         params=params,
         grid=grid,
@@ -56,7 +59,7 @@ def scenario_configs(draw):
         amplitude=draw(_REAL),
         width=draw(_POSITIVE),
         center=draw(_REAL),
-        wavenumbers=tuple(draw(st.lists(_REAL, min_size=1, max_size=4))),
+        wavenumbers=tuple(draw(st.lists(modes if kind == "sine" else _REAL, min_size=1, max_size=4))),
         plateau=draw(st.none() | _POSITIVE),
         mollifier_epsilon=draw(st.floats(0.0, 10.0)),
         target_energy=draw(st.none() | _POSITIVE),

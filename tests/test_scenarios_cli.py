@@ -455,6 +455,10 @@ class TestCli:
         ("flat.cfg", "scenario.kind=custom", "error: custom scenarios need a file"),
         ("gaussian_energy.cfg", "checks.dispersion=true", "error: the dispersion check needs a sine scenario"),
         ("dispersion_b3.cfg", "scenario.wavenumber=1.1", "error: wavenumber 1.1 does not fit"),
+        # n = 512 on a 4 pi domain: the mode index is 2k, resolved for 1 <= 2k <= 255
+        ("dispersion_b3.cfg", "scenario.wavenumber=0", "error: wavenumber 0.0 does not fit"),
+        ("dispersion_b3.cfg", "scenario.wavenumber=-1", "error: wavenumber -1.0 does not fit"),
+        ("dispersion_b3.cfg", "scenario.wavenumber=128", "error: wavenumber 128.0 does not fit"),
         ("steep_sweep.cfg", "scenario.amplitude=-1.5", "error: steep amplitude drives the depth non-positive"),
         ("flat.cfg", "scenario.target_energy=0.1", "error: cannot tune a flat scenario"),
         ("gaussian_energy.cfg", "scenario.target_energy=1e300", "error: target energy unreachable"),
@@ -636,6 +640,20 @@ class TestCli:
             summary = json.load(fh)
         assert summary["trigger"]["code"] == "gradient-pair"
         assert summary["trigger"]["t"] < 2.0
+
+    def test_expected_blowup_reports_another_abort(self, tmp_path, capsys):
+        # a 12-long line puts the steep wave near its ends: the far-field check aborts the run
+        # long before the blow-up it expects, and that abort fails ``completed`` with its reason
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_eps0.cfg"
+        overrides = ["grid.length=12", "grid.x_left=-4", "grid.n=1200"]
+        args = [arg for ov in overrides for arg in ("--override", ov)]
+        assert main(["run", "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] blowup: no trigger" in out
+        assert "[FAIL] completed: aborted: boundary-contamination at t=0.0179976" in out
+        with open(tmp_path / "o" / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["verdicts"] == {"blowup": False, "completed": False}
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGNLAB_OUT", str(tmp_path / "envout"))
