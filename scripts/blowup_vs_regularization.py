@@ -9,11 +9,13 @@ invariants and a clean one-sided gradient bound.
 """
 
 import argparse
+import pathlib
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from sgnlab.config import parse_config
 from sgnlab.diagnostics import oleinik_report
@@ -28,7 +30,7 @@ def main():
     args = ap.parse_args()
 
     for name in ("steep_eps0", "steep_eps01"):
-        cfg = parse_config(f"configs/{name}.cfg", [f"grid.n={args.n}", f"step.t_end={args.t_end}"])
+        cfg = parse_config(ROOT / "configs" / f"{name}.cfg", [f"grid.n={args.n}", f"step.t_end={args.t_end}"])
         p = cfg.params
         hist = simulate(build_initial(cfg), p, cfg.grid, cfg.step, blowup=cfg.blowup)
         print(f"\n=== eps = {p.epsilon} ===")

@@ -9,11 +9,13 @@ At Bond number g hbar^2/gamma = 3 every mode moves at sqrt(g hbar).
 
 import argparse
 import math
+import pathlib
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from sgnlab import FlowState, Grid, Params
 from sgnlab.diagnostics import bond_number, dispersion_report

@@ -10,9 +10,11 @@ comparable across the sweep.
 """
 
 import argparse
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from sgnlab.config import parse_config
 from sgnlab.diagnostics import lp_box_norm
@@ -26,7 +28,7 @@ def main():
     args = ap.parse_args()
     epsilons = [float(tok) for tok in args.epsilons.split(",")]
 
-    cfg = parse_config("configs/steep_sweep.cfg")
+    cfg = parse_config(ROOT / "configs" / "steep_sweep.cfg")
     result = epsilon_sweep(cfg, epsilons)
 
     print("run summary:")

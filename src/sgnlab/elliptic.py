@@ -11,10 +11,10 @@ then cube: symmetric positive-definite and exact for constant depth), and
 ``order0 = g``, ``f_i = gamma / dx^2`` for Helmholtz.  The grid mode decides
 only the cells beyond the ends, by the derivative's halo rule (``grid._pad``):
 the wrapped neighbours on a periodic grid (``f_0 == f_n`` is the wrap face),
-the ghost cells on a line grid.  ``L_h`` ghosts carry the reference depth and
-a prescribed far-field value of the solution (zero for decaying solutions,
-``psi(+-inf)/hbar`` for right-hand sides with nonzero limits, mirroring the
-extension of the inverse operator to functions with limits at infinity).
+the ghost cells on a line grid, whose ``L_h`` depth is ``hbar``.  A line
+solve's ghosts are zero for a decaying source (:func:`solve_L`), else the
+source's limits over ``order0`` (:func:`solve_limits`, which pads the
+solution's derivative with them too), extending the inverse to such sources.
 
 The discrete ``L_h`` is an M-matrix, so it inherits the maximum principle
 ``|L_h^{-1} psi| <= ||1/h||_inf ||psi||_inf`` exactly.
@@ -50,6 +50,7 @@ __all__ = [
     "assemble_L",
     "apply_L",
     "solve_L",
+    "solve_limits",
     "solve_helmholtz",
     "script_r",
     "psi_identity_residual",
@@ -121,10 +122,15 @@ def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
     Evaluated in flux form (differences of neighbors) so constant vectors map
     to ``order0 * u`` exactly, not merely to rounding.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (sys.n,):
-        raise ContractViolationError(f"vector has shape {u.shape}, expected ({sys.n},)")
-    return _apply_L(sys, _finite(u))
+    return _apply_L(sys, _finite(_vector(sys, u)))
+
+
+def _vector(sys: TridiagonalSystem, v: np.ndarray) -> np.ndarray:
+    """``v`` as a float64 vector of the system's length."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (sys.n,):
+        raise ContractViolationError(f"vector has shape {v.shape}, expected ({sys.n},)")
+    return v
 
 
 def _apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
@@ -149,14 +155,14 @@ def _checked(lapack_result: tuple) -> list[np.ndarray]:
     return out
 
 
-def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, float]) -> np.ndarray:
-    """The one solve path: factor (once per system), solve, verify the residual."""
+def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far: tuple[float, float]) -> np.ndarray:
+    """The one solve path: line ghost values ``far``; factor (once per system), solve, verify the residual."""
     if sys.periodic:
         adjusted = rhs
     else:
         adjusted = rhs.copy()
-        adjusted[0] += sys.faces[0] * far_field[0]
-        adjusted[-1] += sys.faces[-1] * far_field[1]
+        adjusted[0] += sys.faces[0] * far[0]
+        adjusted[-1] += sys.faces[-1] * far[1]
     d, e, z, r, denom = sys._factor
     (u,) = _checked(dpttrs(d, e, adjusted))
     if z is not None:
@@ -170,17 +176,19 @@ def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, floa
     return u
 
 
-def solve_L(sys: TridiagonalSystem, rhs: np.ndarray, far_field: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Solve ``L_h u = rhs`` against the system's factor; verified residual.
+def solve_L(sys: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A u = rhs`` for a decaying source, line-mode ghosts zero, on the system's factor; verified residual."""
+    return _solve(sys, _vector(sys, rhs), (0.0, 0.0))
 
-    ``far_field`` prescribes the ghost values of the solution outside a
-    line-mode domain.  Leave it at zero for decaying solutions; pass
-    ``rhs(boundary)/h(boundary)`` for right-hand sides with nonzero limits.
-    """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (sys.n,):
-        raise ContractViolationError(f"rhs has shape {rhs.shape}, expected ({sys.n},)")
-    return _solve(sys, rhs, far_field)
+
+def solve_limits(sys: TridiagonalSystem, rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``A u = rhs`` for a source with limits at infinity; return ``u`` and ``u_x``.
+
+    Line mode: ``u``'s ghosts and ``u_x``'s pads are ``rhs[0]/order0[0]`` and ``rhs[-1]/order0[-1]``."""
+    rhs = _vector(sys, rhs)
+    far = (rhs[0] / sys.order0[0], rhs[-1] / sys.order0[-1])
+    u = _solve(sys, rhs, far)
+    return u, _derivative(u, g, far)
 
 
 @lru_cache(maxsize=16)
@@ -189,15 +197,12 @@ def _helmholtz_system(p: Params, g: Grid) -> TridiagonalSystem:
     return TridiagonalSystem(np.full(g.n + 1, p.gamma / g.dx**2), np.full(g.n, p.g), g.periodic)
 
 
-def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid) -> np.ndarray:
-    """Solve ``(g - gamma d_xx) a = rhs`` with the standard second difference.
+def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``(g - gamma d_xx) a = rhs`` with the standard second difference; return ``a`` and ``a_x``.
 
-    In line mode the ghost values are ``rhs(boundary)/g``: they make constant
-    right-hand sides exact and match the far-field limit of the convolution
-    with the exponential kernel.
+    Line-mode ghosts ``rhs/g`` (:func:`solve_limits`) make constant sources exact, as is the kernel convolution.
     """
-    rhs = as_field(rhs, g)
-    return _solve(_helmholtz_system(p, g), rhs, (rhs[0] / p.g, rhs[-1] / p.g))
+    return solve_limits(_helmholtz_system(p, g), as_field(rhs, g), g)
 
 
 def apply_L_compatible(d: Gradients, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -253,12 +258,8 @@ def psi_identity_residual(h: np.ndarray, psi: np.ndarray, g: Grid, hbar: float) 
     """
     if g.periodic:
         raise ModeError("the exchange identity needs the primitive from -infinity; line mode only")
-    h = as_field(h, g)
-    psi = as_field(psi, g)
+    h, psi = as_field(h, g), as_field(psi, g)
     sys = assemble_L(h, g, hbar)
     lhs = derivative(solve_L(sys, derivative(psi, g)), g)
-    prim = cumulative_integral(psi / h**3, g)
-    arg = h * prim
-    far = (arg[0] / h[0], arg[-1] / h[-1])
-    rhs = -3.0 * psi / h**3 + 3.0 * derivative(solve_L(sys, arg, far_field=far), g, far)
+    rhs = -3.0 * psi / h**3 + 3.0 * solve_limits(sys, h * cumulative_integral(psi / h**3, g), g)[1]
     return float(np.max(np.abs(lhs - rhs)))

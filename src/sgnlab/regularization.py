@@ -27,20 +27,23 @@ caller: it builds ``A`` and ``A_x`` itself and hands ``V1`` the ``L_h`` it
 shares with ``script_r``.
 
 ``A``, ``A_x`` and ``B`` are well defined on both grid modes, so ``eps > 0``
-runs on either.  Only ``V1`` needs the primitive from minus infinity:
-:func:`compute_V1` on a periodic grid raises :class:`ModeError` (through
+runs on either.  ``A``'s source and ``V1``'s primitive have limits at
+infinity, so their solve (``elliptic.solve_limits``) sets their line-mode
+ghosts and the pads of ``A_x`` and ``V1``'s derivative; ``B``'s source decays
+(zero ghosts).  Only ``V1`` needs the primitive from minus infinity: on a
+periodic grid :func:`compute_V1` raises :class:`ModeError` (through
 ``cumulative_integral``), so the Riccati diagnostic of an active cut-off is
-line-mode only.  When neither P nor Q dips below ``-1/eps`` every
-field is identically zero and the regularized right-hand side coincides with
-the unregularized one bitwise.
+line-mode only.  When neither P nor Q dips below ``-1/eps`` every field is
+identically zero and the regularized right-hand side coincides with the
+unregularized one bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L
-from .grid import Grid, _derivative, cumulative_integral, derivative
+from .elliptic import TridiagonalSystem, solve_helmholtz, solve_L, solve_limits
+from .grid import Grid, cumulative_integral, derivative
 from .kinematics import FlowState, Params, gradients
 
 __all__ = [
@@ -55,9 +58,7 @@ __all__ = [
 
 def compute_A(s: FlowState, chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Helmholtz solve for the mass-equation source and its derivative."""
-    rhs = (p.sqrt_3gamma / 48.0) * (chiP - chiQ) / np.sqrt(s.h)
-    a = solve_helmholtz(rhs, p, g)
-    return a, _derivative(a, g)
+    return solve_helmholtz((p.sqrt_3gamma / 48.0) * (chiP - chiQ) / np.sqrt(s.h), p, g)
 
 
 def compute_V2(s: FlowState, A: np.ndarray, p: Params) -> np.ndarray:
@@ -73,9 +74,7 @@ def compute_V1(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, 
                g: Grid, sys: TridiagonalSystem) -> np.ndarray:
     """Transport-correction field; needs the primitive from -infinity (line mode)."""
     integrand = 3.0 * ux * A_x / s.h - (chiP + chiQ) / (8.0 * s.h**2)
-    arg = -s.u * A_x + s.h * cumulative_integral(integrand, g)
-    far = (arg[0] / s.h[0], arg[-1] / s.h[-1])
-    return 0.5 * s.h * derivative(solve_L(sys, arg, far_field=far), g, far)
+    return 0.5 * s.h * solve_limits(sys, -s.u * A_x + s.h * cumulative_integral(integrand, g), g)[1]
 
 
 def _b_flux(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray) -> np.ndarray:

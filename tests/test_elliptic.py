@@ -14,12 +14,13 @@ from sgnlab.elliptic import (
     solve_L,
     solve_L_refined,
     solve_helmholtz,
+    solve_limits,
 )
 from sgnlab.errors import ContractViolationError, ModeError, NonFiniteError, PositivityError, SolverFailureError
 from sgnlab.grid import cumulative_integral, derivative
 from sgnlab.kinematics import gradients
 
-from conftest import assert_bitwise, convergence_orders, kernel_fields
+from conftest import assert_bitwise, convergence_orders, dense_matrix, kernel_fields
 
 
 def random_depth(g, rng, lo=0.5, hi=2.0):
@@ -38,17 +39,6 @@ def random_depth(g, rng, lo=0.5, hi=2.0):
 def depth_bundle(h, g):
     """The gradient bundle of depth ``h`` at rest: what the refined solve reads ``h`` and ``h^3`` from."""
     return gradients(FlowState(h, np.zeros(g.n)), Params(), g)
-
-
-def dense_matrix(sys):
-    f = sys.faces
-    A = np.diag(sys.order0 + f[1:] + f[:-1])
-    A -= np.diag(f[1:-1], -1)
-    A -= np.diag(f[1:-1], 1)
-    if sys.periodic:
-        A[0, -1] = -f[0]
-        A[-1, 0] = -f[0]
-    return A
 
 
 class TestAssembleApply:
@@ -160,12 +150,14 @@ class TestSolve:
         assert np.max(np.abs(u - u_dense)) < 1e-12 * (1 + np.max(np.abs(u_dense)))
 
     def test_line_far_field_makes_constants_exact(self, rng):
+        # a constant source has limits: its ghosts rhs/h = 2 make the constant solution exact
         g = Grid.from_length(128, 20.0, -10.0, "line")
         h = np.ones(g.n)
         sys = assemble_L(h, g, hbar=1.0)
         rhs = np.full(g.n, 2.0)  # L(2) = 2 h for h = 1
-        u = solve_L(sys, rhs, far_field=(2.0, 2.0))
+        u, u_x = solve_limits(sys, rhs, g)
         assert np.max(np.abs(u - 2.0)) < 1e-12
+        assert np.max(np.abs(u_x)) < 1e-12
 
     def test_spatial_self_convergence(self, rng):
         # variable-coefficient solve, cubic interpolation of the fine solution
@@ -205,14 +197,15 @@ class TestFactorSolve:
             systems = [assemble_L(random_depth(g, rng), g, hbar=hbar), elliptic._helmholtz_system(p, g)]
             for sys in systems:
                 psi = rng.standard_normal(g.n)
-                far = tuple(rng.standard_normal(2)) if mode == "line" else (0.0, 0.0)
-                u = solve_L(sys, psi, far_field=far)
-                b = psi.copy()
-                b[0] += sys.faces[0] * far[0]
-                b[-1] += sys.faces[-1] * far[1]
                 A = dense_matrix(sys)
-                u_dense = np.linalg.solve(A, b)
-                assert np.max(np.abs(u - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
+                # line ghosts folded into b: zero (solve_L), then psi's ends over order0 (solve_limits)
+                limits = (psi[0] / sys.order0[0], psi[-1] / sys.order0[-1]) if mode == "line" else (0.0, 0.0)
+                for u, far in ((solve_L(sys, psi), (0.0, 0.0)), (solve_limits(sys, psi, g)[0], limits)):
+                    b = psi.copy()
+                    b[0] += sys.faces[0] * far[0]
+                    b[-1] += sys.faces[-1] * far[1]
+                    u_dense = np.linalg.solve(A, b)
+                    assert np.max(np.abs(u - u_dense)) <= 1e-12 * np.max(np.abs(u_dense))
                 assert np.max(np.abs(apply_L(sys, psi) - A @ psi)) <= 1e-13 * np.max(np.abs(A @ psi))
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
@@ -278,20 +271,21 @@ def test_public_entry_rejects_wrong_length_and_nonfinite(call, mode):
         call(f, g)
 
 
-@pytest.mark.parametrize("op", [apply_L, solve_L], ids=["apply_L", "solve_L"])
+@pytest.mark.parametrize("op", [lambda sys, v, g: apply_L(sys, v), lambda sys, v, g: solve_L(sys, v), solve_limits],
+                         ids=["apply_L", "solve_L", "solve_limits"])
 @pytest.mark.parametrize("mode", ["periodic", "line"])
 def test_operator_rejects_wrong_shape(op, mode):
     g = Grid.from_length(64, 10.0, -5.0, mode)
     sys = assemble_L(np.ones(g.n), g, hbar=1.0)
     for bad in (np.ones(g.n + 1), np.ones(g.n - 1), np.ones((g.n, 1))):
         with pytest.raises(ContractViolationError, match="shape"):
-            op(sys, bad)
+            op(sys, bad, g)
 
 
 class TestHelmholtz:
     def test_constant(self, periodic_grid, line_grid, params):
         for g in (periodic_grid, line_grid):
-            a = solve_helmholtz(np.full(g.n, 3.0), params, g)
+            a, _ = solve_helmholtz(np.full(g.n, 3.0), params, g)
             assert np.max(np.abs(a - 3.0 / params.g)) < 1e-12
 
     def test_symbol_periodic(self):
@@ -301,7 +295,7 @@ class TestHelmholtz:
         for n in (256, 512):
             g = Grid.from_length(n, 2 * np.pi, 0.0, "periodic")
             x = g.cells()
-            a = solve_helmholtz(np.sin(k * x), p, g)
+            a, _ = solve_helmholtz(np.sin(k * x), p, g)
             errs.append(np.max(np.abs(a - np.sin(k * x) / (p.g + p.gamma * k**2))))
         assert convergence_orders(errs)[0] >= 1.9
 
@@ -311,7 +305,7 @@ class TestHelmholtz:
         g = Grid.from_length(2048, 60.0, -30.0, "line")
         x = g.cells()
         rhs = np.exp(-(x**2) * 4.0)
-        a = solve_helmholtz(rhs, p, g)
+        a, _ = solve_helmholtz(rhs, p, g)
         kappa = np.sqrt(p.g / p.gamma)
         kernel = np.exp(-kappa * np.abs(x - x[:, None])) / (2.0 * np.sqrt(p.g * p.gamma))
         conv = kernel @ rhs * g.dx

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgnlab import FlowState, Grid, Params
-from sgnlab.elliptic import assemble_L, solve_helmholtz, solve_L
+from sgnlab.elliptic import _helmholtz_system, assemble_L, solve_helmholtz, solve_L
 from sgnlab.errors import ContractViolationError, ModeError
 from sgnlab.grid import derivative
 from sgnlab.kinematics import chi, cutoff_active, gradients, pq_fields
@@ -16,7 +17,7 @@ from sgnlab.regularization import (
     compute_V2,
 )
 
-from conftest import assert_bitwise, convergence_orders
+from conftest import assert_bitwise, convergence_orders, dense_matrix
 
 
 class TestChi:
@@ -125,8 +126,39 @@ class TestComputeA:
         P = -1.0 / p.epsilon - spike
         Q = np.zeros(g.n)
         r = (p.sqrt_3gamma / 48.0) * (chi(P, p.epsilon) - chi(Q, p.epsilon)) / np.sqrt(h)
-        A, _ = compute_A(s, chi(P, p.epsilon), chi(Q, p.epsilon), p, g)
-        assert np.array_equal(A, solve_helmholtz(r, p, g))
+        A, A_x = compute_A(s, chi(P, p.epsilon), chi(Q, p.epsilon), p, g)
+        a, a_x = solve_helmholtz(r, p, g)
+        assert np.array_equal(A, a) and np.array_equal(A_x, a_x)
+
+    def test_constant_source_has_flat_derivative(self):
+        # chi(P) = 4, chi(Q) = 0 everywhere: A = rhs/g, and A_x pads with that limit, not with zero
+        g = Grid.from_length(64, 20.0, -10.0, "line")
+        p = Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=0.25)
+        s = FlowState(np.ones(g.n), np.zeros(g.n))
+        A, A_x = compute_A(s, np.full(g.n, 4.0), np.zeros(g.n), p, g)
+        assert np.max(np.abs(A - (p.sqrt_3gamma / 12.0) / p.g)) <= 1e-14
+        assert np.max(np.abs(A_x)) <= 1e-14
+
+    @given(n=st.integers(8, 64), gamma=st.floats(0.1, 30.0), data=st.data())
+    def test_limits_rule_hypothesis(self, n, gamma, data):
+        # a source with nonzero ends: A's line ghosts and A_x's pads are the source's limits over g
+        g = Grid.from_length(n, 20.0, -10.0, "line")
+        p = Params(g=9.81, gamma=gamma, hbar=1.0, epsilon=0.25)
+        h = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.5, 2.0)))
+        chis = hnp.arrays(np.float64, n, elements=st.floats(0.0, 10.0))
+        chiP, chiQ = data.draw(chis), data.draw(chis)
+        chiP[0] = chiQ[0] + data.draw(st.floats(0.1, 10.0))
+        chiQ[-1] = chiP[-1] + data.draw(st.floats(0.1, 10.0))
+        A, A_x = compute_A(FlowState(h, np.zeros(n)), chiP, chiQ, p, g)
+        rhs = (p.sqrt_3gamma / 48.0) * (chiP - chiQ) / np.sqrt(h)
+        limits = (rhs[0] / p.g, rhs[-1] / p.g)
+        assert_bitwise(A_x, derivative(A, g, limits))
+        sys = _helmholtz_system(p, g)
+        b = rhs.copy()
+        b[0] += sys.faces[0] * limits[0]
+        b[-1] += sys.faces[-1] * limits[1]
+        dense = np.linalg.solve(dense_matrix(sys), b)
+        assert np.max(np.abs(A - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("which", ["A", "B"])
@@ -167,7 +199,7 @@ class TestComputeV2:
         Q = np.full(g.n, 0.0)
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
         A, _ = compute_A(s, chiP, chiQ, p, g)
-        direct = (p.g / 16.0) / np.sqrt(h) * solve_helmholtz((chiP - chiQ) / np.sqrt(h), p, g)
+        direct = (p.g / 16.0) / np.sqrt(h) * solve_helmholtz((chiP - chiQ) / np.sqrt(h), p, g)[0]
         via_A = compute_V2(s, A, p)
         scale = np.max(np.abs(via_A)) + 1e-300
         assert np.max(np.abs(direct - via_A)) < 1e-9 * scale
