@@ -9,7 +9,8 @@ line per enabled check; exit code 0 iff every enabled check passes (an
 expected blow-up counts as a pass when it triggers; a skipped check does not
 fail the run).  ``check`` validates the configuration and builds the initial
 state, so it refuses whatever ``run`` refuses before the first step.  Usage
-and configuration errors exit with code 2, failed checks with 1.
+and configuration errors exit with code 2, failed checks with 1; an output
+directory that cannot be created is a usage error, found before the run.
 
 The default output directory comes from the SGNLAB_OUT environment variable
 (falling back to ./sgnlab_out).
@@ -22,15 +23,22 @@ import os
 import sys
 
 from .config import _floats, parse_config
-from .errors import SgnError
+from .errors import ConfigError, SgnError
 from .io import write_run_artifact, write_sweep_result
 from .scenarios import RunArtifact, build_initial, epsilon_sweep, run_scenario
 
 __all__ = ["main"]
 
 
-def _default_out() -> str:
-    return os.environ.get("SGNLAB_OUT", "sgnlab_out")
+def _out_dir(args, name: str) -> str:
+    """``--out``, or ``name`` under the default directory; refused before any run if it cannot become a directory."""
+    out = args.out or os.path.join(os.environ.get("SGNLAB_OUT", "sgnlab_out"), name)
+    existing = os.path.abspath(out)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output directory {out}: {existing} is not a writable directory")
+    return out
 
 
 def _print_verdicts(art: RunArtifact) -> bool:
@@ -51,8 +59,9 @@ def _print_verdicts(art: RunArtifact) -> bool:
         elif name == "dispersion" and rep is not None:
             for row in rep.modes:
                 speed = "n/a" if row["measured"] is None else f"{row['measured']:.4f}"
+                rel = "n/a" if row["rel_err"] is None else f"{row['rel_err']:.2%}"
                 print(f"    k={row['k']:g}: measured c={speed}, predicted {row['predicted']:.4f}, "
-                      f"rel err {row['rel_err']:.2%} ({'ok' if row['pass'] else 'off'})")
+                      f"rel err {rel} ({'ok' if row['pass'] else 'off'})")
             detail = f"{len(rep.modes)} modes within {rep.rtol:.0%}" if verdict else "mode mismatch"
         elif name == "blowup" and rep is not None:
             detail = (f"triggered at t={hist.trigger[0]:.6g} ({hist.trigger[1]})"
@@ -67,8 +76,8 @@ def _print_verdicts(art: RunArtifact) -> bool:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, args.override)
+    out = _out_dir(args, "run")
     art = run_scenario(cfg)
-    out = args.out or os.path.join(_default_out(), "run")
     write_run_artifact(art, out)
     ok = _print_verdicts(art)
     print(f"artifacts written to {out}")
@@ -77,8 +86,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config, args.override)
+    out = _out_dir(args, "sweep")
     result = epsilon_sweep(cfg, _floats("epsilons", args.epsilons))
-    out = args.out or os.path.join(_default_out(), "sweep")
     write_sweep_result(result, out)
     ok = True
     for eps, art in zip(result.epsilons, result.artifacts):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .dynamics import SimHistory
 from .errors import ContractViolationError, ModeError, ThresholdExceededError
+from .grid import Grid
 from .kinematics import Params, a_priori_bounds, gradients
 
 __all__ = [
@@ -62,12 +63,39 @@ BOUNDS_TOL_FACTOR = 1e-4
 
 
 class Box(NamedTuple):
-    """Space-time box [t1, t2] x [a, b]."""
+    """Space-time box [t1, t2] x [a, b], and the one rule for whether it fits a grid and a time span."""
 
     t1: float
     t2: float
     a: float
     b: float
+
+    @property
+    def slack(self) -> float:
+        """How far ``[t1, t2]`` may reach beyond the time span it is read on."""
+        return 1e-9 * max(1.0, abs(self.t2))
+
+    def cells(self, g: Grid) -> np.ndarray:
+        """Mask of the cell centres of ``g`` in ``[a, b]``."""
+        x = g.cells()
+        return (x >= self.a) & (x <= self.b)
+
+    def refusal(self, g: Grid, t_lo: float, t_hi: float) -> str | None:
+        """Why the box does not fit ``g`` read on the times ``[t_lo, t_hi]``; ``None`` when it fits.
+
+        It fits when its times are finite with ``t1 < t2``, ``x_left <= a < b <= x_right``, it
+        holds a cell centre, and ``[t1, t2]`` lies in ``[t_lo, t_hi]`` up to :attr:`slack`.
+        """
+        box = f"box [{self.t1}, {self.t2}] x [{self.a}, {self.b}]"
+        if not -math.inf < self.t1 < self.t2 < math.inf:
+            return f"{box} needs finite times t1 < t2"
+        if not g.x_left <= self.a < self.b <= g.x_right:
+            return f"{box} needs x_left <= a < b <= x_right on the grid [{g.x_left}, {g.x_right}]"
+        if not self.cells(g).any():
+            return f"{box} holds no cell centre of the grid (dx = {g.dx})"
+        if not t_lo - self.slack <= self.t1 < self.t2 <= t_hi + self.slack:
+            return f"{box} reaches outside the times [{t_lo}, {t_hi}] it is read on"
+        return None
 
 
 @dataclass(frozen=True)
@@ -240,19 +268,18 @@ def lp_box_norm(history: SimHistory, alpha: float, box: Box) -> float:
 
     Time derivatives come from second-order differences of the snapshots, so
     the snapshot cadence should give at least 16 time samples inside the box
-    (the op warns otherwise).
+    (the op warns otherwise).  The box must fit the grid and the recorded
+    snapshot times (:meth:`Box.refusal`).
     """
     if not (0.0 <= alpha < 1.0):
         raise ContractViolationError(f"alpha must lie in [0, 1), got {alpha}")
     g = history.grid
     snaps = history.snapshots
     times = np.array([s.t for s in snaps])
-    eps_t = 1e-9 * max(1.0, abs(box.t2))
-    if box.t1 < times[0] - eps_t or box.t2 > times[-1] + eps_t or box.t1 >= box.t2:
-        raise ContractViolationError("box time range outside the recorded history")
-    if box.a < g.x_left or box.b > g.x_right or box.a >= box.b:
-        raise ContractViolationError("box spatial range outside the domain")
-    sel = np.nonzero((times >= box.t1 - eps_t) & (times <= box.t2 + eps_t))[0]
+    why = box.refusal(g, times[0], times[-1])
+    if why is not None:
+        raise ContractViolationError(why)
+    sel = np.nonzero((times >= box.t1 - box.slack) & (times <= box.t2 + box.slack))[0]
     if sel.shape[0] < 3:
         raise ContractViolationError("box needs at least 3 snapshots for time differences")
     if sel.shape[0] < 16:
@@ -268,8 +295,7 @@ def lp_box_norm(history: SimHistory, alpha: float, box: Box) -> float:
     u_t = np.gradient(us, tt, axis=0)
     inner = sel - lo
     q = 2.0 + alpha
-    x = g.cells()
-    cols = (x >= box.a) & (x <= box.b)
+    cols = box.cells(g)
     per_snap = np.empty(inner.shape[0])
     for j, i in enumerate(inner):
         d = gradients(snaps[lo + i], history.params, g)
@@ -299,12 +325,12 @@ def dispersion_report(history: SimHistory, wavenumbers, rtol: float = 1e-2) -> D
     for k in wavenumbers:
         meas = measure_phase_speed(history, k)
         predicted = dispersion_omega(k, p) / k
-        rel = abs(meas.speed - predicted) / predicted if meas.speed is not None else math.inf
+        rel = None if meas.speed is None else float(abs(meas.speed - predicted) / predicted)
         modes.append({
             "k": float(k),
             "measured": meas.speed,
             "predicted": float(predicted),
-            "rel_err": float(rel),
+            "rel_err": rel,  # None for an unmeasured mode
             "status": meas.status,
             "pass": bool(meas.status == "ok" and rel <= rtol),
         })

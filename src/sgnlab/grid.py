@@ -11,9 +11,9 @@ Fields are plain ``float64`` arrays sampled at cell centers
 
 Derivatives are one 4th-order central stencil over the field padded by two
 cells per side.  The mode decides only the cells beyond each end, and ``_pad``
-builds them for the derivative and the ``L_h`` faces: the wrapped neighbours
-(periodic) or the field's far-field value (line; zero unless the caller passes
-another).  With zero pads the line-mode matrix is exactly skew, like the
+builds them for the derivative, the ``L_h`` faces and the ``L_h`` apply: the
+wrapped neighbours (periodic) or the field's far-field value (line; zero
+unless the caller passes another).  With zero pads the line-mode matrix is exactly skew, like the
 periodic one, so discrete integration by parts holds in both modes.
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 fields).  The running primitive ``x -> int_{x_left}^{x} f`` is a trapezoid

@@ -3,7 +3,8 @@
 One directory per run: ``run.cfg`` (full config echo), ``series.csv`` (one
 row per accepted step), ``snap_NNNN.csv`` (one file per saved time, columns
 x, h, u, P, Q) and ``summary.json``.  CSV numbers carry 17 significant
-digits; JSON floats use exact round-trip representations.
+digits; JSON floats use exact round-trip representations, an unmeasured
+value is ``null``, and NaN or infinity is refused (the JSON is standard).
 
 The report dataclasses of :mod:`sgnlab.diagnostics` declare the reports'
 schema: :func:`_json_record` writes every report as its fields in order, a
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -86,14 +88,18 @@ def summary_dict(art: RunArtifact) -> dict:
 
 
 def write_run_artifact(art: RunArtifact, out_dir: str) -> None:
+    """Write one run into ``out_dir``, removing the snapshots a previous run left there."""
     os.makedirs(out_dir, exist_ok=True)
+    snaps = [f"snap_{i:04d}.csv" for i in range(len(art.history.snapshots))]
+    for stale in {name for name in os.listdir(out_dir) if re.fullmatch(r"snap_\d{4,}\.csv", name)} - set(snaps):
+        os.remove(os.path.join(out_dir, stale))
     with open(os.path.join(out_dir, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.write(config_echo(art.config))
     write_series_csv(art.history, os.path.join(out_dir, "series.csv"))
-    for i in range(len(art.history.snapshots)):
-        write_snapshot_csv(art.history, i, os.path.join(out_dir, f"snap_{i:04d}.csv"))
+    for i, name in enumerate(snaps):
+        write_snapshot_csv(art.history, i, os.path.join(out_dir, name))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(art), fh, indent=2, default=_json_record)
+        json.dump(summary_dict(art), fh, indent=2, default=_json_record, allow_nan=False)
         fh.write("\n")
 
 
@@ -117,5 +123,5 @@ def write_sweep_result(result: SweepResult, out_dir: str) -> None:
         ],
     }
     with open(os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -121,9 +121,9 @@ class ScenarioConfig:
         for k in self.wavenumbers if self.kind == "sine" else ():
             if self.grid.mode_index(k) is None:
                 raise ConfigError(f"wavenumber {k} does not fit the periodic domain as 2 pi m/length, 1 <= m <= n/2-1")
-        box, g = self.box, self.grid
-        if box is not None and not (0.0 <= box.t1 < box.t2 < math.inf and g.x_left <= box.a < box.b <= g.x_right):
-            raise ConfigError(f"[sweep] box needs finite 0 <= t1 < t2 and x_left <= a < b <= x_right, got {box}")
+        why = None if self.box is None else self.box.refusal(self.grid, 0.0, math.inf)
+        if why is not None:  # t_end is the sweep's business: run never reads the box
+            raise ConfigError(f"[sweep] {why}")
 
 
 @dataclass
@@ -274,23 +274,18 @@ def _snapshot_at(hist: SimHistory, t: float) -> tuple[np.ndarray, np.ndarray]:
 def l2_box_difference(ha: SimHistory, hb: SimHistory, box: Box) -> tuple[float, float]:
     """Space-time L2 norms of (h_a - h_b, u_a - u_b) over the box.
 
-    Histories must share the grid; snapshots are interpolated linearly in
-    time onto ``BOX_TIME_SAMPLES`` common times of the box's time window,
-    which must start at or after both runs' first snapshots and hold some
-    time of both runs.
+    Histories must share the grid, and the box must fit it and the times both
+    runs recorded (:meth:`Box.refusal`); snapshots are interpolated linearly in
+    time onto ``BOX_TIME_SAMPLES`` common times of the box's time window.
     """
     g = ha.grid
     if hb.grid != g:
         raise ConfigError("cannot compare runs on different grids")
-    x = g.cells()
-    cols = (x >= box.a) & (x <= box.b)
-    t_lo = max(ha.snapshots[0].t, hb.snapshots[0].t)
-    if box.t1 < t_lo:
-        raise ConfigError(f"box time window starts at {box.t1}, before the runs' first snapshots (t = {t_lo})")
-    t_hi = min(box.t2, ha.t_final, hb.t_final)
-    if not t_hi > box.t1:
-        raise ConfigError(f"box time window [{box.t1}, min({box.t2}, {ha.t_final}, {hb.t_final})] is empty")
-    ts = np.linspace(box.t1, t_hi, BOX_TIME_SAMPLES)
+    why = box.refusal(g, max(ha.snapshots[0].t, hb.snapshots[0].t), min(ha.t_final, hb.t_final))
+    if why is not None:
+        raise ConfigError(why)
+    cols = box.cells(g)
+    ts = np.linspace(box.t1, min(box.t2, ha.t_final, hb.t_final), BOX_TIME_SAMPLES)
     dh2 = np.empty(BOX_TIME_SAMPLES)
     du2 = np.empty(BOX_TIME_SAMPLES)
     for i, t in enumerate(ts):
@@ -306,6 +301,9 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
     with epsilon-matched mollification, and tabulate successive L2(box)
     differences of h and u.
 
+    The box (by default the middle half of the domain over ``[0, t_end]``)
+    must fit the grid and the members' times ``[0, t_end]``
+    (:meth:`Box.refusal`); a sweep refuses it before any member runs.
     Aborted runs stay in the artifact list; pairs involving them are marked
     incomparable in the table.
     """
@@ -322,12 +320,12 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
                               f"got {cfg.step.t_end}")
         box = Box(0.0, cfg.step.t_end, cfg.grid.x_left + 0.25 * cfg.grid.length,
                   cfg.grid.x_right - 0.25 * cfg.grid.length)
-    elif not box.t1 < cfg.step.t_end:
-        raise ConfigError(f"sweep box_t1 must be < t_end, or the box holds no time of the runs; "
-                          f"got box_t1 = {box.t1}, t_end = {cfg.step.t_end}")
+    why = box.refusal(cfg.grid, 0.0, cfg.step.t_end)  # the members record [0, t_end]
+    if why is not None:
+        raise ConfigError(f"[sweep] {why}")
     step = cfg.step
     if step.output_dt is None:
-        step = replace(step, output_dt=max((box.t2 - box.t1) / 32.0, 1e-6), output_every=0)
+        step = replace(step, output_dt=max((box.t2 - box.t1) / (BOX_TIME_SAMPLES - 1), 1e-6), output_every=0)
     artifacts = []
     for eps in epsilons:
         run_cfg = replace(

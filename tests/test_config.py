@@ -23,15 +23,15 @@ _FILE = st.from_regex(r"[a-z0-9_/%]{1,12}\.csv", fullmatch=True)
 
 
 def _boxes(g: Grid):
-    """``None`` or a comparison box valid on ``g``: finite 0 <= t1 < t2 and x_left <= a < b <= x_right."""
+    """``None`` or a comparison box valid on ``g``: finite 0 <= t1 < t2, and
+    x_left <= a <= x_i <= x_j <= b <= x_right with a < b around cell centres x_i, x_j."""
     if not g.x_left < g.x_right:  # a far-off origin can absorb the whole length in rounding
         return st.none()
-
-    def pairs(elements):
-        return st.lists(elements, min_size=2, max_size=2, unique=True).map(sorted)
-
-    times = pairs(st.floats(0.0, allow_infinity=False))
-    return st.none() | st.builds(lambda t, x: Box(*t, *x), times, pairs(st.floats(g.x_left, g.x_right)))
+    x = g.cells()
+    times = st.lists(st.floats(0.0, allow_infinity=False), min_size=2, max_size=2, unique=True).map(sorted)
+    centres = st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2).map(sorted)
+    sides = centres.flatmap(lambda ij: st.tuples(st.floats(g.x_left, x[ij[0]]), st.floats(x[ij[1]], g.x_right)))
+    return st.none() | st.builds(lambda t, ab: Box(*t, *ab), times, sides.filter(lambda ab: ab[0] < ab[1]))
 
 
 @st.composite

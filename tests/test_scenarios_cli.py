@@ -3,16 +3,19 @@ import json
 import math
 import os
 import pathlib
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from sgnlab import FlowState, Grid, Params, scenarios
+from sgnlab import FlowState, Grid, Params, cli, scenarios
 from sgnlab.cli import main
 from sgnlab.config import config_echo, parse_config, parse_config_text
-from sgnlab.diagnostics import Box
+from sgnlab.diagnostics import Box, lp_box_norm
 from sgnlab.dynamics import SimHistory, StepControl
-from sgnlab.errors import ConfigError
+from sgnlab.errors import ConfigError, ContractViolationError, SgnError
 from sgnlab.grid import integrate
 from sgnlab.io import SERIES_CSV_COLUMNS, write_run_artifact, write_series_csv, write_snapshot_csv
 from sgnlab.kinematics import pq_fields, riemann_invariants, total_energy
@@ -292,18 +295,68 @@ class TestSweep:
 
     @pytest.mark.parametrize("t1", [0.1, 0.0], ids=["after-the-runs", "at-their-end"])
     def test_box_difference_needs_a_nonempty_window(self, t1):
-        # both runs end at t = 0, so the window [t1, min(t2, t_final)] holds no time
+        # both runs end at t = 0, so a box up to t2 = 0.5 holds times they never recorded
         runs = [run_scenario(default_cfg(step=StepControl(t_end=0.0))).history for _ in range(2)]
-        with pytest.raises(ConfigError, match="is empty"):
+        with pytest.raises(ConfigError, match=r"reaches outside the times \[0.0, 0.0\]"):
             l2_box_difference(*runs, Box(t1, 0.5, -5.0, 5.0))
 
     def test_box_difference_starts_at_the_first_snapshots(self):
         # before the first snapshot, interpolation would clamp to the initial data
         runs = [run_scenario(default_cfg(step=StepControl(cfl=0.3, dt_max=0.05, t_end=0.1))).history
                 for _ in range(2)]
-        with pytest.raises(ConfigError, match="before the runs' first snapshots"):
+        with pytest.raises(ConfigError, match=r"reaches outside the times \[0.0, 0.1\]"):
             l2_box_difference(*runs, Box(-1.0, 0.1, -5.0, 5.0))
         assert l2_box_difference(*runs, Box(0.0, 0.1, -5.0, 5.0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("box, why", [(Box(0.0, 0.1, 0.001, 0.002), "holds no cell centre"),
+                                          (Box(0.05, 0.3, -5.0, 5.0), "reaches outside the times")],
+                             ids=["between-cell-centres", "past-the-runs"])
+    def test_both_norms_refuse_a_box_that_does_not_fit(self, box, why):
+        # dx = 0.156 puts the cell centres nearest 0 at +-0.078; the runs end at t = 0.1
+        runs = [run_scenario(default_cfg(step=StepControl(cfl=0.3, dt_max=0.05, t_end=0.1, output_dt=0.01))).history
+                for _ in range(2)]
+        with pytest.raises(ConfigError, match=why):
+            l2_box_difference(*runs, box)
+        with pytest.raises(ContractViolationError, match=why):
+            lp_box_norm(runs[0], 0.5, box)
+
+    @given(data=st.data())
+    def test_norms_refuse_exactly_the_boxes_a_sweep_refuses(self, data):
+        # on histories spanning [0, t_end], a box is refused for its range or its cells by both
+        # norms exactly when a sweep to t_end refuses it
+        g = Grid(n=data.draw(st.integers(8, 48)), dx=data.draw(st.floats(0.01, 1.0)),
+                 x_left=data.draw(st.floats(-10.0, 10.0)), mode=data.draw(st.sampled_from(("periodic", "line"))))
+        t_end = data.draw(st.floats(0.1, 10.0))
+        hist = SimHistory(g, Params(), StepControl(t_end=t_end),
+                          [FlowState(np.ones(g.n), np.zeros(g.n), t) for t in np.linspace(0.0, t_end, 11)])
+        x = g.cells()
+        near = st.builds(lambda i, f: float(x[i] + f * g.dx), st.integers(0, g.n - 1), st.floats(-0.6, 0.6))
+        wide = st.floats(g.x_left - 0.1 * g.length, g.x_right + 0.1 * g.length)
+        a = data.draw(near | wide | st.sampled_from((g.x_left, math.nan)))
+        b = data.draw(st.floats(-0.2, 1.5).map(lambda w: a + w * g.dx) | wide | st.just(g.x_right))
+        t1 = data.draw(st.floats(-0.1 * t_end, 1.1 * t_end) | st.sampled_from((0.0, -1e-10, math.nan)))
+        t2 = data.draw(st.floats(1e-3, 1.0).map(lambda w: t1 + w * t_end)
+                       | st.sampled_from((t_end, t_end * (1.0 + 1e-10), math.inf)))
+        box = Box(t1, t2, a, b)
+
+        def refused(call) -> bool:
+            try:
+                call()
+            except RuntimeError:  # the sweep accepted the box and started its first member
+                return False
+            except SgnError as exc:  # a box too short for lp_box_norm's time differences still fits
+                return "at least 3 snapshots" not in str(exc)
+            return False
+
+        def sweep():
+            cfg = ScenarioConfig(params=Params(), grid=g, step=StepControl(t_end=t_end), kind="flat", box=box)
+            with mock.patch.object(scenarios, "run_scenario", side_effect=RuntimeError):
+                epsilon_sweep(cfg, [0.2, 0.1])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lp_box_norm warns on coarse time sampling
+            lp = refused(lambda: lp_box_norm(hist, 0.5, box))
+        assert refused(lambda: l2_box_difference(hist, hist, box)) == lp == refused(sweep)
 
     def test_quiescent_sweep_differences_at_mollification_level(self):
         # no cut-off activity: runs differ only through the mollified data
@@ -539,18 +592,78 @@ class TestCli:
         assert not out_dir.exists()
 
     def test_sweep_box_from_t_end_on_exit_two(self, tmp_path, capsys, monkeypatch):
-        # a box starting at or after t_end is refused before any member runs
+        # a box ending after t_end holds times the members never record: the sweep refuses it before any
+        # member runs, whether it starts after t_end, at it or before it; check (like run) never reads it
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
         monkeypatch.setattr(scenarios, "run_scenario", lambda cfg: pytest.fail("a member ran"))
         out_dir = tmp_path / "sweep"
-        for t_end in ("0.05", "0.1"):
+        for t_end in ("0.05", "0.1", "0.3"):
             args = ["--config", str(cfg), "--override", f"step.t_end={t_end}"]
             for key, value in (("box_t1", "0.1"), ("box_t2", "0.5"), ("box_a", "-4"), ("box_b", "6")):
                 args += ["--override", f"sweep.{key}={value}"]
             assert main(["sweep", *args, "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 2
-            assert capsys.readouterr().err == (f"error: sweep box_t1 must be < t_end, or the box holds no time "
-                                               f"of the runs; got box_t1 = 0.1, t_end = {t_end}\n")
+            assert capsys.readouterr().err == (f"error: [sweep] box [0.1, 0.5] x [-4.0, 6.0] reaches outside "
+                                               f"the times [0.0, {t_end}] it is read on\n")
             assert not out_dir.exists()
+            assert main(["check", *args]) == 0
+
+    def test_sweep_box_between_cell_centres_exit_two(self, tmp_path, capsys, monkeypatch):
+        # at n = 512, dx = 0.0703 and no cell centre lies in [0.001, 0.002]: the box would read zero
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_sweep.cfg"
+        monkeypatch.setattr(scenarios, "run_scenario", lambda cfg: pytest.fail("a member ran"))
+        args = ["--config", str(cfg)]
+        for override in ("grid.n=512", "step.t_end=0.1", "sweep.box_t1=0", "sweep.box_t2=0.1", "sweep.box_a=0.001",
+                         "sweep.box_b=0.002"):
+            args += ["--override", override]
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", *args, "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 2
+        why = "error: [sweep] box [0.0, 0.1] x [0.001, 0.002] holds no cell centre of the grid (dx = 0.0703125)\n"
+        assert capsys.readouterr().err == why
+        assert not out_dir.exists()
+        assert main(["check", *args]) == 2
+        assert capsys.readouterr().err == why
+
+    def test_run_never_reads_the_box(self, tmp_path, capsys):
+        # the shipped box (0.1, 0.5) ends after this run's t_end
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_sweep.cfg"
+        assert main(["run", "--config", str(cfg), "--override", "step.t_end=0.002", "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unusable_out_exit_two_before_running(self, tmp_path, capsys, monkeypatch, command):
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("the run started"))
+        monkeypatch.setattr(scenarios, "run_scenario", lambda cfg: pytest.fail("a member ran"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        sweep = ["--epsilons", "0.2,0.1"] if command == "sweep" else []
+        assert main([command, "--config", str(cfg), *sweep, "--out", str(blocker / "x")]) == 2
+        assert capsys.readouterr().err == (f"error: output directory {blocker / 'x'}: "
+                                           f"{blocker} is not a writable directory\n")
+
+    def test_reused_run_directory_holds_one_run(self, tmp_path, capsys):
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert (out_dir / "snap_0004.csv").read_text().startswith("# t = 1\n")
+        (out_dir / "snap_notes.txt").write_text("not a snapshot")
+        assert main(["run", "--config", str(cfg), "--override", "step.t_end=0.3", "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["run.cfg", "series.csv", "snap_0000.csv", "snap_0001.csv",
+                                                             "snap_0002.csv", "snap_notes.txt", "summary.json"]
+        assert (out_dir / "snap_0002.csv").read_text().startswith("# t = 0.29999999999999999\n")
+
+    def test_unmeasured_mode_is_null_in_summary(self, tmp_path, capsys):
+        # with no wave there is no phase speed to measure, so no relative error either
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--override", "scenario.amplitude=0", "--override",
+                     "step.t_end=0.3", "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().out.count("measured c=n/a, predicted 3.1321, rel err n/a (off)") == 3
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=refuse)
+        assert [mode["rel_err"] for mode in summary["reports"]["dispersion"]["modes"]] == [None] * 3
 
     def test_skip_and_detail_lines(self, tmp_path, capsys):
         # above the energy threshold the bounds check is skipped, and the run still passes
@@ -603,7 +716,7 @@ class TestCli:
         assert os.path.exists(os.path.join(out_dir, "sweep_table.csv"))
         assert os.path.exists(os.path.join(out_dir, "eps_0.2", "summary.json"))
         with open(os.path.join(out_dir, "sweep_summary.json")) as fh:
-            summary = json.load(fh)
+            summary = json.load(fh, parse_constant=lambda constant: pytest.fail(f"{constant} in the JSON"))
         assert summary["epsilons"] == [0.2, 0.1]
         assert all(math.isfinite(run["e0"]) for run in summary["runs"])
 
