@@ -33,8 +33,10 @@ def measure(gamma, ks):
                     StepControl(cfl=0.3, dt_max=0.02, t_end=3.0, output_dt=0.1))
     print(f"gamma = {gamma:g}  (Bond number {bond_number(p):.3f})")
     for row in dispersion_report(hist, ks).modes:
-        print(f"  k={row['k']:4g}: measured {row['measured']:.5f}  predicted {row['predicted']:.5f}  "
-              f"rel err {row['rel_err']:.2%}  [{row['status']}]")
+        measured = "n/a" if row["measured"] is None else f"{row['measured']:.5f}"
+        rel = "n/a" if row["rel_err"] is None else f"{row['rel_err']:.2%}"
+        print(f"  k={row['k']:4g}: measured {measured}  predicted {row['predicted']:.5f}  "
+              f"rel err {rel}  [{row['status']}]")
 
 
 def main():

@@ -35,14 +35,17 @@ def main():
     for eps, art in zip(result.epsilons, result.artifacts):
         e = art.history.series["energy"]
         c = art.reports["oleinik"].fitted_C
-        lp = lp_box_norm(art.history, args.alpha, cfg.box)
+        # an aborted member may end before the box, like the pairs it is incomparable in
+        lp = (f"{lp_box_norm(art.history, args.alpha, art.config.box):9.3f}"
+              if art.history.status == "completed" else f"{'n/a':>9}")
         print(f"  eps={eps:5g}  E0={e[0]:8.4f}  dE={e[-1] - e[0]:+9.5f}  "
-              f"fitted_C={c:6.3f}  L^{2 + args.alpha:g} box norm={lp:9.3f}  "
+              f"fitted_C={c:6.3f}  L^{2 + args.alpha:g} box norm={lp}  "
               f"[{art.history.status}]")
     print("\nsuccessive differences on the box:")
     for row in result.table:
-        print(f"  |({row['eps_coarse']:g}) - ({row['eps_fine']:g})|:  "
-              f"h: {row['dh_l2']:.4e}   u: {row['du_l2']:.4e}")
+        diff = (f"h: {row['dh_l2']:.4e}   u: {row['du_l2']:.4e}" if row["comparable"]
+                else "incomparable (aborted run)")
+        print(f"  |({row['eps_coarse']:g}) - ({row['eps_fine']:g})|:  {diff}")
 
 
 if __name__ == "__main__":

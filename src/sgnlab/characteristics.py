@@ -158,9 +158,7 @@ class PQSquareIntegral:
 
 
 def _wrap(x: float, g: Grid) -> float:
-    if g.periodic:
-        return g.x_left + (x - g.x_left) % g.length
-    return x
+    return g.x_left + (x - g.x_left) % g.length if g.periodic else x
 
 
 def trace(history, x0: float, branch: str) -> CharPath:

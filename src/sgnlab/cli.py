@@ -7,8 +7,8 @@
 ``run`` simulates one scenario, writes its artifacts and prints one verdict
 line per enabled check; exit code 0 iff every enabled check passes (an
 expected blow-up counts as a pass when it triggers; a skipped check does not
-fail the run).  ``check`` validates the configuration and builds the initial
-state, so it refuses whatever ``run`` refuses before the first step.  Usage
+fail the run).  ``check`` is ``run`` at ``t_end = 0`` writing nothing: it
+refuses whatever ``run`` refuses before the first step.  Usage
 and configuration errors exit with code 2, failed checks with 1; an output
 directory that cannot be created is a usage error, found before the run.
 
@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .config import _floats, parse_config
+from .dynamics import simulate
 from .errors import ConfigError, SgnError
 from .io import write_run_artifact, write_sweep_result
 from .scenarios import RunArtifact, build_initial, epsilon_sweep, run_scenario
@@ -104,7 +106,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    build_initial(parse_config(args.config, args.override))
+    cfg = parse_config(args.config, args.override)
+    simulate(build_initial(cfg), cfg.params, cfg.grid, replace(cfg.step, t_end=0.0))
     print(f"config {args.config} OK")
     return 0
 

@@ -133,9 +133,7 @@ class BoundsReport:
 
     @property
     def passed(self) -> bool:
-        if self.status == "skipped":
-            return False
-        return all(c.passed for c in self.verdicts.values())
+        return self.status != "skipped" and all(c.passed for c in self.verdicts.values())
 
 
 @dataclass

@@ -29,16 +29,8 @@ import numpy as np
 
 from . import regularization as reg
 from .elliptic import _assemble_L, solve_L_refined
-from .errors import (
-    BoundaryContaminationError,
-    ContractViolationError,
-    DepthCollapseError,
-    NonFiniteError,
-    PositivityError,
-    SolverFailureError,
-    ThresholdExceededError,
-)
-from .grid import Grid, _derivative, check_far_field, derivative, integrate
+from .errors import ContractViolationError, DepthCollapseError, PositivityError, SgnError, ThresholdExceededError
+from .grid import Grid, _derivative, check_far_field, integrate
 from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h, gradients, total_energy
 
 __all__ = [
@@ -149,10 +141,10 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     dh = -_derivative(s.h * s.u, g)
     fields = reg.compute_reg_fields(s, p, g) if p.epsilon > 0.0 else None
     if fields is None:
-        source = derivative(curly_c(p, d) + f_of_h(s, p), g)
+        source = _derivative(curly_c(p, d) + f_of_h(s, p), g)
     else:
         a_x, b_flux = fields
-        source = derivative(curly_c(p, d) + f_of_h(s, p) - b_flux, g)
+        source = _derivative(curly_c(p, d) + f_of_h(s, p) - b_flux, g)
         source += 0.5 * s.u * a_x
         dh += a_x
     du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - solve_L_refined(sys, d, source, g)
@@ -274,14 +266,15 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     """March to ``t_end`` or to a monitor abort; never throws past the first step.
 
     A step and its series row form one guarded unit: the stepped state
-    becomes current only once its row is recorded.  Aborts (blow-up trigger,
-    depth collapse, boundary contamination, solver failure, non-finite
-    fields) are stored as a reason code, stamped at the last recorded state.
+    becomes current only once its row is recorded.  A blow-up trigger or an
+    error whose class defines a ``reason`` (:mod:`sgnlab.errors`) aborts the
+    run, stored as that code at the last recorded state; others propagate.
     Snapshots include the initial and final states.  Invalid inputs raise
     before the first step: an initial state whose derived fields overflow
     (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.  No cell is reset:
     waves reaching a line grid's far field abort (``check_far_field``).
     """
+    check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol)  # first, with or without a blow-up monitor
     hist = SimHistory(grid=g, params=p, control=c)
     series: dict[str, list] = {k: [] for k in _SERIES_COLUMNS}
     floor = 0.0 if blowup is None else depth_floor(blowup, s0, p, g)
@@ -289,7 +282,6 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     def snapshot(s: FlowState):
         hist.snapshots.append(FlowState(s.h, s.u, s.t))
 
-    check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol)
     s = FlowState(s0.h.copy(), s0.u.copy(), s0.t)
     max_ux, max_hx, min_h = _record(series, s, p, g)
     snapshot(s)
@@ -308,18 +300,17 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
                 dt = min(dt, next_out - s.t)
             stepped = rk4_step(s, dt, p, g)
             max_ux, max_hx, min_h = _record(series, stepped, p, g)
-        except (BoundaryContaminationError, DepthCollapseError, NonFiniteError, SolverFailureError) as exc:
+        except SgnError as exc:
+            if exc.reason is None:
+                raise
             hist.abort_reason = exc.reason
             break
         s = stepped
         steps_since_out += 1
-        due = False
-        if next_out is not None and s.t >= next_out - 1e-12:
-            due = True
-            next_out += c.output_dt
-        if c.output_every > 0 and steps_since_out >= c.output_every:
-            due = True
+        due = next_out is not None and s.t >= next_out - 1e-12
         if due:
+            next_out += c.output_dt
+        if due or 0 < c.output_every <= steps_since_out:
             snapshot(s)
             steps_since_out = 0
     if hist.snapshots[-1].t != s.t:

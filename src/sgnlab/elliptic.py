@@ -27,10 +27,10 @@ well defined on both grid modes, and O(n) instead of O(n^2).
 Each system is factored once with LAPACK's ``L D L^T`` (``dpttrf``) and
 every solve on it is one ``dpttrs``; periodic systems add a Sherman-Morrison
 correction for the wrap face.  The Helmholtz system is built and factored
-once per (parameters, grid).  Every solve verifies its own residual and
-refuses to return garbage.  Public functions check their inputs; the stepper
-assembles with the unchecked ``_assemble_L``, and :func:`solve_L_refined`
-scans its defect, so a non-finite field is a ``NonFiniteError``.
+once per (parameters, grid).  Every solve refuses a non-finite source
+(``NonFiniteError``, before LAPACK), so callers pass derived sources unscanned,
+and verifies its residual (``SolverFailureError``).  Public functions taking raw
+fields check them; the stepper assembles with the unchecked ``_assemble_L``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import ContractViolationError, ModeError, PositivityError, SolverFailureError
+from .errors import ContractViolationError, ModeError, NonFiniteError, PositivityError, SolverFailureError
 from .grid import Grid, _derivative, _finite, _pad, as_field, cumulative_integral, derivative
 from .kinematics import FlowState, Gradients, Params, curly_c, f_of_h, gradients
 
@@ -152,18 +152,20 @@ def _checked(lapack_result: tuple) -> list[np.ndarray]:
 
 
 def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far: tuple[float, float]) -> np.ndarray:
-    """The one solve path: line ghost values ``far``; factor (once per system), solve, verify the residual."""
+    """The one solve path, line ghosts ``far``: refuse a non-finite source, factor (once), solve, verify."""
     if sys.periodic:
         adjusted = rhs
     else:
         adjusted = rhs.copy()
         adjusted[0] += sys.faces[0] * far[0]
         adjusted[-1] += sys.faces[-1] * far[1]
+    scale = max(float(np.abs(adjusted).max()), 1e-300)
+    if not scale < np.inf:  # NaN fails too
+        raise NonFiniteError("solve source contains non-finite entries")
     d, e, z, r, denom = sys._factor
     (u,) = _checked(dpttrs(d, e, adjusted))
     if z is not None:
         u -= z * ((u[0] + r * u[-1]) / denom)
-    scale = max(float(np.abs(adjusted).max()), 1e-300)
     defect = _apply_L(sys, u)
     defect -= adjusted
     residual = float(np.abs(defect, out=defect).max()) / scale
@@ -173,12 +175,12 @@ def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far: tuple[float, float]) ->
 
 
 def solve_L(sys: TridiagonalSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A u = rhs`` for a decaying source, line-mode ghosts zero, on the system's factor; verified residual."""
+    """Solve ``A u = rhs`` for a decaying source, line-mode ghosts zero; refuses a non-finite ``rhs``, verifies."""
     return _solve(sys, _vector(sys, rhs), (0.0, 0.0))
 
 
 def solve_limits(sys: TridiagonalSystem, rhs: np.ndarray, g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``A u = rhs`` for a source with limits at infinity; return ``u`` and ``u_x``.
+    """Solve ``A u = rhs`` for a source with limits at infinity, checked as in :func:`solve_L`; return ``u``, ``u_x``.
 
     Line mode: ``u``'s ghosts and ``u_x``'s pads are ``rhs[0]/order0[0]`` and ``rhs[-1]/order0[-1]``."""
     rhs = _vector(sys, rhs)
@@ -198,7 +200,7 @@ def solve_helmholtz(rhs: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np
 
     Line-mode ghosts ``rhs/g`` (:func:`solve_limits`) make constant sources exact, as is the kernel convolution.
     """
-    return solve_limits(_helmholtz_system(p, g), as_field(rhs, g), g)
+    return solve_limits(_helmholtz_system(p, g), rhs, g)
 
 
 def apply_L_compatible(d: Gradients, u: np.ndarray, g: Grid) -> np.ndarray:
@@ -225,8 +227,7 @@ def solve_L_refined(sys: TridiagonalSystem, d: Gradients, rhs: np.ndarray, g: Gr
     gradient bundle of the state whose depth ``sys`` was assembled from.
     """
     u = solve_L(sys, rhs)
-    defect = _finite(rhs - apply_L_compatible(d, u, g))
-    return u + solve_L(sys, defect)
+    return u + solve_L(sys, rhs - apply_L_compatible(d, u, g))
 
 
 def script_r(s: FlowState, p: Params, g: Grid, *, _sys: TridiagonalSystem | None = None) -> np.ndarray:
@@ -240,8 +241,8 @@ def script_r(s: FlowState, p: Params, g: Grid, *, _sys: TridiagonalSystem | None
     d = gradients(s, p, g)
     c = curly_c(p, d)
     sys = assemble_L(s.h, g, p.hbar) if _sys is None else _sys
-    w = solve_L(sys, derivative(c + f_of_h(s, p), g))
-    return c + (1.0 / 3.0) * d.h3 * derivative(w, g)
+    w = solve_L(sys, _derivative(c + f_of_h(s, p), g))
+    return c + (1.0 / 3.0) * d.h3 * _derivative(w, g)
 
 
 def psi_identity_residual(h: np.ndarray, psi: np.ndarray, g: Grid, hbar: float) -> float:

@@ -2,7 +2,8 @@
 
 
 class SgnError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; a run aborts on those whose ``reason`` is set."""
+    reason: str | None = None
 
 
 class ContractViolationError(SgnError):

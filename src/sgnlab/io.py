@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -104,15 +105,23 @@ def write_run_artifact(art: RunArtifact, out_dir: str) -> None:
 
 
 def write_sweep_result(result: SweepResult, out_dir: str) -> None:
+    """Write a sweep into ``out_dir``, removing the members of an earlier sweep that it does not write."""
     os.makedirs(out_dir, exist_ok=True)
-    for eps, art in zip(result.epsilons, result.artifacts):
-        write_run_artifact(art, os.path.join(out_dir, SWEEP_LABEL.format(eps)))
+    members = [SWEEP_LABEL.format(eps) for eps in result.epsilons]
+    for name in set(os.listdir(out_dir)) - set(members):
+        try:  # a member is a directory named SWEEP_LABEL of a float that holds a summary.json
+            label = SWEEP_LABEL.format(float(name.removeprefix(SWEEP_LABEL.partition("{")[0])))
+        except ValueError:
+            continue
+        if label == name and os.path.isfile(os.path.join(out_dir, name, "summary.json")):
+            shutil.rmtree(os.path.join(out_dir, name))
+    for name, art in zip(members, result.artifacts):
+        write_run_artifact(art, os.path.join(out_dir, name))
     with open(os.path.join(out_dir, "sweep_table.csv"), "w", encoding="utf-8") as fh:
         fh.write("eps_coarse,eps_fine,dh_l2,du_l2,comparable\n")
         for row in result.table:
-            dh = "" if row["dh_l2"] is None else _fmt(row["dh_l2"])
-            du = "" if row["du_l2"] is None else _fmt(row["du_l2"])
-            fh.write(f"{_fmt(row['eps_coarse'])},{_fmt(row['eps_fine'])},{dh},{du},{row['comparable']}\n")
+            cells = ("" if row[k] is None else _fmt(row[k]) for k in ("eps_coarse", "eps_fine", "dh_l2", "du_l2"))
+            fh.write(f"{','.join(cells)},{row['comparable']}\n")
     summary = {
         "epsilons": result.epsilons,
         "table": result.table,

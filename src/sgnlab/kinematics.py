@@ -156,9 +156,7 @@ def chi(zeta, epsilon: float):
         raise ContractViolationError("chi needs epsilon > 0; the eps = 0 system has no cut-off")
     out = np.minimum(np.asarray(zeta, dtype=np.float64) + 1.0 / epsilon, 0.0)
     out *= out
-    if np.isscalar(zeta) or out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def cutoff_active(P: np.ndarray, Q: np.ndarray, epsilon: float) -> bool:

@@ -1,8 +1,10 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sgnlab import FlowState, Grid, Params, dynamics, elliptic, grid, kinematics, regularization
+from sgnlab import FlowState, Grid, Params, dynamics, elliptic, errors, grid, kinematics, regularization
 from sgnlab.dynamics import (
     BlowupThresholds,
     StepControl,
@@ -12,13 +14,7 @@ from sgnlab.dynamics import (
     rk4_step,
     simulate,
 )
-from sgnlab.errors import (
-    BoundaryContaminationError,
-    ContractViolationError,
-    DepthCollapseError,
-    NonFiniteError,
-    SolverFailureError,
-)
+from sgnlab.errors import ContractViolationError, DepthCollapseError, ModeError, NonFiniteError
 from sgnlab.grid import derivative, integrate
 from sgnlab.kinematics import cutoff_active, pq_fields, total_energy
 
@@ -425,7 +421,7 @@ class TestSimulate:
 
     def test_nonfinite_derived_field_aborts_with_code(self, params, monkeypatch):
         # fault injection: a non-finite field that is not a state (here F(h))
-        # fails the finiteness check inside derivative; the run records it
+        # reaches the momentum solve, which refuses it; the run records it
         real = dynamics.f_of_h
         calls = []
 
@@ -564,13 +560,20 @@ def _assert_abort_history_consistent(hist):
     assert hist.abort_time == hist.t_final == t[-1]
 
 
+# the classes of sgnlab.errors that define an abort reason, one class per reason
+_ABORTS = [cls for cls in vars(errors).values()
+           if isinstance(cls, type) and issubclass(cls, errors.SgnError) and getattr(cls, "reason", None)]
 # abort code -> the error a failing step raises for it (blow-up codes come from the monitor)
-_STEP_FAULTS = {
-    "boundary-contamination": lambda: BoundaryContaminationError("injected"),
-    "depth-collapse": lambda: DepthCollapseError("injected"),
-    "nonfinite-fields": lambda: NonFiniteError("injected"),
-    "solver-failure": lambda: SolverFailureError("injected"),
-}
+_STEP_FAULTS = {cls.reason: cls for cls in _ABORTS}
+
+
+def test_abort_reasons_are_distinct_and_documented():
+    # each reason names one class, and the README's list of abort reasons names each reason
+    assert len(_STEP_FAULTS) == len(_ABORTS) >= 4
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = readme[readme.index("* `simulate` never throws past the first step."):]
+    listed = listed[:listed.index("\n* ")]
+    assert [code for code in [*_STEP_FAULTS, "blowup:<code>"] if f"`{code}`" not in listed] == []
 
 
 class TestAbortProperties:
@@ -583,7 +586,7 @@ class TestAbortProperties:
 
         def failing_step(*args):
             if len(attempts) > steps and code in _STEP_FAULTS:
-                raise _STEP_FAULTS[code]()
+                raise _STEP_FAULTS[code]("injected")
             return real_step(*args)
 
         def failing_check(*args):
@@ -599,10 +602,26 @@ class TestAbortProperties:
             hist = simulate(gaussian_state(g), p, g, StepControl(cfl=0.3, dt_max=0.1, t_end=5.0, output_every=1),
                             blowup=BlowupThresholds())
         assert hist.status == "aborted" and hist.abort_reason == code
-        assert code not in _STEP_FAULTS or _STEP_FAULTS[code]().reason == code
         assert hist.n_steps == steps
         assert (hist.trigger is not None) == code.startswith("blowup:")
         _assert_abort_history_consistent(hist)
+
+    @pytest.mark.parametrize("error", [ContractViolationError, ModeError, ValueError])
+    def test_error_without_reason_propagates(self, monkeypatch, error):
+        # only an error whose class defines a reason stops a run with a record; any other leaves simulate
+        real = dynamics.rk4_step
+        calls = []
+
+        def failing_step(*args):
+            calls.append(1)
+            if len(calls) > 2:
+                raise error("injected")
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "rk4_step", failing_step)
+        g = Grid.from_length(64, 20.0, -10.0, "periodic")
+        with pytest.raises(error, match="injected"):
+            simulate(gaussian_state(g), Params(), g, StepControl(cfl=0.3, dt_max=0.1, t_end=5.0))
 
 
 def _active_line_state():
@@ -632,24 +651,27 @@ class TestOneHome:
         assert len(calls) == 7
 
     def test_field_checks_below_rhs(self, monkeypatch):
-        # rhs hands the fields of its checked state to the unchecked kernels;
-        # as_field scans only the derived sources of solves: the momentum
-        # source (with B's flux folded in) and, with an active cut-off, the Helmholtz source
-        real = grid.as_field
+        # rhs hands the fields of its checked state to the unchecked kernels, and
+        # each solve decides itself whether its source is finite: no field scan
+        # runs below rhs, with or without an active cut-off
         calls = []
 
-        def counting(values, g):
-            calls.append(1)
-            return real(values, g)
+        def counting(real):
+            def scan(*args):
+                calls.append(1)
+                return real(*args)
+            return scan
 
+        scans = {name: counting(getattr(grid, name)) for name in ("as_field", "_finite")}
         for mod in (grid, elliptic):
-            monkeypatch.setattr(mod, "as_field", counting)
-        cases = [(gaussian_state(g), Params(), g, 1)
+            for name, scan in scans.items():
+                monkeypatch.setattr(mod, name, scan)
+        cases = [(gaussian_state(g), Params(), g)
                  for g in (Grid.from_length(128, 20.0, -10.0, mode) for mode in ("periodic", "line"))]
-        for s, p, g, expected in cases + [(*_active_line_state(), 2)]:
+        for s, p, g in cases + [_active_line_state()]:
             calls.clear()
             rhs(s, p, g)
-            assert len(calls) == expected
+            assert len(calls) == 0
 
     def test_active_rhs_skips_riccati_sources(self, monkeypatch):
         # V1 (and the primitive it needs) enters only the Riccati equations

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sgnlab.elliptic as elliptic
 from sgnlab import FlowState, Grid, Params
@@ -210,12 +211,14 @@ class TestFactorSolve:
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_nan_rhs_fails_closed(self, rng, mode):
+        # a non-finite source is the caller's fault, not the solver's: NonFiniteError, never a residual failure
         g = Grid.from_length(64, 10.0, -5.0, mode)
         sys = assemble_L(random_depth(g, rng), g, hbar=1.0)
-        psi = rng.standard_normal(g.n)
-        psi[17] = np.nan
-        with pytest.raises(SolverFailureError):
-            solve_L(sys, psi)
+        for bad in (np.nan, np.inf, -np.inf):
+            psi = rng.standard_normal(g.n)
+            psi[17] = bad
+            with pytest.raises(NonFiniteError):
+                solve_L(sys, psi)
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_non_spd_system_refused(self, periodic):
@@ -356,8 +359,8 @@ class TestRefinedSolve:
         assert np.max(np.abs(refined - np.sin(k * x))) <= np.max(np.abs(plain - np.sin(k * x)))
 
     def test_nonfinite_defect_is_nonfinite_error(self, monkeypatch):
-        # fault injection: an overflow in the compatible apply must not reach
-        # the second solve, which would report it as a solver failure
+        # fault injection: an overflow in the compatible apply reaches the second
+        # solve, which refuses its source as non-finite, not as a solver failure
         g = Grid.from_length(64, 10.0, -5.0, "periodic")
         h = np.ones(g.n)
         real = apply_L_compatible
@@ -380,6 +383,28 @@ class TestRefinedSolve:
             e[j] = 1.0
             A[:, j] = apply_L_compatible(d, e, g)
         assert np.max(np.abs(A - A.T)) < 1e-10
+
+
+class TestNonFiniteSource:
+    """Every solve decides itself whether its source is finite, before any LAPACK call."""
+
+    @given(mode=st.sampled_from(["periodic", "line"]),
+           solver=st.sampled_from(["solve_L", "solve_limits", "solve_helmholtz"]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_nonfinite_source_refused_before_lapack(self, mode, solver, bad, data):
+        n = data.draw(st.integers(8, 64), label="n")
+        g = Grid.from_length(n, data.draw(st.floats(1.0, 100.0), label="length"), -5.0, mode)
+        h = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.1, 10.0)), label="h")
+        rhs = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)), label="rhs")
+        rhs[data.draw(st.integers(0, n - 1), label="cell")] = bad
+        sys = assemble_L(h, g, hbar=data.draw(st.floats(0.1, 10.0), label="hbar"))
+        call = {"solve_L": lambda: solve_L(sys, rhs), "solve_limits": lambda: solve_limits(sys, rhs, g),
+                "solve_helmholtz": lambda: solve_helmholtz(rhs, Params(gamma=2.0), g)}[solver]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(elliptic, "dpttrs", lambda *args: pytest.fail("dpttrs ran on a non-finite source"))
+            mp.setattr(elliptic, "dpttrf", lambda *args: pytest.fail("dpttrf ran on a non-finite source"))
+            with pytest.raises(NonFiniteError):
+                call()
 
 
 class TestSolveFaults:

@@ -720,6 +720,45 @@ class TestCli:
         assert summary["epsilons"] == [0.2, 0.1]
         assert all(math.isfinite(run["e0"]) for run in summary["runs"])
 
+    def test_reused_sweep_directory_holds_one_sweep(self, tmp_path, capsys):
+        # a second sweep into the same directory removes the first one's members it does not
+        # write, and only those: directories named SWEEP_LABEL of a float that hold a summary.json
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", "--config", str(cfg), "--override", "step.t_end=0.05", "--out", str(out_dir)]
+        assert main([*args, "--epsilons", "0.2,0.1"]) == 0
+        for name in ("eps_0.10", "eps_0.05", "eps_x", "notes"):  # not members: kept
+            (out_dir / name).mkdir()
+            if name != "eps_0.05":
+                (out_dir / name / "summary.json").write_text("{}\n")
+        (out_dir / "eps_1e-05").write_text("a file, not a member\n")
+        assert main([*args, "--epsilons", "0.3,0.2"]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "eps_0.05", "eps_0.10", "eps_0.2", "eps_0.3", "eps_1e-05", "eps_x", "notes",
+            "sweep_summary.json", "sweep_table.csv"]
+        with open(out_dir / "sweep_summary.json") as fh:
+            assert json.load(fh)["epsilons"] == [0.3, 0.2]
+
+    @pytest.mark.parametrize("config, overrides, message", [
+        ("steep_sweep.cfg", ["scenario.center=-15"], "error: far field contaminated"),
+        ("flat.cfg", ["scenario.kind=gaussian", "scenario.amplitude=1e160"], "error: field contains non-finite"),
+        # both at once, under the blow-up monitor that only run sets up: the far field is checked first
+        ("steep_sweep.cfg", ["scenario.kind=gaussian", "scenario.amplitude=1e160", "scenario.center=-15",
+                             "checks.blowup=true"], "error: far field contaminated"),
+    ], ids=["far-field", "nonfinite-energy", "both-under-monitor"])
+    def test_check_stops_where_run_stops(self, tmp_path, capsys, config, overrides, message):
+        # refused by the simulation itself before its first step: check runs that prologue too
+        args = ["--config", str(pathlib.Path(__file__).resolve().parent.parent / "configs" / config)]
+        args += [arg for override in overrides for arg in ("--override", override)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+            run = capsys.readouterr()
+            assert main(["check", *args]) == 2
+            check = capsys.readouterr()
+        assert run.err.startswith(message) and check.err == run.err
+        assert "OK" not in check.out
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_labels_must_differ(self, tmp_path, capsys):
         # both members would be written to eps_0.1
         path = self.write_cfg(tmp_path, BASE_CFG)
