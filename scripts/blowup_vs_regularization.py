@@ -5,7 +5,9 @@ global smooth evolution with it.
 Runs the same initial data twice (eps = 0 and eps = 0.1) and prints the
 gradient extrema over time.  The unregularized run trips the paired blow-up
 monitor early; the regularized run reaches the final time with bounded
-invariants and a clean one-sided gradient bound.
+invariants and a clean one-sided gradient bound.  Each run goes through
+``run_scenario``, so it is monitored as ``sgnlab run`` monitors it, and a run
+that stops for another reason prints that reason and time.
 """
 
 import argparse
@@ -19,8 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sgnlab.config import parse_config
 from sgnlab.diagnostics import oleinik_report
-from sgnlab.dynamics import simulate
-from sgnlab.scenarios import build_initial
+from sgnlab.scenarios import run_scenario
 
 
 def main():
@@ -31,9 +32,8 @@ def main():
 
     for name in ("steep_eps0", "steep_eps01"):
         cfg = parse_config(ROOT / "configs" / f"{name}.cfg", [f"grid.n={args.n}", f"step.t_end={args.t_end}"])
-        p = cfg.params
-        hist = simulate(build_initial(cfg), p, cfg.grid, cfg.step, blowup=cfg.blowup)
-        print(f"\n=== eps = {p.epsilon} ===")
+        hist = run_scenario(cfg).history
+        print(f"\n=== eps = {cfg.params.epsilon} ===")
         ser = hist.series
         t = ser["t"]
         for tq in np.arange(0.0, hist.t_final + 1e-9, 0.2):
@@ -43,6 +43,8 @@ def main():
                   f"E={ser['energy'][i]:.4f}")
         if hist.trigger:
             print(f"  -> blow-up monitor fired: {hist.trigger[1]} at t = {hist.trigger[0]:.3f}")
+        elif hist.abort_reason is not None:
+            print(f"  -> aborted: {hist.abort_reason} at t={hist.abort_time:.6g}")
         else:
             rep = oleinik_report(hist)
             print(f"  -> reached t = {hist.t_final:.3f}; fitted Oleinik constant {rep.fitted_C:.2f}")

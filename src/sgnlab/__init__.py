@@ -19,7 +19,6 @@ from .errors import (  # noqa: F401
     PositivityError,
     SgnError,
     SolverFailureError,
-    ThresholdExceededError,
 )
 from .grid import Grid  # noqa: F401
 from .kinematics import Bounds, FlowState, Params  # noqa: F401

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import regularization as reg
-from .elliptic import assemble_L, script_r
+from .elliptic import _assemble_L, script_r
 from .errors import ContractViolationError, NonFiniteError
 from .grid import Grid
 from .kinematics import FlowState, Params, char_speeds, gradients
@@ -213,7 +213,7 @@ def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, n
         A, A_x = reg.compute_A(s, chiP, chiQ, p, g)
         minus = minus + chiP / (8.0 * s.h) - A_x * P / (2.0 * s.h)
         plus = plus + chiQ / (8.0 * s.h) - A_x * Q / (2.0 * s.h)
-        sys = assemble_L(s.h, g, p.hbar)
+        sys = _assemble_L(s.h, g, p.hbar)
         v1 = reg.compute_V1(s, d.ux, A_x, chiP, chiQ, g, sys)
         v2 = reg.compute_V2(s, A, p)
     M, N = reg.compute_MN(s, v1, v2, script_r(s, p, g, _sys=sys))

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import SimHistory
-from .errors import ContractViolationError, ModeError, ThresholdExceededError
+from .errors import ContractViolationError, ModeError
 from .grid import Grid
 from .kinematics import Params, a_priori_bounds, gradients
 
@@ -208,9 +208,8 @@ def bounds_check(history: SimHistory) -> BoundsReport:
     the threshold: the bounds are vacuous there and silence would mislead.
     """
     e0, p = history.e0, history.params
-    try:
-        bounds = a_priori_bounds(e0, p)
-    except ThresholdExceededError:
+    bounds = a_priori_bounds(e0, p)
+    if bounds is None:
         return BoundsReport(status="skipped", e0=e0, e_max=p.e_max)
     tol_h = BOUNDS_TOL_FACTOR * p.hbar
     tol_u = BOUNDS_TOL_FACTOR * bounds.u_max + 1e-8
@@ -237,10 +236,8 @@ def oleinik_report(history: SimHistory, user_c: float | None = None) -> OleinikR
     """
     t = history.series["t"]
     mask = t > 0.0
-    try:
-        h_norm = a_priori_bounds(history.e0, history.params).h_min
-    except ThresholdExceededError:
-        h_norm = float(np.min(history.series["min_h"]))
+    bounds = a_priori_bounds(history.e0, history.params)
+    h_norm = float(np.min(history.series["min_h"])) if bounds is None else bounds.h_min
     sup = np.maximum(np.maximum(history.series["sup_P"], history.series["sup_Q"]), 0.0)
     fitted = 0.0
     violations = 0

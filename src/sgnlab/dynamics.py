@@ -29,9 +29,9 @@ import numpy as np
 
 from . import regularization as reg
 from .elliptic import _assemble_L, solve_L_refined
-from .errors import ContractViolationError, DepthCollapseError, PositivityError, SgnError, ThresholdExceededError
+from .errors import ContractViolationError, DepthCollapseError, PositivityError, SgnError
 from .grid import Grid, _derivative, check_far_field, integrate
-from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h, gradients, total_energy
+from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h, gradients
 
 __all__ = [
     "RhsEval",
@@ -103,23 +103,23 @@ class BlowupThresholds:
     depth: float | None = None  # resolved by depth_floor
 
     def __post_init__(self):
-        # a NaN threshold compares False both ways and would switch off half of the pair
-        for name in ("ux", "hx", "depth"):
-            value = getattr(self, name)
-            if value is not None and np.isnan(value):
-                raise ContractViolationError(f"blow-up threshold {name} must not be NaN")
+        # a NaN threshold compares False both ways and would switch off half of the pair;
+        # a slope threshold <= 0 fires on a flat state, a negative depth never fires
+        for name in ("ux", "hx"):
+            if not getattr(self, name) > 0.0:
+                raise ContractViolationError(f"blow-up threshold {name} must be positive, got {getattr(self, name)}")
+        if self.depth is not None and not self.depth >= 0.0:
+            raise ContractViolationError(f"blow-up threshold depth must be >= 0, got {self.depth}")
 
 
-def depth_floor(thr: BlowupThresholds, s: FlowState, p: Params, g: Grid) -> float:
+def depth_floor(thr: BlowupThresholds, e0: float, p: Params) -> float:
     """The depth companion's floor: ``thr.depth`` when given, else a tenth of the
-    a-priori ``h_min`` for the energy of ``s`` (the run's initial state), or
-    ``0.05 hbar`` when that bound is vacuous."""
+    a-priori ``h_min`` for the run's measured initial energy ``e0``, or
+    ``0.05 hbar`` when the bounds are vacuous."""
     if thr.depth is not None:
         return thr.depth
-    try:
-        return 0.1 * a_priori_bounds(total_energy(s, p, g), p).h_min
-    except ThresholdExceededError:
-        return 0.05 * p.hbar
+    bounds = a_priori_bounds(e0, p)
+    return 0.05 * p.hbar if bounds is None else 0.1 * bounds.h_min
 
 
 def check_blowup(max_abs_ux: float, max_abs_hx: float, min_h: float,
@@ -274,16 +274,16 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.  No cell is reset:
     waves reaching a line grid's far field abort (``check_far_field``).
     """
-    check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol)  # first, with or without a blow-up monitor
+    check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol)
     hist = SimHistory(grid=g, params=p, control=c)
     series: dict[str, list] = {k: [] for k in _SERIES_COLUMNS}
-    floor = 0.0 if blowup is None else depth_floor(blowup, s0, p, g)
 
     def snapshot(s: FlowState):
         hist.snapshots.append(FlowState(s.h, s.u, s.t))
 
     s = FlowState(s0.h.copy(), s0.u.copy(), s0.t)
     max_ux, max_hx, min_h = _record(series, s, p, g)
+    floor = 0.0 if blowup is None else depth_floor(blowup, series["energy"][0], p)
     snapshot(s)
     next_out = c.output_dt
     steps_since_out = 0

@@ -30,7 +30,8 @@ correction for the wrap face.  The Helmholtz system is built and factored
 once per (parameters, grid).  Every solve refuses a non-finite source
 (``NonFiniteError``, before LAPACK), so callers pass derived sources unscanned,
 and verifies its residual (``SolverFailureError``).  Public functions taking raw
-fields check them; the stepper assembles with the unchecked ``_assemble_L``.
+fields check them; a ``FlowState``'s depth, checked when the state was built, is
+assembled with the unchecked ``_assemble_L`` (the stepper, ``script_r``, the Riccati fields).
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def script_r(s: FlowState, p: Params, g: Grid, *, _sys: TridiagonalSystem | None
     """
     d = gradients(s, p, g)
     c = curly_c(p, d)
-    sys = assemble_L(s.h, g, p.hbar) if _sys is None else _sys
+    sys = _assemble_L(s.h, g, p.hbar) if _sys is None else _sys
     w = solve_L(sys, _derivative(c + f_of_h(s, p), g))
     return c + (1.0 / 3.0) * d.h3 * _derivative(w, g)
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all solver modules; ``reason`` is the abort code a run records."""
+"""Exception hierarchy shared by all solver modules; ``reason`` is the abort code a run records.
+
+Vacuous a-priori bounds are no error: ``kinematics.a_priori_bounds`` returns ``None`` for them."""
 
 
 class SgnError(Exception):
@@ -36,10 +38,6 @@ class BoundaryContaminationError(SgnError):
 class DepthCollapseError(SgnError):
     """The depth went non-positive during time stepping, even after a retry at half step."""
     reason = "depth-collapse"
-
-
-class ThresholdExceededError(SgnError):
-    """The measured initial energy exceeds the a-priori bound threshold; the bounds are vacuous."""
 
 
 class ConfigError(SgnError):

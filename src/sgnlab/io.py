@@ -25,7 +25,7 @@ from . import __version__
 from .config import config_echo
 from .diagnostics import Check
 from .dynamics import SimHistory
-from .kinematics import pq_fields
+from .kinematics import a_priori_bounds, pq_fields
 from .scenarios import RunArtifact, SWEEP_LABEL, SweepResult
 
 __all__ = ["write_run_artifact", "write_sweep_result", "SERIES_CSV_COLUMNS"]
@@ -80,7 +80,7 @@ def summary_dict(art: RunArtifact) -> dict:
         "n_steps": hist.n_steps,
         "e0": hist.e0,
         "e_max": art.config.params.e_max,
-        "bounds_applicable": hist.e0 < art.config.params.e_max,
+        "bounds_applicable": a_priori_bounds(hist.e0, art.config.params) is not None,
         "wall_time_s": art.wall_time,
         "verdicts": art.verdicts,
         "reports": art.reports,

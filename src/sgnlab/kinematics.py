@@ -19,12 +19,13 @@ the energy density and flux
     E = (1/2) h u^2 + (1/2) g (h-hbar)^2 + (1/6) h^3 u_x^2 + (1/2) gamma h_x^2
     D = u E + u (R_script + g h^2/2 - g hbar^2/2) + gamma h h_x u_x,
 
-and the a-priori bounds valid whenever the measured initial energy E0 stays
-below the threshold ``sqrt(g gamma) hbar^2``::
+and the a-priori bounds ``h_min <= h <= h_max``, ``|u| <= u_max``, valid whenever
+the measured initial energy E0 stays below the threshold ``sqrt(g gamma) hbar^2``
+(:func:`a_priori_bounds`, the one rule for that, returns ``None`` otherwise)::
 
     h_min = hbar - (g gamma)^(-1/4) sqrt(E0)
     h_max = hbar + (g gamma)^(-1/4) sqrt(E0)
-    u_max = -u_min = 3^(1/4) sqrt(E0) / h_min
+    u_max = 3^(1/4) sqrt(E0) / h_min
 
 Every gradient above comes from one per-state bundle, :class:`Gradients`,
 built by :func:`gradients` and memoized on the state per (params, grid):
@@ -46,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, NonFiniteError, PositivityError, ThresholdExceededError
+from .errors import ContractViolationError, NonFiniteError, PositivityError
 from .grid import Grid, _derivative, integrate
 
 __all__ = [
@@ -138,11 +139,10 @@ class FlowState:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Closed-form a-priori bounds implied by a measured initial energy e0."""
+    """A-priori bounds ``h_min <= h <= h_max``, ``|u| <= u_max`` implied by an initial energy below the threshold."""
 
     h_min: float
     h_max: float
-    u_min: float
     u_max: float
 
 
@@ -272,21 +272,18 @@ def energy_flux(s: FlowState, p: Params, d: Gradients, script_r: np.ndarray) -> 
     )
 
 
-def a_priori_bounds(e0: float, p: Params) -> Bounds:
+def a_priori_bounds(e0: float, p: Params) -> Bounds | None:
     """Bounds on (h, u) valid for all time while the energy stays below ``e0``.
 
-    Raises :class:`ThresholdExceededError` when ``e0 >= e_max``: the formulas
-    below would give ``h_min <= 0`` and the caller must know the bounds are
-    vacuous rather than receive nonsense numbers.
+    ``None`` when ``e0 >= e_max``: the bounds are vacuous there (``h_min <= 0``),
+    and this is the one place that decides it.
     """
     if not e0 >= 0.0:
         raise ContractViolationError(f"e0 must be nonnegative, got {e0}")
-    if e0 >= p.e_max:
-        raise ThresholdExceededError(
-            f"initial energy {e0:.6e} >= threshold sqrt(g gamma) hbar^2 = {p.e_max:.6e}"
-        )
     half_width = math.sqrt(e0) / (p.g * p.gamma) ** 0.25
     h_min = p.hbar - half_width
+    if e0 >= p.e_max or not h_min > 0.0:  # h_min can round to <= 0 a few ulps below e_max
+        return None
     h_max = p.hbar + half_width
     u_max = 3.0**0.25 * math.sqrt(e0) / h_min
-    return Bounds(h_min=h_min, h_max=h_max, u_min=-u_max, u_max=u_max)
+    return Bounds(h_min=h_min, h_max=h_max, u_max=u_max)

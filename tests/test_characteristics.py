@@ -402,16 +402,17 @@ class TestSharedFields:
         hist, p, g = active_line_history()
         assert any(cutoff_active(*pq_fields(s, p, g), p.epsilon) for s in hist.snapshots)
         assemblies = []
+        real = elliptic._assemble_L
 
         def counting(*args, **kwargs):
             assemblies.append(1)
-            return assemble_L(*args, **kwargs)
+            return real(*args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the Riccati field needs no B")
 
-        monkeypatch.setattr(characteristics, "assemble_L", counting)
-        monkeypatch.setattr(elliptic, "assemble_L", counting)
+        monkeypatch.setattr(characteristics, "_assemble_L", counting)
+        monkeypatch.setattr(elliptic, "_assemble_L", counting)
         monkeypatch.setattr(regularization, "compute_B", refuse)
         monkeypatch.setattr(regularization, "compute_reg_fields", refuse)
         paths = [trace(hist, x0, b) for x0 in (-1.0, 0.0, 1.0) for b in ("plus", "minus")]
@@ -422,6 +423,29 @@ class TestSharedFields:
             x_ref, res_ref = unshared_residual(hist, path.x0, path.branch, p)
             assert np.array_equal(path.x, x_ref)
             assert np.array_equal(values, res_ref)
+
+    def test_no_checked_assembly_below_riccati_residual(self, monkeypatch):
+        # a snapshot's depth was checked when its FlowState was built: post-processing
+        # assembles L_h unchecked, at eps = 0 in both grid modes and with an active cut-off
+        line = Grid.from_length(128, 40.0, -20.0, "line")
+        x = line.cells()
+        s0 = FlowState(1.0 + 0.05 * np.exp(-(x**2)), np.zeros(line.n))
+        line_run = simulate(s0, Params(), line, StepControl(cfl=0.3, t_end=0.1, output_dt=0.01))
+        runs = [gaussian_history(n=128, t_end=0.1, output_dt=0.01)[:2], (line_run, Params()),
+                active_line_history()[:2]]
+        checked = []
+
+        def counting(*args, **kwargs):
+            checked.append(1)
+            return assemble_L(*args, **kwargs)
+
+        for mod in (elliptic, characteristics, regularization):
+            if getattr(mod, "assemble_L", None) is assemble_L:
+                monkeypatch.setattr(mod, "assemble_L", counting)
+        for hist, p in runs:
+            for b in ("plus", "minus"):
+                assert np.all(np.isfinite(riccati_residual(hist, trace(hist, 0.5, b), p).values))
+        assert checked == []
 
     def test_each_params_matches_fresh_history(self):
         hist, p, g = active_line_history()

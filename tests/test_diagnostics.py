@@ -195,7 +195,9 @@ class TestBlowupDiagnostics:
         g = Grid.from_length(1024, 40.0, -20.0, "periodic")
         x = g.cells()
         s = FlowState(1.0 - 0.96 * np.exp(0.1 - np.sqrt(x**2 + 0.01)), 1e-3 * np.sin(2 * np.pi * x / 20.0))
-        assert depth_floor(BlowupThresholds(), s, p, g) < s.h.min() < 0.05 * p.hbar
+        e0 = simulate(s, p, g, StepControl(t_end=0.0)).e0  # the energy the run measures
+        assert depth_floor(BlowupThresholds(), e0, p) < s.h.min() < 0.05 * p.hbar
+        assert depth_floor(BlowupThresholds(), p.e_max, p) == 0.05 * p.hbar  # vacuous bounds
         for depth, expected in ((None, None), (0.05, "depth-pair")):
             assert first_trigger(s, p, g, BlowupThresholds(ux=1e-6, hx=1e9, depth=depth)) == expected
 

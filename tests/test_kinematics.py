@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgnlab import FlowState, Grid, Params
-from sgnlab.errors import ContractViolationError, PositivityError, ThresholdExceededError
+from sgnlab.errors import ContractViolationError, PositivityError
 from sgnlab.grid import derivative, integrate
 from sgnlab.kinematics import (
     a_priori_bounds,
@@ -253,12 +254,22 @@ class TestAPrioriBounds:
         assert b.h_min == pytest.approx(0.9, abs=1e-12)
         assert b.h_max == pytest.approx(1.1, abs=1e-12)
         assert b.u_max == pytest.approx(0.458010, abs=1e-5)
-        assert b.u_min == -b.u_max
+        assert [f.name for f in dataclasses.fields(b)] == ["h_min", "h_max", "u_max"]  # |u| <= u_max
 
     def test_threshold_rejected(self):
+        # vacuous at and above the threshold, applicable just below it
         p = Params(g=9.81, gamma=9.81, hbar=1.0)
-        with pytest.raises(ThresholdExceededError):
-            a_priori_bounds(p.e_max, p)
+        for e0 in (p.e_max, np.nextafter(p.e_max, np.inf), 10.0 * p.e_max, np.inf):
+            assert a_priori_bounds(e0, p) is None
+        assert a_priori_bounds(0.999 * p.e_max, p) is not None
+
+    @given(g=st.floats(0.1, 100.0), gamma=st.floats(0.1, 100.0), hbar=st.floats(0.1, 10.0))
+    def test_no_degenerate_bounds_below_threshold_hypothesis(self, g, gamma, hbar):
+        # a few ulps below e_max, h_min can round to zero or below: such bounds are vacuous too
+        p = Params(g=g, gamma=gamma, hbar=hbar)
+        for e0 in (np.nextafter(p.e_max, 0.0), np.nextafter(np.nextafter(p.e_max, 0.0), 0.0)):
+            b = a_priori_bounds(e0, p)
+            assert b is None or 0.0 < b.h_min < b.h_max and 0.0 < b.u_max < math.inf
 
     @pytest.mark.parametrize("e0", [-1e-12, float("nan")])
     def test_negative_energy_rejected(self, e0):

@@ -1,5 +1,6 @@
 """Every name that a ``sgnlab`` module lists in ``__all__`` resolves to an attribute of that module,
-and no module of ``src/sgnlab`` takes a parameter it never reads or imports a name it never uses."""
+no module of ``src/sgnlab`` takes a parameter it never reads or imports a name it never uses, and
+the package catches its own errors only where a run retries or stops."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import pkgutil
 import pytest
 
 import sgnlab
+from sgnlab import errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(sgnlab.__path__))
 SOURCES = sorted(pathlib.Path(sgnlab.__file__).parent.glob("*.py"))
@@ -76,3 +78,18 @@ def test_guard_sees_unread_parameters_and_unused_imports(tmp_path):
                       "def f(a, b, *args, c=1, **kw):\n    return a + c + pi\n", encoding="utf-8")
     assert unread_parameters(source) == [("probe.py", "f", "b"), ("probe.py", "f", "args"), ("probe.py", "f", "kw")]
     assert unused_imports(source) == [("probe.py", "os"), ("probe.py", "tau")]
+
+
+def caught_errors(path: pathlib.Path) -> set[str]:
+    """The classes of ``sgnlab.errors`` that an ``except`` clause of the module names."""
+    ours = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
+    handlers = [n.type for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(n, ast.ExceptHandler) and n.type is not None]
+    named = {getattr(n, "id", None) or getattr(n, "attr", None) for h in handlers for n in ast.walk(h)}
+    return named & ours
+
+
+def test_errors_caught_only_to_retry_or_stop():
+    # PositivityError: rk4_step's dt/2 retry; SgnError: simulate's abort and the CLI's exit 2.
+    # An outcome that is not a fault (vacuous a-priori bounds) is a return value, never caught
+    assert set().union(*map(caught_errors, SOURCES)) == {"PositivityError", "SgnError"}

@@ -503,6 +503,11 @@ class TestCli:
         ("dispersion_b3.cfg", "scenario.wavenumber=1,inf", "error: wavenumbers"),
         ("gaussian_energy.cfg", "grid.length=inf", "error: grid spacing"),
         ("gaussian_energy.cfg", "grid.x_left=-inf", "error: grid origin"),
+        # a slope threshold <= 0 fires on a flat state; a negative depth threshold never fires
+        ("flat.cfg", "checks.ux_threshold=-1", "error: blow-up threshold ux must be positive"),
+        ("flat.cfg", "checks.hx_threshold=0", "error: blow-up threshold hx must be positive"),
+        ("flat.cfg", "checks.ux_threshold=-inf", "error: blow-up threshold ux must be positive"),
+        ("flat.cfg", "checks.depth_threshold=-3", "error: blow-up threshold depth must be >= 0"),
         # refused by the scenario or while building the initial state: ``check`` refuses what ``run`` refuses
         ("flat.cfg", "scenario.kind=cnoidal", "error: unknown scenario kind"),
         ("flat.cfg", "scenario.kind=custom", "error: custom scenarios need a file"),
@@ -781,6 +786,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("rel err") == 3  # one phase-speed line per seeded mode
         assert "[PASS] dispersion" in out
+        assert "[PASS] energy: energy_conservation: value=" in out  # the config's energy check is on
 
     def test_shipped_blowup_config(self, tmp_path, capsys):
 

@@ -2,7 +2,7 @@
 ``runpy.run_path`` under a name other than ``__main__``, so its imports resolve
 and no study runs.  Each also answers ``--help`` when started from another
 directory, so it finds ``src`` (and ``configs``) from its own location.  A study
-reports a failed member or an unmeasured mode as the CLI does, instead of crashing:
+reports a failed member, an aborted run or an unmeasured mode as the CLI does, instead of crashing:
 its ``main`` runs with the heavy call patched to return such a result."""
 
 import os
@@ -72,6 +72,22 @@ def test_sweep_study_reports_an_aborted_member(monkeypatch, capsys):
     assert [line.split("box norm=")[1].split() for line in lines if "box norm=" in line] == [
         ["0.000", "[completed]"], ["n/a", "[aborted]"]]
     assert lines[-1] == "  |(0.2) - (0.1)|:  incomparable (aborted run)"
+
+
+def test_blowup_study_reports_an_abort(monkeypatch, capsys):
+    # a run that stops without a trigger prints its reason and time, as the CLI's completed line does
+    main = study_main("blowup_vs_regularization.py", monkeypatch, ["--n", "64", "--t-end", "0.05"])
+    real_run = main.__globals__["run_scenario"]
+
+    def contaminated(cfg):
+        art = real_run(parse_config(str(ROOT / "configs" / "flat.cfg"), ["grid.n=64", "step.t_end=0.05"]))
+        art.history.abort_reason = "boundary-contamination"
+        return art
+
+    monkeypatch.setitem(main.__globals__, "run_scenario", contaminated)
+    main()
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  -> ")]
+    assert lines == ["  -> aborted: boundary-contamination at t=0.05"] * 2
 
 
 def test_dispersion_study_reports_an_unmeasured_mode(monkeypatch, capsys):
