@@ -46,30 +46,26 @@ def _out_dir(args, name: str) -> str:
 def _print_verdicts(art: RunArtifact) -> bool:
     hist = art.history
     for name, verdict in sorted(art.verdicts.items()):
-        if verdict == "skipped":
-            print(f"[SKIP] {name}: initial energy {hist.e0:.6g} >= threshold {art.config.params.e_max:.6g}")
-            continue
-        tag = "PASS" if verdict else "FAIL"
-        detail = ""
         rep = art.reports.get(name)
-        if name == "energy" and rep is not None:
+        tag = {True: "PASS", False: "FAIL", "skipped": "SKIP"}[verdict]
+        if name == "completed":
+            detail = f"aborted: {hist.abort_reason} at t={hist.abort_time:.6g}"
+        elif name == "energy":
             detail = ", ".join(f"{k}: value={c.value:.3e} tol={c.tol:.3e}" for k, c in rep.verdicts.items())
-        elif name == "bounds" and rep is not None:
-            detail = ", ".join(f"{k}: margin={v:.3e}" for k, v in rep.margins.items())
-        elif name == "oleinik" and rep is not None:
+        elif name == "bounds":
+            detail = (f"initial energy {rep.e0:.6g} >= threshold {rep.e_max:.6g}" if verdict == "skipped"
+                      else ", ".join(f"{k}: margin={v:.3e}" for k, v in rep.margins.items()))
+        elif name == "oleinik":
             detail = f"fitted_C={rep.fitted_C:.6g}, violations={rep.violations}"
-        elif name == "dispersion" and rep is not None:
+        elif name == "dispersion":
             for row in rep.modes:
                 speed = "n/a" if row["measured"] is None else f"{row['measured']:.4f}"
                 rel = "n/a" if row["rel_err"] is None else f"{row['rel_err']:.2%}"
                 print(f"    k={row['k']:g}: measured c={speed}, predicted {row['predicted']:.4f}, "
                       f"rel err {rel} ({'ok' if row['pass'] else 'off'})")
             detail = f"{len(rep.modes)} modes within {rep.rtol:.0%}" if verdict else "mode mismatch"
-        elif name == "blowup" and rep is not None:
-            detail = (f"triggered at t={hist.trigger[0]:.6g} ({hist.trigger[1]})"
-                      if hist.trigger else "no trigger")
-        elif name == "completed":
-            detail = f"aborted: {hist.abort_reason} at t={hist.abort_time:.6g}"
+        else:  # blowup
+            detail = f"triggered at t={rep.trigger_time:.6g} ({rep.trigger_code})" if rep.triggered else "no trigger"
         print(f"[{tag}] {name}: {detail}")
     print(f"run {hist.status} at t={hist.t_final:.6g} after {hist.n_steps} steps "
           f"(E0={hist.e0:.9g}, wall {art.wall_time:.2f}s)")

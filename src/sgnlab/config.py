@@ -32,9 +32,10 @@ Example::
 parsing and the echo all walk it.  A key left out (or left blank) takes the
 dataclass's own default; no default is restated here.  Four things are
 written by hand: ``[grid] length`` as the alternative to ``dx``; the check
-switches, which become ``ScenarioConfig.checks``; blow-up thresholds, which
-exist when the blow-up check is on or any threshold is given; and the
-comparison box, which needs all four ``box_*`` keys or none.
+switches, which become ``ScenarioConfig.checks``; blow-up thresholds, built
+from the threshold keys given (``ScenarioConfig`` decides whether the
+monitor runs); and the comparison box, which needs all four ``box_*`` keys
+or none.
 
 Unknown sections or keys are rejected, and so are non-integer values of
 integer keys (configuration typos must not silently change a run).
@@ -121,7 +122,6 @@ _SCHEMA = {
         "cfl": ("step", "cfl", _float),
         "dt_max": ("step", "dt_max", _float),
         "t_end": ("step", "t_end", _float),
-        "output_every": ("step", "output_every", _int),
         "farfield_rtol": ("step", "farfield_rtol", _float),
         "output_dt": ("step", "output_dt", _float),
         "dt_fixed": ("step", "dt_fixed", _float),
@@ -140,7 +140,6 @@ _SCHEMA = {
         "box_t2": ("box", "t2", _float),
         "box_a": ("box", "a", _float),
         "box_b": ("box", "b", _float),
-        "tie_mollifier": ("", "sweep_mollifier_tied", _bool),
     },
 }
 
@@ -191,7 +190,7 @@ def parse_config_text(text: str, overrides: list[str] | None = None) -> Scenario
     # a switch left out keeps its state in ScenarioConfig's default checks
     switches = given["checks"]
     checks = tuple(name for name in CHECKS if switches.get(name, name in ScenarioConfig.checks))
-    blowup = BlowupThresholds(**given["blowup"]) if "blowup" in checks or given["blowup"] else None
+    blowup = BlowupThresholds(**given["blowup"]) if given["blowup"] else None
     box = None
     if given["box"]:
         if len(given["box"]) != len(Box._fields):
@@ -236,7 +235,7 @@ def config_echo(cfg: ScenarioConfig) -> str:
     """Canonical INI text with every effective value materialized."""
     cp = configparser.ConfigParser(interpolation=None)
     for section, table in _SCHEMA.items():
-        if section == "sweep" and cfg.box is None and cfg.sweep_mollifier_tied:
+        if section == "sweep" and cfg.box is None:
             continue  # the default sweep: nothing to state
         values = {key: _effective(cfg, part, name) for key, (part, name, _) in table.items()}
         cp[section] = {key: _format(v) for key, v in values.items() if v is not None}

@@ -19,7 +19,9 @@ All reports are read-only over a stored history and read the run's
 parameters from it (``history.params``), so a report cannot judge a run by
 another run's parameters.  Each is a flat record whose fields are its
 ``summary.json`` keys, in order: :mod:`sgnlab.io` writes every report's
-fields with one serializer, so renaming a field renames its key.
+fields with one serializer, so renaming a field renames its key.  The report
+of each check a run makes decides that check's verdict, its ``verdict``
+property: ``True``, ``False`` or ``"skipped"`` (bounds that do not apply).
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class EnergyReport:
     verdicts: dict[str, Check]
 
     @property
-    def passed(self) -> bool:
+    def verdict(self) -> bool:
         return all(c.passed for c in self.verdicts.values())
 
 
@@ -132,8 +134,8 @@ class BoundsReport:
     verdicts: dict[str, Check] = field(default_factory=dict)
 
     @property
-    def passed(self) -> bool:
-        return self.status != "skipped" and all(c.passed for c in self.verdicts.values())
+    def verdict(self) -> bool | str:
+        return "skipped" if self.status == "skipped" else all(c.passed for c in self.verdicts.values())
 
 
 @dataclass
@@ -144,15 +146,25 @@ class OleinikReport:
     violations: int
     user_C: float | None = None
 
+    @property
+    def verdict(self) -> bool:
+        return math.isfinite(self.fitted_C) and self.violations == 0
+
 
 @dataclass
 class BlowupReport:
+    expected: bool
     triggered: bool
     trigger_time: float | None
     trigger_code: str | None
     final_min_ux: float
     final_max_abs_hx: float
     final_min_h: float
+
+    @property
+    def verdict(self) -> bool:
+        """An expected blow-up passes when it triggers, any other run when it does not."""
+        return self.triggered == self.expected
 
 
 @dataclass
@@ -167,7 +179,7 @@ class DispersionReport:
     modes: list[dict]
 
     @property
-    def passed(self) -> bool:
+    def verdict(self) -> bool:
         return bool(self.modes) and all(row["pass"] for row in self.modes)
 
 
@@ -249,10 +261,10 @@ def oleinik_report(history: SimHistory, user_c: float | None = None) -> OleinikR
     return OleinikReport(fitted_C=fitted, normalization_h=h_norm, violations=violations, user_C=user_c)
 
 
-def blowup_report(history: SimHistory) -> BlowupReport:
+def blowup_report(history: SimHistory, expected: bool = False) -> BlowupReport:
     t, code = history.trigger or (None, None)
     ser = history.series
-    return BlowupReport(triggered=history.trigger is not None, trigger_time=t, trigger_code=code,
+    return BlowupReport(expected=expected, triggered=history.trigger is not None, trigger_time=t, trigger_code=code,
                         final_min_ux=float(ser["min_ux"][-1]), final_max_abs_hx=float(ser["max_abs_hx"][-1]),
                         final_min_h=float(ser["min_h"][-1]))
 

@@ -61,14 +61,13 @@ class StepControl:
 
     ``output_dt`` snapshots at fixed wall times (the step is clipped to land
     on them exactly, which keeps snapshot times aligned across runs of a
-    sweep); ``output_every`` snapshots every k-th accepted step instead.
+    sweep); without it only the initial and final states are kept.
     ``dt_fixed`` disables the CFL controller (used by convergence studies).
     """
 
     cfl: float = 0.5
     dt_max: float = 0.1
     t_end: float = 1.0
-    output_every: int = 0
     output_dt: float | None = None
     dt_fixed: float | None = None
     farfield_rtol: float = 1e-6
@@ -80,8 +79,6 @@ class StepControl:
             raise ContractViolationError("dt_max must be positive")
         if not 0.0 <= self.t_end < np.inf:
             raise ContractViolationError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if not isinstance(self.output_every, (int, np.integer)) or self.output_every < 0:
-            raise ContractViolationError(f"output_every must be an integer >= 0, got {self.output_every!r}")
         for name in ("output_dt", "dt_fixed", "farfield_rtol"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
@@ -286,7 +283,6 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     floor = 0.0 if blowup is None else depth_floor(blowup, series["energy"][0], p)
     snapshot(s)
     next_out = c.output_dt
-    steps_since_out = 0
     while s.t < c.t_end - 1e-12 * max(1.0, c.t_end):
         try:
             check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol)
@@ -306,13 +302,9 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
             hist.abort_reason = exc.reason
             break
         s = stepped
-        steps_since_out += 1
-        due = next_out is not None and s.t >= next_out - 1e-12
-        if due:
+        if next_out is not None and s.t >= next_out - 1e-12:
             next_out += c.output_dt
-        if due or 0 < c.output_every <= steps_since_out:
             snapshot(s)
-            steps_since_out = 0
     if hist.snapshots[-1].t != s.t:
         snapshot(s)
     hist.series = {k: np.asarray(v) for k, v in series.items()}

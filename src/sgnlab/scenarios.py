@@ -15,8 +15,8 @@ Initial data families:
 
 When ``mollifier_epsilon > 0`` the perturbation (h - hbar, u) is convolved
 with a normalized Gaussian of that standard deviation, mirroring the mollified
-initial data of the regularized construction; the epsilon sweep ties the
-mollifier width to the regularization epsilon unless decoupled explicitly.
+initial data of the regularized construction; each member of an epsilon
+sweep is mollified at its own epsilon.
 
 Amplitudes can be tuned to a target measured initial energy (bisection on the
 discrete energy), which is how runs are placed exactly at a prescribed
@@ -70,7 +70,9 @@ SWEEP_LABEL = "eps_{:g}"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run.  ``checks`` lists every check the run makes:
+    ``expect_blowup`` adds ``blowup``, whose monitor takes ``blowup`` or the default
+    thresholds; thresholds without that check are refused."""
 
     params: Params
     grid: Grid
@@ -91,7 +93,6 @@ class ScenarioConfig:
     oleinik_C: float | None = None
     blowup: BlowupThresholds | None = None
     box: Box | None = None
-    sweep_mollifier_tied: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -116,6 +117,12 @@ class ScenarioConfig:
         unknown = sorted(set(self.checks) - set(CHECKS))
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
+        if self.expect_blowup and "blowup" not in self.checks:  # an expected blow-up is monitored
+            object.__setattr__(self, "checks", tuple(c for c in CHECKS if c in self.checks or c == "blowup"))
+        if "blowup" not in self.checks and self.blowup is not None:
+            raise ConfigError("blow-up thresholds are given but [checks] blowup is off: nothing would monitor them")
+        if "blowup" in self.checks and self.blowup is None:
+            object.__setattr__(self, "blowup", BlowupThresholds())
         if "dispersion" in self.checks and self.kind != "sine":
             raise ConfigError("the dispersion check needs a sine scenario")
         for k in self.wavenumbers if self.kind == "sine" else ():
@@ -219,6 +226,8 @@ def build_initial(cfg: ScenarioConfig) -> FlowState:
         return total_energy(assemble(sign * a), p, g) - cfg.target_energy
 
     lo, hi = 1e-8 * seed, seed
+    if mismatch(lo) > 0.0:
+        raise ConfigError(f"target energy {cfg.target_energy:g} unreachable: amplitude {lo:g} already gives more")
     while mismatch(hi) < 0.0:
         hi *= 2.0
         if hi > 1e6 * seed:
@@ -228,31 +237,21 @@ def build_initial(cfg: ScenarioConfig) -> FlowState:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
-    """Build, simulate, and evaluate every enabled check."""
+    """Build, simulate, and evaluate every check in ``cfg.checks``; each report gives its own verdict."""
     t0 = _time.perf_counter()
-    s0 = build_initial(cfg)
-    p, g = cfg.params, cfg.grid
-    thresholds = None  # set iff the blow-up monitor runs
-    if "blowup" in cfg.checks or cfg.expect_blowup:
-        thresholds = cfg.blowup if cfg.blowup is not None else BlowupThresholds()
-    hist = simulate(s0, p, g, cfg.step, blowup=thresholds)
+    hist = simulate(build_initial(cfg), cfg.params, cfg.grid, cfg.step, blowup=cfg.blowup)
     art = RunArtifact(config=cfg, history=hist)
-    if "energy" in cfg.checks:
-        art.reports["energy"] = rep = energy_budget(hist, conserve_rtol=cfg.energy_rtol)
-        art.verdicts["energy"] = rep.passed
-    if "bounds" in cfg.checks:
-        art.reports["bounds"] = rep = bounds_check(hist)
-        art.verdicts["bounds"] = "skipped" if rep.status == "skipped" else rep.passed
-    if "oleinik" in cfg.checks:
-        art.reports["oleinik"] = rep = oleinik_report(hist, user_c=cfg.oleinik_C)
-        art.verdicts["oleinik"] = math.isfinite(rep.fitted_C) and rep.violations == 0
-    if "dispersion" in cfg.checks:
-        art.reports["dispersion"] = rep = dispersion_report(hist, cfg.wavenumbers, rtol=cfg.dispersion_rtol)
-        art.verdicts["dispersion"] = rep.passed
-    if thresholds is not None:
-        art.reports["blowup"] = blowup_report(hist)
-        # an expected blow-up passes when it triggers, any other run when it does not
-        art.verdicts["blowup"] = (hist.trigger is not None) == cfg.expect_blowup
+    reports = {  # in the order the verdicts are recorded
+        "energy": lambda: energy_budget(hist, conserve_rtol=cfg.energy_rtol),
+        "bounds": lambda: bounds_check(hist),
+        "oleinik": lambda: oleinik_report(hist, user_c=cfg.oleinik_C),
+        "dispersion": lambda: dispersion_report(hist, cfg.wavenumbers, rtol=cfg.dispersion_rtol),
+        "blowup": lambda: blowup_report(hist, expected=cfg.expect_blowup),
+    }
+    for name, report in reports.items():
+        if name in cfg.checks:
+            art.reports[name] = rep = report()
+            art.verdicts[name] = rep.verdict
     if hist.status == "aborted" and not (cfg.expect_blowup and hist.trigger is not None):
         art.verdicts["completed"] = False  # every abort but the expected blow-up
     art.wall_time = _time.perf_counter() - t0
@@ -325,13 +324,13 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
         raise ConfigError(f"[sweep] {why}")
     step = cfg.step
     if step.output_dt is None:
-        step = replace(step, output_dt=max((box.t2 - box.t1) / (BOX_TIME_SAMPLES - 1), 1e-6), output_every=0)
+        step = replace(step, output_dt=max((box.t2 - box.t1) / (BOX_TIME_SAMPLES - 1), 1e-6))
     artifacts = []
     for eps in epsilons:
         run_cfg = replace(
             cfg,
             params=replace(cfg.params, epsilon=eps),
-            mollifier_epsilon=eps if cfg.sweep_mollifier_tied else cfg.mollifier_epsilon,
+            mollifier_epsilon=eps,
             step=step,
             box=box,
         )

@@ -129,7 +129,7 @@ def test_criterion_3_a_priori_bounds():
           and abs(hist.e0 - 0.0981) < 1e-9
           and min_h >= 0.9 - 1e-4
           and max_u <= 0.45802 + 1e-4
-          and rep.status == "checked" and rep.passed)
+          and rep.status == "checked" and rep.verdict is True)
     report(3, "a-priori bounds at E0 = 0.0981", ok,
            f"min h = {min_h:.6f} >= {0.9 - 1e-4}, max|u| = {max_u:.6f} <= {0.45802 + 1e-4}")
 

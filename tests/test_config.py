@@ -42,6 +42,7 @@ def scenario_configs(draw):
     switches = draw(st.sets(st.sampled_from(CHECKS)))
     if kind != "sine":
         switches.discard("dispersion")
+    expect_blowup = draw(st.booleans())
     thresholds = st.builds(BlowupThresholds, _POSITIVE, _POSITIVE, st.none() | _POSITIVE)
     params = Params(g=draw(_POSITIVE), gamma=draw(_POSITIVE), hbar=draw(_POSITIVE),
                     epsilon=draw(st.floats(0.0, 1.0)))
@@ -52,7 +53,7 @@ def scenario_configs(draw):
         params=params,
         grid=grid,
         step=StepControl(cfl=draw(st.floats(1e-3, 1.0)), dt_max=draw(_POSITIVE),
-                         t_end=draw(st.floats(0.0, 1e3)), output_every=draw(st.integers(0, 100)),
+                         t_end=draw(st.floats(0.0, 1e3)),
                          output_dt=draw(st.none() | _POSITIVE), dt_fixed=draw(st.none() | _POSITIVE),
                          farfield_rtol=draw(_POSITIVE)),
         kind=kind,
@@ -64,15 +65,14 @@ def scenario_configs(draw):
         mollifier_epsilon=draw(st.floats(0.0, 10.0)),
         target_energy=draw(st.none() | _POSITIVE),
         file=draw(_FILE if kind == "custom" else st.none() | _FILE),
-        expect_blowup=draw(st.booleans()),
+        expect_blowup=expect_blowup,
         checks=tuple(name for name in CHECKS if name in switches),  # the order parsing yields
         energy_rtol=draw(_POSITIVE),
         dispersion_rtol=draw(_POSITIVE),
         oleinik_C=draw(st.none() | st.floats(0.0, allow_infinity=False)),
-        # parsing builds thresholds whenever the blow-up check is on
-        blowup=draw(thresholds if "blowup" in switches else st.none() | thresholds),
+        # thresholds only where the blow-up monitor runs; None there takes the defaults
+        blowup=draw(st.none() | thresholds) if "blowup" in switches or expect_blowup else None,
         box=draw(_boxes(grid)),
-        sweep_mollifier_tied=draw(st.booleans()),
     )
 
 
@@ -86,9 +86,9 @@ def _cfg(**kw):
 class TestEchoRoundTrip:
     @given(cfg=scenario_configs())
     @example(cfg=_cfg())
-    @example(cfg=_cfg(sweep_mollifier_tied=False))
-    @example(cfg=_cfg(sweep_mollifier_tied=False, box=Box(0.1, 0.5, -4.0, 6.0)))
-    @example(cfg=_cfg(blowup=BlowupThresholds(55.0, 4.8)))
+    @example(cfg=_cfg(box=Box(0.1, 0.5, -4.0, 6.0)))
+    @example(cfg=_cfg(expect_blowup=True))
+    @example(cfg=_cfg(expect_blowup=True, blowup=BlowupThresholds(55.0, 4.8)))
     @example(cfg=_cfg(checks=("blowup",), blowup=BlowupThresholds(55.0, 4.8, 0.3)))
     @example(cfg=_cfg(kind="custom", file="run%1.csv"))
     def test_echo_reproduces_config(self, cfg):
@@ -106,15 +106,16 @@ class TestNothingSilentlyDropped:
     SWEEP = CONFIGS[0].parent / "steep_sweep.cfg"
     BLOWUP = CONFIGS[0].parent / "steep_eps0.cfg"
 
-    def test_untied_mollifier_without_box_echoed(self):
-        text = self.SWEEP.read_text().split("[sweep]")[0] + "[sweep]\ntie_mollifier = false\n"
+    def test_empty_sweep_section_not_echoed(self):
+        text = self.SWEEP.read_text().split("[sweep]")[0] + "[sweep]\n"
         cfg = parse_config_text(text)
-        assert cfg.box is None and cfg.sweep_mollifier_tied is False
+        assert cfg.box is None and "[sweep]" not in config_echo(cfg)
         assert parse_config_text(config_echo(cfg)) == cfg
 
     def test_thresholds_kept_without_blowup_check(self, monkeypatch):
+        # an expected blow-up switches the monitor on whatever [checks] blowup says
         cfg = parse_config(str(self.BLOWUP), ["checks.blowup=false"])
-        assert "blowup" not in cfg.checks and cfg.expect_blowup
+        assert "blowup" in cfg.checks and cfg.expect_blowup
         assert cfg.blowup == BlowupThresholds(ux=55.0, hx=4.8)
         # the run monitors with the configured thresholds, not the defaults
         seen = []
@@ -128,6 +129,14 @@ class TestNothingSilentlyDropped:
             scenarios.run_scenario(cfg)
         assert seen == [BlowupThresholds(ux=55.0, hx=4.8)]
 
+    def test_expected_blowup_echoes_its_monitor(self):
+        # the echo states the check and the thresholds the run monitors with
+        cfg = parse_config(str(CONFIGS[0].parent / "flat.cfg"), ["scenario.expect_blowup=true"])
+        assert "blowup" in cfg.checks and cfg.blowup == BlowupThresholds()
+        echo = config_echo(cfg)
+        assert "blowup = true\n" in echo
+        assert "ux_threshold = 1000\n" in echo and "hx_threshold = 1000\n" in echo
+
     @pytest.mark.parametrize("drop", [("box_b",), ("box_t2", "box_a", "box_b")])
     def test_partial_box_rejected(self, drop):
         text = self.SWEEP.read_text()
@@ -135,15 +144,14 @@ class TestNothingSilentlyDropped:
         with pytest.raises(ConfigError, match="box"):
             parse_config_text(text)
 
-    @pytest.mark.parametrize("override", ["grid.n=2048.9", "step.output_every=2.7"])
+    @pytest.mark.parametrize("override", ["grid.n=2048.9"])
     def test_non_integer_rejected(self, override):
         with pytest.raises(ConfigError, match="not an integer"):
             parse_config(str(self.SWEEP), [override])
 
     def test_integral_float_accepted(self):
-        cfg = parse_config(str(self.SWEEP), ["grid.n=1024.0", "step.output_every=3.0"])
+        cfg = parse_config(str(self.SWEEP), ["grid.n=1024.0"])
         assert cfg.grid.n == 1024 and type(cfg.grid.n) is int
-        assert cfg.step.output_every == 3 and type(cfg.step.output_every) is int
 
     def test_grid_without_n_exits_two(self, tmp_path, capsys):
         path = tmp_path / "no_n.cfg"

@@ -39,7 +39,7 @@ class TestEnergyBudget:
     def test_flat_run_all_pass(self):
         hist, p, g = flat_history()
         rep = energy_budget(hist)
-        assert rep.passed
+        assert rep.verdict is True
         assert rep.dissipation_integral == 0.0
         assert rep.budget_residual == 0.0
 
@@ -94,7 +94,7 @@ class TestBoundsCheck:
     def test_flat_run_margins_full_width(self):
         hist, p, g = flat_history()
         rep = bounds_check(hist)
-        assert rep.status == "checked" and rep.passed
+        assert rep.status == "checked" and rep.verdict is True
         assert rep.margins["h_lower"] == pytest.approx(p.hbar - rep.h_min, abs=1e-12)
 
     def test_gaussian_tuned_energy(self):
@@ -111,7 +111,7 @@ class TestBoundsCheck:
         hist = simulate(s0, p, g, cfg.step)
         assert hist.e0 == pytest.approx(0.0981, rel=1e-9)
         rep = bounds_check(hist)
-        assert rep.passed
+        assert rep.verdict is True
         assert np.min(hist.series["min_h"]) >= 0.9 - 1e-4
 
     def test_over_threshold_skipped(self):
@@ -123,7 +123,7 @@ class TestBoundsCheck:
         assert hist.e0 >= p.e_max
         rep = bounds_check(hist)
         assert rep.status == "skipped"
-        assert not rep.passed  # a skip is not a pass
+        assert rep.verdict == "skipped"  # a skip is not a pass
 
 
 class TestOleinik:

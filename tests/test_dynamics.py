@@ -218,7 +218,6 @@ class TestStepControl:
         ("output_dt", 0.0), ("output_dt", -1.0), ("output_dt", float("nan")), ("output_dt", float("inf")),
         ("dt_fixed", 0.0), ("dt_fixed", -1.0), ("dt_fixed", float("nan")),
         ("farfield_rtol", -1.0), ("farfield_rtol", 0.0), ("farfield_rtol", float("inf")),
-        ("output_every", -3), ("output_every", 2.5), ("output_every", 2.0),
         ("cfl", 0.0), ("cfl", 1.5), ("cfl", float("nan")), ("dt_max", 0.0), ("dt_max", float("nan")),
     ])
     def test_malformed_setting_rejected(self, field, value):
@@ -352,7 +351,7 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "check_blowup", late)
         g = Grid.from_length(128, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
-                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1),
+                        StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3),
                         blowup=BlowupThresholds())
         assert hist.status == "aborted"
         assert hist.abort_reason == "blowup:gradient-pair"
@@ -382,7 +381,7 @@ class TestSimulate:
         monkeypatch.setattr(elliptic, "dpttrs", perturbed)
         g = Grid.from_length(256, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
-                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+                        StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "solver-failure"
         t = hist.series["t"]
@@ -407,7 +406,7 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "rhs", poisoned)
         g = Grid.from_length(128, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
-                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+                        StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "nonfinite-fields"
         assert len(calls) == 21
@@ -435,7 +434,7 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "f_of_h", overflowing)
         g = Grid.from_length(128, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
-                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+                        StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "nonfinite-fields"
         assert len(calls) == 11
@@ -468,7 +467,7 @@ class TestSimulate:
 
         monkeypatch.setattr(regularization, "compute_A", poisoned)
         s, p, g = _active_line_state()
-        hist = simulate(s, p, g, StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+        hist = simulate(s, p, g, StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "nonfinite-fields"
         assert len(calls) == 9 and hist.n_steps == 2
@@ -492,7 +491,7 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "energy_density", overflowing)
         g = Grid.from_length(256, 40.0, -20.0, mode)
         hist = simulate(gaussian_state(g), params, g,
-                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+                        StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "nonfinite-fields"
         assert len(calls) == 4 and hist.n_steps == 2
@@ -514,7 +513,7 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "rhs", draining)
         g = Grid.from_length(256, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
-                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+                        StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "depth-collapse"
         _assert_abort_history_consistent(hist)
@@ -535,7 +534,7 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "rhs", forcing)
         g = Grid.from_length(256, 40.0, -20.0, "line")
         hist = simulate(gaussian_state(g), params, g,
-                        StepControl(cfl=0.3, dt_max=0.1, t_end=1.0, output_every=1))
+                        StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "boundary-contamination"
         _assert_abort_history_consistent(hist)
@@ -599,7 +598,7 @@ class TestAbortProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "rk4_step", failing_step)
             mp.setattr(dynamics, "check_blowup", failing_check)
-            hist = simulate(gaussian_state(g), p, g, StepControl(cfl=0.3, dt_max=0.1, t_end=5.0, output_every=1),
+            hist = simulate(gaussian_state(g), p, g, StepControl(t_end=5.0, dt_fixed=4e-3, output_dt=4e-3),
                             blowup=BlowupThresholds())
         assert hist.status == "aborted" and hist.abort_reason == code
         assert hist.n_steps == steps
@@ -842,7 +841,7 @@ class TestNoWritesIntoStates:
         assert (kinematics.gradients(s, p, g).cutoff is not None) == (case == "line-cutoff")
         rhs(s, p, g)
         rk4_step(s, 1e-3, p, g)
-        hist = simulate(s, p, g, StepControl(t_end=5e-3, dt_fixed=1e-3, output_every=2))
+        hist = simulate(s, p, g, StepControl(t_end=5e-3, dt_fixed=1e-3, output_dt=2e-3))
         assert hist.status == "completed" and hist.n_steps == 5
         assert all(not snap.h.flags.writeable and not snap.u.flags.writeable for snap in hist.snapshots)
 

@@ -255,7 +255,7 @@ class TestSummarySchema:
                    "budget_residual", "verdicts"],
         "bounds": ["status", "e0", "e_max", "h_min", "h_max", "u_max", "margins", "verdicts"],
         "oleinik": ["fitted_C", "normalization_h", "bound_form", "violations", "user_C"],
-        "blowup": ["triggered", "trigger_time", "trigger_code", "final_min_ux", "final_max_abs_hx",
+        "blowup": ["expected", "triggered", "trigger_time", "trigger_code", "final_min_ux", "final_max_abs_hx",
                    "final_min_h"],
         "dispersion": ["rtol", "modes"],
     }
@@ -508,6 +508,8 @@ class TestCli:
         ("flat.cfg", "checks.hx_threshold=0", "error: blow-up threshold hx must be positive"),
         ("flat.cfg", "checks.ux_threshold=-inf", "error: blow-up threshold ux must be positive"),
         ("flat.cfg", "checks.depth_threshold=-3", "error: blow-up threshold depth must be >= 0"),
+        # thresholds that no monitor reads
+        ("flat.cfg", "checks.ux_threshold=5", "error: blow-up thresholds are given but [checks] blowup is off"),
         # refused by the scenario or while building the initial state: ``check`` refuses what ``run`` refuses
         ("flat.cfg", "scenario.kind=cnoidal", "error: unknown scenario kind"),
         ("flat.cfg", "scenario.kind=custom", "error: custom scenarios need a file"),
@@ -520,6 +522,8 @@ class TestCli:
         ("steep_sweep.cfg", "scenario.amplitude=-1.5", "error: steep amplitude drives the depth non-positive"),
         ("flat.cfg", "scenario.target_energy=0.1", "error: cannot tune a flat scenario"),
         ("gaussian_energy.cfg", "scenario.target_energy=1e300", "error: target energy unreachable"),
+        ("gaussian_energy.cfg", "scenario.target_energy=1e-30",
+         "error: target energy 1e-30 unreachable: amplitude 5e-10 already gives more"),
     ])
     def test_nonfinite_shape_or_grid_exit_two(self, tmp_path, capsys, config, override, message):
         path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
@@ -812,6 +816,17 @@ class TestCli:
         with open(tmp_path / "o" / "summary.json") as fh:
             summary = json.load(fh)
         assert summary["verdicts"] == {"blowup": False, "completed": False}
+
+    @pytest.mark.parametrize("name", ["flat", "gaussian_energy", "bounds_tuned", "dispersion_b3", "steep_sweep"])
+    def test_shipped_config_passes_and_prints_its_verdicts(self, tmp_path, capsys, name):
+        # the two n = 4400 steep configs are run by the criterion-7 fixture of the acceptance suite
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        tags = {"[PASS]": True, "[FAIL]": False, "[SKIP]": "skipped"}
+        printed = {line.split()[1].rstrip(":"): tags[line[:6]]
+                   for line in capsys.readouterr().out.splitlines() if line[:6] in tags}
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert printed == summary["verdicts"] and printed
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGNLAB_OUT", str(tmp_path / "envout"))
