@@ -133,7 +133,6 @@ _SCHEMA = {
         "oleinik_c": ("", "oleinik_C", _float),
         "ux_threshold": ("blowup", "ux", _float),
         "hx_threshold": ("blowup", "hx", _float),
-        "depth_threshold": ("blowup", "depth", _float),
     },
     "sweep": {
         "box_t1": ("box", "t1", _float),

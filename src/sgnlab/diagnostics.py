@@ -349,7 +349,8 @@ def measure_phase_speed(history: SimHistory, k: float) -> PhaseSpeed:
 
     The run must be periodic and seeded with (mostly) a single resonant mode;
     the phase of the k-th discrete Fourier coefficient of ``h - hbar`` is
-    unwrapped across snapshots and fitted linearly in time.
+    unwrapped across snapshots and fitted linearly in time: ``undefined`` unless
+    3 or more snapshots sample it below half its period (``dt * omega < pi``).
     """
     g = history.grid
     p = history.params
@@ -358,11 +359,13 @@ def measure_phase_speed(history: SimHistory, k: float) -> PhaseSpeed:
     m = g.mode_index(k)
     if m is None:
         raise ContractViolationError(f"wavenumber {k} does not fit the periodic domain")
+    t = np.array([s.t for s in history.snapshots])
+    if t.shape[0] < 3 or np.max(np.diff(t)) * dispersion_omega(k, p) >= math.pi:
+        return PhaseSpeed(speed=None, status="undefined")
     coeffs = np.array([np.fft.rfft(s.h - p.hbar)[m] for s in history.snapshots])
     amps = np.abs(coeffs)
     if np.max(amps) < 1e-12 * g.n * p.hbar:
         return PhaseSpeed(speed=None, status="undefined")
-    t = np.array([s.t for s in history.snapshots])
     phase = np.unwrap(np.angle(coeffs))
     slope = np.polyfit(t, phase, 1)[0]
     speed = -slope / k

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import regularization as reg
 from .elliptic import _assemble_L, solve_L_refined
-from .errors import ContractViolationError, DepthCollapseError, PositivityError, SgnError
+from .errors import ContractViolationError, DepthCollapseError, PositivityError, SgnError, check_ranges
 from .grid import Grid, _derivative, check_far_field, integrate
 from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h, gradients
 
@@ -63,6 +63,8 @@ class StepControl:
     on them exactly, which keeps snapshot times aligned across runs of a
     sweep); without it only the initial and final states are kept.
     ``dt_fixed`` disables the CFL controller (used by convergence studies).
+    ``cfl`` lies in (0, 1], ``t_end`` is nonnegative and the rest positive
+    (:func:`~sgnlab.errors.check_ranges`), all finite, ``dt_max`` included.
     """
 
     cfl: float = 0.5
@@ -75,14 +77,8 @@ class StepControl:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ContractViolationError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not self.dt_max > 0:
-            raise ContractViolationError("dt_max must be positive")
-        if not 0.0 <= self.t_end < np.inf:
-            raise ContractViolationError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        for name in ("output_dt", "dt_fixed", "farfield_rtol"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < np.inf:
-                raise ContractViolationError(f"{name} must be positive and finite, got {value}")
+        check_ranges(self, ContractViolationError, nonnegative=("t_end",),
+                     positive=("dt_max", "output_dt", "dt_fixed", "farfield_rtol"))
 
 
 @dataclass(frozen=True)
@@ -90,31 +86,26 @@ class BlowupThresholds:
     """Runtime blow-up detection: the paired criterion only.
 
     A trigger needs the slope threshold ``ux`` AND one of the companions
-    (depth below ``depth``, or ``|h_x|`` above ``hx``): a lone steep velocity
-    gradient never aborts a run.  Thresholds are configuration, not physics;
-    pick them so smooth reference runs never come close.
+    (``|h_x|`` above ``hx``, or the depth below :func:`depth_floor`): a lone
+    steep velocity gradient never aborts a run.  Thresholds are
+    configuration, not physics; pick them so smooth reference runs never
+    come close.  Both must be positive; ``inf`` is allowed and never fires.
     """
 
     ux: float = 1e3
     hx: float = 1e3
-    depth: float | None = None  # resolved by depth_floor
 
     def __post_init__(self):
-        # a NaN threshold compares False both ways and would switch off half of the pair;
-        # a slope threshold <= 0 fires on a flat state, a negative depth never fires
+        # NaN would switch off half of the pair (it compares False); <= 0 fires on a flat state
         for name in ("ux", "hx"):
             if not getattr(self, name) > 0.0:
                 raise ContractViolationError(f"blow-up threshold {name} must be positive, got {getattr(self, name)}")
-        if self.depth is not None and not self.depth >= 0.0:
-            raise ContractViolationError(f"blow-up threshold depth must be >= 0, got {self.depth}")
 
 
-def depth_floor(thr: BlowupThresholds, e0: float, p: Params) -> float:
-    """The depth companion's floor: ``thr.depth`` when given, else a tenth of the
-    a-priori ``h_min`` for the run's measured initial energy ``e0``, or
-    ``0.05 hbar`` when the bounds are vacuous."""
-    if thr.depth is not None:
-        return thr.depth
+def depth_floor(e0: float, p: Params) -> float:
+    """The depth companion's floor, its one source: a tenth of the a-priori
+    ``h_min`` for the run's measured initial energy ``e0``, or ``0.05 hbar``
+    when the bounds are vacuous."""
     bounds = a_priori_bounds(e0, p)
     return 0.05 * p.hbar if bounds is None else 0.1 * bounds.h_min
 
@@ -266,10 +257,11 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     becomes current only once its row is recorded.  A blow-up trigger or an
     error whose class defines a ``reason`` (:mod:`sgnlab.errors`) aborts the
     run, stored as that code at the last recorded state; others propagate.
-    Snapshots include the initial and final states.  Invalid inputs raise
-    before the first step: an initial state whose derived fields overflow
-    (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.  No cell is reset:
-    waves reaching a line grid's far field abort (``check_far_field``).
+    Both monitors (far field, blow-up pair) check every recorded state, the
+    first and last included, and snapshots include both.  Invalid inputs
+    raise before the first step: an initial state whose derived fields
+    overflow (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.  No cell is
+    reset: waves reaching a line grid's far field abort (``check_far_field``).
     """
     check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol)
     hist = SimHistory(grid=g, params=p, control=c)
@@ -280,16 +272,18 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
 
     s = FlowState(s0.h.copy(), s0.u.copy(), s0.t)
     max_ux, max_hx, min_h = _record(series, s, p, g)
-    floor = 0.0 if blowup is None else depth_floor(blowup, series["energy"][0], p)
+    floor = 0.0 if blowup is None else depth_floor(series["energy"][0], p)
     snapshot(s)
     next_out = c.output_dt
-    while s.t < c.t_end - 1e-12 * max(1.0, c.t_end):
+    while True:
         try:
             check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol)
             code = None if blowup is None else check_blowup(max_ux, max_hx, min_h, blowup, floor)
             if code is not None:
                 hist.abort_reason = f"blowup:{code}"
                 break
+            if s.t >= c.t_end - 1e-12 * max(1.0, c.t_end):
+                break  # tested after both monitors, so they check the final state too
             dt = c.dt_fixed if c.dt_fixed is not None else cfl_dt(s, p, g, c)
             dt = min(dt, c.t_end - s.t)
             if next_out is not None and s.t < next_out:

@@ -1,6 +1,9 @@
 """Exception hierarchy shared by all solver modules; ``reason`` is the abort code a run records.
 
-Vacuous a-priori bounds are no error: ``kinematics.a_priori_bounds`` returns ``None`` for them."""
+Vacuous a-priori bounds are no error: ``kinematics.a_priori_bounds`` returns ``None`` for them.
+:func:`check_ranges` is the one rule for the range of a numeric setting."""
+
+import math
 
 
 class SgnError(Exception):
@@ -42,3 +45,16 @@ class DepthCollapseError(SgnError):
 
 class ConfigError(SgnError):
     """A scenario configuration is contradictory or malformed."""
+
+
+def check_ranges(owner, error: type[SgnError], positive=(), nonnegative=(), finite=()) -> None:
+    """Raise ``error`` on the first named field of ``owner`` out of its range: ``positive`` is
+    ``0 < v < inf``, ``nonnegative`` ``0 <= v < inf``, ``finite`` every entry finite (NaN is in none);
+    ``None`` takes the default and passes.  It reads ``<field> must be positive and finite, got <v>``."""
+    for names, wording, holds in ((positive, "positive and finite", lambda v: 0.0 < v < math.inf),
+                                  (nonnegative, "nonnegative and finite", lambda v: 0.0 <= v < math.inf),
+                                  (finite, "finite", lambda v: -math.inf < v < math.inf)):
+        for name in names:
+            value = getattr(owner, name)
+            if value is not None and not all(map(holds, value if isinstance(value, tuple) else (value,))):
+                raise error(f"{name} must be {wording}, got {value}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryContaminationError, ContractViolationError, ModeError, NonFiniteError
+from .errors import BoundaryContaminationError, ContractViolationError, ModeError, NonFiniteError, check_ranges
 
 __all__ = [
     "Grid",
@@ -42,6 +42,8 @@ __all__ = [
 
 PERIODIC = "periodic"
 LINE = "line"
+#: cells per side that :func:`check_far_field` watches on a line grid
+FAR_FIELD_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,7 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 8:
             raise ContractViolationError(f"grid needs an integer n >= 8 cells, got {self.n!r}")
-        if not 0.0 < self.dx < np.inf:
-            raise ContractViolationError(f"grid spacing must be positive and finite, got {self.dx}")
-        if not np.isfinite(self.x_left):
-            raise ContractViolationError(f"grid origin x_left must be finite, got {self.x_left}")
+        check_ranges(self, ContractViolationError, positive=("dx",), finite=("x_left",))
         if self.mode not in (PERIODIC, LINE):
             raise ContractViolationError(f"unknown grid mode {self.mode!r}")
 
@@ -164,23 +163,22 @@ def cumulative_integral(f: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
-def check_far_field(h: np.ndarray, u: np.ndarray, g: Grid, hbar: float,
-                    rtol: float = 1e-6, ncells: int = 8) -> None:
+def check_far_field(h: np.ndarray, u: np.ndarray, g: Grid, hbar: float, rtol: float = 1e-6) -> None:
     """Abort if waves contaminate the boundary of a line-mode grid.
 
-    ``|h - hbar|`` and ``|u|`` at the ``ncells`` outermost cells on each side
-    must stay below ``rtol * hbar``; a violation means the truncation of the
-    real line is no longer a faithful model and the run must stop.
+    ``|h - hbar|`` and ``|u|`` at the :data:`FAR_FIELD_CELLS` outermost cells on
+    each side must stay below ``rtol * hbar``; a violation means the truncation
+    of the real line is no longer a faithful model and the run must stop.
     No-op on periodic grids.
     """
     if g.periodic:
         return
     tol = rtol * hbar
-    left, right = slice(0, ncells), slice(g.n - ncells, g.n)
+    left, right = slice(0, FAR_FIELD_CELLS), slice(g.n - FAR_FIELD_CELLS, g.n)
     dh = np.maximum(np.abs(h[left] - hbar).max(), np.abs(h[right] - hbar).max())
     du = np.maximum(np.abs(u[left]).max(), np.abs(u[right]).max())
     if dh > tol or du > tol:
         raise BoundaryContaminationError(
             f"far field contaminated: max|h-hbar|={dh:.3e}, max|u|={du:.3e} "
-            f"at the {ncells} outermost cells (tolerance {tol:.3e})"
+            f"at the {FAR_FIELD_CELLS} outermost cells (tolerance {tol:.3e})"
         )

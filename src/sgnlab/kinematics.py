@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, NonFiniteError, PositivityError
+from .errors import ContractViolationError, NonFiniteError, PositivityError, check_ranges
 from .grid import Grid, _derivative, integrate
 
 __all__ = [
@@ -87,11 +87,7 @@ class Params:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.g, self.gamma, self.hbar)):
-            raise ContractViolationError(f"g, gamma and hbar must all be positive and finite, got {self.g}, "
-                                         f"{self.gamma}, {self.hbar}")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ContractViolationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_ranges(self, ContractViolationError, positive=("g", "gamma", "hbar"), nonnegative=("epsilon",))
 
     @property
     def e_max(self) -> float:

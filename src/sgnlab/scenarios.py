@@ -46,7 +46,7 @@ from .diagnostics import (
     oleinik_report,
 )
 from .dynamics import BlowupThresholds, SimHistory, StepControl, simulate
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges
 from .grid import Grid
 from .kinematics import FlowState, Params, total_energy
 
@@ -103,17 +103,9 @@ class ScenarioConfig:
             raise ConfigError("steep scenarios require a line-mode grid")
         if self.kind == "custom" and not self.file:
             raise ConfigError("custom scenarios need a file")
-        for name in ("amplitude", "center", "wavenumbers"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("width", "plateau", "target_energy", "energy_rtol", "dispersion_rtol"):
-            value = getattr(self, name)  # None takes the default
-            if value is not None and not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name in ("mollifier_epsilon", "oleinik_C"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        check_ranges(self, ConfigError, finite=("amplitude", "center", "wavenumbers"),
+                     positive=("width", "plateau", "target_energy", "energy_rtol", "dispersion_rtol"),
+                     nonnegative=("mollifier_epsilon", "oleinik_C"))
         unknown = sorted(set(self.checks) - set(CHECKS))
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")

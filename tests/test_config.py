@@ -9,10 +9,10 @@ from hypothesis import example, given, strategies as st
 
 from sgnlab import Grid, Params, scenarios
 from sgnlab.cli import main
-from sgnlab.config import config_echo, parse_config, parse_config_text
+from sgnlab.config import _SCHEMA, config_echo, parse_config, parse_config_text
 from sgnlab.diagnostics import Box
 from sgnlab.dynamics import BlowupThresholds, StepControl
-from sgnlab.errors import ConfigError
+from sgnlab.errors import ConfigError, SgnError
 from sgnlab.scenarios import CHECKS, ScenarioConfig
 
 CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -43,7 +43,7 @@ def scenario_configs(draw):
     if kind != "sine":
         switches.discard("dispersion")
     expect_blowup = draw(st.booleans())
-    thresholds = st.builds(BlowupThresholds, _POSITIVE, _POSITIVE, st.none() | _POSITIVE)
+    thresholds = st.builds(BlowupThresholds, _POSITIVE, _POSITIVE)
     params = Params(g=draw(_POSITIVE), gamma=draw(_POSITIVE), hbar=draw(_POSITIVE),
                     epsilon=draw(st.floats(0.0, 1.0)))
     grid = Grid(n=draw(st.integers(8, 10**6)), dx=draw(_POSITIVE), x_left=draw(_REAL), mode=mode)
@@ -89,7 +89,7 @@ class TestEchoRoundTrip:
     @example(cfg=_cfg(box=Box(0.1, 0.5, -4.0, 6.0)))
     @example(cfg=_cfg(expect_blowup=True))
     @example(cfg=_cfg(expect_blowup=True, blowup=BlowupThresholds(55.0, 4.8)))
-    @example(cfg=_cfg(checks=("blowup",), blowup=BlowupThresholds(55.0, 4.8, 0.3)))
+    @example(cfg=_cfg(checks=("blowup",), blowup=BlowupThresholds(55.0, math.inf)))
     @example(cfg=_cfg(kind="custom", file="run%1.csv"))
     def test_echo_reproduces_config(self, cfg):
         assert parse_config_text(config_echo(cfg)) == cfg
@@ -210,3 +210,28 @@ class TestPercentInValues:
 def test_unknown_check_name_rejected():
     with pytest.raises(ConfigError, match="energie"):
         _cfg(checks=("energie",))
+
+
+class TestRangeRule:
+    """One rule, ``errors.check_ranges``, decides every numeric setting's range and words its refusal."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Grid(n=64, dx=math.inf), "dx must be positive and finite, got inf"),
+        (lambda: Grid(n=64, dx=0.1, x_left=math.nan), "x_left must be finite, got nan"),
+        (lambda: Params(gamma=0.0), "gamma must be positive and finite, got 0.0"),
+        (lambda: Params(epsilon=-1.0), "epsilon must be nonnegative and finite, got -1.0"),
+        (lambda: StepControl(dt_max=math.inf), "dt_max must be positive and finite, got inf"),
+        (lambda: StepControl(t_end=-1.0), "t_end must be nonnegative and finite, got -1.0"),
+        (lambda: _cfg(width=math.nan), "width must be positive and finite, got nan"),
+        (lambda: _cfg(oleinik_C=math.inf), "oleinik_C must be nonnegative and finite, got inf"),
+        (lambda: _cfg(wavenumbers=(1.0, -math.inf)), r"wavenumbers must be finite, got \(1.0, -inf\)"),
+    ])
+    def test_refusal_wording(self, build, message):
+        with pytest.raises(SgnError, match=f"^{message}$"):
+            build()
+
+
+def test_every_key_is_documented():
+    # the README's configuration paragraph names each key the format accepts
+    readme = (CONFIGS[0].parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [key for table in _SCHEMA.values() for key in table if f"`{key}`" not in readme] == []

@@ -190,16 +190,15 @@ class TestBlowupDiagnostics:
 
     def test_depth_floor_agrees_with_simulate(self):
         # min h = 0.042 lies between the a-priori floor (0.1 h_min = 0.002)
-        # and 0.05 hbar: only an explicit depth threshold above it triggers
+        # and 0.05 hbar: the monitor reads the a-priori floor, so nothing triggers
         p = Params()
         g = Grid.from_length(1024, 40.0, -20.0, "periodic")
         x = g.cells()
         s = FlowState(1.0 - 0.96 * np.exp(0.1 - np.sqrt(x**2 + 0.01)), 1e-3 * np.sin(2 * np.pi * x / 20.0))
         e0 = simulate(s, p, g, StepControl(t_end=0.0)).e0  # the energy the run measures
-        assert depth_floor(BlowupThresholds(), e0, p) < s.h.min() < 0.05 * p.hbar
-        assert depth_floor(BlowupThresholds(), p.e_max, p) == 0.05 * p.hbar  # vacuous bounds
-        for depth, expected in ((None, None), (0.05, "depth-pair")):
-            assert first_trigger(s, p, g, BlowupThresholds(ux=1e-6, hx=1e9, depth=depth)) == expected
+        assert depth_floor(e0, p) < s.h.min() < 0.05 * p.hbar
+        assert depth_floor(p.e_max, p) == 0.05 * p.hbar  # vacuous bounds
+        assert first_trigger(s, p, g, BlowupThresholds(ux=1e-6, hx=1e9)) is None
 
     def test_report_carries_series(self):
         hist, p, g = gaussian_history(t_end=0.3)
@@ -297,14 +296,14 @@ class TestDispersion:
 
 class TestPhaseSpeed:
     @staticmethod
-    def sine_history(k, gamma, amplitude=1e-4, t_end=3.0):
+    def sine_history(k, gamma, amplitude=1e-4, t_end=3.0, output_dt=0.1):
         p = Params(g=9.81, gamma=gamma, hbar=1.0)
         g = Grid.from_length(512, 4 * np.pi, 0.0, "periodic")
         x = g.cells()
         h = 1.0 + amplitude * np.sin(k * x)
         u = amplitude * math.sqrt(p.g / p.hbar) * np.sin(k * x)
         hist = simulate(FlowState(h, u, 0.0), p, g,
-                        StepControl(cfl=0.3, dt_max=0.02, t_end=t_end, output_dt=0.1))
+                        StepControl(cfl=0.3, dt_max=0.02, t_end=t_end, output_dt=output_dt))
         return hist, p
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -313,6 +312,22 @@ class TestPhaseSpeed:
         out = measure_phase_speed(hist, k)
         assert out.status == "ok"
         assert out.speed == pytest.approx(dispersion_omega(k, p) / k, rel=0.01)
+
+    @pytest.mark.parametrize("t_end, output_dt, status", [
+        (0.0, None, "undefined"),  # one snapshot
+        (0.1, None, "undefined"),  # two snapshots: no fit to check
+        (1.4, 0.7, "undefined"),  # dt * omega = 3.41 >= pi: the phase unwrap aliases
+        (3.0, 0.6, "ok"),  # dt * omega = 2.92 < pi
+    ])
+    def test_sparse_snapshots_undefined(self, t_end, output_dt, status):
+        k = 2.0
+        hist, p = self.sine_history(k, gamma=1.0, t_end=t_end, output_dt=output_dt)
+        out = measure_phase_speed(hist, k)
+        assert out.status == status
+        if status == "ok":
+            assert out.speed == pytest.approx(dispersion_omega(k, p) / k, rel=0.01)
+        else:
+            assert out.speed is None
 
     def test_flat_run_undefined(self):
         hist, p, g = flat_history()

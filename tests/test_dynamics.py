@@ -219,6 +219,7 @@ class TestStepControl:
         ("dt_fixed", 0.0), ("dt_fixed", -1.0), ("dt_fixed", float("nan")),
         ("farfield_rtol", -1.0), ("farfield_rtol", 0.0), ("farfield_rtol", float("inf")),
         ("cfl", 0.0), ("cfl", 1.5), ("cfl", float("nan")), ("dt_max", 0.0), ("dt_max", float("nan")),
+        ("dt_max", float("inf")),
     ])
     def test_malformed_setting_rejected(self, field, value):
         with pytest.raises(ContractViolationError, match=field):
@@ -238,7 +239,7 @@ class TestBlowupCheck:
         thr = BlowupThresholds(ux=10.0, hx=10.0)
         assert check_blowup(50.0, 1.0, 0.05, thr, depth_floor=0.1) == "depth-pair"
 
-    @pytest.mark.parametrize("field", ["ux", "hx", "depth"])
+    @pytest.mark.parametrize("field", ["ux", "hx"])
     def test_nan_threshold_rejected(self, field):
         # a NaN slope threshold would let a lone companion trigger the pair
         with pytest.raises(ContractViolationError, match=field):
@@ -357,6 +358,29 @@ class TestSimulate:
         assert hist.abort_reason == "blowup:gradient-pair"
         assert hist.n_steps == 5 and len(calls) == 6
         assert hist.trigger == (hist.abort_time, "gradient-pair")
+        _assert_abort_history_consistent(hist)
+
+    def test_final_state_blowup_aborts_at_t_end(self, params):
+        # a fluid at rest has u_x = 0; the pair fires on the state its one step ends in
+        g = Grid.from_length(256, 40.0, -20.0, "periodic")
+        hist = simulate(gaussian_state(g), params, g, StepControl(t_end=2e-3, dt_fixed=2e-3),
+                        blowup=BlowupThresholds(ux=1e-9, hx=1e-9))
+        assert hist.abort_reason == "blowup:gradient-pair"
+        assert hist.trigger == (2e-3, "gradient-pair") and hist.n_steps == 1
+        _assert_abort_history_consistent(hist)
+
+    def test_final_state_contamination_aborts(self, params, monkeypatch):
+        # fault injection: the run's one and last step leaves a disturbance in the far-field strip
+        real = dynamics.rk4_step
+
+        def contaminating(s, dt, p, g):
+            out = real(s, dt, p, g)
+            return FlowState(out.h, np.where(np.arange(g.n) == 3, 1e-3, out.u), out.t)
+
+        monkeypatch.setattr(dynamics, "rk4_step", contaminating)
+        g = Grid.from_length(256, 40.0, -20.0, "line")
+        hist = simulate(gaussian_state(g), params, g, StepControl(t_end=2e-3, dt_fixed=2e-3))
+        assert hist.abort_reason == "boundary-contamination" and hist.abort_time == 2e-3
         _assert_abort_history_consistent(hist)
 
     def test_smooth_run_never_triggers_default_thresholds(self, params):

@@ -501,13 +501,15 @@ class TestCli:
         ("steep_eps01.cfg", "scenario.amplitude=inf", "error: amplitude"),
         ("gaussian_energy.cfg", "scenario.center=inf", "error: center"),
         ("dispersion_b3.cfg", "scenario.wavenumber=1,inf", "error: wavenumbers"),
-        ("gaussian_energy.cfg", "grid.length=inf", "error: grid spacing"),
-        ("gaussian_energy.cfg", "grid.x_left=-inf", "error: grid origin"),
-        # a slope threshold <= 0 fires on a flat state; a negative depth threshold never fires
+        ("gaussian_energy.cfg", "grid.length=inf", "error: dx must be positive and finite, got inf"),
+        ("gaussian_energy.cfg", "grid.x_left=-inf", "error: x_left must be finite, got -inf"),
+        ("gaussian_energy.cfg", "step.dt_max=inf", "error: dt_max must be positive and finite, got inf"),
+        # a slope threshold <= 0 fires on a flat state
         ("flat.cfg", "checks.ux_threshold=-1", "error: blow-up threshold ux must be positive"),
         ("flat.cfg", "checks.hx_threshold=0", "error: blow-up threshold hx must be positive"),
         ("flat.cfg", "checks.ux_threshold=-inf", "error: blow-up threshold ux must be positive"),
-        ("flat.cfg", "checks.depth_threshold=-3", "error: blow-up threshold depth must be >= 0"),
+        # the depth floor has one source, dynamics.depth_floor: no key sets it
+        ("flat.cfg", "checks.depth_threshold=0.3", "error: unknown keys in [checks]: ['depth_threshold']"),
         # thresholds that no monitor reads
         ("flat.cfg", "checks.ux_threshold=5", "error: blow-up thresholds are given but [checks] blowup is off"),
         # refused by the scenario or while building the initial state: ``check`` refuses what ``run`` refuses
@@ -660,6 +662,20 @@ class TestCli:
                                                              "snap_0002.csv", "snap_notes.txt", "summary.json"]
         assert (out_dir / "snap_0002.csv").read_text().startswith("# t = 0.29999999999999999\n")
 
+    def test_single_snapshot_mode_is_unmeasured(self, tmp_path, capsys):
+        # one snapshot holds no phase drift: each mode prints n/a instead of a least-squares traceback
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
+        assert main(["run", "--config", str(cfg), "--override", "step.t_end=0", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().out.count("measured c=n/a, predicted 3.1321, rel err n/a (off)") == 3
+
+    def test_final_state_is_monitored(self, tmp_path, capsys):
+        # the one step's state is the run's last: the blow-up pair still checks it
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "gaussian_energy.cfg"
+        overrides = ["step.t_end=0.002", "checks.blowup=true", "checks.ux_threshold=1e-9", "checks.hx_threshold=1e-9"]
+        args = [arg for ov in overrides for arg in ("--override", ov)]
+        assert main(["run", "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 1
+        assert "[FAIL] blowup: triggered at t=0.002 (gradient-pair)" in capsys.readouterr().out
+
     def test_unmeasured_mode_is_null_in_summary(self, tmp_path, capsys):
         # with no wave there is no phase speed to measure, so no relative error either
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
@@ -776,22 +792,6 @@ class TestCli:
         assert "eps_" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_shipped_flat_config(self, tmp_path, capsys):
-
-        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        series = np.genfromtxt(tmp_path / "o" / "series.csv", delimiter=",", names=True)
-        assert np.all(series["energy"] == 0.0)
-
-    def test_shipped_dispersion_config(self, tmp_path, capsys):
-
-        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        out = capsys.readouterr().out
-        assert out.count("rel err") == 3  # one phase-speed line per seeded mode
-        assert "[PASS] dispersion" in out
-        assert "[PASS] energy: energy_conservation: value=" in out  # the config's energy check is on
-
     def test_shipped_blowup_config(self, tmp_path, capsys):
 
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_eps0.cfg"
@@ -823,10 +823,17 @@ class TestCli:
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         tags = {"[PASS]": True, "[FAIL]": False, "[SKIP]": "skipped"}
-        printed = {line.split()[1].rstrip(":"): tags[line[:6]]
-                   for line in capsys.readouterr().out.splitlines() if line[:6] in tags}
+        out = capsys.readouterr().out
+        printed = {line.split()[1].rstrip(":"): tags[line[:6]] for line in out.splitlines() if line[:6] in tags}
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert printed == summary["verdicts"] and printed
+        if name == "flat":
+            series = np.genfromtxt(tmp_path / "o" / "series.csv", delimiter=",", names=True)
+            assert np.all(series["energy"] == 0.0)
+        if name == "dispersion_b3":
+            assert out.count("rel err") == 3  # one phase-speed line per seeded mode
+            assert "[PASS] dispersion" in out
+            assert "[PASS] energy: energy_conservation: value=" in out  # the config's energy check is on
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGNLAB_OUT", str(tmp_path / "envout"))
