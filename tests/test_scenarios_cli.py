@@ -792,6 +792,22 @@ class TestCli:
         assert "eps_" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_shipped_flat_config(self, tmp_path, capsys):
+
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        series = np.genfromtxt(tmp_path / "o" / "series.csv", delimiter=",", names=True)
+        assert np.all(series["energy"] == 0.0)
+
+    def test_shipped_dispersion_config(self, tmp_path, capsys):
+
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("rel err") == 3  # one phase-speed line per seeded mode
+        assert "[PASS] dispersion" in out
+        assert "[PASS] energy: energy_conservation: value=" in out  # the config's energy check is on
+
     def test_shipped_blowup_config(self, tmp_path, capsys):
 
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_eps0.cfg"
@@ -823,17 +839,10 @@ class TestCli:
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         tags = {"[PASS]": True, "[FAIL]": False, "[SKIP]": "skipped"}
-        out = capsys.readouterr().out
-        printed = {line.split()[1].rstrip(":"): tags[line[:6]] for line in out.splitlines() if line[:6] in tags}
+        printed = {line.split()[1].rstrip(":"): tags[line[:6]]
+                   for line in capsys.readouterr().out.splitlines() if line[:6] in tags}
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert printed == summary["verdicts"] and printed
-        if name == "flat":
-            series = np.genfromtxt(tmp_path / "o" / "series.csv", delimiter=",", names=True)
-            assert np.all(series["energy"] == 0.0)
-        if name == "dispersion_b3":
-            assert out.count("rel err") == 3  # one phase-speed line per seeded mode
-            assert "[PASS] dispersion" in out
-            assert "[PASS] energy: energy_conservation: value=" in out  # the config's energy check is on
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGNLAB_OUT", str(tmp_path / "envout"))
