@@ -52,6 +52,7 @@ __all__ = [
     "lp_box_norm",
     "dispersion_omega",
     "measure_phase_speed",
+    "phase_sampling_refusal",
     "bond_number",
 ]
 
@@ -344,13 +345,25 @@ def dispersion_report(history: SimHistory, wavenumbers, rtol: float = 1e-2) -> D
     return DispersionReport(rtol=float(rtol), modes=modes)
 
 
+def phase_sampling_refusal(snapshots: int, max_gap: float, k: float, p: Params) -> str | None:
+    """Why ``snapshots`` states at most ``max_gap`` apart cannot give the k-mode's phase speed, or
+    ``None``; the one rule: 3 or more snapshots, sampling the phase below half its period
+    (``max_gap * omega(k) < pi``)."""
+    dt_omega = max_gap * dispersion_omega(k, p)
+    if snapshots < 3:
+        return f"the phase speed of wavenumber {k:g} needs at least 3 snapshots, the run keeps {snapshots}"
+    if not dt_omega < math.pi:
+        return f"snapshots {max_gap:g} apart alias wavenumber {k:g}: dt * omega = {dt_omega:.3g} >= pi"
+    return None
+
+
 def measure_phase_speed(history: SimHistory, k: float) -> PhaseSpeed:
     """Phase speed of the k-mode from the drift of its Fourier phase.
 
     The run must be periodic and seeded with (mostly) a single resonant mode;
     the phase of the k-th discrete Fourier coefficient of ``h - hbar`` is
-    unwrapped across snapshots and fitted linearly in time: ``undefined`` unless
-    3 or more snapshots sample it below half its period (``dt * omega < pi``).
+    unwrapped across snapshots and fitted linearly in time: ``undefined`` where
+    :func:`phase_sampling_refusal` refuses the snapshots.
     """
     g = history.grid
     p = history.params
@@ -360,7 +373,7 @@ def measure_phase_speed(history: SimHistory, k: float) -> PhaseSpeed:
     if m is None:
         raise ContractViolationError(f"wavenumber {k} does not fit the periodic domain")
     t = np.array([s.t for s in history.snapshots])
-    if t.shape[0] < 3 or np.max(np.diff(t)) * dispersion_omega(k, p) >= math.pi:
+    if phase_sampling_refusal(t.shape[0], float(np.max(np.diff(t), initial=0.0)), k, p) is not None:
         return PhaseSpeed(speed=None, status="undefined")
     coeffs = np.array([np.fft.rfft(s.h - p.hbar)[m] for s in history.snapshots])
     amps = np.abs(coeffs)

@@ -147,20 +147,19 @@ def cfl_dt(s: FlowState, p: Params, g: Grid, c: StepControl) -> float:
     return min(c.dt_max, c.cfl * g.dx / s_max)
 
 
+def _stage(s: FlowState, step: float, t: float, *k: RhsEval) -> FlowState:
+    """The one state formed from rates: ``s + step * k`` at time ``t``, ``k`` one stage's rate or RK4's blend."""
+    def blend(k1, k2=None, k3=None, k4=None):  # the blend's sums in this order: ((k1 + 2 k2) + 2 k3) + k4
+        return k1 if k2 is None else k1 + 2.0 * k2 + 2.0 * k3 + k4
+    return FlowState(s.h + step * blend(*(r.dh_dt for r in k)), s.u + step * blend(*(r.du_dt for r in k)), t)
+
+
 def _rk4_raw(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
     k1 = rhs(s, p, g)
-    s2 = FlowState(s.h + 0.5 * dt * k1.dh_dt, s.u + 0.5 * dt * k1.du_dt, s.t + 0.5 * dt)
-    k2 = rhs(s2, p, g)
-    s3 = FlowState(s.h + 0.5 * dt * k2.dh_dt, s.u + 0.5 * dt * k2.du_dt, s.t + 0.5 * dt)
-    k3 = rhs(s3, p, g)
-    s4 = FlowState(s.h + dt * k3.dh_dt, s.u + dt * k3.du_dt, s.t + dt)
-    k4 = rhs(s4, p, g)
-    sixth = dt / 6.0
-    return FlowState(
-        s.h + sixth * (k1.dh_dt + 2.0 * k2.dh_dt + 2.0 * k3.dh_dt + k4.dh_dt),
-        s.u + sixth * (k1.du_dt + 2.0 * k2.du_dt + 2.0 * k3.du_dt + k4.du_dt),
-        s.t + dt,
-    )
+    k2 = rhs(_stage(s, 0.5 * dt, s.t + 0.5 * dt, k1), p, g)
+    k3 = rhs(_stage(s, 0.5 * dt, s.t + 0.5 * dt, k2), p, g)
+    k4 = rhs(_stage(s, dt, s.t + dt, k3), p, g)
+    return _stage(s, dt / 6.0, s.t + dt, k1, k2, k3, k4)
 
 
 def rk4_step(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
@@ -257,8 +256,8 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     becomes current only once its row is recorded.  A blow-up trigger or an
     error whose class defines a ``reason`` (:mod:`sgnlab.errors`) aborts the
     run, stored as that code at the last recorded state; others propagate.
-    Both monitors (far field, blow-up pair) check every recorded state, the
-    first and last included, and snapshots include both.  Invalid inputs
+    Both monitors (far field, blow-up pair) check every recorded state once,
+    the first and last included, and snapshots include both.  Invalid inputs
     raise before the first step: an initial state whose derived fields
     overflow (say ``u_x ~ 1e160``) is a :class:`NonFiniteError`.  No cell is
     reset: waves reaching a line grid's far field abort (``check_far_field``).
@@ -276,26 +275,26 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     snapshot(s)
     next_out = c.output_dt
     while True:
+        code = None if blowup is None else check_blowup(max_ux, max_hx, min_h, blowup, floor)
+        if code is not None:
+            hist.abort_reason = f"blowup:{code}"
+            break
+        if s.t >= c.t_end - 1e-12 * max(1.0, c.t_end):
+            break  # tested after both monitors, so they check the final state too
         try:
-            check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol)
-            code = None if blowup is None else check_blowup(max_ux, max_hx, min_h, blowup, floor)
-            if code is not None:
-                hist.abort_reason = f"blowup:{code}"
-                break
-            if s.t >= c.t_end - 1e-12 * max(1.0, c.t_end):
-                break  # tested after both monitors, so they check the final state too
             dt = c.dt_fixed if c.dt_fixed is not None else cfl_dt(s, p, g, c)
             dt = min(dt, c.t_end - s.t)
             if next_out is not None and s.t < next_out:
                 dt = min(dt, next_out - s.t)
             stepped = rk4_step(s, dt, p, g)
             max_ux, max_hx, min_h = _record(series, stepped, p, g)
+            s = stepped  # recorded, so current: the far field checks it once, as the first state above
+            check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol)
         except SgnError as exc:
             if exc.reason is None:
                 raise
             hist.abort_reason = exc.reason
             break
-        s = stepped
         if next_out is not None and s.t >= next_out - 1e-12:
             next_out += c.output_dt
             snapshot(s)

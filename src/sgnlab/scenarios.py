@@ -44,6 +44,7 @@ from .diagnostics import (
     dispersion_report,
     energy_budget,
     oleinik_report,
+    phase_sampling_refusal,
 )
 from .dynamics import BlowupThresholds, SimHistory, StepControl, simulate
 from .errors import ConfigError, check_ranges
@@ -106,6 +107,13 @@ class ScenarioConfig:
         check_ranges(self, ConfigError, finite=("amplitude", "center", "wavenumbers"),
                      positive=("width", "plateau", "target_energy", "energy_rtol", "dispersion_rtol"),
                      nonnegative=("mollifier_epsilon", "oleinik_C"))
+        if self.kind == "gaussian" and not 0.0 < self.width * self.width < math.inf:  # the profile divides by it
+            raise ConfigError(f"width must have a positive finite square, got {self.width}")
+        cells = self.mollifier_epsilon / self.grid.dx  # the filter divides by its square, and spans 12 of them
+        if self.mollifier_epsilon > 0.0 and not (cells * cells >= np.finfo(float).tiny
+                                                 and self.mollifier_epsilon <= self.grid.length):
+            raise ConfigError(f"mollifier_epsilon must be 0 or at most the grid length {self.grid.length:g}, "
+                              f"with a square in cells above the smallest normal float, got {self.mollifier_epsilon}")
         unknown = sorted(set(self.checks) - set(CHECKS))
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; known: {', '.join(CHECKS)}")
@@ -120,6 +128,12 @@ class ScenarioConfig:
         for k in self.wavenumbers if self.kind == "sine" else ():
             if self.grid.mode_index(k) is None:
                 raise ConfigError(f"wavenumber {k} does not fit the periodic domain as 2 pi m/length, 1 <= m <= n/2-1")
+        if "dispersion" in self.checks:  # the run keeps t = 0, one state per output_dt, and t_end
+            gap = self.step.t_end if self.step.output_dt is None else min(self.step.output_dt, self.step.t_end)
+            kept = 1 if self.step.t_end == 0.0 else 2 if gap == self.step.t_end else 3  # 3 or more
+            for why in (phase_sampling_refusal(kept, gap, k, self.params) for k in self.wavenumbers):
+                if why is not None:
+                    raise ConfigError(why)
         why = None if self.box is None else self.box.refusal(self.grid, 0.0, math.inf)
         if why is not None:  # t_end is the sweep's business: run never reads the box
             raise ConfigError(f"[sweep] {why}")

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from sgnlab import Grid, Params, scenarios
 from sgnlab.cli import main
 from sgnlab.config import _SCHEMA, config_echo, parse_config, parse_config_text
-from sgnlab.diagnostics import Box
+from sgnlab.diagnostics import Box, dispersion_omega
 from sgnlab.dynamics import BlowupThresholds, StepControl
 from sgnlab.errors import ConfigError, SgnError
 from sgnlab.scenarios import CHECKS, ScenarioConfig
@@ -49,20 +49,26 @@ def scenario_configs(draw):
     grid = Grid(n=draw(st.integers(8, 10**6)), dx=draw(_POSITIVE), x_left=draw(_REAL), mode=mode)
     # a sine scenario's wavenumbers are resolved modes 2 pi m / L, 1 <= m <= n/2 - 1
     modes = st.integers(1, grid.n // 2 - 1).map(lambda m: 2.0 * math.pi * m / grid.length)
+    wavenumbers = tuple(draw(st.lists(modes if kind == "sine" else _REAL, min_size=1, max_size=4)))
+    t_end, output_dt = draw(st.floats(0.0, 1e3)), draw(st.none() | _POSITIVE)
+    if "dispersion" in switches:  # snapshots that resolve every mode: 3 or more, each gap * omega < pi
+        t_end = draw(st.floats(1e-3, 1e3))
+        resolved = math.pi / max(dispersion_omega(k, params) for k in wavenumbers)
+        output_dt = draw(st.floats(0.01, 0.99)) * min(t_end, resolved)
     return ScenarioConfig(
         params=params,
         grid=grid,
-        step=StepControl(cfl=draw(st.floats(1e-3, 1.0)), dt_max=draw(_POSITIVE),
-                         t_end=draw(st.floats(0.0, 1e3)),
-                         output_dt=draw(st.none() | _POSITIVE), dt_fixed=draw(st.none() | _POSITIVE),
+        step=StepControl(cfl=draw(st.floats(1e-3, 1.0)), dt_max=draw(_POSITIVE), t_end=t_end,
+                         output_dt=output_dt, dt_fixed=draw(st.none() | _POSITIVE),
                          farfield_rtol=draw(_POSITIVE)),
         kind=kind,
         amplitude=draw(_REAL),
         width=draw(_POSITIVE),
         center=draw(_REAL),
-        wavenumbers=tuple(draw(st.lists(modes if kind == "sine" else _REAL, min_size=1, max_size=4))),
+        wavenumbers=wavenumbers,
         plateau=draw(st.none() | _POSITIVE),
-        mollifier_epsilon=draw(st.floats(0.0, 10.0)),
+        # a mollifier is at most the grid length, and far wider than the smallest normal float in cells
+        mollifier_epsilon=draw(st.just(0.0) | st.floats(1e-6, min(10.0, grid.length))),
         target_energy=draw(st.none() | _POSITIVE),
         file=draw(_FILE if kind == "custom" else st.none() | _FILE),
         expect_blowup=expect_blowup,

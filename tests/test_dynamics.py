@@ -148,27 +148,42 @@ class TestRk4Step:
         assert "near t = 0:" in str(err.value)
 
     def test_retry_advances_half_step(self, params, monkeypatch):
-        # fault injection: the fourth stage of the full step drains the depth, so
-        # the step fails positivity and is retried from scratch at dt/2
+        # fault injection: the full step's final blend takes a step a million times
+        # too long, so its depth goes negative and the step is retried from scratch at dt/2
         g = Grid.from_length(128, 20.0, -10.0, "periodic")
         s = gaussian_state(g)
         dt = cfl_dt(s, params, g, StepControl(cfl=0.3))
         half = rk4_step(s, 0.5 * dt, params, g)
-        real = dynamics.rhs
-        calls = []
+        calls = _count_calls(monkeypatch, "rhs")
+        real, stages = dynamics._stage, []
 
-        def draining_k4(s, p, g):
-            ev = real(s, p, g)
-            calls.append(1)
-            if len(calls) == 4:
-                ev.dh_dt[:] = -1e6
-            return ev
+        def overlong_blend(s, step, t, *k):
+            stages.append(1)
+            return real(s, 1e6 * step if len(stages) == 4 else step, t, *k)
 
-        monkeypatch.setattr(dynamics, "rhs", draining_k4)
+        monkeypatch.setattr(dynamics, "_stage", overlong_blend)
         retried = rk4_step(s, dt, params, g)
-        assert len(calls) == 8
+        assert len(calls) == 8 and len(stages) == 8
         assert retried.t == half.t == 0.5 * dt
         assert np.array_equal(retried.h, half.h) and np.array_equal(retried.u, half.u)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_flat_line_state_has_no_growing_mode(self, params, n):
+        # twin of the rhs-level test on the one-step map: its central-difference
+        # Jacobian about the flat state has no eigenvalue beyond exp(1e-6 dt)
+        g = Grid.from_length(n, 40.0, -20.0, "line")
+        flat, delta = np.concatenate((np.full(n, params.hbar), np.zeros(n))), 1e-6
+        dt = cfl_dt(FlowState(flat[:n], flat[n:]), params, g, StepControl())
+        jac = np.empty((2 * n, 2 * n))
+        for j in range(2 * n):
+            states = []
+            for step in (delta, -delta):
+                z = flat.copy()
+                z[j] += step
+                out = rk4_step(FlowState(z[:n], z[n:]), dt, params, g)
+                states.append(np.concatenate((out.h, out.u)))
+            jac[:, j] = (states[0] - states[1]) / (2.0 * delta)
+        assert np.abs(np.linalg.eigvals(jac)).max() <= np.exp(1e-6 * dt)
 
     def test_temporal_self_convergence_order(self, params):
         # Richardson triple on a smooth periodic run with fixed dt
@@ -315,6 +330,14 @@ class TestSimulate:
         with pytest.raises(BoundaryContaminationError):
             simulate(s0, p, g, StepControl(cfl=0.3, dt_max=0.1, t_end=0.5))
 
+    def test_far_field_checks_each_recorded_state_once(self, params, monkeypatch):
+        # the initial state's check, which raises before the first step, is also its only one
+        calls = _count_calls(monkeypatch, "check_far_field")
+        g = Grid.from_length(128, 40.0, -20.0, "line")
+        hist = simulate(gaussian_state(g), params, g, StepControl(t_end=0.01, dt_fixed=1e-3))
+        assert hist.status == "completed" and hist.n_steps == 10
+        assert len(calls) == hist.n_steps + 1
+
     def test_epsilon_consistency_over_run(self):
         # eps > 0 without cut-off activity reproduces the eps = 0 run bitwise
         g = Grid.from_length(512, 40.0, -20.0, "line")
@@ -415,25 +438,24 @@ class TestSimulate:
         assert hist.abort_time == hist.t_final == t[-1]
 
     def test_nonfinite_stage_aborts_with_code(self, params, monkeypatch):
-        # fault injection: after 20 evaluations every RHS carries a NaN; the
+        # fault injection: from the sixth step on every stage takes a NaN step; the
         # first poisoned stage aborts the run at once, with no dt/2 retry
-        real = dynamics.rhs
-        calls = []
+        steps = _count_calls(monkeypatch, "rk4_step")
+        real, poisoned = dynamics._stage, []
 
-        def poisoned(s, p, g):
-            ev = real(s, p, g)
-            calls.append(1)
-            if len(calls) > 20:
-                ev.du_dt[5] = np.nan
-            return ev
+        def nan_step(s, step, t, *k):
+            if len(steps) > 5:
+                poisoned.append(1)
+                step = np.nan
+            return real(s, step, t, *k)
 
-        monkeypatch.setattr(dynamics, "rhs", poisoned)
+        monkeypatch.setattr(dynamics, "_stage", nan_step)
         g = Grid.from_length(128, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
                         StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "nonfinite-fields"
-        assert len(calls) == 21
+        assert len(poisoned) == 1
         t = hist.series["t"]
         assert hist.n_steps == 5 and len(t) == hist.n_steps + 1
         assert all(len(col) == len(t) for col in hist.series.values())
@@ -443,25 +465,25 @@ class TestSimulate:
             assert np.all(np.isfinite(s.h)) and np.all(np.isfinite(s.u))
 
     def test_nonfinite_derived_field_aborts_with_code(self, params, monkeypatch):
-        # fault injection: a non-finite field that is not a state (here F(h))
-        # reaches the momentum solve, which refuses it; the run records it
-        real = dynamics.f_of_h
-        calls = []
+        # fault injection: from the third step on a non-finite field that is not a
+        # state enters the momentum solve's source, which the solve refuses; the run records it
+        steps = _count_calls(monkeypatch, "rk4_step")
+        real, poisoned = elliptic._solve, []
 
-        def overflowing(s, p):
-            out = real(s, p)
-            calls.append(1)
-            if len(calls) > 10:
-                out[7] = np.inf
-            return out
+        def overflowing(sys, source, far):
+            if len(steps) > 2:
+                poisoned.append(1)
+                source = source.copy()
+                source[7] = np.inf
+            return real(sys, source, far)
 
-        monkeypatch.setattr(dynamics, "f_of_h", overflowing)
+        monkeypatch.setattr(elliptic, "_solve", overflowing)
         g = Grid.from_length(128, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
                         StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "nonfinite-fields"
-        assert len(calls) == 11
+        assert hist.n_steps == 2 and len(poisoned) == 1
         _assert_abort_history_consistent(hist)
 
     def test_nonfinite_initial_fields_raise_before_first_step(self, params):
@@ -522,45 +544,46 @@ class TestSimulate:
         _assert_abort_history_consistent(hist)
 
     def test_depth_collapse_aborts_with_code(self, params, monkeypatch):
-        # fault injection: after 20 evaluations the depth drains at a rate no
-        # step (nor its dt/2 retry) survives
-        real = dynamics.rhs
-        calls = []
+        # fault injection: from the sixth step on every stage takes a step a million
+        # times too long, which drains the depth; neither the step nor its dt/2 retry survives
+        steps = _count_calls(monkeypatch, "rk4_step")
+        real, drained = dynamics._stage, []
 
-        def draining(s, p, g):
-            ev = real(s, p, g)
-            calls.append(1)
-            if len(calls) > 20:
-                ev.dh_dt[:] = -1e6
-            return ev
+        def overlong(s, step, t, *k):
+            if len(steps) > 5:
+                drained.append(1)
+                step *= 1e6
+            return real(s, step, t, *k)
 
-        monkeypatch.setattr(dynamics, "rhs", draining)
+        monkeypatch.setattr(dynamics, "_stage", overlong)
         g = Grid.from_length(256, 20.0, -10.0, "periodic")
         hist = simulate(gaussian_state(g), params, g,
                         StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "depth-collapse"
+        assert hist.n_steps == 5 and len(drained) == 2  # the step's first stage, then the retry's
         _assert_abort_history_consistent(hist)
 
     def test_boundary_contamination_aborts_with_code(self, params, monkeypatch):
-        # fault injection: after 20 evaluations cell 5 is forced; it lies in
-        # the checked far-field strip (8 cells per side)
-        real = dynamics.rhs
-        calls = []
+        # fault injection: from the sixth step on every derivative is forced at
+        # cell 5, which lies in the checked far-field strip (8 cells per side)
+        steps = _count_calls(monkeypatch, "rk4_step")
+        real = grid._derivative
 
-        def forcing(s, p, g):
-            ev = real(s, p, g)
-            calls.append(1)
-            if len(calls) > 20:
-                ev.du_dt[5] += 1.0
-            return ev
+        def forced(*args):
+            out = real(*args)
+            if len(steps) > 5:
+                out[5] += 1.0
+            return out
 
-        monkeypatch.setattr(dynamics, "rhs", forcing)
+        for mod in (grid, dynamics, elliptic, kinematics):
+            monkeypatch.setattr(mod, "_derivative", forced)
         g = Grid.from_length(256, 40.0, -20.0, "line")
         hist = simulate(gaussian_state(g), params, g,
                         StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
         assert hist.status == "aborted"
         assert hist.abort_reason == "boundary-contamination"
+        assert hist.n_steps == 6
         _assert_abort_history_consistent(hist)
 
     def test_periodic_epsilon_runs_like_eps0_while_inactive(self):
@@ -572,6 +595,18 @@ class TestSimulate:
         assert np.all(runs[1].series["diss_rate"] == 0.0)
         assert np.array_equal(runs[0].snapshots[-1].h, runs[1].snapshots[-1].h)
         assert np.array_equal(runs[0].snapshots[-1].u, runs[1].snapshots[-1].u)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count the calls of ``dynamics.<name>``; simulate makes one ``rk4_step`` call per step."""
+    real, calls = getattr(dynamics, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, counting)
+    return calls
 
 
 def _assert_abort_history_consistent(hist):

@@ -1,6 +1,7 @@
-"""Every name that a ``sgnlab`` module lists in ``__all__`` resolves to an attribute of that module,
-no module of ``src/sgnlab`` takes a parameter it never reads or imports a name it never uses, and
-the package catches its own errors only where a run retries or stops."""
+"""Every name that a ``sgnlab`` module lists in ``__all__`` resolves to an attribute of that module
+and has a reader beyond its own unit tests, no module of ``src/sgnlab`` takes a parameter it never
+reads or imports a name it never uses, and the package catches its own errors only where a run
+retries or stops."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pytest
 import sgnlab
 from sgnlab import errors
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(sgnlab.__path__))
 SOURCES = sorted(pathlib.Path(sgnlab.__file__).parent.glob("*.py"))
 #: ``config._SCHEMA`` calls every value parser as ``parse(key, raw)``; ``_str`` needs only ``raw``
@@ -63,6 +65,42 @@ def unused_imports(path: pathlib.Path) -> list[tuple[str, str]]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_parameter_is_read(path):
     assert {f for f in unread_parameters(path) if f not in UNREAD_ALLOWED} == set()
+
+
+#: files that may read a public name: the package (``__init__.py`` only re-exports), the scripts,
+#: the benchmark and the tests
+READER_FILES = [p for d in ("src/sgnlab", "scripts", "perfbench", "tests") for p in sorted((ROOT / d).glob("*.py"))
+                if p.name != "__init__.py"]
+#: public names that only their own unit tests read, and why each stays public
+UNREAD_PUBLIC = {
+    ("characteristics", "pq_square_integral"): "the paper's transversal square integral; no script prints it yet",
+    ("kinematics", "energy_flux"): "the flux D of the energy law E_t + D_x = 0; no report integrates it yet",
+    ("kinematics", "pq_to_gradients"): "the exact inverse of pq_fields, kept as its documented inverse map",
+    ("regularization", "compute_B"): "B alone; rhs folds B's source into its one momentum solve",
+}
+
+
+def _read_names(path: pathlib.Path) -> set[str]:
+    """Every name a file loads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return _loaded([tree]) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def unread_public_names() -> set[tuple[str, str]]:
+    """``(module, name)`` for every ``__all__`` name that no file reads but the module's own unit tests
+    (``tests/test_<...>.py`` with the module among the underscore-separated words of its name)."""
+    read = {path: _read_names(path) for path in READER_FILES}
+    found = set()
+    for module in MODULES:
+        own = [p for p in READER_FILES if p.parent.name == "tests" and module in p.stem.split("_")[1:]]
+        for name in getattr(importlib.import_module(f"sgnlab.{module}"), "__all__", ()):
+            if not any(name in names for path, names in read.items() if path not in own):
+                found.add((module, name))
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    assert unread_public_names() == set(UNREAD_PUBLIC)
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

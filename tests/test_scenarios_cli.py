@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -56,6 +57,25 @@ output_dt = 0.1
 energy = true
 energy_rtol = 1e-4
 """
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def shipped_run(tmp_path_factory):
+    """``sgnlab run`` of a shipped config, made once per config for the module: ``(exit code, stdout, out dir)``."""
+    runs = {}
+
+    def run(name: str):
+        if name not in runs:
+            out_dir, stdout = tmp_path_factory.mktemp(name) / "o", io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["run", "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out_dir)])
+            runs[name] = code, stdout.getvalue(), out_dir
+        return runs[name]
+
+    return run
 
 
 def default_cfg(**kw):
@@ -263,7 +283,8 @@ class TestSummarySchema:
     def test_report_keys(self, tmp_path):
         k = 2.0 * math.pi * 4 / 40.0  # four periods of the 40-long domain
         cfgs = {"checks": default_cfg(checks=("energy", "bounds", "oleinik", "blowup"), oleinik_C=1.0),
-                "sine": default_cfg(kind="sine", amplitude=1e-4, wavenumbers=(k,), checks=("dispersion",))}
+                "sine": default_cfg(kind="sine", amplitude=1e-4, wavenumbers=(k,), checks=("dispersion",),
+                                    step=StepControl(cfl=0.3, dt_max=0.05, t_end=0.2, output_dt=0.1))}
         reports = {}
         for name, cfg in cfgs.items():
             write_run_artifact(run_scenario(cfg), str(tmp_path / name))
@@ -504,6 +525,11 @@ class TestCli:
         ("gaussian_energy.cfg", "grid.length=inf", "error: dx must be positive and finite, got inf"),
         ("gaussian_energy.cfg", "grid.x_left=-inf", "error: x_left must be finite, got -inf"),
         ("gaussian_energy.cfg", "step.dt_max=inf", "error: dt_max must be positive and finite, got inf"),
+        # finite values the arithmetic that uses them cannot take: each once ended in a traceback
+        ("gaussian_energy.cfg", "scenario.width=1e200", "error: width must have a positive finite square"),
+        ("gaussian_energy.cfg", "scenario.mollifier_epsilon=1e-300", "error: mollifier_epsilon must be 0 or"),
+        ("gaussian_energy.cfg", "scenario.mollifier_epsilon=1e300", "error: mollifier_epsilon must be 0 or"),
+        ("gaussian_energy.cfg", "grid.length=1e-300", "error: dx must have a square above the smallest normal"),
         # a slope threshold <= 0 fires on a flat state
         ("flat.cfg", "checks.ux_threshold=-1", "error: blow-up threshold ux must be positive"),
         ("flat.cfg", "checks.hx_threshold=0", "error: blow-up threshold hx must be positive"),
@@ -536,6 +562,21 @@ class TestCli:
         assert not out_dir.exists()
         assert main(["check", *args]) == 2
         assert "OK" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("override, message", [
+        ("step.t_end=0", "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 1"),
+        ("step.output_dt=", "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 2"),
+        ("step.output_dt=1.5", "error: snapshots 1.5 apart alias wavenumber 1: dt * omega = 4.7 >= pi"),
+    ], ids=["one-snapshot", "two-snapshots", "aliased"])
+    def test_dispersion_snapshots_that_cannot_measure_exit_two(self, tmp_path, capsys, override, message):
+        # check once said OK here, and run could only report three unmeasured modes
+        args = ["--config", str(CONFIGS / "dispersion_b3.cfg"), "--override", override]
+        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "o").exists()
+        assert main(["check", *args]) == 2
+        check = capsys.readouterr()
+        assert check.err.startswith(message) and "OK" not in check.out
 
     @pytest.mark.parametrize("content", [None, "x,h,u\n1,one,0\n", "x,h,u\n0,1,0\n1,1,0\n"],
                              ids=["missing", "non-numeric", "wrong-shape"])
@@ -663,9 +704,11 @@ class TestCli:
         assert (out_dir / "snap_0002.csv").read_text().startswith("# t = 0.29999999999999999\n")
 
     def test_single_snapshot_mode_is_unmeasured(self, tmp_path, capsys):
-        # one snapshot holds no phase drift: each mode prints n/a instead of a least-squares traceback
-        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
-        assert main(["run", "--config", str(cfg), "--override", "step.t_end=0", "--out", str(tmp_path / "o")]) == 1
+        # one snapshot holds no phase drift: each mode prints n/a instead of a least-squares traceback.
+        # A config that plans one is refused, so the blow-up pair stops the run at its first state
+        overrides = ["checks.blowup=true", "checks.ux_threshold=1e-9", "checks.hx_threshold=1e-9"]
+        args = [arg for ov in overrides for arg in ("--override", ov)]
+        assert main(["run", "--config", str(CONFIGS / "dispersion_b3.cfg"), *args, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().out.count("measured c=n/a, predicted 3.1321, rel err n/a (off)") == 3
 
     def test_final_state_is_monitored(self, tmp_path, capsys):
@@ -792,18 +835,15 @@ class TestCli:
         assert "eps_" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_shipped_flat_config(self, tmp_path, capsys):
-
-        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        series = np.genfromtxt(tmp_path / "o" / "series.csv", delimiter=",", names=True)
+    def test_shipped_flat_config(self, shipped_run):
+        code, _, out_dir = shipped_run("flat")
+        assert code == 0
+        series = np.genfromtxt(out_dir / "series.csv", delimiter=",", names=True)
         assert np.all(series["energy"] == 0.0)
 
-    def test_shipped_dispersion_config(self, tmp_path, capsys):
-
-        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "dispersion_b3.cfg"
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        out = capsys.readouterr().out
+    def test_shipped_dispersion_config(self, shipped_run):
+        code, out, _ = shipped_run("dispersion_b3")
+        assert code == 0
         assert out.count("rel err") == 3  # one phase-speed line per seeded mode
         assert "[PASS] dispersion" in out
         assert "[PASS] energy: energy_conservation: value=" in out  # the config's energy check is on
@@ -834,14 +874,13 @@ class TestCli:
         assert summary["verdicts"] == {"blowup": False, "completed": False}
 
     @pytest.mark.parametrize("name", ["flat", "gaussian_energy", "bounds_tuned", "dispersion_b3", "steep_sweep"])
-    def test_shipped_config_passes_and_prints_its_verdicts(self, tmp_path, capsys, name):
+    def test_shipped_config_passes_and_prints_its_verdicts(self, shipped_run, name):
         # the two n = 4400 steep configs are run by the criterion-7 fixture of the acceptance suite
-        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        code, out, out_dir = shipped_run(name)
+        assert code == 0
         tags = {"[PASS]": True, "[FAIL]": False, "[SKIP]": "skipped"}
-        printed = {line.split()[1].rstrip(":"): tags[line[:6]]
-                   for line in capsys.readouterr().out.splitlines() if line[:6] in tags}
-        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        printed = {line.split()[1].rstrip(":"): tags[line[:6]] for line in out.splitlines() if line[:6] in tags}
+        summary = json.loads((out_dir / "summary.json").read_text())
         assert printed == summary["verdicts"] and printed
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
