@@ -17,10 +17,6 @@ branch::
 of these ODEs, evaluated on traced paths, measures how faithfully the
 discrete dynamics realizes them.
 
-The square-integral diagnostic pairs the branches the other way around
-(transversally, as in the energy-flux argument): P^2 is integrated along a
-plus-branch path and Q^2 along a minus-branch path that meet.
-
 The path-independent fields of a snapshot are memoized on the snapshot
 itself (:class:`FlowState`), once per parameters and grid, and shared by
 every launch point and both branches: ``u_x``, ``P``, ``Q`` and the cut-off
@@ -28,12 +24,12 @@ values (one :func:`~sgnlab.kinematics.gradients` bundle, which ``script_r``
 reads too) and both branches' Riccati right-hand sides (one ``script_r``;
 with an active cut-off one ``A``, ``A_x`` and one ``L_h`` assembly shared by
 ``V1`` and ``script_r``).  Each path quantity stacks the rows it needs
-``(snapshots, n)`` and is one row-wise :func:`interp_cubic` call: three per
-trace (speed, P, Q) and one per residual.  The RK2 loop that finds the path
-points makes no array call: each stage point gets one scalar cubic stencil,
-applied to every speed row that stage reads.  A history whose snapshots
-are replaced or appended needs no invalidation: a new snapshot is a new
-state with its own memo.
+``(snapshots, n)`` and is one row-wise :func:`interp_cubic` call: two per
+trace (speed and the transported invariant) and one per residual.  The RK2
+loop that finds the path points makes no array call: each stage point gets
+one scalar cubic stencil, applied to every speed row that stage reads.  A
+history whose snapshots are replaced or appended needs no invalidation: a
+new snapshot is a new state with its own memo.
 """
 
 from __future__ import annotations
@@ -53,16 +49,14 @@ from .kinematics import FlowState, Params, char_speeds, gradients
 __all__ = [
     "CharPath",
     "RiccatiResidual",
-    "PQSquareIntegral",
     "trace",
     "riccati_residual",
-    "pq_square_integral",
     "interp_cubic",
 ]
 
 PLUS = "plus"
 MINUS = "minus"
-_ROW = {MINUS: 0, PLUS: 1}  # branch -> index of its stacked speed and right-hand side
+_ROW = {MINUS: 0, PLUS: 1}  # branch -> index of its speed, invariant and right-hand side
 
 
 def _cubic_stencil(x: float, g: Grid) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -123,10 +117,10 @@ def interp_cubic(values: np.ndarray, g: Grid, xq) -> np.ndarray:
 class CharPath:
     """One traced characteristic: samples at every snapshot time.
 
-    ``speed`` is the branch speed interpolated at the path points; ``P`` and
-    ``Q`` both ride along so either Riccati equation (and the transversal
-    square integrals) can be evaluated without re-tracing.  In periodic mode
-    ``x`` is unwrapped (fields are evaluated modulo the domain length).
+    ``speed`` is the branch speed and ``invariant`` the gradient invariant
+    the branch transports (P on minus, Q on plus), both interpolated at the
+    path points.  In periodic mode ``x`` is unwrapped (fields are evaluated
+    modulo the domain length).
     """
 
     branch: str
@@ -134,8 +128,7 @@ class CharPath:
     t: np.ndarray
     x: np.ndarray
     speed: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
+    invariant: np.ndarray
     exited: bool = False
 
 
@@ -146,15 +139,6 @@ class RiccatiResidual:
     values: np.ndarray
     t: np.ndarray
     undersampled: bool = False
-
-
-@dataclass
-class PQSquareIntegral:
-    """Trapezoid-in-time integral of P^2 (plus path) + Q^2 (minus path)."""
-
-    value: float
-    met: bool
-    t_end: float
 
 
 def _wrap(x: float, g: Grid) -> float:
@@ -189,10 +173,10 @@ def trace(history, x0: float, branch: str) -> CharPath:
         xs.append(x)
     m = len(xs)
     xeval = [_wrap(xi, g) for xi in xs]
-    P, Q = map(np.stack, zip(*(gradients(s, p, g).pq for s in snaps[:m])))
+    invariant = np.stack([gradients(s, p, g).pq[_ROW[branch]] for s in snaps[:m]])
     return CharPath(branch=branch, x0=float(x0), t=np.array(times[:m]), x=np.array(xs),
                     speed=interp_cubic(speed[:m], g, xeval),
-                    P=interp_cubic(P, g, xeval), Q=interp_cubic(Q, g, xeval), exited=exited)
+                    invariant=interp_cubic(invariant, g, xeval), exited=exited)
 
 
 def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -236,37 +220,9 @@ def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
     undersampled = m < 8
     if undersampled:
         warnings.warn("riccati_residual: fewer than 8 path samples; residual is undersampled")
-    values = path.P if path.branch == MINUS else path.Q
-    dval = np.gradient(values, path.t)
+    dval = np.gradient(path.invariant, path.t)
     xeval = np.array([_wrap(xi, g) for xi in path.x])
     rows = np.stack([s._derived(_riccati_rhs_fields, history.params, g)[_ROW[path.branch]] for s in snaps])
     rhs_on_path = interp_cubic(rows, g, xeval)
     return RiccatiResidual(values=dval - rhs_on_path, t=path.t.copy(), undersampled=undersampled)
 
-
-def pq_square_integral(path_plus: CharPath, path_minus: CharPath) -> PQSquareIntegral:
-    """``int P^2`` along the plus path plus ``int Q^2`` along the minus path,
-    up to their meeting time (transversal pairing).
-
-    Paths that never meet inside the run are integrated over the common time
-    window and flagged with ``met = False``.
-    """
-    if path_plus.branch != PLUS or path_minus.branch != MINUS:
-        raise ContractViolationError("pass a plus-branch path first and a minus-branch path second")
-    m = min(path_plus.t.shape[0], path_minus.t.shape[0])
-    if not np.array_equal(path_plus.t[:m], path_minus.t[:m]):
-        raise ContractViolationError("the plus and minus paths must be sampled at the same times")
-    gap0 = path_minus.x[0] - path_plus.x[0]
-    met = False
-    k_end = m - 1
-    for k in range(m):
-        if (path_minus.x[k] - path_plus.x[k]) * np.sign(gap0 if gap0 != 0 else 1.0) <= 0.0:
-            met = True
-            k_end = k
-            break
-    sl = slice(0, k_end + 1)
-    t = path_plus.t[sl]
-    if t.shape[0] < 2:
-        return PQSquareIntegral(value=0.0, met=met, t_end=float(t[-1]) if t.size else 0.0)
-    value = float(np.trapezoid(path_plus.P[sl] ** 2, t) + np.trapezoid(path_minus.Q[sl] ** 2, t))
-    return PQSquareIntegral(value=value, met=met, t_end=float(t[-1]))

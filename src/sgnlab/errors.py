@@ -4,6 +4,7 @@ Vacuous a-priori bounds are no error: ``kinematics.a_priori_bounds`` returns ``N
 :func:`check_ranges` is the one rule for the range of a numeric setting."""
 
 import math
+import sys
 
 
 class SgnError(Exception):
@@ -47,14 +48,17 @@ class ConfigError(SgnError):
     """A scenario configuration is contradictory or malformed."""
 
 
-def check_ranges(owner, error: type[SgnError], positive=(), nonnegative=(), finite=()) -> None:
+def check_ranges(owner, error: type[SgnError], positive=(), nonnegative=(), finite=(), squared=()) -> None:
     """Raise ``error`` on the first named field of ``owner`` out of its range: ``positive`` is
-    ``0 < v < inf``, ``nonnegative`` ``0 <= v < inf``, ``finite`` every entry finite (NaN is in none);
+    ``0 < v < inf``, ``nonnegative`` ``0 <= v < inf``, ``finite`` every entry finite (NaN is in none),
+    ``squared`` (a divisor the code squares) ``tiny <= v*v < inf``, tiny the smallest normal float;
     ``None`` takes the default and passes.  It reads ``<field> must be positive and finite, got <v>``."""
-    for names, wording, holds in ((positive, "positive and finite", lambda v: 0.0 < v < math.inf),
-                                  (nonnegative, "nonnegative and finite", lambda v: 0.0 <= v < math.inf),
-                                  (finite, "finite", lambda v: -math.inf < v < math.inf)):
+    for names, wording, holds in ((positive, "be positive and finite", lambda v: 0.0 < v < math.inf),
+                                  (nonnegative, "be nonnegative and finite", lambda v: 0.0 <= v < math.inf),
+                                  (finite, "be finite", lambda v: -math.inf < v < math.inf),
+                                  (squared, "have a square above the smallest normal float and below infinity",
+                                   lambda v: sys.float_info.min <= float(v) * float(v) < math.inf)):
         for name in names:
             value = getattr(owner, name)
             if value is not None and not all(map(holds, value if isinstance(value, tuple) else (value,))):
-                raise error(f"{name} must be {wording}, got {value}")
+                raise error(f"{name} must {wording}, got {value}")

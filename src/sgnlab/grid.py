@@ -61,9 +61,7 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 8:
             raise ContractViolationError(f"grid needs an integer n >= 8 cells, got {self.n!r}")
-        check_ranges(self, ContractViolationError, positive=("dx",), finite=("x_left",))
-        if not self.dx * self.dx >= np.finfo(float).tiny:  # the elliptic operators divide by dx**2
-            raise ContractViolationError(f"dx must have a square above the smallest normal float, got {self.dx}")
+        check_ranges(self, ContractViolationError, positive=("dx",), finite=("x_left",), squared=("dx",))
         if self.mode not in (PERIODIC, LINE):
             raise ContractViolationError(f"unknown grid mode {self.mode!r}")
 

@@ -5,19 +5,15 @@ Riemann invariants and characteristic speeds::
     R = u + 2 sqrt(3 gamma) h^(-1/2)      S = u - 2 sqrt(3 gamma) h^(-1/2)
     lambda = u - sqrt(3 gamma) h^(-1/2)   eta = u + sqrt(3 gamma) h^(-1/2)
 
-gradient invariants ``P = h R_x``, ``Q = h S_x`` and their exact inverse map
-
-    u_x = (P + Q) / (2 h),    h_x = h^(1/2) (Q - P) / (2 sqrt(3 gamma)),
-
-the sources of the nonlocal momentum term
+gradient invariants ``P = h R_x``, ``Q = h S_x``, the sources of the nonlocal
+momentum term
 
     C    = (2/3) h^3 u_x^2 - (3/2) gamma h_x^2
     F(h) = (1/2) g h^2 - (1/2) g hbar^2 - 3 gamma ln(h/hbar),
 
-the energy density and flux
+the energy density
 
-    E = (1/2) h u^2 + (1/2) g (h-hbar)^2 + (1/6) h^3 u_x^2 + (1/2) gamma h_x^2
-    D = u E + u (R_script + g h^2/2 - g hbar^2/2) + gamma h h_x u_x,
+    E = (1/2) h u^2 + (1/2) g (h-hbar)^2 + (1/6) h^3 u_x^2 + (1/2) gamma h_x^2,
 
 and the a-priori bounds ``h_min <= h <= h_max``, ``|u| <= u_max``, valid whenever
 the measured initial energy E0 stays below the threshold ``sqrt(g gamma) hbar^2``
@@ -30,8 +26,8 @@ the measured initial energy E0 stays below the threshold ``sqrt(g gamma) hbar^2`
 Every gradient above comes from one per-state bundle, :class:`Gradients`,
 built by :func:`gradients` and memoized on the state per (params, grid):
 ``u_x`` and ``h_x`` taken once, ``(P, Q)`` and the cut-off values
-``chi(P), chi(Q)`` formed on first use.  ``C``, ``E`` and ``D`` take the
-bundle and are pointwise.
+``chi(P), chi(Q)`` formed on first use.  ``C`` and ``E`` take the bundle
+and are pointwise.
 
 All functions are pure and operate on immutable inputs: a state's arrays are
 never written after construction.  :class:`FlowState` checks its fields, so
@@ -61,12 +57,10 @@ __all__ = [
     "riemann_invariants",
     "char_speeds",
     "pq_fields",
-    "pq_to_gradients",
     "curly_c",
     "f_of_h",
     "energy_density",
     "total_energy",
-    "energy_flux",
     "a_priori_bounds",
 ]
 
@@ -87,7 +81,8 @@ class Params:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        check_ranges(self, ContractViolationError, positive=("g", "gamma", "hbar"), nonnegative=("epsilon",))
+        check_ranges(self, ContractViolationError, positive=("g", "gamma", "hbar"), nonnegative=("epsilon",),
+                     squared=("hbar",))
 
     @property
     def e_max(self) -> float:
@@ -224,13 +219,6 @@ def pq_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]
     return _gradients(s, p, g).pq
 
 
-def pq_to_gradients(P: np.ndarray, Q: np.ndarray, h: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Exact algebraic inverse of :func:`pq_fields`: recover ``(u_x, h_x)``."""
-    ux = (P + Q) / (2.0 * h)
-    hx = np.sqrt(h) * (Q - P) / (2.0 * p.sqrt_3gamma)
-    return ux, hx
-
-
 def curly_c(p: Params, d: Gradients) -> np.ndarray:
     """Quadratic source ``(2/3) h^3 u_x^2 - (3/2) gamma h_x^2``."""
     return (2.0 / 3.0) * d.h3 * d.ux**2 - 1.5 * p.gamma * d.hx**2
@@ -254,18 +242,6 @@ def energy_density(s: FlowState, p: Params, d: Gradients) -> np.ndarray:
 
 def total_energy(s: FlowState, p: Params, g: Grid) -> float:
     return integrate(energy_density(s, p, gradients(s, p, g)), g)
-
-
-def energy_flux(s: FlowState, p: Params, d: Gradients, script_r: np.ndarray) -> np.ndarray:
-    """Energy flux ``u E + u (R_script + g(h^2 - hbar^2)/2) + gamma h h_x u_x``.
-
-    ``script_r`` is the nonlocal field produced by :func:`sgnlab.elliptic.script_r`.
-    """
-    return (
-        s.u * energy_density(s, p, d)
-        + s.u * (script_r + 0.5 * p.g * (s.h**2 - p.hbar**2))
-        + p.gamma * s.h * d.hx * d.ux
-    )
 
 
 def a_priori_bounds(e0: float, p: Params) -> Bounds | None:

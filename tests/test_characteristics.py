@@ -10,7 +10,6 @@ from sgnlab.characteristics import (
     _riccati_rhs_fields,
     _wrap,
     interp_cubic,
-    pq_square_integral,
     riccati_residual,
     trace,
 )
@@ -227,8 +226,8 @@ class TestTrace:
         with pytest.raises(ContractViolationError, match="finite point"):
             trace(hist, x0, "plus")
 
-    def test_three_interp_calls_per_trace(self, monkeypatch):
-        # one row-wise call per path quantity (speed, P, Q), whatever the
+    def test_two_interp_calls_per_trace(self, monkeypatch):
+        # one row-wise call per path quantity (speed, invariant), whatever the
         # number of snapshots: the RK2 loop makes no array call
         real = characteristics.interp_cubic
         calls = []
@@ -242,7 +241,7 @@ class TestTrace:
             hist, p, g = flat_history(t_end=t_end)
             calls.clear()
             path = trace(hist, 0.0, "plus")
-            assert path.t.shape == (len(hist.snapshots),) and len(calls) == 3
+            assert path.t.shape == (len(hist.snapshots),) and len(calls) == 2
 
     def test_single_snapshot_refused(self):
         hist, p, g = flat_history(t_end=0.0)
@@ -474,66 +473,7 @@ class TestSharedFields:
             fresh = fresh_history(hist)
             fresh_path = trace(fresh, 0.5, "minus")
             assert path.t.shape == (len(hist.snapshots),)
-            assert np.array_equal(path.x, fresh_path.x) and np.array_equal(path.P, fresh_path.P)
+            assert np.array_equal(path.x, fresh_path.x) and np.array_equal(path.invariant, fresh_path.invariant)
             assert np.array_equal(values, riccati_residual(fresh, fresh_path, p).values)
             assert not np.array_equal(values[:before.shape[0]], before)
 
-
-class TestPqSquareIntegral:
-    def test_flat_run_zero_and_met(self):
-        hist, p, g = flat_history(t_end=2.0)
-        plus = trace(hist, -3.0, "plus")
-        minus = trace(hist, 3.0, "minus")
-        out = pq_square_integral(plus, minus)
-        assert out.value == 0.0
-        assert out.met  # crossing at x = 0, t = 1
-
-    def test_nonnegative(self):
-        hist, p, g = gaussian_history(t_end=1.5)
-        plus = trace(hist, -3.0, "plus")
-        minus = trace(hist, 3.0, "minus")
-        out = pq_square_integral(plus, minus)
-        assert out.value >= 0.0
-
-    def test_branch_order_enforced(self):
-        hist, p, g = flat_history()
-        plus = trace(hist, -3.0, "plus")
-        minus = trace(hist, 3.0, "minus")
-        with pytest.raises(ContractViolationError):
-            pq_square_integral(minus, plus)
-
-    def test_paths_sampled_at_other_times_refused(self, two_samplings):
-        coarse, fine, _ = two_samplings
-        for plus_on, minus_on in ((coarse, fine), (fine, coarse)):
-            with pytest.raises(ContractViolationError, match="same times"):
-                pq_square_integral(trace(plus_on, -3.0, "plus"), trace(minus_on, 3.0, "minus"))
-
-    def test_never_meeting_flagged(self):
-        hist, p, g = flat_history(t_end=0.5)
-        plus = trace(hist, 3.0, "plus")    # to the right of the minus path,
-        minus = trace(hist, -3.0, "minus")  # moving apart: they never meet
-        out = pq_square_integral(plus, minus)
-        assert not out.met
-
-    def test_affine_bound_across_epsilon_sweep(self):
-        # the square integrals admit one affine-in-elapsed-time bound A t + B
-        # across a sweep; realized here as a fit with zero violations
-        p0 = Params(g=9.81, gamma=9.81, hbar=1.0)
-        g = Grid.from_length(512, 40.0, -20.0, "line")
-        x = g.cells()
-        s0 = FlowState(1.0 + 0.1 * np.exp(-(x**2)),
-                       0.2 * np.exp(-(x**2)), 0.0)
-        values, spans = [], []
-        for eps in (0.2, 0.1, 0.05):
-            p = Params(g=9.81, gamma=9.81, hbar=1.0, epsilon=eps)
-            hist = simulate(s0, p, g, StepControl(cfl=0.3, dt_max=0.05, t_end=1.0, output_dt=0.05))
-            plus = trace(hist, -2.5, "plus")
-            minus = trace(hist, 2.5, "minus")
-            out = pq_square_integral(plus, minus)
-            values.append(out.value)
-            spans.append(out.t_end)
-        # fit A, B >= 0 covering all points: A from the pair maximizing slope
-        A = max(v / s for v, s in zip(values, spans))
-        B = max(0.0, max(v - A * s for v, s in zip(values, spans)))
-        violations = sum(v > A * s + B + 1e-12 for v, s in zip(values, spans))
-        assert violations == 0

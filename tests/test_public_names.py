@@ -73,10 +73,9 @@ READER_FILES = [p for d in ("src/sgnlab", "scripts", "perfbench", "tests") for p
                 if p.name != "__init__.py"]
 #: public names that only their own unit tests read, and why each stays public
 UNREAD_PUBLIC = {
-    ("characteristics", "pq_square_integral"): "the paper's transversal square integral; no script prints it yet",
-    ("kinematics", "energy_flux"): "the flux D of the energy law E_t + D_x = 0; no report integrates it yet",
-    ("kinematics", "pq_to_gradients"): "the exact inverse of pq_fields, kept as its documented inverse map",
-    ("regularization", "compute_B"): "B alone; rhs folds B's source into its one momentum solve",
+    ("regularization", "compute_B"): "B alone; rhs folds B's source into its one momentum solve. It stays because "
+                                     "perfbench/tracer.py traces it by name; it goes with the benchmark change "
+                                     "that retires the (h, u) stepper",
 }
 
 

@@ -530,6 +530,8 @@ class TestCli:
         ("gaussian_energy.cfg", "scenario.mollifier_epsilon=1e-300", "error: mollifier_epsilon must be 0 or"),
         ("gaussian_energy.cfg", "scenario.mollifier_epsilon=1e300", "error: mollifier_epsilon must be 0 or"),
         ("gaussian_energy.cfg", "grid.length=1e-300", "error: dx must have a square above the smallest normal"),
+        ("gaussian_energy.cfg", "grid.length=1e308", "error: dx must have a square above the smallest normal"),
+        ("gaussian_energy.cfg", "params.hbar=1e-200", "error: hbar must have a square above the smallest normal"),
         # a slope threshold <= 0 fires on a flat state
         ("flat.cfg", "checks.ux_threshold=-1", "error: blow-up threshold ux must be positive"),
         ("flat.cfg", "checks.hx_threshold=0", "error: blow-up threshold hx must be positive"),
