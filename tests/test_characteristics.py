@@ -243,6 +243,17 @@ class TestTrace:
             path = trace(hist, 0.0, "plus")
             assert path.t.shape == (len(hist.snapshots),) and len(calls) == 2
 
+    @pytest.mark.parametrize("branch, row", [("minus", 0), ("plus", 1)])
+    def test_invariant_is_the_branch_row_at_each_point(self, branch, row):
+        # P on minus, Q on plus: each sample is the snapshot's invariant at
+        # the path point, as one scalar call would interpolate it
+        hist, p, g = gaussian_history(t_end=0.5)
+        path = trace(hist, 0.3, branch)
+        expected = [interp_cubic(pq_fields(s, p, g)[row], g, _wrap(x, g))[0]
+                    for s, x in zip(hist.snapshots, path.x)]
+        assert path.invariant.shape == path.t.shape and np.any(path.invariant != 0.0)
+        assert np.array_equal(path.invariant, expected)
+
     def test_single_snapshot_refused(self):
         hist, p, g = flat_history(t_end=0.0)
         assert len(hist.snapshots) == 1

@@ -231,6 +231,10 @@ class TestRangeRule:
         (lambda: _cfg(width=math.nan), "width must be positive and finite, got nan"),
         (lambda: _cfg(oleinik_C=math.inf), "oleinik_C must be nonnegative and finite, got inf"),
         (lambda: _cfg(wavenumbers=(1.0, -math.inf)), r"wavenumbers must be finite, got \(1.0, -inf\)"),
+        (lambda: Grid(n=64, dx=1e155), "dx must have a square above the smallest normal float and below infinity, "
+                                        r"got 1e\+155"),
+        (lambda: Params(hbar=1e-200), "hbar must have a square above the smallest normal float and below infinity, "
+                                      "got 1e-200"),
     ])
     def test_refusal_wording(self, build, message):
         with pytest.raises(SgnError, match=f"^{message}$"):

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +34,22 @@ class TestGridConstruction:
     def test_rejects_noninteger_cell_count(self, n):
         with pytest.raises(ContractViolationError, match="integer n"):
             Grid(n=n, dx=0.5)
+
+    @pytest.mark.parametrize("dx", [1e-160, 1e155], ids=["square-underflows", "square-overflows"])
+    def test_rejects_spacing_whose_square_leaves_the_normal_floats(self, dx):
+        # the Laplacian divides by dx*dx: it must be a normal float, neither subnormal, zero nor inf
+        with pytest.raises(ContractViolationError, match="dx must have a square above the smallest normal"):
+            Grid(n=64, dx=dx)
+
+    def test_square_rule_edge_is_tiny(self):
+        root = math.sqrt(sys.float_info.min)
+        for dx in (np.nextafter(root, 0.0), root, np.nextafter(root, 1.0), 2.0 * root):
+            if dx * dx >= sys.float_info.min:
+                assert Grid(n=64, dx=float(dx)).dx == dx
+            else:
+                with pytest.raises(ContractViolationError, match="square"):
+                    Grid(n=64, dx=float(dx))
+        Grid(n=64, dx=1e154)  # square 1e308, still finite
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ContractViolationError):

@@ -47,6 +47,15 @@ class TestParams:
         with pytest.raises(ContractViolationError, match="finite"):
             Params(**{field: float("inf")})
 
+    @pytest.mark.parametrize("hbar", [1e-200, 1e200], ids=["square-underflows", "square-overflows"])
+    def test_depth_whose_square_leaves_the_normal_floats_rejected(self, hbar):
+        with pytest.raises(ContractViolationError, match="hbar must have a square above the smallest normal"):
+            Params(hbar=hbar)
+
+    def test_small_depth_with_normal_square_accepted(self):
+        p = Params(hbar=1e-150)
+        assert 0.0 < p.e_max < math.inf
+
     def test_threshold(self):
         p = Params(g=9.81, gamma=9.81, hbar=1.0)
         assert p.e_max == pytest.approx(9.81)
