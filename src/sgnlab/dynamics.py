@@ -31,7 +31,7 @@ from . import regularization as reg
 from .elliptic import _assemble_L, solve_L_refined
 from .errors import ContractViolationError, DepthCollapseError, PositivityError, SgnError, check_ranges
 from .grid import Grid, _derivative, check_far_field, integrate
-from .kinematics import FlowState, Params, a_priori_bounds, curly_c, energy_density, f_of_h, gradients
+from .kinematics import FlowState, Params, a_priori_bounds, curly_c, f_of_h, gradients, total_energy
 
 __all__ = [
     "RhsEval",
@@ -65,6 +65,7 @@ class StepControl:
     ``dt_fixed`` disables the CFL controller (used by convergence studies).
     ``cfl`` lies in (0, 1], ``t_end`` is nonnegative and the rest positive
     (:func:`~sgnlab.errors.check_ranges`), all finite, ``dt_max`` included.
+    :meth:`finished` is the one end-of-run rule, for runs and snapshot plans.
     """
 
     cfl: float = 0.5
@@ -79,6 +80,10 @@ class StepControl:
             raise ContractViolationError(f"cfl must be in (0, 1], got {self.cfl}")
         check_ranges(self, ContractViolationError, nonnegative=("t_end",),
                      positive=("dt_max", "output_dt", "dt_fixed", "farfield_rtol"))
+
+    def finished(self, t: float) -> bool:
+        """True once a run at time ``t`` has reached ``t_end``, to a relative ``1e-12`` (absolute below 1)."""
+        return t >= self.t_end - 1e-12 * max(1.0, self.t_end)
 
 
 @dataclass(frozen=True)
@@ -123,11 +128,11 @@ def check_blowup(max_abs_ux: float, max_abs_hx: float, min_h: float,
 
 
 def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
-    """Semi-discrete right-hand side; regularized sources only when active."""
+    """Semi-discrete right-hand side; regularized sources only while ``Gradients.cutoff`` acts."""
     d = gradients(s, p, g)
     sys = _assemble_L(s.h, g, p.hbar)
     dh = -_derivative(s.h * s.u, g)
-    fields = reg.compute_reg_fields(s, p, g) if p.epsilon > 0.0 else None
+    fields = reg.compute_reg_fields(s, p, g)
     if fields is None:
         source = _derivative(curly_c(p, d) + f_of_h(s, p), g)
     else:
@@ -186,13 +191,13 @@ class SimHistory:
     """Snapshots plus per-step series of a run.
 
     ``series`` maps column names (t, mass, energy, min_h, max_h, max_abs_u,
-    min_ux, max_abs_hx, sup_P, sup_Q, diss_rate) to aligned arrays with one
-    row per accepted step (including the initial state).  How the run ended
-    is stored once, in ``abort_reason`` (``None`` when it completed); an
-    abort keeps everything recorded so far and ends at the last recorded
-    state.  A snapshot shares the arrays of the stepper's state but not its
-    memo, so the fields that post-processing derives from it are memoized on
-    the snapshot itself.
+    max_abs_ux, min_ux, max_abs_hx, sup_P, sup_Q, diss_rate) to aligned arrays,
+    one row per accepted step and the initial state; the blow-up monitor reads
+    the last row.  How the run ended is stored once, in ``abort_reason``
+    (``None`` when it completed); an abort keeps everything recorded so far
+    and ends at the last recorded state.  A snapshot shares the arrays of the
+    stepper's state but not its memo, so the fields that post-processing
+    derives from it are memoized on the snapshot itself.
     """
 
     grid: Grid
@@ -229,23 +234,20 @@ class SimHistory:
 
 
 _SERIES_COLUMNS = ("t", "mass", "energy", "min_h", "max_h", "max_abs_u",
-                   "min_ux", "max_abs_hx", "sup_P", "sup_Q", "diss_rate")
+                   "max_abs_ux", "min_ux", "max_abs_hx", "sup_P", "sup_Q", "diss_rate")
 
 
-def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> tuple[float, float, float]:
-    """Append one row to every series column, or to none if a field raises; returns (max|u_x|, max|h_x|, min h)."""
+def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> None:
+    """Append one row to every series column, or to none if a field raises."""
     d = gradients(s, p, g)
     P, Q = d.pq
     diss = 0.0 if d.cutoff is None else integrate(P * d.cutoff[0] + Q * d.cutoff[1], g) / 48.0
-    min_h = float(s.h.min())
-    max_ux = float(np.max(np.abs(d.ux)))
-    max_hx = float(np.max(np.abs(d.hx)))
     # integrate's scan makes an overflowing energy density raise NonFiniteError
-    row = (s.t, integrate(s.h, g), integrate(energy_density(s, p, d), g), min_h, float(s.h.max()),
-           float(np.max(np.abs(s.u))), float(d.ux.min()), max_hx, float(P.max()), float(Q.max()), diss)
+    row = (s.t, integrate(s.h, g), total_energy(s, p, g), float(s.h.min()), float(s.h.max()),
+           float(np.max(np.abs(s.u))), float(np.max(np.abs(d.ux))), float(d.ux.min()),
+           float(np.max(np.abs(d.hx))), float(P.max()), float(Q.max()), diss)
     for column, value in zip(series.values(), row):
         column.append(value)
-    return max_ux, max_hx, min_h
 
 
 def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
@@ -270,16 +272,17 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
         hist.snapshots.append(FlowState(s.h, s.u, s.t))
 
     s = FlowState(s0.h.copy(), s0.u.copy(), s0.t)
-    max_ux, max_hx, min_h = _record(series, s, p, g)
+    _record(series, s, p, g)
     floor = 0.0 if blowup is None else depth_floor(series["energy"][0], p)
     snapshot(s)
     next_out = c.output_dt
     while True:
-        code = None if blowup is None else check_blowup(max_ux, max_hx, min_h, blowup, floor)
+        code = None if blowup is None else check_blowup(
+            series["max_abs_ux"][-1], series["max_abs_hx"][-1], series["min_h"][-1], blowup, floor)
         if code is not None:
             hist.abort_reason = f"blowup:{code}"
             break
-        if s.t >= c.t_end - 1e-12 * max(1.0, c.t_end):
+        if c.finished(s.t):
             break  # tested after both monitors, so they check the final state too
         try:
             dt = c.dt_fixed if c.dt_fixed is not None else cfl_dt(s, p, g, c)
@@ -287,7 +290,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
             if next_out is not None and s.t < next_out:
                 dt = min(dt, next_out - s.t)
             stepped = rk4_step(s, dt, p, g)
-            max_ux, max_hx, min_h = _record(series, stepped, p, g)
+            _record(series, stepped, p, g)
             s = stepped  # recorded, so current: the far field checks it once, as the first state above
             check_far_field(s.h, s.u, g, p.hbar, rtol=c.farfield_rtol)
         except SgnError as exc:

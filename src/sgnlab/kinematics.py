@@ -26,8 +26,9 @@ the measured initial energy E0 stays below the threshold ``sqrt(g gamma) hbar^2`
 Every gradient above comes from one per-state bundle, :class:`Gradients`,
 built by :func:`gradients` and memoized on the state per (params, grid):
 ``u_x`` and ``h_x`` taken once, ``(P, Q)`` and the cut-off values
-``chi(P), chi(Q)`` formed on first use.  ``C`` and ``E`` take the bundle
-and are pointwise.
+``chi(P), chi(Q)`` formed on first use, ``None`` while both stay above
+``-1/eps`` (the one test of whether the cut-off acts).  ``C`` and ``E``
+take the bundle and are pointwise.
 
 All functions are pure and operate on immutable inputs: a state's arrays are
 never written after construction.  :class:`FlowState` checks its fields, so
@@ -53,7 +54,6 @@ __all__ = [
     "Gradients",
     "gradients",
     "chi",
-    "cutoff_active",
     "riemann_invariants",
     "char_speeds",
     "pq_fields",
@@ -150,14 +150,6 @@ def chi(zeta, epsilon: float):
     return float(out) if out.ndim == 0 else out
 
 
-def cutoff_active(P: np.ndarray, Q: np.ndarray, epsilon: float) -> bool:
-    """True when some gradient invariant reaches the cut-off threshold ``-1/eps``."""
-    if epsilon <= 0.0:
-        return False
-    thr = -1.0 / epsilon
-    return bool(P.min() <= thr or Q.min() <= thr)
-
-
 @dataclass(frozen=True)
 class Gradients:
     """Gridded gradients of one state: ``ux``, ``hx`` and, on first use, ``h3``, ``pq`` and ``cutoff``."""
@@ -182,11 +174,12 @@ class Gradients:
 
     @cached_property
     def cutoff(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(chi(P), chi(Q))`` while the cut-off is active, else ``None`` (at eps = 0 without forming P, Q)."""
-        if self.epsilon == 0.0 or not cutoff_active(*self.pq, self.epsilon):
+        """``(chi(P), chi(Q))`` once P or Q reaches ``-1/eps``, else ``None``: the one rule for when it acts."""
+        if self.epsilon == 0.0:  # without forming P, Q
             return None
         P, Q = self.pq
-        return chi(P, self.epsilon), chi(Q, self.epsilon)
+        thr = -1.0 / self.epsilon
+        return (chi(P, self.epsilon), chi(Q, self.epsilon)) if P.min() <= thr or Q.min() <= thr else None
 
 
 def _gradients(s: FlowState, p: Params, g: Grid) -> Gradients:

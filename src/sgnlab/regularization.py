@@ -15,8 +15,9 @@ From the cut-off, the source fields of the regularized system::
     V2 = (3 g / sqrt(3 gamma)) h^{-1/2} A
     M  = -3 h^{-2} R_script + V1 - V2        N = -3 h^{-2} R_script + V1 + V2
 
-``chi`` and ``cutoff_active`` live in :mod:`sgnlab.kinematics`: a state's
-cut-off values are part of its memoized gradient bundle, ``Gradients.cutoff``.
+``chi`` lives in :mod:`sgnlab.kinematics`: a state's cut-off values are part
+of its memoized gradient bundle, ``Gradients.cutoff``, the one rule for whether
+the cut-off acts (``None`` at eps = 0 or while P and Q stay above ``-1/eps``).
 The stepper reads ``A_x`` and ``B``'s flux ``h^2 u_x A_x/2 - h (chi(P) +
 chi(Q))/48``: :func:`compute_reg_fields` returns both, and ``dynamics.rhs``
 folds ``B``'s source into its one ``L_h`` solve (``L_h^{-1}`` is linear).
@@ -95,10 +96,10 @@ def compute_MN(s: FlowState, V1, V2, scriptR: np.ndarray) -> tuple[np.ndarray, n
 
 
 def compute_reg_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray] | None:
-    """Stepper sources ``(A_x, b_flux)``, ``b_flux`` being ``B``'s flux, or ``None`` when the cut-off is inactive.
+    """Stepper sources ``(A_x, b_flux)``, ``b_flux`` being ``B``'s flux, or ``None`` when ``Gradients.cutoff`` is.
 
-    Returning ``None`` (rather than zero fields) lets the stepper skip the
-    Helmholtz solve and reproduce the unregularized right-hand side bitwise.
+    Returning ``None`` (rather than zero fields, at any eps) lets the stepper skip
+    the Helmholtz solve and reproduce the unregularized right-hand side bitwise.
     """
     d = gradients(s, p, g)
     if d.cutoff is None:

@@ -106,9 +106,8 @@ class ScenarioConfig:
             raise ConfigError("custom scenarios need a file")
         check_ranges(self, ConfigError, finite=("amplitude", "center", "wavenumbers"),
                      positive=("width", "plateau", "target_energy", "energy_rtol", "dispersion_rtol"),
-                     nonnegative=("mollifier_epsilon", "oleinik_C"))
-        if self.kind == "gaussian" and not 0.0 < self.width * self.width < math.inf:  # the profile divides by it
-            raise ConfigError(f"width must have a positive finite square, got {self.width}")
+                     nonnegative=("mollifier_epsilon", "oleinik_C"),
+                     squared=("width",) if self.kind == "gaussian" else ())  # the profile divides by width^2
         cells = self.mollifier_epsilon / self.grid.dx  # the filter divides by its square, and spans 12 of them
         if self.mollifier_epsilon > 0.0 and not (cells * cells >= np.finfo(float).tiny
                                                  and self.mollifier_epsilon <= self.grid.length):
@@ -128,9 +127,9 @@ class ScenarioConfig:
         for k in self.wavenumbers if self.kind == "sine" else ():
             if self.grid.mode_index(k) is None:
                 raise ConfigError(f"wavenumber {k} does not fit the periodic domain as 2 pi m/length, 1 <= m <= n/2-1")
-        if "dispersion" in self.checks:  # the run keeps t = 0, one state per output_dt, and t_end
+        if "dispersion" in self.checks:  # the run keeps t = 0, one state per output_dt, and its end
             gap = self.step.t_end if self.step.output_dt is None else min(self.step.output_dt, self.step.t_end)
-            kept = 1 if self.step.t_end == 0.0 else 2 if gap == self.step.t_end else 3  # 3 or more
+            kept = 1 if self.step.finished(0.0) else 2 if self.step.finished(gap) else 3  # 3 or more
             for why in (phase_sampling_refusal(kept, gap, k, self.params) for k in self.wavenumbers):
                 if why is not None:
                     raise ConfigError(why)

@@ -86,6 +86,12 @@ def kernel_fields(n: int, positive: bool = False):
     return hnp.arrays(np.float64, n, elements=values)
 
 
+def cutoff_reached(P: np.ndarray, Q: np.ndarray, epsilon: float) -> bool:
+    """The paper's activation test, written here apart from ``Gradients.cutoff``:
+    eps > 0 and some gradient invariant at or below ``-1/eps``."""
+    return epsilon > 0.0 and bool(min(P.min(), Q.min()) <= -1.0 / epsilon)
+
+
 def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
     """Equal bit for bit: signed zeros must agree too."""
     assert actual.dtype == expected.dtype and actual.shape == expected.shape

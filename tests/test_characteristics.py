@@ -16,10 +16,10 @@ from sgnlab.characteristics import (
 from sgnlab.dynamics import StepControl, simulate
 from sgnlab.elliptic import assemble_L, script_r
 from sgnlab.errors import ContractViolationError, ModeError, NonFiniteError
-from sgnlab.kinematics import char_speeds, chi, cutoff_active, gradients, pq_fields
+from sgnlab.kinematics import char_speeds, chi, gradients, pq_fields
 from sgnlab.regularization import compute_A, compute_MN, compute_V1, compute_V2
 
-from conftest import assert_bitwise, count_derivative_calls, kernel_fields
+from conftest import assert_bitwise, count_derivative_calls, cutoff_reached, kernel_fields
 
 
 def flat_history(gamma=3.0, t_end=1.0, n=256, mode="periodic"):
@@ -55,7 +55,7 @@ def unshared_rhs_field(s, p, g, branch):
     own, other = (P, Q) if branch == "minus" else (Q, P)
     out = (-own**2 + other**2) / (8.0 * s.h)
     v1 = v2 = 0.0
-    if cutoff_active(P, Q, p.epsilon):
+    if cutoff_reached(P, Q, p.epsilon):
         sys = assemble_L(s.h, g, p.hbar)
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
         A, A_x = compute_A(s, chiP, chiQ, p, g)
@@ -314,7 +314,7 @@ class TestRiccatiResidual:
         s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
         d = gradients(s, p, g)
         P, Q = d.pq
-        assert cutoff_active(P, Q, p.epsilon)
+        assert cutoff_reached(P, Q, p.epsilon)
         minus, plus = _riccati_rhs_fields(s, p, g)
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
         A, A_x = compute_A(s, chiP, chiQ, p, g)
@@ -410,7 +410,7 @@ class TestSharedFields:
 
     def test_active_cutoff_one_assembly_per_snapshot_bitwise(self, monkeypatch):
         hist, p, g = active_line_history()
-        assert any(cutoff_active(*pq_fields(s, p, g), p.epsilon) for s in hist.snapshots)
+        assert any(cutoff_reached(*pq_fields(s, p, g), p.epsilon) for s in hist.snapshots)
         assemblies = []
         real = elliptic._assemble_L
 

@@ -16,9 +16,9 @@ from sgnlab.dynamics import (
 )
 from sgnlab.errors import ContractViolationError, DepthCollapseError, ModeError, NonFiniteError
 from sgnlab.grid import derivative, integrate
-from sgnlab.kinematics import cutoff_active, pq_fields, total_energy
+from sgnlab.kinematics import pq_fields, total_energy
 
-from conftest import assert_bitwise, convergence_orders, count_derivative_calls
+from conftest import assert_bitwise, convergence_orders, count_derivative_calls, cutoff_reached
 
 
 def gaussian_state(g, a=0.05, w=1.0, hbar=1.0):
@@ -239,6 +239,14 @@ class TestStepControl:
     def test_malformed_setting_rejected(self, field, value):
         with pytest.raises(ContractViolationError, match=field):
             StepControl(**{field: value})
+
+    @pytest.mark.parametrize("t_end", [0.0, 1e-13, 0.3, 1.0, 3.0, 1e6])
+    def test_finished_from_the_end_tolerance_on(self, t_end):
+        # the one end-of-run rule: t_end less 1e-12 max(1, t_end), and not one ulp below
+        c = StepControl(t_end=t_end)
+        edge = t_end - 1e-12 * max(1.0, t_end)
+        assert c.finished(edge) and c.finished(t_end)
+        assert not c.finished(np.nextafter(edge, -np.inf))
 
 
 class TestBlowupCheck:
@@ -524,7 +532,7 @@ class TestSimulate:
         # fault injection: the energy density of the fourth recorded state
         # overflows; the step whose row fails is not accepted, and no column
         # keeps a partial row
-        real = dynamics.energy_density
+        real = kinematics.energy_density
         calls = []
 
         def overflowing(s, p, d):
@@ -534,7 +542,7 @@ class TestSimulate:
                 out[20] = np.inf
             return out
 
-        monkeypatch.setattr(dynamics, "energy_density", overflowing)
+        monkeypatch.setattr(kinematics, "energy_density", overflowing)
         g = Grid.from_length(256, 40.0, -20.0, mode)
         hist = simulate(gaussian_state(g), params, g,
                         StepControl(t_end=1.0, dt_fixed=4e-3, output_dt=4e-3))
@@ -688,7 +696,7 @@ def _active_line_state():
     x = g.cells()
     p = Params(epsilon=1.0)
     s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
-    assert cutoff_active(*pq_fields(s, p, g), p.epsilon)
+    assert cutoff_reached(*pq_fields(s, p, g), p.epsilon)
     return s, p, g
 
 
@@ -749,8 +757,17 @@ class TestOneHome:
             x = g.cells()
             s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
             calls.clear()
-            dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, Params(epsilon=eps), g)
+            assert dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, Params(epsilon=eps), g) is None
             assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_eps0_rhs_leaves_pq_unformed(self, mode):
+        # the bundle answers the cut-off question at eps = 0 without forming P and Q
+        g = Grid.from_length(128, 20.0, -10.0, mode)
+        s, p = gaussian_state(g), Params()
+        rhs(s, p, g)
+        d = kinematics.gradients(s, p, g)
+        assert "pq" not in vars(d) and d.cutoff is None
 
     def test_recorded_state_reuses_its_gradients(self, monkeypatch):
         # the recorder fills the state's memo; the next step's first rhs reads
@@ -809,6 +826,7 @@ class TestOneHome:
             P, Q = pq_fields(s, params, g)
             assert hist.series["sup_P"][k] == float(P.max())
             assert hist.series["sup_Q"][k] == float(Q.max())
+            assert hist.series["max_abs_ux"][k] == float(np.max(np.abs(kinematics.gradients(s, params, g).ux)))
 
 
 def _active_periodic_state():
@@ -817,7 +835,7 @@ def _active_periodic_state():
     x = g.cells()
     p = Params(epsilon=1.0)
     s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
-    assert cutoff_active(*pq_fields(s, p, g), p.epsilon)
+    assert cutoff_reached(*pq_fields(s, p, g), p.epsilon)
     return s, p, g
 
 

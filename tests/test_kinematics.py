@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sgnlab import FlowState, Grid, Params
 from sgnlab.errors import ContractViolationError, PositivityError
@@ -11,6 +11,7 @@ from sgnlab.grid import derivative
 from sgnlab.kinematics import (
     a_priori_bounds,
     char_speeds,
+    chi,
     curly_c,
     energy_density,
     f_of_h,
@@ -20,7 +21,7 @@ from sgnlab.kinematics import (
     total_energy,
 )
 
-from conftest import assert_bitwise, kernel_fields
+from conftest import assert_bitwise, cutoff_reached, kernel_fields
 
 
 def make_state(g, h, u, t=0.0):
@@ -136,6 +137,36 @@ class TestPQFields:
         hx = np.sqrt(h) * (Q - P) / (2.0 * p.sqrt_3gamma)
         assert np.max(np.abs(ux - derivative(u, periodic_grid))) < 1e-12 * (1 + np.max(np.abs(ux)))
         assert np.max(np.abs(hx - derivative(h, periodic_grid))) < 1e-12 * (1 + np.max(np.abs(hx)))
+
+
+class TestCutoffRule:
+    @given(mode=st.sampled_from(["periodic", "line"]), which=st.sampled_from(["zero", "drawn", "edge"]),
+           eps=st.floats(0.05, 5.0), ulps=st.integers(-2, 2), amp_h=st.floats(-0.3, 0.3),
+           amp_u=st.floats(-3.0, 3.0), width=st.floats(0.5, 3.0))
+    # the lowest invariant exactly at -1/eps (-1/(-1/lowest) rounds back to lowest), where the cut-off acts
+    @example(mode="periodic", which="edge", eps=1.0, ulps=0, amp_h=0.1, amp_u=-1.5, width=1.0)
+    @example(mode="line", which="edge", eps=1.0, ulps=0, amp_h=0.1, amp_u=-2.0, width=1.0)
+    def test_cutoff_is_none_exactly_when_no_invariant_reaches_the_threshold(self, mode, which, eps, ulps,
+                                                                             amp_h, amp_u, width):
+        # "edge" puts -1/eps within rounding of the lowest invariant, then ``ulps`` ulps off it
+        g = Grid.from_length(128, 20.0, -10.0, mode)
+        x = g.cells()
+        bump = np.exp(-((x / width) ** 2))
+        s = FlowState(1.0 + amp_h * bump, amp_u * x * bump)
+        P, Q = pq_fields(s, Params(), g)
+        lowest = min(P.min(), Q.min())
+        if which == "zero":
+            eps = 0.0
+        elif which == "edge" and lowest < 0.0:
+            eps = -1.0 / lowest
+            for _ in range(abs(ulps)):
+                eps = np.nextafter(eps, np.copysign(np.inf, ulps))
+        d = gradients(s, Params(epsilon=eps), g)
+        if not cutoff_reached(P, Q, eps):
+            assert d.cutoff is None
+        else:
+            assert_bitwise(d.cutoff[0], chi(P, eps))
+            assert_bitwise(d.cutoff[1], chi(Q, eps))
 
 
 class TestCurlyCAndF:

@@ -7,7 +7,7 @@ from sgnlab import FlowState, Grid, Params
 from sgnlab.elliptic import _helmholtz_system, assemble_L, solve_helmholtz, solve_L
 from sgnlab.errors import ContractViolationError, ModeError
 from sgnlab.grid import derivative
-from sgnlab.kinematics import chi, cutoff_active, gradients, pq_fields
+from sgnlab.kinematics import chi, gradients, pq_fields
 from sgnlab.regularization import (
     compute_A,
     compute_B,
@@ -17,7 +17,7 @@ from sgnlab.regularization import (
     compute_V2,
 )
 
-from conftest import assert_bitwise, convergence_orders, dense_matrix
+from conftest import assert_bitwise, convergence_orders, cutoff_reached, dense_matrix
 
 
 class TestChi:
@@ -329,13 +329,18 @@ class TestOrchestration:
         h = 1.0 + 0.01 * np.exp(-(x**2))
         s = FlowState(h, np.zeros(g.n))
         P, Q = pq_fields(s, p, g)
-        assert not cutoff_active(P, Q, p.epsilon)
+        assert not cutoff_reached(P, Q, p.epsilon)
         assert gradients(s, p, g).cutoff is None
         assert compute_reg_fields(s, p, g) is None
 
     def test_epsilon_zero_never_active(self, rng):
-        P = rng.uniform(-1e6, 0, 64)
-        assert not cutoff_active(P, P, 0.0)
+        # a state far past any threshold: at eps = 0 the bundle says no without forming P and Q
+        g, p = make_line_setup(n=64, eps=0.0)
+        s = FlowState(np.ones(g.n), rng.uniform(-1e6, 0.0, g.n))
+        d = gradients(s, p, g)
+        assert d.cutoff is None and "pq" not in vars(d)
+        assert cutoff_reached(*pq_fields(s, p, g), 1.0)  # the same state reaches -1 at eps = 1
+        assert compute_reg_fields(s, p, g) is None
 
     def test_active_fields_all_finite(self):
         g, p = make_line_setup(n=1024, eps=0.2)

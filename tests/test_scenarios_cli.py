@@ -526,7 +526,8 @@ class TestCli:
         ("gaussian_energy.cfg", "grid.x_left=-inf", "error: x_left must be finite, got -inf"),
         ("gaussian_energy.cfg", "step.dt_max=inf", "error: dt_max must be positive and finite, got inf"),
         # finite values the arithmetic that uses them cannot take: each once ended in a traceback
-        ("gaussian_energy.cfg", "scenario.width=1e200", "error: width must have a positive finite square"),
+        ("gaussian_energy.cfg", "scenario.width=1e200", "error: width must have a square above the smallest normal"),
+        ("gaussian_energy.cfg", "scenario.width=1e-160", "error: width must have a square above the smallest normal"),
         ("gaussian_energy.cfg", "scenario.mollifier_epsilon=1e-300", "error: mollifier_epsilon must be 0 or"),
         ("gaussian_energy.cfg", "scenario.mollifier_epsilon=1e300", "error: mollifier_epsilon must be 0 or"),
         ("gaussian_energy.cfg", "grid.length=1e-300", "error: dx must have a square above the smallest normal"),
@@ -565,14 +566,17 @@ class TestCli:
         assert main(["check", *args]) == 2
         assert "OK" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("override, message", [
-        ("step.t_end=0", "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 1"),
-        ("step.output_dt=", "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 2"),
-        ("step.output_dt=1.5", "error: snapshots 1.5 apart alias wavenumber 1: dt * omega = 4.7 >= pi"),
-    ], ids=["one-snapshot", "two-snapshots", "aliased"])
-    def test_dispersion_snapshots_that_cannot_measure_exit_two(self, tmp_path, capsys, override, message):
+    @pytest.mark.parametrize("overrides, message", [
+        (["step.t_end=0"], "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 1"),
+        (["step.output_dt="], "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 2"),
+        (["step.output_dt=1.5"], "error: snapshots 1.5 apart alias wavenumber 1: dt * omega = 4.7 >= pi"),
+        # the first output lands within the run's end tolerance, so the run ends there
+        (["grid.n=128", "step.t_end=0.1", "step.output_dt=0.09999999999999"],
+         "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 2"),
+    ], ids=["one-snapshot", "two-snapshots", "aliased", "output-within-end-tolerance"])
+    def test_dispersion_snapshots_that_cannot_measure_exit_two(self, tmp_path, capsys, overrides, message):
         # check once said OK here, and run could only report three unmeasured modes
-        args = ["--config", str(CONFIGS / "dispersion_b3.cfg"), "--override", override]
+        args = ["--config", str(CONFIGS / "dispersion_b3.cfg"), *(a for o in overrides for a in ("--override", o))]
         assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "o").exists()
