@@ -43,6 +43,7 @@ __all__ = [
     "cfl_dt",
     "rk4_step",
     "SimHistory",
+    "SERIES_COLUMNS",
     "simulate",
 ]
 
@@ -190,14 +191,13 @@ def rk4_step(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
 class SimHistory:
     """Snapshots plus per-step series of a run.
 
-    ``series`` maps column names (t, mass, energy, min_h, max_h, max_abs_u,
-    max_abs_ux, min_ux, max_abs_hx, sup_P, sup_Q, diss_rate) to aligned arrays,
-    one row per accepted step and the initial state; the blow-up monitor reads
-    the last row.  How the run ended is stored once, in ``abort_reason``
-    (``None`` when it completed); an abort keeps everything recorded so far
-    and ends at the last recorded state.  A snapshot shares the arrays of the
-    stepper's state but not its memo, so the fields that post-processing
-    derives from it are memoized on the snapshot itself.
+    ``series`` maps each name of :data:`SERIES_COLUMNS`, in order, to aligned
+    arrays, one row per accepted step and the initial state; the blow-up
+    monitor reads the last row.  How the run ended is stored once, in
+    ``abort_reason`` (``None`` when it completed); an abort keeps everything
+    recorded so far and ends at the last recorded state.  A snapshot shares
+    the arrays of the stepper's state but not its memo, so the fields that
+    post-processing derives from it are memoized on the snapshot itself.
     """
 
     grid: Grid
@@ -233,8 +233,9 @@ class SimHistory:
         return len(self.series["t"]) - 1
 
 
-_SERIES_COLUMNS = ("t", "mass", "energy", "min_h", "max_h", "max_abs_u",
-                   "max_abs_ux", "min_ux", "max_abs_hx", "sup_P", "sup_Q", "diss_rate")
+#: the one series schema: the recorder's row, ``series.csv``'s columns; a new column goes last
+SERIES_COLUMNS = ("t", "mass", "energy", "min_h", "min_ux", "max_abs_hx", "sup_P", "sup_Q",
+                  "max_h", "max_abs_u", "max_abs_ux", "diss_rate")
 
 
 def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> None:
@@ -243,9 +244,9 @@ def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> None:
     P, Q = d.pq
     diss = 0.0 if d.cutoff is None else integrate(P * d.cutoff[0] + Q * d.cutoff[1], g) / 48.0
     # integrate's scan makes an overflowing energy density raise NonFiniteError
-    row = (s.t, integrate(s.h, g), total_energy(s, p, g), float(s.h.min()), float(s.h.max()),
-           float(np.max(np.abs(s.u))), float(np.max(np.abs(d.ux))), float(d.ux.min()),
-           float(np.max(np.abs(d.hx))), float(P.max()), float(Q.max()), diss)
+    row = (s.t, integrate(s.h, g), total_energy(s, p, g), float(s.h.min()), float(d.ux.min()),
+           float(np.max(np.abs(d.hx))), float(P.max()), float(Q.max()), float(s.h.max()),
+           float(np.max(np.abs(s.u))), float(np.max(np.abs(d.ux))), diss)
     for column, value in zip(series.values(), row):
         column.append(value)
 
@@ -266,7 +267,7 @@ def simulate(s0: FlowState, p: Params, g: Grid, c: StepControl,
     """
     check_far_field(s0.h, s0.u, g, p.hbar, rtol=c.farfield_rtol)
     hist = SimHistory(grid=g, params=p, control=c)
-    series: dict[str, list] = {k: [] for k in _SERIES_COLUMNS}
+    series: dict[str, list] = {k: [] for k in SERIES_COLUMNS}
 
     def snapshot(s: FlowState):
         hist.snapshots.append(FlowState(s.h, s.u, s.t))

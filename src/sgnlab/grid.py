@@ -25,6 +25,7 @@ stepper's kernel, skips that check for fields derived from a checked state.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ PERIODIC = "periodic"
 LINE = "line"
 #: cells per side that :func:`check_far_field` watches on a line grid
 FAR_FIELD_CELLS = 8
+#: the most cells a grid takes: a state's h and u, 8 bytes a cell each, fit in the machine's physical memory
+_MAX_CELLS = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 16
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,9 @@ class Grid:
     mode: str = PERIODIC
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 8:
-            raise ContractViolationError(f"grid needs an integer n >= 8 cells, got {self.n!r}")
+        if not isinstance(self.n, (int, np.integer)) or not 8 <= self.n <= _MAX_CELLS:
+            raise ContractViolationError(f"grid needs an integer n >= 8 cells whose h and u fit in physical memory "
+                                         f"(16 n bytes, n <= {_MAX_CELLS}), got {self.n!r}")
         check_ranges(self, ContractViolationError, positive=("dx",), finite=("x_left",), squared=("dx",))
         if self.mode not in (PERIODIC, LINE):
             raise ContractViolationError(f"unknown grid mode {self.mode!r}")

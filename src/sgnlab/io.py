@@ -1,10 +1,11 @@
 """Artifact serialization: CSV series/snapshots and JSON summaries.
 
-One directory per run: ``run.cfg`` (full config echo), ``series.csv`` (one
-row per accepted step), ``snap_NNNN.csv`` (one file per saved time, columns
-x, h, u, P, Q) and ``summary.json``.  CSV numbers carry 17 significant
-digits; JSON floats use exact round-trip representations, an unmeasured
-value is ``null``, and NaN or infinity is refused (the JSON is standard).
+One directory per run: ``run.cfg`` (full config echo), ``series.csv`` (the
+columns of ``SimHistory.series`` as they stand), ``snap_NNNN.csv`` (one file
+per saved time, columns x, h, u, P, Q) and ``summary.json``.  CSV numbers
+carry 17 significant digits, so every verdict recomputes from the run
+directory; JSON floats are exact round-trip values, an unmeasured value is
+``null``, and NaN or infinity is refused (the JSON is standard).
 
 The report dataclasses of :mod:`sgnlab.diagnostics` declare the reports'
 schema: :func:`_json_record` writes every report as its fields in order, a
@@ -28,10 +29,7 @@ from .dynamics import SimHistory
 from .kinematics import a_priori_bounds, pq_fields
 from .scenarios import RunArtifact, SWEEP_LABEL, SweepResult
 
-__all__ = ["write_run_artifact", "write_sweep_result", "SERIES_CSV_COLUMNS"]
-
-#: the stable public schema of series.csv
-SERIES_CSV_COLUMNS = ("t", "mass", "energy", "min_h", "min_ux", "max_abs_hx", "sup_P", "sup_Q")
+__all__ = ["write_run_artifact", "write_sweep_result"]
 
 
 def _fmt(v: float) -> str:
@@ -46,18 +44,17 @@ def _csv_rows(columns: list[np.ndarray]) -> str:
 
 def write_series_csv(hist: SimHistory, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SERIES_CSV_COLUMNS) + "\n")
-        fh.write(_csv_rows([hist.series[c] for c in SERIES_CSV_COLUMNS]))
+        fh.write(",".join(hist.series) + "\n")
+        fh.write(_csv_rows(list(hist.series.values())))
 
 
 def write_snapshot_csv(hist: SimHistory, index: int, path: str) -> None:
     s = hist.snapshots[index]
     P, Q = pq_fields(s, hist.params, hist.grid)
-    x = hist.grid.cells()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# t = {_fmt(s.t)}\n")
         fh.write("x,h,u,P,Q\n")
-        fh.write(_csv_rows([x, s.h, s.u, P, Q]))
+        fh.write(_csv_rows([hist.grid.cells(), s.h, s.u, P, Q]))
 
 
 def _json_record(obj) -> dict:
@@ -125,11 +122,8 @@ def write_sweep_result(result: SweepResult, out_dir: str) -> None:
     summary = {
         "epsilons": result.epsilons,
         "table": result.table,
-        "runs": [
-            {"epsilon": eps, "status": art.history.status, "e0": art.history.e0,
-             "verdicts": art.verdicts}
-            for eps, art in zip(result.epsilons, result.artifacts)
-        ],
+        "runs": [{"epsilon": eps, "status": art.history.status, "e0": art.history.e0, "verdicts": art.verdicts}
+                 for eps, art in zip(result.epsilons, result.artifacts)],
     }
     with open(os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +57,7 @@ __all__ = [
     "RunArtifact",
     "SweepResult",
     "build_initial",
+    "judge_run",
     "run_scenario",
     "epsilon_sweep",
     "l2_box_difference",
@@ -195,9 +197,11 @@ def _shape(cfg: ScenarioConfig, amplitude: float) -> tuple[np.ndarray, np.ndarra
             raise ConfigError("steep amplitude drives the depth non-positive")
         u = 2.0 * p.sqrt_3gamma * (1.0 / np.sqrt(h) - 1.0 / math.sqrt(p.hbar))
         return h, u
-    try:  # custom
-        data = np.loadtxt(cfg.file, delimiter=",", skiprows=1)
-    except (OSError, ValueError) as exc:
+    try:  # custom; a loadtxt warning (a file without data rows) refuses the file like an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(cfg.file, delimiter=",", skiprows=1)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"cannot read custom file {cfg.file}: {exc}") from exc
     if data.shape != (g.n, 3):
         raise ConfigError(f"custom file must hold {g.n} rows of x,h,u; got shape {data.shape}")
@@ -241,10 +245,8 @@ def build_initial(cfg: ScenarioConfig) -> FlowState:
     return assemble(sign * a_star)
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
-    """Build, simulate, and evaluate every check in ``cfg.checks``; each report gives its own verdict."""
-    t0 = _time.perf_counter()
-    hist = simulate(build_initial(cfg), cfg.params, cfg.grid, cfg.step, blowup=cfg.blowup)
+def judge_run(cfg: ScenarioConfig, hist: SimHistory) -> RunArtifact:
+    """Evaluate every check in ``cfg.checks`` on ``hist``; each report gives its own verdict."""
     art = RunArtifact(config=cfg, history=hist)
     reports = {  # in the order the verdicts are recorded
         "energy": lambda: energy_budget(hist, conserve_rtol=cfg.energy_rtol),
@@ -259,6 +261,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
             art.verdicts[name] = rep.verdict
     if hist.status == "aborted" and not (cfg.expect_blowup and hist.trigger is not None):
         art.verdicts["completed"] = False  # every abort but the expected blow-up
+    return art
+
+
+def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
+    """Build, simulate and judge (:func:`judge_run`) ``cfg``; ``wall_time`` spans all three."""
+    t0 = _time.perf_counter()
+    art = judge_run(cfg, simulate(build_initial(cfg), cfg.params, cfg.grid, cfg.step, blowup=cfg.blowup))
     art.wall_time = _time.perf_counter() - t0
     return art
 
@@ -330,16 +339,8 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
     step = cfg.step
     if step.output_dt is None:
         step = replace(step, output_dt=max((box.t2 - box.t1) / (BOX_TIME_SAMPLES - 1), 1e-6))
-    artifacts = []
-    for eps in epsilons:
-        run_cfg = replace(
-            cfg,
-            params=replace(cfg.params, epsilon=eps),
-            mollifier_epsilon=eps,
-            step=step,
-            box=box,
-        )
-        artifacts.append(run_scenario(run_cfg))
+    artifacts = [run_scenario(replace(cfg, params=replace(cfg.params, epsilon=eps), mollifier_epsilon=eps,
+                                      step=step, box=box)) for eps in epsilons]
     table = []
     for (ea, arta), (eb, artb) in zip(zip(epsilons, artifacts), zip(epsilons[1:], artifacts[1:])):
         row: dict = {"eps_coarse": ea, "eps_fine": eb}

@@ -212,14 +212,16 @@ class TestBlowupDiagnostics:
 class TestLpBoxNorm:
     def test_flat_run_zero(self):
         hist, p, g = flat_history()
-        val = lp_box_norm(hist, 0.5, Box(0.2, 0.8, -5.0, 5.0))
+        with pytest.warns(UserWarning, match="time samples"):
+            val = lp_box_norm(hist, 0.5, Box(0.2, 0.8, -5.0, 5.0))
         # nonuniform time-difference weights leave 1e-16-level dust in h_t
         assert val < 1e-30
 
     def test_alpha_zero_matches_plain_l2(self):
         hist, p, g = gaussian_history(t_end=0.6)
         box = Box(0.1, 0.5, -5.0, 5.0)
-        val = lp_box_norm(hist, 0.0, box)
+        with pytest.warns(UserWarning, match="time samples"):
+            val = lp_box_norm(hist, 0.0, box)
         # independent computation of the plain space-time L2 norm
         snaps = hist.snapshots
         times = np.array([s.t for s in snaps])

@@ -757,7 +757,7 @@ class TestOneHome:
             x = g.cells()
             s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
             calls.clear()
-            assert dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, Params(epsilon=eps), g) is None
+            assert dynamics._record({k: [] for k in dynamics.SERIES_COLUMNS}, s, Params(epsilon=eps), g) is None
             assert len(calls) == 2
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
@@ -776,7 +776,7 @@ class TestOneHome:
         cases = [(gaussian_state(g), Params(), g, 0)
                  for g in (Grid.from_length(128, 20.0, -10.0, mode) for mode in ("periodic", "line"))]
         for s, p, g, active in cases + [(*_active_line_state(), 1)]:
-            dynamics._record({k: [] for k in dynamics._SERIES_COLUMNS}, s, p, g)
+            dynamics._record({k: [] for k in dynamics.SERIES_COLUMNS}, s, p, g)
             calls.clear()
             recorded = rhs(s, p, g)
             assert len(calls) == 4 + active

@@ -15,10 +15,10 @@ from sgnlab import FlowState, Grid, Params, cli, scenarios
 from sgnlab.cli import main
 from sgnlab.config import config_echo, parse_config, parse_config_text
 from sgnlab.diagnostics import Box, lp_box_norm
-from sgnlab.dynamics import SimHistory, StepControl
+from sgnlab.dynamics import SERIES_COLUMNS, SimHistory, StepControl
 from sgnlab.errors import ConfigError, ContractViolationError, SgnError
 from sgnlab.grid import integrate
-from sgnlab.io import SERIES_CSV_COLUMNS, write_run_artifact, write_series_csv, write_snapshot_csv
+from sgnlab.io import write_run_artifact, write_series_csv, write_snapshot_csv
 from sgnlab.kinematics import pq_fields, riemann_invariants, total_energy
 from sgnlab.scenarios import (
     ScenarioConfig,
@@ -230,12 +230,17 @@ class TestCsvBytes:
 
     def test_series_csv_matches_savetxt(self, tmp_path):
         rng = np.random.default_rng(3)
-        columns = [rng.permutation(self.SPECIAL) for _ in SERIES_CSV_COLUMNS]
+        columns = [rng.permutation(self.SPECIAL) for _ in SERIES_COLUMNS]
         hist = SimHistory(grid=Grid.from_length(16, 1.0), params=Params(), control=StepControl(),
-                          series=dict(zip(SERIES_CSV_COLUMNS, columns)))
+                          series=dict(zip(SERIES_COLUMNS, columns)))
         path = tmp_path / "series.csv"
         write_series_csv(hist, str(path))
-        assert path.read_text() == ",".join(SERIES_CSV_COLUMNS) + "\n" + self.savetxt_bytes(columns)
+        assert path.read_text() == ",".join(SERIES_COLUMNS) + "\n" + self.savetxt_bytes(columns)
+
+    def test_series_columns_keep_their_order(self):
+        # columns are only appended: a reader of an older series.csv finds each of its columns in place
+        assert SERIES_COLUMNS[:12] == ("t", "mass", "energy", "min_h", "min_ux", "max_abs_hx", "sup_P", "sup_Q",
+                                       "max_h", "max_abs_u", "max_abs_ux", "diss_rate")
 
     def test_snapshot_csv_matches_savetxt(self, tmp_path):
         g = Grid.from_length(16, 8.0, -4.0, "line")
@@ -533,6 +538,9 @@ class TestCli:
         ("gaussian_energy.cfg", "grid.length=1e-300", "error: dx must have a square above the smallest normal"),
         ("gaussian_energy.cfg", "grid.length=1e308", "error: dx must have a square above the smallest normal"),
         ("gaussian_energy.cfg", "params.hbar=1e-200", "error: hbar must have a square above the smallest normal"),
+        # refused before anything is allocated: h and u alone would take 1.6 TB
+        ("gaussian_energy.cfg", "grid.n=100000000000",
+         "error: grid needs an integer n >= 8 cells whose h and u fit in physical memory"),
         # a slope threshold <= 0 fires on a flat state
         ("flat.cfg", "checks.ux_threshold=-1", "error: blow-up threshold ux must be positive"),
         ("flat.cfg", "checks.hx_threshold=0", "error: blow-up threshold hx must be positive"),
@@ -584,8 +592,8 @@ class TestCli:
         check = capsys.readouterr()
         assert check.err.startswith(message) and "OK" not in check.out
 
-    @pytest.mark.parametrize("content", [None, "x,h,u\n1,one,0\n", "x,h,u\n0,1,0\n1,1,0\n"],
-                             ids=["missing", "non-numeric", "wrong-shape"])
+    @pytest.mark.parametrize("content", [None, "x,h,u\n1,one,0\n", "x,h,u\n0,1,0\n1,1,0\n", "x,h,u\n"],
+                             ids=["missing", "non-numeric", "wrong-shape", "empty"])
     def test_unreadable_custom_file_exit_two(self, tmp_path, capsys, content):
         path = tmp_path / "state.csv"
         if content is not None:
@@ -595,9 +603,14 @@ class TestCli:
         with pytest.raises(ConfigError, match="custom file"):
             build_initial(parse_config(str(cfg), overrides))
         args = ["--config", str(cfg), "--override", overrides[0], "--override", overrides[1]]
-        assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert main(["check", *args]) == 2
+        with warnings.catch_warnings(record=True) as caught:  # numpy's warning on the empty file is the error
+            warnings.simplefilter("always")
+            assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+            run_err = capsys.readouterr().err
+            assert main(["check", *args]) == 2
+        assert [str(w.message) for w in caught] == []
+        for err in (run_err, capsys.readouterr().err):  # one line each: the error, nothing before it
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("x_left, length", [(-20.0 + 7.3, 40.0), (-5.0, 10.0)], ids=["shifted", "narrower"])
     def test_custom_file_off_the_grid_exit_two(self, tmp_path, capsys, x_left, length):
@@ -854,13 +867,11 @@ class TestCli:
         assert "[PASS] dispersion" in out
         assert "[PASS] energy: energy_conservation: value=" in out  # the config's energy check is on
 
-    def test_shipped_blowup_config(self, tmp_path, capsys):
-
-        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_eps0.cfg"
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        out = capsys.readouterr().out
+    def test_shipped_blowup_config(self, shipped_run):
+        code, out, out_dir = shipped_run("steep_eps0")
+        assert code == 0
         assert "triggered" in out and "gradient-pair" in out
-        with open(tmp_path / "o" / "summary.json") as fh:
+        with open(out_dir / "summary.json") as fh:
             summary = json.load(fh)
         assert summary["trigger"]["code"] == "gradient-pair"
         assert summary["trigger"]["t"] < 2.0
@@ -888,6 +899,45 @@ class TestCli:
         printed = {line.split()[1].rstrip(":"): tags[line[:6]] for line in out.splitlines() if line[:6] in tags}
         summary = json.loads((out_dir / "summary.json").read_text())
         assert printed == summary["verdicts"] and printed
+
+    @staticmethod
+    def history_from(run_dir: pathlib.Path, cfg: ScenarioConfig, abort_reason: str | None) -> SimHistory:
+        """The history a run directory holds: ``series.csv``'s columns by its header, and every snapshot."""
+        with open(run_dir / "series.csv", encoding="utf-8") as fh:
+            names = fh.readline().rstrip("\n").split(",")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        snapshots = []
+        for path in sorted(run_dir.glob("snap_*.csv")):
+            with open(path, encoding="utf-8") as fh:
+                t = float(fh.readline().removeprefix("# t = "))
+                assert fh.readline() == "x,h,u,P,Q\n"
+                cols = np.loadtxt(fh, delimiter=",", ndmin=2)
+            snapshots.append(FlowState(cols[:, 1].copy(), cols[:, 2].copy(), t))
+        return SimHistory(grid=cfg.grid, params=cfg.params, control=cfg.step, snapshots=snapshots,
+                          series={name: column.copy() for name, column in zip(names, rows.T)},
+                          abort_reason=abort_reason)
+
+    @pytest.mark.parametrize("name", ["flat", "gaussian_energy", "bounds_tuned", "dispersion_b3", "steep_sweep",
+                                      "steep_eps0"])
+    def test_every_verdict_recomputes_from_the_run_directory(self, shipped_run, tmp_path, name):
+        # run.cfg, series.csv, the snapshots and the abort reason are the whole run: judged again and
+        # written again, they give the same summary (wall time aside) and the same bytes
+        _, _, run_dir = shipped_run(name)
+        summary = json.loads((run_dir / "summary.json").read_text())
+        cfg = parse_config(str(run_dir / "run.cfg"))
+        hist = self.history_from(run_dir, cfg, summary["abort_reason"])
+        assert list(hist.series) == list(SERIES_COLUMNS)
+        again = tmp_path / "again"
+        write_run_artifact(scenarios.judge_run(cfg, hist), str(again))
+        rejudged = json.loads((again / "summary.json").read_text())
+        for record in (summary, rejudged):
+            del record["wall_time_s"]
+        assert rejudged["verdicts"] == summary["verdicts"] and rejudged["reports"] == summary["reports"]
+        assert rejudged == summary
+        assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in run_dir.iterdir())
+        for path in run_dir.iterdir():
+            if path.name != "summary.json":
+                assert (again / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGNLAB_OUT", str(tmp_path / "envout"))
