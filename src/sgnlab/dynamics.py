@@ -18,7 +18,8 @@ that is the experiment.
 
 Flat states are exact fixed points: every spatial operator annihilates
 constants exactly (a line grid pads ``h`` with ``hbar``), so a flat state
-steps to itself bitwise (only time advances).
+steps to itself bitwise (only time advances).  ``rhs`` writes ``h_t`` and ``u_t``
+into the rows of one new array, which ``_stage`` blends and steps as one block.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ __all__ = [
 
 @dataclass
 class RhsEval:
-    """Rates of change of depth and velocity at one state."""
+    """Rates of change of depth and velocity at one state, the rows of one ``(2, n)`` array."""
 
-    dh_dt: np.ndarray
-    du_dt: np.ndarray
+    rates: np.ndarray
+    dh_dt = property(lambda self: self.rates[0])
+    du_dt = property(lambda self: self.rates[1])
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,8 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
     """Semi-discrete right-hand side; regularized sources only while ``Gradients.cutoff`` acts."""
     d = gradients(s, p, g)
     sys = _assemble_L(s.h, g, p.hbar)
-    dh = -_derivative(s.h * s.u, g)
+    rates = np.empty((2, g.n))
+    dh = np.negative(d.hux, out=rates[0])
     fields = reg.compute_reg_fields(s, p, g)
     if fields is None:
         source = _derivative(curly_c(p, d) + f_of_h(s, p), g)
@@ -141,23 +144,25 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
         source = _derivative(curly_c(p, d) + f_of_h(s, p) - b_flux, g)
         source += 0.5 * s.u * a_x
         dh += a_x
-    du = -s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2 - solve_L_refined(sys, d, source, g)
-    return RhsEval(dh_dt=dh, du_dt=du)
+    np.subtract(-s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2, solve_L_refined(sys, d, source, g), out=rates[1])
+    return RhsEval(rates)
 
 
 def cfl_dt(s: FlowState, p: Params, g: Grid, c: StepControl) -> float:
     """``min(dt_max, cfl dx / s_max)`` with the pointwise speed scale
     ``|u| + max(sqrt(3 gamma / h), sqrt(g h))``."""
     speed = np.abs(s.u) + np.maximum(np.sqrt(3.0 * p.gamma / s.h), np.sqrt(p.g * s.h))
-    s_max = float(np.max(speed))
+    s_max = float(np.maximum.reduce(speed))
     return min(c.dt_max, c.cfl * g.dx / s_max)
 
 
 def _stage(s: FlowState, step: float, t: float, *k: RhsEval) -> FlowState:
     """The one state formed from rates: ``s + step * k`` at time ``t``, ``k`` one stage's rate or RK4's blend."""
-    def blend(k1, k2=None, k3=None, k4=None):  # the blend's sums in this order: ((k1 + 2 k2) + 2 k3) + k4
-        return k1 if k2 is None else k1 + 2.0 * k2 + 2.0 * k3 + k4
-    return FlowState(s.h + step * blend(*(r.dh_dt for r in k)), s.u + step * blend(*(r.du_dt for r in k)), t)
+    rates = k[0].rates if len(k) == 1 else k[0].rates + 2.0 * k[1].rates + 2.0 * k[2].rates + k[3].rates
+    hu = np.multiply(step, rates)  # both rows at once; the blend's sums in the order ((k1 + 2 k2) + 2 k3) + k4
+    hu[0] += s.h
+    hu[1] += s.u
+    return FlowState(hu[0], hu[1], t)
 
 
 def _rk4_raw(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
@@ -244,9 +249,10 @@ def _record(series: dict[str, list], s: FlowState, p: Params, g: Grid) -> None:
     P, Q = d.pq
     diss = 0.0 if d.cutoff is None else integrate(P * d.cutoff[0] + Q * d.cutoff[1], g) / 48.0
     # integrate's scan makes an overflowing energy density raise NonFiniteError
-    row = (s.t, integrate(s.h, g), total_energy(s, p, g), float(s.h.min()), float(d.ux.min()),
-           float(np.max(np.abs(d.hx))), float(P.max()), float(Q.max()), float(s.h.max()),
-           float(np.max(np.abs(s.u))), float(np.max(np.abs(d.ux))), diss)
+    lo, hi = np.minimum.reduce, np.maximum.reduce  # ufunc reductions, no ndarray-method wrappers
+    row = (s.t, integrate(s.h, g), total_energy(s, p, g), float(lo(s.h)), float(lo(d.ux)),
+           float(hi(np.abs(d.hx))), float(hi(P)), float(hi(Q)), float(hi(s.h)),
+           float(hi(np.abs(s.u))), float(hi(np.abs(d.ux))), diss)
     for column, value in zip(series.values(), row):
         column.append(value)
 

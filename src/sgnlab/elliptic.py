@@ -29,22 +29,22 @@ every solve on it is one ``dpttrs``; periodic systems add a Sherman-Morrison
 correction for the wrap face.  The Helmholtz system is built and factored
 once per (parameters, grid).  Every solve refuses a non-finite source
 (``NonFiniteError``, before LAPACK), so callers pass derived sources unscanned,
-and verifies its residual (``SolverFailureError``).  Public functions taking raw
-fields check them; a ``FlowState``'s depth, checked when the state was built, is
-assembled with the unchecked ``_assemble_L`` (the stepper, ``script_r``, the Riccati fields).
+and verifies its residual (``SolverFailureError``), each check one ufunc
+reduction.  Public functions taking raw fields check them; a ``FlowState``'s depth, checked when the
+state was built, is assembled with the unchecked ``_assemble_L`` (the stepper, ``script_r``, the Riccati fields).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, ModeError, NonFiniteError, PositivityError, SolverFailureError
 from .grid import Grid, _derivative, _finite, _pad, as_field, cumulative_integral, derivative
-from .kinematics import FlowState, Gradients, Params, curly_c, f_of_h, gradients
+from .kinematics import FlowState, Gradients, Params, _cached, curly_c, f_of_h, gradients
 
 __all__ = [
     "TridiagonalSystem",
@@ -73,11 +73,7 @@ class TridiagonalSystem:
     order0: np.ndarray  # zeroth-order coefficient (h, or g for the Helmholtz operator)
     periodic: bool
 
-    @property
-    def n(self) -> int:
-        return self.order0.shape[0]
-
-    @cached_property
+    @_cached
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float, float]:
         """``(d, e, z, r, 1 + v.z)``, made on the first solve: the ``L D L^T`` factor
         ``(d, e)``; periodic, of ``T = A - u v^T`` (SPD) with ``u = (-diag[0], 0, ..., c)``,
@@ -90,7 +86,7 @@ class TridiagonalSystem:
         diag[0] += d0
         diag[-1] += c * c / d0
         d, e = _checked(dpttrf(diag, off))
-        u = np.zeros(self.n)
+        u = np.zeros(self.order0.shape)
         u[0], u[-1] = -d0, c
         (z,) = _checked(dpttrs(d, e, u))
         r = -c / d0
@@ -129,17 +125,19 @@ def apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
 def _vector(sys: TridiagonalSystem, v: np.ndarray) -> np.ndarray:
     """``v`` as a float64 vector of the system's length."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (sys.n,):
-        raise ContractViolationError(f"vector has shape {v.shape}, expected ({sys.n},)")
+    if v.shape != sys.order0.shape:
+        raise ContractViolationError(f"vector has shape {v.shape}, expected {sys.order0.shape}")
     return v
 
 
 def _apply_L(sys: TridiagonalSystem, u: np.ndarray) -> np.ndarray:
-    """:func:`apply_L` without its checks: ``u`` is a float64 vector of length ``sys.n``."""
-    up = _pad(u, sys.periodic, 1, (0.0, 0.0))
-    out, diff = sys.order0 * u, np.subtract(u, up[2:])
+    """:func:`apply_L` without its checks: ``u`` is a float64 vector of the system's length."""
+    out, diff = sys.order0 * u, np.empty(u.shape)
+    np.subtract(u[:-1], u[1:], out=diff[:-1])  # to the right neighbour; beyond the end the wrapped one or zero
+    diff[-1] = u[-1] - u[0] if sys.periodic else u[-1]
     out += np.multiply(diff, sys.faces[1:], out=diff)
-    np.subtract(u, up[:-2], out=diff)
+    np.subtract(u[1:], u[:-1], out=diff[1:])  # to the left neighbour
+    diff[0] = u[0] - u[-1] if sys.periodic else u[0]
     out += np.multiply(diff, sys.faces[:-1], out=diff)
     return out
 
@@ -160,7 +158,7 @@ def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far: tuple[float, float]) ->
         adjusted = rhs.copy()
         adjusted[0] += sys.faces[0] * far[0]
         adjusted[-1] += sys.faces[-1] * far[1]
-    scale = max(float(np.abs(adjusted).max()), 1e-300)
+    scale = np.maximum.reduce(np.abs(adjusted))
     if not scale < np.inf:  # NaN fails too
         raise NonFiniteError("solve source contains non-finite entries")
     d, e, z, r, denom = sys._factor
@@ -169,7 +167,7 @@ def _solve(sys: TridiagonalSystem, rhs: np.ndarray, far: tuple[float, float]) ->
         u -= z * ((u[0] + r * u[-1]) / denom)
     defect = _apply_L(sys, u)
     defect -= adjusted
-    residual = float(np.abs(defect, out=defect).max()) / scale
+    residual = np.maximum.reduce(np.abs(defect, out=defect)) / max(scale, 1e-300)
     if not residual <= RESIDUAL_LIMIT:  # NaN fails too
         raise SolverFailureError(f"solve residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.1e}")
     return u
@@ -210,7 +208,9 @@ def apply_L_compatible(d: Gradients, u: np.ndarray, g: Grid) -> np.ndarray:
     Symmetric positive-definite (by discrete integration by parts) but not an
     M-matrix; used only as the correction target below, never as a solver.
     """
-    return d.h * u - (1.0 / 3.0) * _derivative(d.h3 * _derivative(u, g), g)
+    flux = _derivative(d.h3 * _derivative(u, g), g)
+    flux *= 1.0 / 3.0
+    return np.subtract(d.h * u, flux, out=flux)
 
 
 def solve_L_refined(sys: TridiagonalSystem, d: Gradients, rhs: np.ndarray, g: Grid) -> np.ndarray:
@@ -228,7 +228,8 @@ def solve_L_refined(sys: TridiagonalSystem, d: Gradients, rhs: np.ndarray, g: Gr
     gradient bundle of the state whose depth ``sys`` was assembled from.
     """
     u = solve_L(sys, rhs)
-    return u + solve_L(sys, rhs - apply_L_compatible(d, u, g))
+    u += solve_L(sys, rhs - apply_L_compatible(d, u, g))
+    return u
 
 
 def script_r(s: FlowState, p: Params, g: Grid, *, _sys: TridiagonalSystem | None = None) -> np.ndarray:

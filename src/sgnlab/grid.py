@@ -9,12 +9,13 @@ Fields are plain ``float64`` arrays sampled at cell centers
   requirement that waves never reach the boundary; callers enforce it with
   :func:`check_far_field`.
 
-Derivatives are one 4th-order central stencil over the field padded by two
-cells per side.  The mode decides only the cells beyond each end, and ``_pad``
-builds them for the derivative, the ``L_h`` faces and the ``L_h`` apply: the
-wrapped neighbours (periodic) or the field's far-field value (line; zero
-unless the caller passes another).  With zero pads the line-mode matrix is exactly skew, like the
-periodic one, so discrete integration by parts holds in both modes.
+Derivatives are one 4th-order central stencil over the field padded by two cells per side;
+a ``(k, n)`` block of fields, each row with its own far-field values, takes one pass, each
+row bit for bit as if it were alone.  The mode decides only the cells beyond each end, and
+``_pad`` builds them for the derivative and the ``L_h`` faces (the ``L_h`` apply writes its
+own in place): the wrapped neighbours (periodic) or the field's far-field value (line; zero
+unless the caller passes another).  With zero pads the line-mode matrix is exactly skew,
+like the periodic one, so discrete integration by parts holds in both modes.
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 fields).  The running primitive ``x -> int_{x_left}^{x} f`` is a trapezoid
 cumulative sum and exists only in line mode: on a circle the primitive of a
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +87,7 @@ class Grid:
         """Coordinates of the cell centers."""
         return self.x_left + (np.arange(self.n) + 0.5) * self.dx
 
-    @property
+    @cached_property
     def periodic(self) -> bool:
         return self.mode == PERIODIC
 
@@ -105,7 +107,7 @@ def as_field(values, g: Grid) -> np.ndarray:
 
 
 def _finite(f: np.ndarray) -> np.ndarray:
-    if not np.isfinite(f).all():
+    if not np.logical_and.reduce(np.isfinite(f)):
         raise NonFiniteError("field contains non-finite entries")
     return f
 
@@ -124,30 +126,32 @@ def derivative(f: np.ndarray, g: Grid, far: tuple[float, float] = (0.0, 0.0)) ->
     return _derivative(as_field(f, g), g, far)
 
 
-def _derivative(f: np.ndarray, g: Grid, far: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """:func:`derivative` without the input checks: ``f`` is a finite float64 field on ``g``."""
-    fp = _pad(f, g.periodic, 2, far)
+def _derivative(f: np.ndarray, g: Grid, far=(0.0, 0.0)) -> np.ndarray:
+    """:func:`derivative` without the input checks: ``f`` is a finite float64 field on ``g`` or a ``(k, n)`` block."""
+    fp = _pad(f, g.periodic, 2, far).ravel()  # a block's padded rows laid end to end: one pass of the stencil
     # stencils written as combinations of differences so constants are
     # annihilated exactly (flat states must be exact fixed points downstream)
     out = fp[3:-1] - fp[1:-3]
     out *= 8.0
     out -= fp[4:] - fp[:-4]
     out *= 1.0 / (12.0 * g.dx)
-    return out
+    # row r's cells start at r (n + 4); the cells centred on the pads between rows are left out
+    return out if f.ndim == 1 else np.ndarray(f.shape, buffer=out, strides=(8 * (g.n + 4), 8))
 
 
-def _pad(f: np.ndarray, periodic: bool, width: int, far: tuple[float, float]) -> np.ndarray:
+def _pad(f: np.ndarray, periodic: bool, width: int, far) -> np.ndarray:
     """``f`` with ``width`` cells beyond each end: the wrapped neighbours, or ``far = (left, right)`` on a line."""
-    out = np.empty(f.shape[0] + 2 * width)
-    out[width:-width] = f
-    out[:width], out[-width:] = (f[-width:], f[:width]) if periodic else far
-    return out
+    if periodic:
+        return np.concatenate((f[..., -width:], f, f[..., :width]), axis=-1)
+    fp = np.empty(f.shape[:-1] + (f.shape[-1] + 2 * width,))
+    fp[..., width:-width] = f
+    fp[..., :width], fp[..., -width:] = far
+    return fp
 
 
 def integrate(f: np.ndarray, g: Grid) -> float:
     """Midpoint-rule integral ``sum_i f_i dx``."""
-    f = as_field(f, g)
-    return float(np.sum(f) * g.dx)
+    return float(np.add.reduce(as_field(f, g)) * g.dx)
 
 
 def cumulative_integral(f: np.ndarray, g: Grid) -> np.ndarray:

@@ -25,15 +25,16 @@ the measured initial energy E0 stays below the threshold ``sqrt(g gamma) hbar^2`
 
 Every gradient above comes from one per-state bundle, :class:`Gradients`,
 built by :func:`gradients` and memoized on the state per (params, grid):
-``u_x`` and ``h_x`` taken once, ``(P, Q)`` and the cut-off values
-``chi(P), chi(Q)`` formed on first use, ``None`` while both stay above
-``-1/eps`` (the one test of whether the cut-off acts).  ``C`` and ``E``
-take the bundle and are pointwise.
+``u_x``, ``h_x`` and the mass flux's ``(h u)_x`` taken once, in one call of
+the stencil, ``(P, Q)`` and the cut-off values ``chi(P), chi(Q)`` formed on
+first use, ``None`` while both stay above ``-1/eps`` (the one test of whether
+the cut-off acts).  ``C`` and ``E`` take the bundle and are pointwise.
 
 All functions are pure and operate on immutable inputs: a state's arrays are
 never written after construction.  :class:`FlowState` checks its fields, so
 :func:`gradients` uses the unchecked ``_derivative``; on a line grid ``h_x``
-reads the reference depth ``hbar`` beyond the ends, ``u_x`` reads zero.
+reads the reference depth ``hbar`` beyond the ends, ``u_x`` and ``(h u)_x``
+read zero.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ class FlowState:
         object.__setattr__(self, "u", u)
         if h.shape != u.shape or h.ndim != 1:
             raise ContractViolationError(f"h and u must be 1d arrays of equal length, got {h.shape} and {u.shape}")
+        if np.minimum.reduce(h, initial=np.inf) > 0.0 and np.maximum.reduce(h, initial=-np.inf) < np.inf and \
+                np.logical_and.reduce(np.isfinite(u)):  # a NaN propagates through min and max, warning-free
+            return
         if not np.isfinite(h).all() or not np.isfinite(u).all():
             raise NonFiniteError("state contains non-finite entries")
         if not (h > 0.0).all():
@@ -150,29 +154,37 @@ def chi(zeta, epsilon: float):
     return float(out) if out.ndim == 0 else out
 
 
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock Python 3.11 takes, one for all instances, on a first read."""
+
+    def __get__(self, *args):  # (instance or None, owner); threads that race store equal values
+        return self if args[0] is None else args[0].__dict__.setdefault(self.attrname, self.func(args[0]))
+
+
 @dataclass(frozen=True)
 class Gradients:
-    """Gridded gradients of one state: ``ux``, ``hx`` and, on first use, ``h3``, ``pq`` and ``cutoff``."""
+    """Gridded gradients of one state: ``ux``, ``hx``, ``hux`` and, on first use, ``h3``, ``pq`` and ``cutoff``."""
 
     h: np.ndarray
     ux: np.ndarray
     hx: np.ndarray
+    hux: np.ndarray
     sqrt_3gamma: float
     epsilon: float
 
-    @cached_property
+    @_cached
     def h3(self) -> np.ndarray:
         """``h**3``, the one cube of the state's depth."""
         return self.h**3
 
-    @cached_property
+    @_cached
     def pq(self) -> tuple[np.ndarray, np.ndarray]:
         """``P = h u_x - sqrt(3 gamma) h^(-1/2) h_x``, ``Q = h u_x + sqrt(3 gamma) h^(-1/2) h_x``."""
         a = self.h * self.ux
         b = self.sqrt_3gamma * self.hx / np.sqrt(self.h)
         return a - b, a + b
 
-    @cached_property
+    @_cached
     def cutoff(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(chi(P), chi(Q))`` once P or Q reaches ``-1/eps``, else ``None``: the one rule for when it acts."""
         if self.epsilon == 0.0:  # without forming P, Q
@@ -185,11 +197,13 @@ class Gradients:
 def _gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
     if s.h.shape != (g.n,):
         raise ContractViolationError(f"state has shape {s.h.shape}, grid has {g.n} cells")
-    return Gradients(s.h, _derivative(s.u, g), _derivative(s.h, g, (p.hbar, p.hbar)), p.sqrt_3gamma, p.epsilon)
+    far = 0.0 if g.periodic else np.array(((0.0,), (p.hbar,), (0.0,)))  # each row's value beyond a line
+    ux, hx, hux = _derivative(np.array((s.u, s.h, s.h * s.u)), g, (far, far))  # one call of the stencil
+    return Gradients(s.h, ux, hx, hux, p.sqrt_3gamma, p.epsilon)
 
 
 def gradients(s: FlowState, p: Params, g: Grid) -> Gradients:
-    """The one place where a state's ``u`` and ``h`` are differentiated:
+    """The one place where a state's ``u``, ``h`` and mass flux ``h u`` are differentiated:
     once per (params, grid), memoized on ``s``."""
     return s._derived(_gradients, p, g)
 

@@ -364,15 +364,16 @@ class TestSharedFields:
     shared by every path; the results equal the unshared formulas bitwise."""
 
     def test_post_processing_kernel_calls_per_snapshot(self, monkeypatch):
-        # per snapshot: u_x and h_x once (P, Q for tracing, read again by
-        # script_r), then script_r's two derivatives; nothing on a second pass
+        # per snapshot: one stacked call for u_x, h_x and (h u)_x (P, Q for
+        # tracing, read again by script_r), then script_r's two derivatives;
+        # nothing on a second pass
         hist, p, g = gaussian_history(n=256)
         calls = count_derivative_calls(monkeypatch)
         for _ in range(2):
             for x0 in np.linspace(-4.0, 4.0, 8):
                 for b in ("plus", "minus"):
                     riccati_residual(hist, trace(hist, x0, b), p)
-            assert len(calls) == 4 * len(hist.snapshots)
+            assert len(calls) == 3 * len(hist.snapshots)
 
     def test_second_params_gets_own_fields(self, monkeypatch):
         # the residual is the run's: other parameters are refused, equal ones share the memo;
@@ -388,7 +389,7 @@ class TestSharedFields:
         assert calls == []
         for s in hist.snapshots:
             assert gradients(s, p, g) is not gradients(s, changed, g)
-        assert len(calls) == 2 * len(hist.snapshots)
+        assert len(calls) == len(hist.snapshots)
 
     def test_one_script_r_per_snapshot_bitwise(self, monkeypatch):
         hist, p, g = gaussian_history(n=256)

@@ -1,8 +1,11 @@
 import pathlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgnlab import FlowState, Grid, Params, dynamics, elliptic, errors, grid, kinematics, regularization
 from sgnlab.dynamics import (
@@ -574,14 +577,15 @@ class TestSimulate:
 
     def test_boundary_contamination_aborts_with_code(self, params, monkeypatch):
         # fault injection: from the sixth step on every derivative is forced at
-        # cell 5, which lies in the checked far-field strip (8 cells per side)
+        # cell 5, which lies in the checked far-field strip (8 cells per side);
+        # a stacked (k, n) output is forced at cell 5 of each row
         steps = _count_calls(monkeypatch, "rk4_step")
         real = grid._derivative
 
         def forced(*args):
             out = real(*args)
             if len(steps) > 5:
-                out[5] += 1.0
+                out[..., 5] += 1.0
             return out
 
         for mod in (grid, dynamics, elliptic, kinematics):
@@ -704,17 +708,18 @@ class TestOneHome:
     """Each per-state quantity is computed in one place, once per state."""
 
     def test_derivative_calls_per_rhs(self, monkeypatch):
+        # one stacked call for u_x, h_x and (h u)_x, the nonlocal source, two in the refined solve
         calls = count_derivative_calls(monkeypatch)
         for mode in ("periodic", "line"):
             g = Grid.from_length(128, 20.0, -10.0, mode)
             calls.clear()
             rhs(gaussian_state(g), Params(), g)
-            assert len(calls) == 6
+            assert len(calls) == 4
         # line mode, cut-off active: A_x adds one more (B's flux joins the momentum source)
         s, p, g = _active_line_state()
         calls.clear()
         rhs(s, p, g)
-        assert len(calls) == 7
+        assert len(calls) == 5
 
     def test_field_checks_below_rhs(self, monkeypatch):
         # rhs hands the fields of its checked state to the unchecked kernels, and
@@ -758,7 +763,7 @@ class TestOneHome:
             s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
             calls.clear()
             assert dynamics._record({k: [] for k in dynamics.SERIES_COLUMNS}, s, Params(epsilon=eps), g) is None
-            assert len(calls) == 2
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_eps0_rhs_leaves_pq_unformed(self, mode):
@@ -771,7 +776,7 @@ class TestOneHome:
 
     def test_recorded_state_reuses_its_gradients(self, monkeypatch):
         # the recorder fills the state's memo; the next step's first rhs reads
-        # it: 4 kernel calls instead of 6, plus A_x's 1 when active
+        # it: 3 kernel calls instead of 4, plus A_x's 1 when active
         calls = count_derivative_calls(monkeypatch)
         cases = [(gaussian_state(g), Params(), g, 0)
                  for g in (Grid.from_length(128, 20.0, -10.0, mode) for mode in ("periodic", "line"))]
@@ -779,21 +784,21 @@ class TestOneHome:
             dynamics._record({k: [] for k in dynamics.SERIES_COLUMNS}, s, p, g)
             calls.clear()
             recorded = rhs(s, p, g)
-            assert len(calls) == 4 + active
+            assert len(calls) == 3 + active
             calls.clear()
             fresh = rhs(FlowState(s.h, s.u, s.t), p, g)
-            assert len(calls) == 6 + active
+            assert len(calls) == 4 + active
             assert np.array_equal(recorded.dh_dt, fresh.dh_dt) and np.array_equal(recorded.du_dt, fresh.du_dt)
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_derivative_calls_per_fixed_step_run(self, monkeypatch, params, mode):
-        # 2 for the initial record, then per step 4 rhs (the first on the
-        # recorded state) plus the new state's record: 4 + 3 * 6 + 2 = 24
+        # 1 for the initial record, then per step 4 rhs (the first on the
+        # recorded state) plus the new state's record: 3 + 3 * 4 + 1 = 16
         calls = count_derivative_calls(monkeypatch)
         g = Grid.from_length(128, 20.0, -10.0, mode)
         hist = simulate(gaussian_state(g), params, g, StepControl(t_end=0.01, dt_fixed=1e-3))
         assert hist.status == "completed" and hist.n_steps == 10
-        assert len(calls) == 2 + 24 * hist.n_steps
+        assert len(calls) == 1 + 16 * hist.n_steps
 
     def test_one_bundle_per_params_and_grid(self, monkeypatch):
         g = Grid.from_length(128, 20.0, -10.0, "line")
@@ -807,8 +812,8 @@ class TestOneHome:
         for q, h in ((other_p, g), (p, other_g)):
             calls.clear()
             e = kinematics.gradients(s, q, h)
-            assert e is not d and len(calls) == 2
-            assert kinematics.gradients(s, q, h) is e and len(calls) == 2
+            assert e is not d and len(calls) == 1
+            assert kinematics.gradients(s, q, h) is e and len(calls) == 1
         assert np.array_equal(kinematics.gradients(s, other_p, g).ux, d.ux)
         assert not np.array_equal(kinematics.gradients(s, other_p, g).pq[0], d.pq[0])
         assert np.allclose(kinematics.gradients(s, p, other_g).ux, 0.5 * d.ux, rtol=1e-14, atol=0.0)
@@ -926,6 +931,103 @@ class TestNoWritesIntoStates:
 _MODES = st.sampled_from(["periodic", "line"])
 _PARAMS = st.builds(Params, g=st.floats(1.0, 20.0), gamma=st.floats(0.5, 20.0),
                     hbar=st.floats(0.5, 2.0))
+
+
+def _owned_cases(case):
+    """``(states, params, grid)``: three states of one (params, grid), the cut-off active on the line-cutoff case."""
+    if case == "line-cutoff":
+        s, p, g = _active_line_state()
+        return [FlowState(1.0 + a * (s.h - 1.0), a * s.u) for a in (0.9, 1.0, 1.1)], p, g
+    g = Grid.from_length(128, 20.0, -10.0, case)
+    return [gaussian_state(g, a=a) for a in (0.03, 0.05, 0.07)], Params(epsilon=0.1), g
+
+
+class TestResultsOwnTheirArrays:
+    """Rates, memoized gradients and the states ``_stage`` builds are arrays of
+    their own: no later call on another state of the same (params, grid)
+    writes into them, from this thread or from others."""
+
+    @pytest.mark.parametrize("case", ["periodic", "line", "line-cutoff"])
+    def test_values_survive_later_calls(self, monkeypatch, case):
+        (s, *others), p, g = _owned_cases(case)
+        real, stages = dynamics._stage, []
+
+        def keeping(*args):
+            stages.append(real(*args))
+            return stages[-1]
+
+        monkeypatch.setattr(dynamics, "_stage", keeping)
+        ev = rhs(s, p, g)
+        rk4_step(s, 1e-3, p, g)
+        bundles = [kinematics.gradients(state, p, g) for state in [s, *stages]]
+        kept = [ev.dh_dt, ev.du_dt, *(a for st_ in stages for a in (st_.h, st_.u)),
+                *(a for d in bundles for a in (d.ux, d.hx, d.hux, d.h3))]
+        copies = [a.copy() for a in kept]
+        assert (bundles[0].cutoff is not None) == (case == "line-cutoff")
+        for other in others:
+            rhs(other, p, g)
+            rk4_step(rk4_step(other, 1e-3, p, g), 1e-3, p, g)
+        for a, b in zip(kept, copies):
+            assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("case", ["periodic", "line-cutoff"])
+    def test_threads_step_like_one_thread(self, case):
+        # more threads than the 2-core reference machine, switching every microsecond
+        starts, p, g = _owned_cases(case)
+
+        def run(s):
+            for _ in range(8):
+                s = rk4_step(s, 1e-3, p, g)
+            return s
+
+        expected = [run(FlowState(s.h, s.u)) for s in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(starts)) as pool:
+                futures = [pool.submit(run, FlowState(s.h, s.u)) for s in starts]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert_bitwise(got.h, want.h)
+            assert_bitwise(got.u, want.u)
+
+
+class TestRhsFromPublicKernels:
+    """The stepper's fused right-hand side equals, bit for bit, the rates composed
+    from the public kernels, the one home of each quantity."""
+
+    @given(mode=_MODES, n=st.integers(16, 96), active=st.booleans(), data=st.data())
+    def test_rhs_equals_composition_hypothesis(self, mode, n, active, data):
+        g = Grid.from_length(n, 20.0, -10.0, mode)
+        h = 1.0 + data.draw(hnp.arrays(np.float64, n, elements=st.floats(-0.5, 0.5)))
+        u = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+        p = Params()
+        if active:  # an eps at which the cut-off acts on this state
+            lowest = min(P.min() for P in pq_fields(FlowState(h, u), p, g))
+            assume(lowest < 0.0)
+            p = Params(epsilon=-2.0 / lowest)
+        ev = rhs(FlowState(h, u), p, g)
+
+        s = FlowState(h, u)
+        hu_x = derivative(h * u, g)
+        d = kinematics.Gradients(h, derivative(u, g), derivative(h, g, (p.hbar, p.hbar)), hu_x,
+                                 p.sqrt_3gamma, p.epsilon)
+        fields = regularization.compute_reg_fields(s, p, g)
+        assert (fields is not None) == active
+        source = kinematics.curly_c(p, d) + kinematics.f_of_h(s, p)
+        dh = -hu_x
+        if active:
+            a_x, b_flux = fields
+            source = derivative(source - b_flux, g) + 0.5 * u * a_x
+            dh = dh + a_x
+        else:
+            source = derivative(source, g)
+        L = elliptic.assemble_L(h, g, p.hbar)
+        du = -u * d.ux - 3.0 * p.gamma * d.hx / h**2 - elliptic.solve_L_refined(L, d, source, g)
+        assert_bitwise(ev.dh_dt, dh)
+        assert_bitwise(ev.du_dt, du)
 
 
 def _smooth_state(g: Grid, p: Params, amp_h: float, amp_u: float, shift: float, width: float) -> FlowState:

@@ -243,12 +243,20 @@ def _derivative_reference(f, g, far):
     return (8.0 * (fp[3:-1] - fp[1:-3]) - (fp[4:] - fp[:-4])) * inv12dx
 
 
-@given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 64), dx=st.floats(1e-2, 1e2), data=st.data())
-def test_derivative_kernel_pinned_bitwise_hypothesis(mode, n, dx, data):
+@given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 64), k=st.integers(1, 4),
+       dx=st.floats(1e-2, 1e2), data=st.data())
+def test_derivative_kernel_pinned_bitwise_hypothesis(mode, n, k, dx, data):
     g = Grid(n=n, dx=dx, x_left=-1.0, mode=mode)
     f = data.draw(kernel_fields(n))
     far = tuple(data.draw(kernel_fields(2)).tolist())
     assert_bitwise(_derivative(f, g, far), _derivative_reference(f, g, far))
+    # a (k, n) block with one far-field pair per row: each row as if it were differentiated alone
+    block = np.stack([data.draw(kernel_fields(n)) for _ in range(k)])
+    fars = data.draw(kernel_fields(2 * k)).reshape(k, 2)
+    stacked = _derivative(block, g, (fars[:, :1], fars[:, 1:]))
+    assert stacked.shape == (k, n)
+    for row, far_row, out in zip(block, fars, stacked):
+        assert_bitwise(out, _derivative_reference(row, g, tuple(far_row.tolist())))
 
 
 @given(mode=st.sampled_from(["periodic", "line"]), n=st.integers(8, 300), dx=st.floats(1e-2, 1e2), data=st.data())

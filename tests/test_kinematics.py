@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from sgnlab import FlowState, Grid, Params
-from sgnlab.errors import ContractViolationError, PositivityError
+from sgnlab.errors import ContractViolationError, NonFiniteError, PositivityError
 from sgnlab.grid import derivative
 from sgnlab.kinematics import (
     a_priori_bounds,
@@ -64,6 +65,25 @@ class TestParams:
     def test_state_positivity(self):
         with pytest.raises(PositivityError):
             FlowState(np.array([1.0, -1.0] * 8), np.zeros(16))
+
+    @pytest.mark.parametrize("h_bad, u_bad, error", [
+        (np.nan, 0.0, NonFiniteError), (np.inf, 0.0, NonFiniteError), (np.inf, 1.0, NonFiniteError),
+        (1.0, -np.inf, NonFiniteError), (1.0, np.nan, NonFiniteError), (-1.0, np.nan, NonFiniteError),
+        (0.0, 0.0, PositivityError), (-0.0, 1.0, PositivityError), (-1e300, 1e300, PositivityError),
+        (1e300, 1e300, None), (1e-320, -1e300, None)])
+    def test_state_checks_in_their_order(self, h_bad, u_bad, error):
+        # one cell of a valid state replaced: huge finite values are accepted, and no check warns
+        # (tier-1 turns warnings into errors)
+        h, u = np.full(16, 1e300), np.full(16, -1e300)
+        h[3], u[3] = h_bad, u_bad
+        if error is NonFiniteError:
+            h[9] = -2.0  # a non-positive depth elsewhere: the non-finite entry is the reason
+        if error is None:
+            assert FlowState(h, u).h[3] == h_bad
+        else:
+            match = "non-finite" if error is NonFiniteError else re.escape(f"min h = {h.min():.6e}")
+            with pytest.raises(error, match=match):
+                FlowState(h, u)
 
     @pytest.mark.parametrize("h, u", [(np.ones(16), np.zeros(15)), (np.ones((4, 4)), np.zeros((4, 4)))],
                              ids=["unequal-length", "two-dimensional"])
