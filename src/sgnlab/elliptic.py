@@ -43,8 +43,8 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ContractViolationError, ModeError, NonFiniteError, PositivityError, SolverFailureError
-from .grid import Grid, _derivative, _finite, _pad, as_field, cumulative_integral, derivative
-from .kinematics import FlowState, Gradients, Params, _cached, curly_c, f_of_h, gradients
+from .grid import Grid, _cached, _derivative, _finite, _pad, as_field, cumulative_integral, derivative
+from .kinematics import FlowState, Gradients, Params, curly_c, f_of_h, gradients
 
 __all__ = [
     "TridiagonalSystem",

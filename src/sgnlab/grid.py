@@ -10,12 +10,13 @@ Fields are plain ``float64`` arrays sampled at cell centers
   :func:`check_far_field`.
 
 Derivatives are one 4th-order central stencil over the field padded by two cells per side;
-a ``(k, n)`` block of fields, each row with its own far-field values, takes one pass, each
-row bit for bit as if it were alone.  The mode decides only the cells beyond each end, and
-``_pad`` builds them for the derivative and the ``L_h`` faces (the ``L_h`` apply writes its
-own in place): the wrapped neighbours (periodic) or the field's far-field value (line; zero
-unless the caller passes another).  With zero pads the line-mode matrix is exactly skew,
-like the periodic one, so discrete integration by parts holds in both modes.
+a ``(k, n)`` block of fields, each row with its own far-field values, is padded and
+differenced as one 2-D block, each row bit for bit as if it were alone.  The mode decides
+only the cells beyond each end, and ``_pad`` builds them for the derivative and the ``L_h``
+faces (the ``L_h`` apply writes its own in place): the wrapped neighbours (periodic) or the
+field's far-field value (line; zero unless the caller passes another).  With zero pads the
+line-mode matrix is exactly skew, like the periodic one, so discrete integration by parts
+holds in both modes.
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 fields).  The running primitive ``x -> int_{x_left}^{x} f`` is a trapezoid
 cumulative sum and exists only in line mode: on a circle the primitive of a
@@ -49,6 +50,14 @@ LINE = "line"
 FAR_FIELD_CELLS = 8
 #: the most cells a grid takes: a state's h and u, 8 bytes a cell each, fit in the machine's physical memory
 _MAX_CELLS = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 16
+
+
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock Python 3.11 takes, one for all instances, on a first read;
+    it can go once Python 3.12 (whose ``cached_property`` takes no lock) is the minimum version."""
+
+    def __get__(self, *args):  # (instance or None, owner); threads that race store equal values
+        return self if args[0] is None else args[0].__dict__.setdefault(self.attrname, self.func(args[0]))
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,7 @@ class Grid:
         """Coordinates of the cell centers."""
         return self.x_left + (np.arange(self.n) + 0.5) * self.dx
 
-    @cached_property
+    @_cached
     def periodic(self) -> bool:
         return self.mode == PERIODIC
 
@@ -128,15 +137,14 @@ def derivative(f: np.ndarray, g: Grid, far: tuple[float, float] = (0.0, 0.0)) ->
 
 def _derivative(f: np.ndarray, g: Grid, far=(0.0, 0.0)) -> np.ndarray:
     """:func:`derivative` without the input checks: ``f`` is a finite float64 field on ``g`` or a ``(k, n)`` block."""
-    fp = _pad(f, g.periodic, 2, far).ravel()  # a block's padded rows laid end to end: one pass of the stencil
+    fp = _pad(f, g.periodic, 2, far)
     # stencils written as combinations of differences so constants are
     # annihilated exactly (flat states must be exact fixed points downstream)
-    out = fp[3:-1] - fp[1:-3]
+    out = fp[..., 3:-1] - fp[..., 1:-3]
     out *= 8.0
-    out -= fp[4:] - fp[:-4]
+    out -= fp[..., 4:] - fp[..., :-4]
     out *= 1.0 / (12.0 * g.dx)
-    # row r's cells start at r (n + 4); the cells centred on the pads between rows are left out
-    return out if f.ndim == 1 else np.ndarray(f.shape, buffer=out, strides=(8 * (g.n + 4), 8))
+    return out
 
 
 def _pad(f: np.ndarray, periodic: bool, width: int, far) -> np.ndarray:

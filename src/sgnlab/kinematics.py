@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError, NonFiniteError, PositivityError, check_ranges
-from .grid import Grid, _derivative, integrate
+from .grid import Grid, _cached, _derivative, integrate
 
 __all__ = [
     "Params",
@@ -116,13 +115,11 @@ class FlowState:
         object.__setattr__(self, "u", u)
         if h.shape != u.shape or h.ndim != 1:
             raise ContractViolationError(f"h and u must be 1d arrays of equal length, got {h.shape} and {u.shape}")
-        if np.minimum.reduce(h, initial=np.inf) > 0.0 and np.maximum.reduce(h, initial=-np.inf) < np.inf and \
-                np.logical_and.reduce(np.isfinite(u)):  # a NaN propagates through min and max, warning-free
-            return
-        if not np.isfinite(h).all() or not np.isfinite(u).all():
+        lo, hi = np.minimum.reduce(h, initial=np.inf), np.maximum.reduce(h, initial=-np.inf)  # a NaN propagates
+        if not (-np.inf < lo and hi < np.inf and np.logical_and.reduce(np.isfinite(u))):
             raise NonFiniteError("state contains non-finite entries")
-        if not (h > 0.0).all():
-            raise PositivityError(f"depth must be positive everywhere; min h = {h.min():.6e}")
+        if not lo > 0.0:
+            raise PositivityError(f"depth must be positive everywhere; min h = {lo:.6e}")
 
     def _derived(self, fn, p: Params, g: Grid):
         """``fn(self, p, g)``, evaluated on first use and kept in the memo."""
@@ -152,13 +149,6 @@ def chi(zeta, epsilon: float):
     out = np.minimum(np.asarray(zeta, dtype=np.float64) + 1.0 / epsilon, 0.0)
     out *= out
     return float(out) if out.ndim == 0 else out
-
-
-class _cached(cached_property):
-    """``functools.cached_property`` without the lock Python 3.11 takes, one for all instances, on a first read."""
-
-    def __get__(self, *args):  # (instance or None, owner); threads that race store equal values
-        return self if args[0] is None else args[0].__dict__.setdefault(self.attrname, self.func(args[0]))
 
 
 @dataclass(frozen=True)
