@@ -18,8 +18,8 @@ that is the experiment.
 
 Flat states are exact fixed points: every spatial operator annihilates
 constants exactly (a line grid pads ``h`` with ``hbar``), so a flat state
-steps to itself bitwise (only time advances).  ``rhs`` writes ``h_t`` and ``u_t``
-into the rows of one new array, which ``_stage`` blends and steps as one block.
+steps to itself bitwise (only time advances).  ``rhs`` returns ``(h_t, u_t)`` as the
+rows of one new array, ``_rk4_raw`` forms RK4's blend, ``_stage`` steps both rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .grid import Grid, _derivative, check_far_field, integrate
 from .kinematics import FlowState, Params, a_priori_bounds, curly_c, f_of_h, gradients, total_energy
 
 __all__ = [
-    "RhsEval",
     "StepControl",
     "BlowupThresholds",
     "depth_floor",
@@ -47,15 +46,6 @@ __all__ = [
     "SERIES_COLUMNS",
     "simulate",
 ]
-
-
-@dataclass
-class RhsEval:
-    """Rates of change of depth and velocity at one state, the rows of one ``(2, n)`` array."""
-
-    rates: np.ndarray
-    dh_dt = property(lambda self: self.rates[0])
-    du_dt = property(lambda self: self.rates[1])
 
 
 @dataclass(frozen=True)
@@ -130,8 +120,8 @@ def check_blowup(max_abs_ux: float, max_abs_hx: float, min_h: float,
     return None
 
 
-def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
-    """Semi-discrete right-hand side; regularized sources only while ``Gradients.cutoff`` acts."""
+def rhs(s: FlowState, p: Params, g: Grid) -> np.ndarray:
+    """Semi-discrete ``(h_t, u_t)``, one ``(2, n)`` array; regularized sources only while ``Gradients.cutoff`` acts."""
     d = gradients(s, p, g)
     sys = _assemble_L(s.h, g, p.hbar)
     rates = np.empty((2, g.n))
@@ -145,7 +135,7 @@ def rhs(s: FlowState, p: Params, g: Grid) -> RhsEval:
         source += 0.5 * s.u * a_x
         dh += a_x
     np.subtract(-s.u * d.ux - 3.0 * p.gamma * d.hx / s.h**2, solve_L_refined(sys, d, source, g), out=rates[1])
-    return RhsEval(rates)
+    return rates
 
 
 def cfl_dt(s: FlowState, p: Params, g: Grid, c: StepControl) -> float:
@@ -156,10 +146,9 @@ def cfl_dt(s: FlowState, p: Params, g: Grid, c: StepControl) -> float:
     return min(c.dt_max, c.cfl * g.dx / s_max)
 
 
-def _stage(s: FlowState, step: float, t: float, *k: RhsEval) -> FlowState:
-    """The one state formed from rates: ``s + step * k`` at time ``t``, ``k`` one stage's rate or RK4's blend."""
-    rates = k[0].rates if len(k) == 1 else k[0].rates + 2.0 * k[1].rates + 2.0 * k[2].rates + k[3].rates
-    hu = np.multiply(step, rates)  # both rows at once; the blend's sums in the order ((k1 + 2 k2) + 2 k3) + k4
+def _stage(s: FlowState, step: float, t: float, rates: np.ndarray) -> FlowState:
+    """The one state formed from rates: ``step * rates + s`` at time ``t``, both rows at once."""
+    hu = np.multiply(step, rates)
     hu[0] += s.h
     hu[1] += s.u
     return FlowState(hu[0], hu[1], t)
@@ -170,7 +159,7 @@ def _rk4_raw(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:
     k2 = rhs(_stage(s, 0.5 * dt, s.t + 0.5 * dt, k1), p, g)
     k3 = rhs(_stage(s, 0.5 * dt, s.t + 0.5 * dt, k2), p, g)
     k4 = rhs(_stage(s, dt, s.t + dt, k3), p, g)
-    return _stage(s, dt / 6.0, s.t + dt, k1, k2, k3, k4)
+    return _stage(s, dt / 6.0, s.t + dt, k1 + 2.0 * k2 + 2.0 * k3 + k4)  # sums ((k1 + 2 k2) + 2 k3) + k4
 
 
 def rk4_step(s: FlowState, dt: float, p: Params, g: Grid) -> FlowState:

@@ -110,6 +110,12 @@ class ScenarioConfig:
                      positive=("width", "plateau", "target_energy", "energy_rtol", "dispersion_rtol"),
                      nonnegative=("mollifier_epsilon", "oleinik_C"),
                      squared=("width",) if self.kind == "gaussian" else ())  # the profile divides by width^2
+        if self.kind in ("gaussian", "steep"):  # _shape's arithmetic, largest at the end cells
+            half = 4.0 * self.width if self.plateau is None else self.plateau
+            ends = [self.grid.x_left + (i + 0.5) * self.grid.dx - self.center for i in (0, self.grid.n - 1)]
+            if not all(math.isfinite(o * o / self.width**2 if self.kind == "gaussian" else (o + d) / self.width)
+                       for o in ends for d in (half, -half)):
+                raise ConfigError(f"center {self.center:g} is too far from the grid: the {self.kind} profile overflows")
         cells = self.mollifier_epsilon / self.grid.dx  # the filter divides by its square, and spans 12 of them
         if self.mollifier_epsilon > 0.0 and not (cells * cells >= np.finfo(float).tiny
                                                  and self.mollifier_epsilon <= self.grid.length):

@@ -5,7 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from sgnlab import Grid, Params, dynamics, elliptic, grid, kinematics
 
-settings.register_profile("suite", max_examples=50, deadline=None)
+# derandomized: every run draws the same examples, so a run's outcome never depends on an earlier one
+settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("suite")
 
 

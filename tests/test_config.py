@@ -4,6 +4,7 @@ echo, typos and malformed values are rejected, and nothing is silently dropped."
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -35,8 +36,9 @@ def _boxes(g: Grid):
 
 
 @st.composite
-def scenario_configs(draw):
-    """Random valid configurations, including every optional left as ``None``."""
+def scenario_settings(draw):
+    """Random settings of a ``ScenarioConfig``, including every optional left as ``None``; each
+    is valid, but a gaussian or steep center may lie too far from the grid (``_profile_overflows``)."""
     mode = draw(st.sampled_from(("periodic", "line")))
     kind = draw(st.sampled_from(("flat", "gaussian", "custom", "sine" if mode == "periodic" else "steep")))
     switches = draw(st.sets(st.sampled_from(CHECKS)))
@@ -55,7 +57,7 @@ def scenario_configs(draw):
         t_end = draw(st.floats(1e-3, 1e3))
         resolved = math.pi / max(dispersion_omega(k, params) for k in wavenumbers)
         output_dt = draw(st.floats(0.01, 0.99)) * min(t_end, resolved)
-    return ScenarioConfig(
+    return dict(
         params=params,
         grid=grid,
         step=StepControl(cfl=draw(st.floats(1e-3, 1.0)), dt_max=draw(_POSITIVE), t_end=t_end,
@@ -82,22 +84,50 @@ def scenario_configs(draw):
     )
 
 
-def _cfg(**kw):
+def _settings(**kw):
     base = dict(params=Params(), grid=Grid.from_length(256, 40.0, -20.0, "line"),
                 step=StepControl(), kind="gaussian", amplitude=0.05)
     base.update(kw)
-    return ScenarioConfig(**base)
+    return base
+
+
+def _cfg(**kw):
+    return ScenarioConfig(**_settings(**kw))
+
+
+def _profile_overflows(settings: dict) -> bool:
+    """Whether a gaussian or steep profile's arithmetic overflows on some cell of the grid,
+    computed here on every cell, apart from the rule that refuses such a center."""
+    x, c, w = settings["grid"].cells(), settings["center"], settings["width"]
+    half = 4.0 * w if settings["plateau"] is None else settings["plateau"]
+    with np.errstate(over="raise"):
+        try:
+            if settings["kind"] == "gaussian":
+                (x - c) ** 2 / w**2
+            else:
+                (x - c + half) / w, (x - c - half) / w
+        except FloatingPointError:
+            return True
+    return False
 
 
 class TestEchoRoundTrip:
-    @given(cfg=scenario_configs())
-    @example(cfg=_cfg())
-    @example(cfg=_cfg(box=Box(0.1, 0.5, -4.0, 6.0)))
-    @example(cfg=_cfg(expect_blowup=True))
-    @example(cfg=_cfg(expect_blowup=True, blowup=BlowupThresholds(55.0, 4.8)))
-    @example(cfg=_cfg(checks=("blowup",), blowup=BlowupThresholds(55.0, math.inf)))
-    @example(cfg=_cfg(kind="custom", file="run%1.csv"))
-    def test_echo_reproduces_config(self, cfg):
+    @given(settings=scenario_settings())
+    @example(settings=_settings())
+    @example(settings=_settings(box=Box(0.1, 0.5, -4.0, 6.0)))
+    @example(settings=_settings(expect_blowup=True))
+    @example(settings=_settings(expect_blowup=True, blowup=BlowupThresholds(55.0, 4.8)))
+    @example(settings=_settings(checks=("blowup",), blowup=BlowupThresholds(55.0, math.inf)))
+    @example(settings=_settings(kind="custom", file="run%1.csv"))
+    def test_echo_reproduces_config(self, settings):
+        try:
+            cfg = ScenarioConfig(**settings)
+        except ConfigError as exc:  # the one refusal a drawn setting meets
+            assert str(exc).startswith(f"center {settings['center']:g} is too far from the grid")
+            assert settings["kind"] in ("gaussian", "steep") and _profile_overflows(settings)
+            return
+        if cfg.kind in ("gaussian", "steep"):
+            scenarios._shape(cfg, 0.0)  # an overflow would warn, and a warning fails the suite
         assert parse_config_text(config_echo(cfg)) == cfg
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)

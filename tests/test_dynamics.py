@@ -34,15 +34,15 @@ class TestRhs:
         for mode in ("periodic", "line"):
             g = Grid.from_length(256, 20.0, -10.0, mode)
             ev = rhs(FlowState(np.full(g.n, params.hbar), np.zeros(g.n)), params, g)
-            assert np.all(ev.dh_dt == 0.0)
-            assert np.all(ev.du_dt == 0.0)
+            assert np.all(ev[0] == 0.0)
+            assert np.all(ev[1] == 0.0)
 
     def test_flat_equilibrium_nonunit_depth(self):
         p = Params(g=3.0, gamma=2.0, hbar=1.7)
         g = Grid.from_length(256, 20.0, -10.0, "periodic")
         ev = rhs(FlowState(np.full(g.n, 1.7), np.zeros(g.n)), p, g)
-        assert np.all(ev.dh_dt == 0.0)
-        assert np.all(ev.du_dt == 0.0)
+        assert np.all(ev[0] == 0.0)
+        assert np.all(ev[1] == 0.0)
 
     def test_linearized_momentum_prediction(self):
         # tiny sinusoid: u_t = -g h_x (1 + gamma k^2/g) / (1 + hbar^2 k^2/3)
@@ -55,7 +55,7 @@ class TestRhs:
         ev = rhs(s, p, g)
         h_x = derivative(s.h, g)
         predicted = -p.g * h_x * (1 + p.gamma * k**2 / p.g) / (1 + k**2 / 3)
-        rel = np.max(np.abs(ev.du_dt - predicted)) / np.max(np.abs(predicted))
+        rel = np.max(np.abs(ev[1] - predicted)) / np.max(np.abs(predicted))
         assert rel < 0.01
 
     def test_epsilon_inactive_matches_eps0_bitwise(self, periodic_grid):
@@ -67,8 +67,8 @@ class TestRhs:
             assert regularization.compute_reg_fields(s, Params(epsilon=0.1), g) is None
             ev0 = rhs(s, Params(epsilon=0.0), g)
             ev1 = rhs(s, Params(epsilon=0.1), g)
-            assert_bitwise(ev1.dh_dt, ev0.dh_dt)
-            assert_bitwise(ev1.du_dt, ev0.du_dt)
+            assert_bitwise(ev1[0], ev0[0])
+            assert_bitwise(ev1[1], ev0[1])
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_flat_line_state_has_no_growing_mode(self, params, n):
@@ -84,7 +84,7 @@ class TestRhs:
                 z = flat.copy()
                 z[j] += step
                 ev = rhs(FlowState(z[:n], z[n:]), params, g)
-                rates.append(np.concatenate((ev.dh_dt, ev.du_dt)))
+                rates.append(np.concatenate((ev[0], ev[1])))
             jac[:, j] = (rates[0] - rates[1]) / (2.0 * delta)
         assert np.linalg.eigvals(jac).real.max() <= 1e-6
 
@@ -753,7 +753,7 @@ class TestOneHome:
         monkeypatch.setattr(regularization, "cumulative_integral", refuse)
         s, p, g = _active_line_state()
         ev = rhs(s, p, g)
-        assert np.all(np.isfinite(ev.dh_dt)) and np.all(np.isfinite(ev.du_dt))
+        assert np.all(np.isfinite(ev[0])) and np.all(np.isfinite(ev[1]))
 
     def test_derivative_calls_per_record(self, monkeypatch):
         calls = count_derivative_calls(monkeypatch)
@@ -788,7 +788,7 @@ class TestOneHome:
             calls.clear()
             fresh = rhs(FlowState(s.h, s.u, s.t), p, g)
             assert len(calls) == 4 + active
-            assert np.array_equal(recorded.dh_dt, fresh.dh_dt) and np.array_equal(recorded.du_dt, fresh.du_dt)
+            assert np.array_equal(recorded[0], fresh[0]) and np.array_equal(recorded[1], fresh[1])
 
     @pytest.mark.parametrize("mode", ["periodic", "line"])
     def test_derivative_calls_per_fixed_step_run(self, monkeypatch, params, mode):
@@ -894,8 +894,8 @@ class TestFoldedMomentumSolve:
         ev = rhs(s, p, g)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(b_source)) > 1e-3 * np.max(np.abs(nonlocal_source))  # the fold is not vacuous
-        assert np.max(np.abs(ev.du_dt - expected)) <= 1e-12 * scale
-        assert np.array_equal(ev.dh_dt, -derivative(s.h * s.u, g) + A_x)
+        assert np.max(np.abs(ev[1] - expected)) <= 1e-12 * scale
+        assert np.array_equal(ev[0], -derivative(s.h * s.u, g) + A_x)
 
 
 class _ReadOnlyState(FlowState):
@@ -960,7 +960,7 @@ class TestResultsOwnTheirArrays:
         ev = rhs(s, p, g)
         rk4_step(s, 1e-3, p, g)
         bundles = [kinematics.gradients(state, p, g) for state in [s, *stages]]
-        kept = [ev.dh_dt, ev.du_dt, *(a for st_ in stages for a in (st_.h, st_.u)),
+        kept = [ev[0], ev[1], *(a for st_ in stages for a in (st_.h, st_.u)),
                 *(a for d in bundles for a in (d.ux, d.hx, d.hux, d.h3))]
         copies = [a.copy() for a in kept]
         assert (bundles[0].cutoff is not None) == (case == "line-cutoff")
@@ -1026,8 +1026,42 @@ class TestRhsFromPublicKernels:
             source = derivative(source, g)
         L = elliptic.assemble_L(h, g, p.hbar)
         du = -u * d.ux - 3.0 * p.gamma * d.hx / h**2 - elliptic.solve_L_refined(L, d, source, g)
-        assert_bitwise(ev.dh_dt, dh)
-        assert_bitwise(ev.du_dt, du)
+        assert_bitwise(ev[0], dh)
+        assert_bitwise(ev[1], du)
+
+
+class TestRk4Blend:
+    """One RK4 step equals, bit for bit, the stages and the blend composed here
+    from four ``rhs`` calls, the blend summed as ``((k1 + 2 k2) + 2 k3) + k4``."""
+
+    @given(mode=_MODES, n=st.integers(32, 128), active=st.booleans(), amp_h=st.floats(-0.2, 0.2),
+           amp_u=st.floats(-2.0, 2.0), centre=st.floats(-2.0, 2.0), width=st.floats(0.5, 2.0))
+    @example(mode="line", n=256, active=True, amp_h=0.1, amp_u=1.0, centre=0.0, width=1.0)  # _active_line_state's data
+    def test_step_equals_composed_blend_hypothesis(self, mode, n, active, amp_h, amp_u, centre, width):
+        g = Grid.from_length(n, 40.0, -20.0, mode)
+        x = g.cells() - centre
+        bump = np.exp(-((x / width) ** 2))
+        s = FlowState(1.0 + amp_h * bump, -2.0 * amp_u * x * bump, 0.0)
+        p = Params()
+        if active:  # an eps at which the cut-off acts on this state
+            lowest = min(P.min() for P in pq_fields(s, p, g))
+            assume(lowest < -1e-3)
+            p = Params(epsilon=-2.0 / lowest)
+        assert (regularization.compute_reg_fields(s, p, g) is not None) == active
+        dt = cfl_dt(s, p, g, StepControl(cfl=0.3))
+
+        def state(step, k):
+            return FlowState(s.h + step * k[0], s.u + step * k[1])
+
+        k1 = rhs(s, p, g)
+        k2 = rhs(state(0.5 * dt, k1), p, g)
+        k3 = rhs(state(0.5 * dt, k2), p, g)
+        k4 = rhs(state(dt, k3), p, g)
+        expected = state(dt / 6.0, ((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        out = rk4_step(s, dt, p, g)
+        assert out.t == s.t + dt
+        assert_bitwise(out.h, expected.h)
+        assert_bitwise(out.u, expected.u)
 
 
 def _smooth_state(g: Grid, p: Params, amp_h: float, amp_u: float, shift: float, width: float) -> FlowState:

@@ -492,7 +492,7 @@ class TestScriptR:
             s = FlowState(1.0 + 0.1 * np.sin(x), 0.05 * np.cos(x))
             r_op = script_r(s, p, g)
             ev = rhs_eval(s, p, g)
-            u_tx = derivative(ev.du_dt, g)
+            u_tx = derivative(ev[1], g)
             u_x = derivative(s.u, g)
             u_xx = derivative(u_x, g)
             h_x = derivative(s.h, g)

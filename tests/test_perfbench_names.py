@@ -32,3 +32,36 @@ def test_sim_history_as_the_benchmark_uses_it():
     assert hist.status == "completed" and hist.n_steps > 0
     assert len(hist.series["energy"]) == hist.n_steps + 1
     assert hist.snapshots[-1].h.shape == (g.n,) and hist.snapshots[-1].t == hist.t_final
+
+
+def test_traced_layers_stay_on_the_stepper_path():
+    # the benchmark's per-layer counts read the stepper only through the names it
+    # wraps: a traced call moved off that path would silently count 0
+    bench = runpy.run_path(str(TRACER))
+    for mod in bench["LAYERS"]:
+        importlib.import_module(f"sgnlab.{mod}")  # install wraps every layer's home module
+    tracer = bench["Tracer"]()
+    g = Grid.from_length(256, 40.0, -20.0, "line")
+    x = g.cells()
+    s0 = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))  # the cut-off acts at eps = 1
+    tracer.install()
+    try:
+        hist = dynamics.simulate(s0, Params(epsilon=1.0), g, dynamics.StepControl(t_end=5e-3, dt_fixed=1e-3))
+    finally:
+        tracer.uninstall()
+    assert hist.status == "completed" and hist.n_steps == 5
+    spans = tracer.arrays()
+    names = np.array(tracer.names)[spans["name"]]
+    parents = np.where(spans["parent"] >= 0, names[spans["parent"]], "")
+
+    def calls(name, under):
+        assert set(parents[names == name]) == {under}
+        return int(np.sum(names == name))
+
+    steps = calls("dynamics.rk4_step", "dynamics.simulate")
+    assert steps == 5
+    assert calls("dynamics.rhs", "dynamics.rk4_step") == 4 * steps
+    assert calls("regularization.compute_reg_fields", "dynamics.rhs") == 4 * steps
+    assert calls("elliptic.solve_L_refined", "dynamics.rhs") == 4 * steps
+    assert calls("elliptic.solve_L", "elliptic.solve_L_refined") == 2 * 4 * steps
+    assert calls("regularization.compute_A", "regularization.compute_reg_fields") == 4 * steps  # active at every stage

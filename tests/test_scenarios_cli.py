@@ -563,6 +563,10 @@ class TestCli:
         ("gaussian_energy.cfg", "scenario.target_energy=1e300", "error: target energy unreachable"),
         ("gaussian_energy.cfg", "scenario.target_energy=1e-30",
          "error: target energy 1e-30 unreachable: amplitude 5e-10 already gives more"),
+        # a center whose offset from the grid overflows the profile: a warning and a flat state before
+        ("gaussian_energy.cfg", "scenario.center=1e308", "error: center 1e+308 is too far from the grid"),
+        ("gaussian_energy.cfg", "grid.x_left=1e308", "error: center 0 is too far from the grid"),
+        ("steep_sweep.cfg", "scenario.center=1e308", "error: center 1e+308 is too far from the grid"),
     ])
     def test_nonfinite_shape_or_grid_exit_two(self, tmp_path, capsys, config, override, message):
         path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
