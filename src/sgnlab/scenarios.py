@@ -16,17 +16,16 @@ Initial data families:
 When ``mollifier_epsilon > 0`` the perturbation (h - hbar, u) is convolved
 with a normalized Gaussian of that standard deviation, mirroring the mollified
 initial data of the regularized construction; each member of an epsilon
-sweep is mollified at its own epsilon.
+sweep is mollified at its own epsilon.  The sum is numpy's, in a stated order
+(:func:`_mollify`), bit for bit ``scipy.ndimage.gaussian_filter1d``'s.
 
 Amplitudes can be tuned to a target measured initial energy (bisection on the
 discrete energy), which is how runs are placed exactly at a prescribed
 distance below the a-priori threshold.
 
-Only these two features load scipy beyond the LAPACK tridiagonal routines that
-every run uses: a mollifier loads ``scipy.ndimage`` (``gaussian_filter1d``)
-and a target energy loads ``scipy.optimize`` (``brentq``), each inside the
-function that calls it.  Importing ``sgnlab`` or running a configuration
-without either loads neither subpackage.
+Only a target energy loads scipy beyond the LAPACK tridiagonal routines that
+every run uses: ``scipy.optimize`` (``brentq``), inside the function that calls
+it.  Importing ``sgnlab``, a mollified run and a sweep load no other subpackage.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .diagnostics import (
 )
 from .dynamics import BlowupThresholds, SimHistory, StepControl, simulate
 from .errors import ConfigError, check_ranges
-from .grid import Grid
+from .grid import _MAX_CELLS, Grid
 from .kinematics import FlowState, Params, total_energy
 
 __all__ = [
@@ -144,6 +143,13 @@ class ScenarioConfig:
         why = None if self.box is None else self.box.refusal(self.grid, 0.0, math.inf)
         if why is not None:  # t_end is the sweep's business: run never reads the box
             raise ConfigError(f"[sweep] {why}")
+        s, memory = self.step, 16 * _MAX_CELLS  # the physical memory in bytes, as the grid counts it
+        speed = (3.0 * self.params.g * self.params.gamma) ** 0.25  # the least CFL speed: a step <= cfl dx / speed
+        rows = s.t_end / s.dt_fixed if s.dt_fixed else s.t_end * max(1.0 / s.dt_max, speed / s.cfl / self.grid.dx)
+        snapshots = 0.0 if s.output_dt is None else s.t_end / s.output_dt
+        if 96.0 * rows >= memory or 16.0 * self.grid.n * snapshots >= memory:  # a series row, a state
+            raise ConfigError(f"the run would keep at least {rows:.3g} rows of 96 bytes and {snapshots:.3g} snapshots "
+                              f"of 16 n bytes: more than the {memory:.3g} bytes of physical memory")
 
 
 @dataclass
@@ -172,9 +178,16 @@ class SweepResult:
 
 
 def _mollify(pert: np.ndarray, g: Grid, sigma: float) -> np.ndarray:
-    from scipy.ndimage import gaussian_filter1d
-    mode = "wrap" if g.periodic else "constant"
-    return gaussian_filter1d(pert, sigma / g.dx, mode=mode, truncate=6.0)
+    """``pert`` correlated with the normalized Gaussian of ``s = sigma / dx`` cells cut at ``r = int(6 s + 0.5)``,
+    wrapped (periodic) or zero-padded (line): ``w_0 x_i + (x_{i-j} + x_{i+j}) w_j`` for j = r..1, ndimage's order."""
+    s = sigma / g.dx
+    r = int(6.0 * s + 0.5)
+    phi = np.exp(-0.5 / (s * s) * np.arange(-r, r + 1) ** 2)
+    w, xp, n = phi / phi.sum(), np.pad(pert, r, mode="wrap" if g.periodic else "constant"), pert.size
+    out = w[r] * pert
+    for j in range(r, 0, -1):
+        out += (xp[r - j:r - j + n] + xp[r + j:r + j + n]) * w[r + j]
+    return out
 
 
 def _shape(cfg: ScenarioConfig, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,6 +237,9 @@ def build_initial(cfg: ScenarioConfig) -> FlowState:
 
     def assemble(amplitude: float) -> FlowState:
         h, u = _shape(cfg, amplitude)
+        if cfg.target_energy is None and amplitude and cfg.kind in ("gaussian", "steep") and np.all(h == p.hbar):
+            raise ConfigError(f"the {cfg.kind} profile of amplitude {amplitude:g} at center {cfg.center:g} leaves "
+                              f"every cell at (hbar, 0): nothing on the grid would move")  # u is 0 where h is hbar
         if cfg.mollifier_epsilon > 0.0:
             h = p.hbar + _mollify(h - p.hbar, g, cfg.mollifier_epsilon)
             u = _mollify(u, g, cfg.mollifier_epsilon)

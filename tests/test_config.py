@@ -2,6 +2,7 @@
 echo, typos and malformed values are rejected, and nothing is silently dropped."""
 
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -111,6 +112,19 @@ def _profile_overflows(settings: dict) -> bool:
     return False
 
 
+def _record_outgrows_memory(settings: dict) -> bool:
+    """Whether the least record a run keeps reaches the physical memory: 96 bytes a series row, at least
+    ``t_end / dt_fixed`` or ``t_end / min(dt_max, cfl dx / (3 g gamma)^(1/4))`` of them, or 16 n bytes a
+    snapshot, ``t_end / output_dt`` of them; computed here in numpy, apart from the rule that refuses it."""
+    step, p, g = settings["step"], settings["params"], settings["grid"]
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        longest = step.cfl * g.dx / np.float64(3.0 * p.g * p.gamma) ** 0.25
+        rows = step.t_end / np.float64(step.dt_fixed or min(step.dt_max, longest))
+        snapshots = 0.0 if step.output_dt is None else step.t_end / np.float64(step.output_dt)
+    return bool(96.0 * rows >= memory or 16.0 * g.n * snapshots >= memory)
+
+
 class TestEchoRoundTrip:
     @given(settings=scenario_settings())
     @example(settings=_settings())
@@ -122,10 +136,14 @@ class TestEchoRoundTrip:
     def test_echo_reproduces_config(self, settings):
         try:
             cfg = ScenarioConfig(**settings)
-        except ConfigError as exc:  # the one refusal a drawn setting meets
-            assert str(exc).startswith(f"center {settings['center']:g} is too far from the grid")
-            assert settings["kind"] in ("gaussian", "steep") and _profile_overflows(settings)
+        except ConfigError as exc:  # the two refusals a drawn setting meets
+            if str(exc).startswith("center"):
+                assert str(exc).startswith(f"center {settings['center']:g} is too far from the grid")
+                assert settings["kind"] in ("gaussian", "steep") and _profile_overflows(settings)
+            else:
+                assert str(exc).startswith("the run would keep at least") and _record_outgrows_memory(settings)
             return
+        assert not _record_outgrows_memory(settings)
         if cfg.kind in ("gaussian", "steep"):
             scenarios._shape(cfg, 0.0)  # an overflow would warn, and a warning fails the suite
         assert parse_config_text(config_echo(cfg)) == cfg

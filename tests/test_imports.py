@@ -1,6 +1,6 @@
-"""``scipy.ndimage`` and ``scipy.optimize`` load only inside the two features that call them: the
-mollifier and the target-energy tuning.  Each case runs in a fresh interpreter, since this
-test session has long imported both."""
+"""``scipy.optimize`` loads only inside the one feature that calls it, the target-energy tuning, and
+``scipy.ndimage`` never loads: the mollifier sums its Gaussian in numpy.  Each case runs in a fresh
+interpreter, since this test session has long imported both."""
 
 import json
 import os
@@ -58,12 +58,18 @@ def test_import_check_and_plain_run_load_neither(tmp_path):
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (["--config", "configs/gaussian_energy.cfg", "--override", "scenario.mollifier_epsilon=0.2"],
-     ["scipy.ndimage"]),
+    (["--config", "configs/gaussian_energy.cfg", "--override", "scenario.mollifier_epsilon=0.2"], []),
     (["--config", "configs/bounds_tuned.cfg"], ["scipy.optimize"]),
 ], ids=["mollified", "tuned"])
 def test_check_loads_what_its_feature_calls(argv, loads):
     assert probe(["check", *argv]) == [["import", []], [0, loads]]
+
+
+def test_sweep_loads_neither(tmp_path):
+    # every member is mollified at its own epsilon
+    sweep = ["sweep", "--config", "configs/gaussian_energy.cfg", "--epsilons", "0.2,0.1", "--out", str(tmp_path),
+             "--override", "step.t_end=0.01"]
+    assert probe(sweep) == [["import", []], [0, []]]
 
 
 def test_initial_states_independent_of_when_scipy_loads():

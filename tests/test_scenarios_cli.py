@@ -9,7 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy.ndimage import gaussian_filter1d  # the reference for the mollifier's bits
 
 from sgnlab import FlowState, Grid, Params, cli, scenarios
 from sgnlab.cli import main
@@ -157,6 +158,18 @@ class TestBuildInitial:
         m0 = integrate(build_initial(plain).h, g)
         m1 = integrate(build_initial(smeared).h, g)
         assert m1 == pytest.approx(m0, rel=1e-12)
+
+    @given(periodic=st.booleans(), n=st.integers(8, 300), sigma=st.floats(1e-5, 36.0), seed=st.integers(0, 2**32 - 1))
+    @example(periodic=False, n=64, sigma=0.04, seed=1)  # radius 0: 6 sigma / dx = 0.43 cells
+    @example(periodic=True, n=64, sigma=18.0, seed=2)  # radius 192 on a 64-cell circle
+    @example(periodic=False, n=2048, sigma=0.2, seed=3)  # the README sweep's radii: 68, 34 and 17 cells
+    @example(periodic=False, n=2048, sigma=0.1, seed=4)
+    @example(periodic=False, n=2048, sigma=0.05, seed=5)
+    def test_mollify_is_ndimage_gaussian_bitwise(self, periodic, n, sigma, seed):
+        g = Grid.from_length(n, 36.0, -16.0, "periodic" if periodic else "line")
+        pert = np.random.default_rng(seed).standard_normal(n)
+        ref = gaussian_filter1d(pert, sigma / g.dx, mode="wrap" if periodic else "constant", truncate=6.0)
+        assert scenarios._mollify(pert, g, sigma).tobytes() == ref.tobytes()
 
     def test_custom_file(self, tmp_path):
         g = Grid.from_length(256, 40.0, -20.0, "line")
@@ -567,6 +580,17 @@ class TestCli:
         ("gaussian_energy.cfg", "scenario.center=1e308", "error: center 1e+308 is too far from the grid"),
         ("gaussian_energy.cfg", "grid.x_left=1e308", "error: center 0 is too far from the grid"),
         ("steep_sweep.cfg", "scenario.center=1e308", "error: center 1e+308 is too far from the grid"),
+        # a representable center whose profile leaves every cell at (hbar, 0): a flat run that passed
+        ("gaussian_energy.cfg", "scenario.center=1e6",
+         "error: the gaussian profile of amplitude 0.05 at center 1e+06 leaves every cell at (hbar, 0)"),
+        ("steep_sweep.cfg", "scenario.center=1e6",
+         "error: the steep profile of amplitude -0.45 at center 1e+06 leaves every cell at (hbar, 0)"),
+        # a record that cannot fit in physical memory: check said OK and run never finished
+        ("gaussian_energy.cfg", "params.gamma=1e300", "error: the run would keep at least 3.98e+74 rows"),
+        ("gaussian_energy.cfg", "params.gamma=1e308", "error: the run would keep at least inf rows"),
+        ("gaussian_energy.cfg", "step.output_dt=1e-300", "error: the run would keep at least 0.703 rows of 96 bytes "
+                                                         "and 2e+297 snapshots"),
+        ("gaussian_energy.cfg", "step.dt_fixed=1e-300", "error: the run would keep at least 2e+297 rows"),
     ])
     def test_nonfinite_shape_or_grid_exit_two(self, tmp_path, capsys, config, override, message):
         path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
@@ -656,6 +680,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: [sweep] box")
         assert not out_dir.exists()
         assert main(["check", *args]) == 2
+
+    @pytest.mark.parametrize("config", ["gaussian_energy.cfg", "steep_sweep.cfg"])
+    def test_profile_off_the_grid_sweep_exit_two(self, tmp_path, capsys, monkeypatch, config):
+        # the first member refuses its initial state before it steps, and nothing is written
+        monkeypatch.setattr(scenarios, "simulate", lambda *args, **kw: pytest.fail("a member ran"))
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(CONFIGS / config), "--override", "scenario.center=1e6",
+                     "--epsilons", "0.2,0.1", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ") and err.endswith(" leaves every cell at (hbar, 0): nothing on the grid "
+                                                               "would move\n") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_sweep_without_box_needs_positive_t_end(self, tmp_path, capsys):
         # the default box is [0, t_end]: with t_end = 0 the refusal names t_end, not a box never given
