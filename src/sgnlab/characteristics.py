@@ -13,7 +13,8 @@ branch::
     dP/dt|_lambda = -P^2/(8h) + Q^2/(8h) - 3 h^{-2} R_script
     dQ/dt|_eta    = -Q^2/(8h) + P^2/(8h) - 3 h^{-2} R_script
 
-(with the cut-off, drag and V-field corrections when eps > 0).  The residual
+(with the cut-off, drag and V-field corrections when eps > 0, formed by
+``_riccati_rhs_fields``).  The residual
 of these ODEs, evaluated on traced paths, measures how faithfully the
 discrete dynamics realizes them.
 
@@ -24,8 +25,8 @@ values (one :func:`~sgnlab.kinematics.gradients` bundle, which ``script_r``
 reads too) and both branches' Riccati right-hand sides (one ``script_r``;
 with an active cut-off one ``A``, ``A_x`` and one ``L_h`` assembly shared by
 ``V1`` and ``script_r``).  Each path quantity stacks the rows it needs
-``(snapshots, n)`` and is one row-wise :func:`interp_cubic` call: two per
-trace (speed and the transported invariant) and one per residual.  The RK2
+``(snapshots, n)`` and is one row-wise :func:`interp_cubic` call: one per
+trace (the transported invariant) and one per residual.  The RK2
 loop that finds the path points makes no array call: each stage point gets
 one scalar cubic stencil, applied to every speed row that stage reads.  A
 history whose snapshots are replaced or appended needs no invalidation: a
@@ -117,17 +118,15 @@ def interp_cubic(values: np.ndarray, g: Grid, xq) -> np.ndarray:
 class CharPath:
     """One traced characteristic: samples at every snapshot time.
 
-    ``speed`` is the branch speed and ``invariant`` the gradient invariant
-    the branch transports (P on minus, Q on plus), both interpolated at the
-    path points.  In periodic mode ``x`` is unwrapped (fields are evaluated
-    modulo the domain length).
+    ``invariant`` is the gradient invariant the branch transports (P on
+    minus, Q on plus), interpolated at the path points.  In periodic mode
+    ``x`` is unwrapped (fields are evaluated modulo the domain length).
     """
 
     branch: str
     x0: float
     t: np.ndarray
     x: np.ndarray
-    speed: np.ndarray
     invariant: np.ndarray
     exited: bool = False
 
@@ -137,7 +136,6 @@ class RiccatiResidual:
     """Per-sample residual of the Riccati equation along one path."""
 
     values: np.ndarray
-    t: np.ndarray
     undersampled: bool = False
 
 
@@ -175,7 +173,6 @@ def trace(history, x0: float, branch: str) -> CharPath:
     xeval = [_wrap(xi, g) for xi in xs]
     invariant = np.stack([gradients(s, p, g).pq[_ROW[branch]] for s in snaps[:m]])
     return CharPath(branch=branch, x0=float(x0), t=np.array(times[:m]), x=np.array(xs),
-                    speed=interp_cubic(speed[:m], g, xeval),
                     invariant=interp_cubic(invariant, g, xeval), exited=exited)
 
 
@@ -183,8 +180,10 @@ def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, n
     """Gridded right-hand sides ``(minus, plus)`` of the Riccati equations at one state.
 
     Reads the state's gradient bundle.  An active cut-off adds its ``chi``
-    values, ``A``, ``A_x`` and ``V1``, ``V2``; the stepper's ``B`` is not
-    needed, and ``V1`` and ``script_r`` share one ``L_h``.
+    values, ``A``, ``A_x``, ``V1`` and ``V2 = (3 g / sqrt(3 gamma)) h^{-1/2} A``,
+    and ``-3 h^{-2} R_script`` becomes ``M = -3 h^{-2} R_script + V1 - V2``
+    (minus) and ``N = M + 2 V2`` (plus).  The stepper's ``B`` is not needed,
+    and ``V1`` and ``script_r`` share one ``L_h``.
     """
     d = gradients(s, p, g)
     P, Q = d.pq
@@ -199,9 +198,9 @@ def _riccati_rhs_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, n
         plus = plus + chiQ / (8.0 * s.h) - A_x * Q / (2.0 * s.h)
         sys = _assemble_L(s.h, g, p.hbar)
         v1 = reg.compute_V1(s, d.ux, A_x, chiP, chiQ, g, sys)
-        v2 = reg.compute_V2(s, A, p)
-    M, N = reg.compute_MN(s, v1, v2, script_r(s, p, g, _sys=sys))
-    return minus + M, plus + N
+        v2 = (3.0 * p.g / p.sqrt_3gamma) * A / np.sqrt(s.h)
+    base = -3.0 * script_r(s, p, g, _sys=sys) / s.h**2 + v1
+    return minus + (base - v2), plus + (base + v2)
 
 
 def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
@@ -224,5 +223,5 @@ def riccati_residual(history, path: CharPath, p: Params) -> RiccatiResidual:
     xeval = np.array([_wrap(xi, g) for xi in path.x])
     rows = np.stack([s._derived(_riccati_rhs_fields, history.params, g)[_ROW[path.branch]] for s in snaps])
     rhs_on_path = interp_cubic(rows, g, xeval)
-    return RiccatiResidual(values=dval - rhs_on_path, t=path.t.copy(), undersampled=undersampled)
+    return RiccatiResidual(values=dval - rhs_on_path, undersampled=undersampled)
 

@@ -77,6 +77,9 @@ class Grid:
             raise ContractViolationError(f"grid needs an integer n >= 8 cells whose h and u fit in physical memory "
                                          f"(16 n bytes, n <= {_MAX_CELLS}), got {self.n!r}")
         check_ranges(self, ContractViolationError, positive=("dx",), finite=("x_left",), squared=("dx",))
+        if not np.spacing(max(abs(self.x_left), abs(self.x_right))) <= 1e-3 * self.dx:  # nan if x_right is inf
+            raise ContractViolationError(f"grid x_left = {self.x_left:g}, x_right = {self.x_right:g}: float64 cannot "
+                                         f"place the cell centres to a thousandth of dx = {self.dx:g}")
         if self.mode not in (PERIODIC, LINE):
             raise ContractViolationError(f"unknown grid mode {self.mode!r}")
 

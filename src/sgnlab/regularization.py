@@ -12,8 +12,6 @@ From the cut-off, the source fields of the regularized system::
     B  = L_h^{-1} { -u A_x / 2 + d_x { h^2 u_x A_x / 2 - h (chi(P) + chi(Q))/48 } }
     V1 = (h/2) d_x L_h^{-1} { -u A_x + h int_{-inf}^x [ 3 u_x A_x / h
                                - (chi(P) + chi(Q))/(8 h^2) ] dy }
-    V2 = (3 g / sqrt(3 gamma)) h^{-1/2} A
-    M  = -3 h^{-2} R_script + V1 - V2        N = -3 h^{-2} R_script + V1 + V2
 
 ``chi`` lives in :mod:`sgnlab.kinematics`: a state's cut-off values are part
 of its memoized gradient bundle, ``Gradients.cutoff``, the one rule for whether
@@ -21,11 +19,11 @@ the cut-off acts (``None`` at eps = 0 or while P and Q stay above ``-1/eps``).
 The stepper reads ``A_x`` and ``B``'s flux ``h^2 u_x A_x/2 - h (chi(P) +
 chi(Q))/48``: :func:`compute_reg_fields` returns both, and ``dynamics.rhs``
 folds ``B``'s source into its one ``L_h`` solve (``L_h^{-1}`` is linear).
-:func:`compute_B` solves for ``B`` alone from the same flux.  ``V1``,
-``V2``, ``M`` and ``N`` enter only the Riccati equations along
-characteristics, and ``characteristics._riccati_rhs_fields`` is their one
-caller: it builds ``A`` and ``A_x`` itself and hands ``V1`` the ``L_h`` it
-shares with ``script_r``.
+:func:`compute_B` solves for ``B`` alone from the same flux.  ``V1``
+enters only the Riccati equations along characteristics, whose right-hand
+side has one home, ``characteristics._riccati_rhs_fields``: it builds ``A``
+and ``A_x`` with :func:`compute_A`, hands ``V1`` the ``L_h`` it shares with
+``script_r``, and forms ``V2``, ``M`` and ``N`` itself.
 
 ``A``, ``A_x`` and ``B`` are well defined on both grid modes, so ``eps > 0``
 runs on either.  ``A``'s source and ``V1``'s primitive have limits at
@@ -49,10 +47,8 @@ from .kinematics import FlowState, Params, gradients
 
 __all__ = [
     "compute_A",
-    "compute_V2",
     "compute_V1",
     "compute_B",
-    "compute_MN",
     "compute_reg_fields",
 ]
 
@@ -60,15 +56,6 @@ __all__ = [
 def compute_A(s: FlowState, chiP: np.ndarray, chiQ: np.ndarray, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Helmholtz solve for the mass-equation source and its derivative."""
     return solve_helmholtz((p.sqrt_3gamma / 48.0) * (chiP - chiQ) / np.sqrt(s.h), p, g)
-
-
-def compute_V2(s: FlowState, A: np.ndarray, p: Params) -> np.ndarray:
-    """Pointwise scaling ``(3 g / sqrt(3 gamma)) h^{-1/2} A``.
-
-    Equal to ``(g/16) h^{-1/2} (g - gamma d_xx)^{-1} { h^{-1/2}(chi(P)-chi(Q)) }``
-    since the two constant prefactors agree exactly: 3/48 = 1/16.
-    """
-    return (3.0 * p.g / p.sqrt_3gamma) * A / np.sqrt(s.h)
 
 
 def compute_V1(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, chiQ: np.ndarray,
@@ -87,12 +74,6 @@ def compute_B(s: FlowState, ux: np.ndarray, A_x: np.ndarray, chiP: np.ndarray, c
               g: Grid, sys: TridiagonalSystem) -> np.ndarray:
     """Momentum-equation source ``L_h^{-1}{ -u A_x/2 + d_x{ h^2 u_x A_x/2 - h(chiP+chiQ)/48 } }``."""
     return solve_L(sys, -0.5 * s.u * A_x + derivative(_b_flux(s, ux, A_x, chiP, chiQ), g))
-
-
-def compute_MN(s: FlowState, V1, V2, scriptR: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Riccati source terms ``M = -3 h^{-2} R + V1 - V2`` and ``N = M + 2 V2``; V1, V2 array or 0.0."""
-    base = -3.0 * scriptR / s.h**2 + V1
-    return base - V2, base + V2
 
 
 def compute_reg_fields(s: FlowState, p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray] | None:

@@ -338,11 +338,11 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
 
     The box (by default the middle half of the domain over ``[0, t_end]``)
     must fit the grid and the members' times ``[0, t_end]``
-    (:meth:`Box.refusal`); a sweep refuses it before any member runs.
-    Aborted runs stay in the artifact list; pairs involving them are marked
-    incomparable in the table.
+    (:meth:`Box.refusal`); a sweep refuses it, and any member's config,
+    before any member runs.  Aborted runs stay in the artifact list; pairs
+    involving them are marked incomparable in the table.
     """
-    if not epsilons or any(e <= 0 for e in epsilons):
+    if not epsilons or any(not e > 0 for e in epsilons):
         raise ConfigError("sweep epsilons must all be positive")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigError("sweep epsilons must be strictly decreasing")
@@ -361,8 +361,9 @@ def epsilon_sweep(cfg: ScenarioConfig, epsilons: list[float]) -> SweepResult:
     step = cfg.step
     if step.output_dt is None:
         step = replace(step, output_dt=max((box.t2 - box.t1) / (BOX_TIME_SAMPLES - 1), 1e-6))
-    artifacts = [run_scenario(replace(cfg, params=replace(cfg.params, epsilon=eps), mollifier_epsilon=eps,
-                                      step=step, box=box)) for eps in epsilons]
+    members = [replace(cfg, params=replace(cfg.params, epsilon=e), mollifier_epsilon=e, step=step, box=box)
+               for e in epsilons]
+    artifacts = [run_scenario(member) for member in members]
     table = []
     for (ea, arta), (eb, artb) in zip(zip(epsilons, artifacts), zip(epsilons[1:], artifacts[1:])):
         row: dict = {"eps_coarse": ea, "eps_fine": eb}

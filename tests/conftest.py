@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -8,6 +10,28 @@ from sgnlab import Grid, Params, dynamics, elliptic, grid, kinematics
 # derandomized: every run draws the same examples, so a run's outcome never depends on an earlier one
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("suite")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Arm ``@pytest.mark.time_limit(seconds)``: a test still running after ``seconds`` of wall time
+    fails from a ``SIGALRM``, so a run that never ends fails its test instead of hanging the session."""
+    marker = item.get_closest_marker("time_limit")
+    if marker is None:
+        yield
+        return
+    seconds = marker.args[0]
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after its time limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

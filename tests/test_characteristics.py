@@ -14,10 +14,10 @@ from sgnlab.characteristics import (
     trace,
 )
 from sgnlab.dynamics import StepControl, simulate
-from sgnlab.elliptic import assemble_L, script_r
+from sgnlab.elliptic import assemble_L, script_r, solve_helmholtz
 from sgnlab.errors import ContractViolationError, ModeError, NonFiniteError
 from sgnlab.kinematics import char_speeds, chi, gradients, pq_fields
-from sgnlab.regularization import compute_A, compute_MN, compute_V1, compute_V2
+from sgnlab.regularization import compute_A, compute_V1
 
 from conftest import assert_bitwise, count_derivative_calls, cutoff_reached, kernel_fields
 
@@ -38,12 +38,18 @@ def gaussian_history(n=384, t_end=1.0, output_dt=0.05, dt_fixed=None, gamma=9.81
     return simulate(s0, p, g, c), p, g
 
 
-def active_line_history():
-    """Line-mode eps = 1 run on which the cut-off fires."""
-    p = Params(epsilon=1.0)
+def active_line_state():
+    """A line-mode eps = 1 state on which both P and Q pass -1/eps."""
     g = Grid.from_length(256, 40.0, -20.0, "line")
     x = g.cells()
-    s0 = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+    p = Params(epsilon=1.0)
+    s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
+    return s, p, g
+
+
+def active_line_history():
+    """Line-mode eps = 1 run on which the cut-off fires."""
+    s0, p, g = active_line_state()
     return simulate(s0, p, g, StepControl(cfl=0.3, dt_max=0.01, t_end=0.05, output_dt=0.005)), p, g
 
 
@@ -61,8 +67,9 @@ def unshared_rhs_field(s, p, g, branch):
         A, A_x = compute_A(s, chiP, chiQ, p, g)
         out = out + (chiP if branch == "minus" else chiQ) / (8.0 * s.h) - A_x * own / (2.0 * s.h)
         v1 = compute_V1(s, d.ux, A_x, chiP, chiQ, g, sys)
-        v2 = compute_V2(s, A, p)
-    M, N = compute_MN(s, v1, v2, script_r(s, p, g))
+        v2 = (3.0 * p.g / p.sqrt_3gamma) * A / np.sqrt(s.h)
+    base = -3.0 * script_r(s, p, g) / s.h**2 + v1
+    M, N = base - v2, base + v2
     return out + (M if branch == "minus" else N)
 
 
@@ -195,8 +202,9 @@ class TestTrace:
         hist, p, g = gaussian_history()
         path = trace(hist, 1.0, "plus")
         slope = np.gradient(path.x, path.t)
+        speed = [interp_cubic(char_speeds(s, p)[1], g, _wrap(x, g))[0] for s, x in zip(hist.snapshots, path.x)]
         # interpolation tolerance: speed varies smoothly; generous factor two
-        assert np.max(np.abs(slope[1:-1] - path.speed[1:-1])) < 0.05
+        assert np.max(np.abs(slope[1:-1] - np.array(speed[1:-1]))) < 0.05
 
     def test_samples_strictly_increasing_in_time(self):
         hist, p, g = gaussian_history()
@@ -226,9 +234,9 @@ class TestTrace:
         with pytest.raises(ContractViolationError, match="finite point"):
             trace(hist, x0, "plus")
 
-    def test_two_interp_calls_per_trace(self, monkeypatch):
-        # one row-wise call per path quantity (speed, invariant), whatever the
-        # number of snapshots: the RK2 loop makes no array call
+    def test_one_interp_call_per_trace(self, monkeypatch):
+        # one row-wise call for the path's one quantity (the invariant), whatever
+        # the number of snapshots: the RK2 loop makes no array call
         real = characteristics.interp_cubic
         calls = []
 
@@ -241,7 +249,7 @@ class TestTrace:
             hist, p, g = flat_history(t_end=t_end)
             calls.clear()
             path = trace(hist, 0.0, "plus")
-            assert path.t.shape == (len(hist.snapshots),) and len(calls) == 2
+            assert path.t.shape == (len(hist.snapshots),) and len(calls) == 1
 
     @pytest.mark.parametrize("branch, row", [("minus", 0), ("plus", 1)])
     def test_invariant_is_the_branch_row_at_each_point(self, branch, row):
@@ -308,18 +316,15 @@ class TestRiccatiResidual:
     def test_active_cutoff_branch_pairing(self):
         # minus rides P with M = -3R/h^2 + V1 - V2, plus rides Q with N = M + 2 V2:
         # their difference keeps only the branch-odd terms
-        g = Grid.from_length(256, 40.0, -20.0, "line")
-        x = g.cells()
-        p = Params(epsilon=1.0)
-        s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), -2.0 * x * np.exp(-(x**2)))
-        d = gradients(s, p, g)
-        P, Q = d.pq
+        s, p, g = active_line_state()
+        P, Q = gradients(s, p, g).pq
         assert cutoff_reached(P, Q, p.epsilon)
         minus, plus = _riccati_rhs_fields(s, p, g)
         chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
         A, A_x = compute_A(s, chiP, chiQ, p, g)
+        v2 = (3.0 * p.g / p.sqrt_3gamma) * A / np.sqrt(s.h)
         expected = (2.0 * (Q**2 - P**2) / (8.0 * s.h) + (chiP - chiQ) / (8.0 * s.h)
-                    - A_x * (P - Q) / (2.0 * s.h) - 2.0 * compute_V2(s, A, p))
+                    - A_x * (P - Q) / (2.0 * s.h) - 2.0 * v2)
         scale = np.max(np.abs(minus)) + np.max(np.abs(plus))
         assert np.max(np.abs((minus - plus) - expected)) <= 1e-13 * scale
         assert np.max(np.abs(chiP - chiQ)) > 0.0
@@ -352,6 +357,49 @@ class TestRiccatiResidual:
         with pytest.warns(UserWarning, match="undersampled"):
             res = riccati_residual(hist, path, p)
         assert res.undersampled
+
+
+class TestRiccatiRhsFields:
+    """The one home of the Riccati right-hand side: V2, M and N are formed in
+    ``_riccati_rhs_fields``."""
+
+    def test_v2_two_normalizations_agree(self):
+        # the display carries two expressions for V2 whose constants must agree:
+        # (g/16) h^{-1/2} (g - gamma dxx)^{-1} { h^{-1/2} (chiP - chiQ) }
+        # equals (3g/sqrt(3 gamma)) h^{-1/2} A since 3/48 = 1/16; N - M = 2 V2 recovers V2
+        s, p, g = active_line_state()
+        P, Q = gradients(s, p, g).pq
+        chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
+        _, A_x = compute_A(s, chiP, chiQ, p, g)
+        minus, plus = _riccati_rhs_fields(s, p, g)
+        local = 2.0 * (P**2 - Q**2) / (8.0 * s.h) + (chiQ - chiP) / (8.0 * s.h) + A_x * (P - Q) / (2.0 * s.h)
+        v2 = 0.5 * ((plus - minus) - local)
+        direct = (p.g / 16.0) / np.sqrt(s.h) * solve_helmholtz((chiP - chiQ) / np.sqrt(s.h), p, g)[0]
+        scale = np.max(np.abs(direct))
+        assert scale > 0.0
+        assert np.max(np.abs(direct - v2)) < 1e-9 * scale
+
+    @pytest.mark.parametrize("mode", ["periodic", "line"])
+    def test_inactive_cutoff_gives_script_r_term(self, mode):
+        # no V1, no V2: M = N = -3 R/h^2, bit for bit
+        g = Grid.from_length(256, 40.0, -20.0, mode)
+        x = g.cells()
+        p = Params(epsilon=0.1)
+        s = FlowState(1.0 + 0.1 * np.exp(-(x**2)), 0.2 * x * np.exp(-(x**2)))
+        P, Q = pq_fields(s, p, g)
+        assert not cutoff_reached(P, Q, p.epsilon)
+        R = -3.0 * script_r(s, p, g) / s.h**2
+        assert np.any(R != 0.0)
+        minus, plus = _riccati_rhs_fields(s, p, g)
+        assert_bitwise(minus, (-P**2 + Q**2) / (8.0 * s.h) + R)
+        assert_bitwise(plus, (-Q**2 + P**2) / (8.0 * s.h) + R)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_flat_state_zero(self, eps):
+        g = Grid.from_length(256, 40.0, -20.0, "line")
+        p = Params(epsilon=eps)
+        minus, plus = _riccati_rhs_fields(FlowState(np.ones(g.n), np.zeros(g.n)), p, g)
+        assert np.all(minus == 0.0) and np.all(plus == 0.0)
 
 
 def fresh_history(hist):

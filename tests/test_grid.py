@@ -51,6 +51,22 @@ class TestGridConstruction:
                     Grid(n=64, dx=float(dx))
         Grid(n=64, dx=1e154)  # square 1e308, still finite
 
+    @pytest.mark.parametrize("x_left, dx", [(1e308, 0.04), (-1e308, 0.04), (1e17, 0.039), (-1e17, 0.039)])
+    def test_rejects_origin_whose_cell_centres_collapse(self, x_left, dx):
+        # far from 0 neighbouring cell centres round to one float64: x_left = 1e17, dx = 0.039
+        # once gave 3 distinct centres out of 1024
+        for mode in ("line", "periodic"):
+            with pytest.raises(ContractViolationError, match="float64 cannot place the cell centres"):
+                Grid(n=1024, dx=dx, x_left=x_left, mode=mode)
+
+    def test_cell_centre_rule_edge(self):
+        # the coordinates' float64 spacing may reach a thousandth of a cell, not more
+        for sign in (1.0, -1.0):
+            g = Grid(n=1024, dx=1.0, x_left=sign * 2.0**42)  # spacing 2^-10 < 1e-3 on the whole grid
+            assert np.unique(g.cells()).size == g.n
+            with pytest.raises(ContractViolationError, match="thousandth of dx = 1"):
+                Grid(n=1024, dx=1.0, x_left=sign * 2.0**43)  # spacing 2^-9
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ContractViolationError):
             Grid(n=64, dx=0.1, mode="moebius")

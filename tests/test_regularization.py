@@ -11,10 +11,8 @@ from sgnlab.kinematics import chi, gradients, pq_fields
 from sgnlab.regularization import (
     compute_A,
     compute_B,
-    compute_MN,
     compute_reg_fields,
     compute_V1,
-    compute_V2,
 )
 
 from conftest import assert_bitwise, convergence_orders, cutoff_reached, dense_matrix
@@ -174,37 +172,6 @@ def test_state_of_another_grid_rejected(which):
             compute_B(s, z, z, z, z, g, assemble_L(s.h, other, p.hbar))
 
 
-class TestComputeV2:
-    def test_zero_A(self):
-        g, p = make_line_setup()
-        s = FlowState(np.ones(g.n), np.zeros(g.n))
-        assert np.all(compute_V2(s, np.zeros(g.n), p) == 0.0)
-
-    def test_unit_depth_scaling(self):
-        g, p = make_line_setup()
-        s = FlowState(np.ones(g.n), np.zeros(g.n))
-        A = np.sin(g.cells())
-        v2 = compute_V2(s, A, p)
-        assert np.allclose(v2, (3.0 * p.g / p.sqrt_3gamma) * A, rtol=1e-14)
-
-    def test_two_normalizations_agree(self):
-        # the display carries two expressions whose constants must agree:
-        # (g/16) h^{-1/2} (g - gamma dxx)^{-1} { h^{-1/2} (chiP - chiQ) }
-        # equals (3g/sqrt(3 gamma)) h^{-1/2} A since 3/48 = 1/16
-        g, p = make_line_setup(eps=0.5)
-        x = g.cells()
-        h = 1.0 + 0.1 * np.exp(-(x**2))
-        s = FlowState(h, np.zeros(g.n))
-        P = -1.0 / p.epsilon - 1.5 * np.exp(-(x**2))
-        Q = np.full(g.n, 0.0)
-        chiP, chiQ = chi(P, p.epsilon), chi(Q, p.epsilon)
-        A, _ = compute_A(s, chiP, chiQ, p, g)
-        direct = (p.g / 16.0) / np.sqrt(h) * solve_helmholtz((chiP - chiQ) / np.sqrt(h), p, g)[0]
-        via_A = compute_V2(s, A, p)
-        scale = np.max(np.abs(via_A)) + 1e-300
-        assert np.max(np.abs(direct - via_A)) < 1e-9 * scale
-
-
 class TestComputeV1:
     def test_zero_when_inactive(self):
         g, p = make_line_setup()
@@ -292,36 +259,6 @@ class TestComputeB:
         assert convergence_orders(diffs)[0] >= 1.5
 
 
-class TestComputeMN:
-    def test_no_cutoff_reduces_to_script_r_term(self):
-        g, p = make_line_setup()
-        x = g.cells()
-        h = 1.0 + 0.1 * np.exp(-(x**2))
-        s = FlowState(h, np.zeros(g.n))
-        z = np.zeros(g.n)
-        scriptR = np.sin(x)
-        M, N = compute_MN(s, z, z, scriptR)
-        expected = -3.0 * scriptR / h**2
-        assert np.allclose(M, expected, rtol=1e-14)
-        assert np.allclose(N, expected, rtol=1e-14)
-
-    def test_n_minus_m_is_twice_v2(self):
-        g, p = make_line_setup()
-        x = g.cells()
-        h = 1.0 + 0.1 * np.exp(-(x**2))
-        s = FlowState(h, np.zeros(g.n))
-        v2 = np.cos(x)
-        M, N = compute_MN(s, np.sin(2 * x), v2, np.sin(x))
-        assert np.max(np.abs((N - M) - 2.0 * v2)) < 1e-14 * (1 + np.max(np.abs(v2)))
-
-    def test_flat_state_zero(self):
-        g, p = make_line_setup()
-        s = FlowState(np.ones(g.n), np.zeros(g.n))
-        z = np.zeros(g.n)
-        M, N = compute_MN(s, z, z, np.zeros(g.n))
-        assert np.all(M == 0.0) and np.all(N == 0.0)
-
-
 class TestOrchestration:
     def test_inactive_returns_none(self):
         g, p = make_line_setup(eps=0.1)
@@ -359,9 +296,9 @@ class TestOrchestration:
         # B's source has one home: compute_B solves over the flux the stepper folds in
         B = compute_B(s, d.ux, A_x, chiP, chiQ, g, sys)
         assert np.array_equal(B, solve_L(sys, -0.5 * s.u * A_x + derivative(b_flux, g)))
-        # V1, V2 belong to the Riccati equations, not to the stepper sources
+        # V1 belongs to the Riccati equations, not to the stepper sources
         v1 = compute_V1(s, d.ux, A_x, chiP, chiQ, g, sys)
-        for v in (A, A_x, b_flux, B, v1, compute_V2(s, A, p)):
+        for v in (A, A_x, b_flux, B, v1):
             assert np.all(np.isfinite(v))
         P, Q = d.pq
         assert np.all(chiP >= 0) and np.all(chiQ >= 0)

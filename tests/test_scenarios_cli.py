@@ -326,6 +326,17 @@ class TestSweep:
         assert [a.history.status for a in res.artifacts] == ["completed", "completed"]
         assert [a.config.params.epsilon for a in res.artifacts] == [0.2, 0.1]
 
+    @pytest.mark.parametrize("epsilons, message", [([0.2, math.nan], "sweep epsilons must all be positive"),
+                                                   ([0.1, 1e-320], "mollifier_epsilon must be 0 or")],
+                             ids=["nan", "mollifier"])
+    def test_every_member_refused_before_any_runs(self, monkeypatch, epsilons, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a member ran before the sweep refused a later one")
+
+        monkeypatch.setattr(scenarios, "simulate", refuse)
+        with pytest.raises(ConfigError, match=message):
+            epsilon_sweep(default_cfg(), epsilons)
+
     def test_box_difference_needs_one_grid(self):
         runs = [run_scenario(default_cfg(grid=Grid.from_length(n, 40.0, -20.0, "periodic"),
                                          step=StepControl(t_end=0.0))).history for n in (256, 128)]
@@ -457,6 +468,7 @@ class TestCli:
         path = self.write_cfg(tmp_path, BASE_CFG + "\n[plasma]\nq=1\n")
         assert main(["check", "--config", path]) == 2
 
+    @pytest.mark.time_limit(10)
     def test_run_flat_exit_zero(self, tmp_path, capsys):
         text = BASE_CFG.replace("kind = gaussian", "kind = flat")
         path = self.write_cfg(tmp_path, text)
@@ -495,9 +507,11 @@ class TestCli:
             with open(os.path.join(d1, name)) as f1, open(os.path.join(d2, name)) as f2:
                 assert f1.read() == f2.read()
 
+    @pytest.mark.time_limit(10)
     def test_usage_error_exit_two(self):
         assert main(["run"]) == 2
 
+    @pytest.mark.time_limit(10)
     def test_nonfinite_override_exit_two(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, BASE_CFG)
         out_dir = tmp_path / "o"
@@ -510,6 +524,7 @@ class TestCli:
         (["checks.blowup=true", "checks.ux_threshold=nan", "checks.hx_threshold=0.01"],
          "error: blow-up threshold ux"),
     ])
+    @pytest.mark.time_limit(10)
     def test_nan_check_setting_exit_two(self, tmp_path, capsys, overrides, message):
         path = self.write_cfg(tmp_path, BASE_CFG)
         out_dir = tmp_path / "o"
@@ -525,6 +540,7 @@ class TestCli:
         ("checks.oleinik_c=inf", "error: oleinik_C"),
         ("checks.oleinik_c=-1", "error: oleinik_C"),
     ])
+    @pytest.mark.time_limit(10)
     def test_unbounded_tolerance_exit_two(self, tmp_path, capsys, override, message):
         path = self.write_cfg(tmp_path, BASE_CFG)
         out_dir = tmp_path / "o"
@@ -578,7 +594,10 @@ class TestCli:
          "error: target energy 1e-30 unreachable: amplitude 5e-10 already gives more"),
         # a center whose offset from the grid overflows the profile: a warning and a flat state before
         ("gaussian_energy.cfg", "scenario.center=1e308", "error: center 1e+308 is too far from the grid"),
-        ("gaussian_energy.cfg", "grid.x_left=1e308", "error: center 0 is too far from the grid"),
+        ("gaussian_energy.cfg", "grid.x_left=1e308", "error: grid x_left = 1e+308, x_right = 1e+308: float64 cannot"),
+        # cell centres that collapse in float64: a uniform depth run and passed, or numpy warnings and exit 2
+        ("gaussian_energy.cfg", "grid.x_left=1e17", "error: grid x_left = 1e+17, x_right = 1e+17: float64 cannot"),
+        ("dispersion_b3.cfg", "grid.x_left=-1e308", "error: grid x_left = -1e+308, x_right = -1e+308: float64"),
         ("steep_sweep.cfg", "scenario.center=1e308", "error: center 1e+308 is too far from the grid"),
         # a representable center whose profile leaves every cell at (hbar, 0): a flat run that passed
         ("gaussian_energy.cfg", "scenario.center=1e6",
@@ -592,6 +611,7 @@ class TestCli:
                                                          "and 2e+297 snapshots"),
         ("gaussian_energy.cfg", "step.dt_fixed=1e-300", "error: the run would keep at least 2e+297 rows"),
     ])
+    @pytest.mark.time_limit(10)
     def test_nonfinite_shape_or_grid_exit_two(self, tmp_path, capsys, config, override, message):
         path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
         out_dir = tmp_path / "o"
@@ -610,6 +630,7 @@ class TestCli:
         (["grid.n=128", "step.t_end=0.1", "step.output_dt=0.09999999999999"],
          "error: the phase speed of wavenumber 1 needs at least 3 snapshots, the run keeps 2"),
     ], ids=["one-snapshot", "two-snapshots", "aliased", "output-within-end-tolerance"])
+    @pytest.mark.time_limit(10)
     def test_dispersion_snapshots_that_cannot_measure_exit_two(self, tmp_path, capsys, overrides, message):
         # check once said OK here, and run could only report three unmeasured modes
         args = ["--config", str(CONFIGS / "dispersion_b3.cfg"), *(a for o in overrides for a in ("--override", o))]
@@ -622,6 +643,7 @@ class TestCli:
 
     @pytest.mark.parametrize("content", [None, "x,h,u\n1,one,0\n", "x,h,u\n0,1,0\n1,1,0\n", "x,h,u\n"],
                              ids=["missing", "non-numeric", "wrong-shape", "empty"])
+    @pytest.mark.time_limit(10)
     def test_unreadable_custom_file_exit_two(self, tmp_path, capsys, content):
         path = tmp_path / "state.csv"
         if content is not None:
@@ -641,6 +663,7 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("x_left, length", [(-20.0 + 7.3, 40.0), (-5.0, 10.0)], ids=["shifted", "narrower"])
+    @pytest.mark.time_limit(10)
     def test_custom_file_off_the_grid_exit_two(self, tmp_path, capsys, x_left, length):
         # the x column must be the configured grid's cell centres; a file written
         # for another grid would put its data at the wrong places without a word
@@ -670,6 +693,7 @@ class TestCli:
                                      ("0.1", "inf", "-4", "6"), ("-1", "0.5", "-4", "6")],
                              ids=["nan-t1", "reversed-t", "reversed-x", "outside-grid", "infinite-t2",
                                   "before-the-runs"])
+    @pytest.mark.time_limit(10)
     def test_malformed_sweep_box_exit_two(self, tmp_path, capsys, box):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
         args = ["--config", str(cfg)]
@@ -682,6 +706,7 @@ class TestCli:
         assert main(["check", *args]) == 2
 
     @pytest.mark.parametrize("config", ["gaussian_energy.cfg", "steep_sweep.cfg"])
+    @pytest.mark.time_limit(10)
     def test_profile_off_the_grid_sweep_exit_two(self, tmp_path, capsys, monkeypatch, config):
         # the first member refuses its initial state before it steps, and nothing is written
         monkeypatch.setattr(scenarios, "simulate", lambda *args, **kw: pytest.fail("a member ran"))
@@ -702,6 +727,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: sweep t_end must be > 0")
         assert not out_dir.exists()
 
+    @pytest.mark.time_limit(10)
     def test_sweep_box_from_t_end_on_exit_two(self, tmp_path, capsys, monkeypatch):
         # a box ending after t_end holds times the members never record: the sweep refuses it before any
         # member runs, whether it starts after t_end, at it or before it; check (like run) never reads it
@@ -718,6 +744,7 @@ class TestCli:
             assert not out_dir.exists()
             assert main(["check", *args]) == 0
 
+    @pytest.mark.time_limit(10)
     def test_sweep_box_between_cell_centres_exit_two(self, tmp_path, capsys, monkeypatch):
         # at n = 512, dx = 0.0703 and no cell centre lies in [0.001, 0.002]: the box would read zero
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "steep_sweep.cfg"
@@ -740,6 +767,7 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--override", "step.t_end=0.002", "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.time_limit(10)
     def test_unusable_out_exit_two_before_running(self, tmp_path, capsys, monkeypatch, command):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "flat.cfg"
         monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("the run started"))
@@ -816,6 +844,7 @@ class TestCli:
         with open(out_dir / "sweep_table.csv") as fh:
             assert fh.read().splitlines()[1] == "0.20000000000000001,0.10000000000000001,,,False"
 
+    @pytest.mark.time_limit(10)
     def test_bad_epsilon_list_exit_two(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, BASE_CFG)
         out_dir = tmp_path / "sweep"
@@ -823,6 +852,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: key epsilons = 'abc' is not a number")
         assert not out_dir.exists()
 
+    @pytest.mark.time_limit(10)
     def test_failed_check_exit_one(self, tmp_path, capsys):
         # an impossibly tight tolerance forces an honest FAIL
         text = BASE_CFG.replace("energy_rtol = 1e-4", "energy_rtol = 1e-16")
